@@ -103,7 +103,6 @@ func main() {
 	probeInterval := flag.Duration("probe-interval", time.Second, "coordinator health-poll period per worker")
 	hedgeMin := flag.Duration("hedge-min", 100*time.Millisecond, "coordinator lower clamp on the hedge latency budget")
 	hedgeMax := flag.Duration("hedge-max", 10*time.Second, "coordinator upper clamp on the hedge latency budget")
-	peering := flag.Bool("peering", true, "worker mode: answer /internal/peer/cache and consult the key owner's cache on hedged requests")
 	peers := flag.String("peers", "", "worker mode: comma-separated base URLs of every fleet worker (the cache-peering allowlist; empty = never fetch from a peer)")
 	peerAuth := flag.String("peer-auth", "", "shared fleet peering secret: required on /internal/peer/cache and sent on peer fetches (empty = unauthenticated)")
 	flag.Parse()
@@ -153,14 +152,12 @@ func main() {
 		CacheMaxBytes:   *cacheBytes,
 	}
 	scfg.PeerAuth = *peerAuth
-	if *peering {
-		// Consulted only when a coordinator routed the request here with an
-		// X-Mirage-Owner hint. The hint is client-forgeable data, so fetches
-		// are allowlisted to the -peers fleet membership: a standalone
-		// worker (no -peers) never peers, whatever headers arrive.
-		if peerURLs := splitURLs(*peers); len(peerURLs) > 0 {
-			scfg.PeerFetch = fleet.NewPeerFetch(nil, peerURLs, *peerAuth)
-		}
+	// Consulted only when a coordinator routed the request here with an
+	// X-Mirage-Owner hint. The hint is client-forgeable data, so fetches are
+	// allowlisted to the -peers fleet membership: a standalone worker (no
+	// -peers) never peers, whatever headers arrive.
+	if peerURLs := splitURLs(*peers); len(peerURLs) > 0 {
+		scfg.PeerFetch = fleet.NewPeerFetch(nil, peerURLs, *peerAuth)
 	}
 	srv := server.New(scfg)
 

@@ -8,6 +8,7 @@ package chaos_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"math"
 	"net/http"
@@ -15,10 +16,12 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"log/slog"
 
 	"repro/internal/chaos"
+	"repro/internal/core"
 	"repro/internal/server"
 )
 
@@ -182,5 +185,94 @@ func TestChaosColdSweepObservability(t *testing.T) {
 	p99 := srv.Telemetry().Reg().Histogram("server.http.latency_us.sweep").Quantile(0.99)
 	if p99 <= 0 || math.IsInf(p99, 0) || math.IsNaN(p99) {
 		t.Errorf("sweep latency p99 under chaos = %v, want finite and > 0", p99)
+	}
+}
+
+// statusz renders the server's /debug/statusz page.
+func statusz(h http.Handler) string {
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest("GET", "/debug/statusz", nil))
+	return rec.Body.String()
+}
+
+// gatedInner is a fakeInner whose Run blocks until release closes, holding
+// the leader's flight open so a second request can join it.
+type gatedInner struct {
+	fakeInner
+	entered, release chan struct{}
+}
+
+func (g *gatedInner) Run(ctx context.Context, cfg core.Config) (*core.MixResult, error) {
+	close(g.entered)
+	<-g.release
+	return g.fakeInner.Run(ctx, cfg)
+}
+
+// TestChaosFaultAttributionReachesWaiterAndHit: the fault injected into a
+// flight is a property of the bytes it produced, so the leader, a waiter
+// that joined its flight and a later cache hit all log fault=latency, and
+// the waiter and the hit name the leader that computed their bytes.
+func TestChaosFaultAttributionReachesWaiterAndHit(t *testing.T) {
+	var buf obsBuf
+	inj, err := chaos.NewInjector(chaos.Config{Seed: "obs-attribution", PLatency: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inner := &gatedInner{entered: make(chan struct{}), release: make(chan struct{})}
+	srv := server.New(server.Config{
+		Backend:        chaos.Wrap(inner, inj),
+		DefaultTimeout: 30 * time.Second,
+		Logger:         slog.New(slog.NewJSONHandler(&buf, nil)),
+	})
+	body := runBody("attribution", 0)
+	codes := make(map[string]int)
+	var mu sync.Mutex
+	var wg sync.WaitGroup
+	send := func(id string) {
+		rec := postID(t, srv, "/v1/run", body, id)
+		mu.Lock()
+		codes[id] = rec.Code
+		mu.Unlock()
+	}
+	wg.Add(2)
+	go func() { defer wg.Done(); send("attr-leader") }()
+	<-inner.entered // the leader's flight is in the backend, fault marked
+	go func() { defer wg.Done(); send("attr-waiter") }()
+	// Release the backend only once statusz shows the second request
+	// sharing the leader's key: it set its key just before joining the
+	// flight, and the margin covers that last step, which has no outside
+	// signal.
+	for !strings.Contains(statusz(srv), "waiters=1") {
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(20 * time.Millisecond)
+	close(inner.release)
+	wg.Wait()
+	send("attr-hit")
+	for id, code := range codes {
+		if code != http.StatusOK {
+			t.Fatalf("%s status = %d, want 200", id, code)
+		}
+	}
+
+	want := map[string]struct{ cache, role, leader string }{
+		"attr-leader": {"miss", "leader", ""},
+		"attr-waiter": {"miss", "waiter", "attr-leader"},
+		"attr-hit":    {"hit", "", "attr-leader"},
+	}
+	for id, w := range want {
+		line := findLine(t, &buf, id)
+		if line == nil {
+			t.Fatalf("no access-log line for %s:\n%s", id, buf.String())
+		}
+		role, _ := line["role"].(string)
+		leader, _ := line["leader"].(string)
+		if line["cache"] != w.cache || role != w.role || leader != w.leader || line["fault"] != "latency" {
+			t.Errorf("%s line = %v, want cache=%s role=%q leader=%q fault=latency",
+				id, line, w.cache, w.role, w.leader)
+		}
+	}
+	if got := inner.runs.Load(); got != 1 {
+		t.Errorf("backend ran %d simulations, want 1", got)
 	}
 }

@@ -1,6 +1,7 @@
 package runner
 
 import (
+	"container/list"
 	"context"
 	"errors"
 	"sync"
@@ -69,11 +70,10 @@ type Cache[K comparable, V any] struct {
 	// every successful result. nil disables the tier.
 	Backing Backing[K, V]
 
-	mu               sync.Mutex
-	m                map[K]*flight[K, V]
-	lruHead, lruTail *flight[K, V] // settled entries, most recent first
-	settled          int
-	bytes            int64
+	mu    sync.Mutex
+	m     map[K]*flight[K, V]
+	lru   *list.List // settled *flight entries, most recent first
+	bytes int64
 }
 
 // Outcome classifies how a DoContext call obtained its result — the cache
@@ -121,15 +121,25 @@ type flight[K comparable, V any] struct {
 	v       V
 	err     error
 	settled bool // guarded by Cache.mu (for abandon/settle races)
+	disk    bool // settled from the Backing tier; set with settled
 
 	waiters int                // guarded by Cache.mu
 	cancel  context.CancelFunc // cancels the flight's own context
 
-	// LRU links through settled entries (guarded by Cache.mu); inLRU marks
-	// membership, size is the entry's MaxBytes weight.
-	lruPrev, lruNext *flight[K, V]
-	inLRU            bool
-	size             int64
+	// elem is the entry's place in Cache.lru (nil until admitted or after
+	// eviction) and size its MaxBytes weight; both guarded by Cache.mu.
+	elem *list.Element
+	size int64
+}
+
+// result delivers a settled flight to one of its callers. Every caller of a
+// flight the Backing tier settled is relabelled OutcomeDisk: nothing was
+// computed for any of them, the bytes came off disk.
+func (f *flight[K, V]) result(out Outcome) (V, Outcome, error) {
+	if f.disk {
+		out = OutcomeDisk
+	}
+	return f.v, out, f.err
 }
 
 // Do returns the cached result for key, computing it with fn on first use.
@@ -151,8 +161,9 @@ func (c *Cache[K, V]) Do(key K, fn func() (V, error)) (V, error) {
 //
 // out reports how the result was obtained: OutcomeLeader for the caller
 // that ran fn (a miss), OutcomeWaiter for callers that joined its
-// in-progress flight, OutcomeHit for callers served from a settled entry.
-// The server's singleflight hit counter and access-log cache field are
+// in-progress flight, OutcomeHit for callers served from a settled entry,
+// and OutcomeDisk for the first caller and every joiner of a flight the
+// Backing tier answered. The server's singleflight hit counter and access-log cache field are
 // built on it (out.Shared() is the old boolean).
 //
 // When ctx ends before the flight settles, DoContext returns ctx's error.
@@ -165,6 +176,7 @@ func (c *Cache[K, V]) DoContext(ctx context.Context, key K, fn func(context.Cont
 	c.mu.Lock()
 	if c.m == nil {
 		c.m = make(map[K]*flight[K, V])
+		c.lru = list.New()
 	}
 	f, ok := c.m[key]
 	if ok {
@@ -189,12 +201,13 @@ func (c *Cache[K, V]) DoContext(ctx context.Context, key K, fn func(context.Cont
 	// Consult the backing tier before paying for the computation. The
 	// flight is already in the map, so concurrent callers for the key park
 	// on it instead of racing their own disk reads; a backing hit settles
-	// the flight with the stored value and nobody runs fn.
+	// the flight with the stored value (marked disk, so those parked
+	// callers report OutcomeDisk too) and nobody runs fn.
 	if c.Backing != nil {
 		if bv, ok := c.Backing.Load(key); ok {
 			c.mu.Lock()
 			f.v = bv
-			f.settled = true
+			f.settled, f.disk = true, true
 			f.waiters--
 			if c.m[key] == f {
 				c.insertSettledLocked(f)
@@ -238,38 +251,10 @@ func (c *Cache[K, V]) DoContext(ctx context.Context, key K, fn func(context.Cont
 	return c.wait(ctx, key, f, OutcomeLeader)
 }
 
-// --- settled-entry LRU (guarded by c.mu) ---
-
-func (c *Cache[K, V]) lruUnlink(f *flight[K, V]) {
-	if f.lruPrev != nil {
-		f.lruPrev.lruNext = f.lruNext
-	} else if c.lruHead == f {
-		c.lruHead = f.lruNext
-	}
-	if f.lruNext != nil {
-		f.lruNext.lruPrev = f.lruPrev
-	} else if c.lruTail == f {
-		c.lruTail = f.lruPrev
-	}
-	f.lruPrev, f.lruNext = nil, nil
-}
-
-func (c *Cache[K, V]) lruPushFront(f *flight[K, V]) {
-	f.lruPrev, f.lruNext = nil, c.lruHead
-	if c.lruHead != nil {
-		c.lruHead.lruPrev = f
-	}
-	c.lruHead = f
-	if c.lruTail == nil {
-		c.lruTail = f
-	}
-}
-
 // touchLocked refreshes a settled entry's recency on a hit.
 func (c *Cache[K, V]) touchLocked(f *flight[K, V]) {
-	if f.inLRU {
-		c.lruUnlink(f)
-		c.lruPushFront(f)
+	if f.elem != nil {
+		c.lru.MoveToFront(f.elem)
 	}
 }
 
@@ -280,17 +265,13 @@ func (c *Cache[K, V]) insertSettledLocked(f *flight[K, V]) {
 	if f.err == nil && c.Size != nil {
 		f.size = c.Size(f.v)
 	}
-	f.inLRU = true
-	c.lruPushFront(f)
-	c.settled++
+	f.elem = c.lru.PushFront(f)
 	c.bytes += f.size
-	for c.lruTail != nil &&
-		((c.MaxEntries > 0 && c.settled > c.MaxEntries) ||
+	for c.lru.Len() > 0 &&
+		((c.MaxEntries > 0 && c.lru.Len() > c.MaxEntries) ||
 			(c.MaxBytes > 0 && c.bytes > c.MaxBytes)) {
-		evict := c.lruTail
-		c.lruUnlink(evict)
-		evict.inLRU = false
-		c.settled--
+		evict := c.lru.Remove(c.lru.Back()).(*flight[K, V])
+		evict.elem = nil
 		c.bytes -= evict.size
 		if c.m[evict.key] == evict {
 			delete(c.m, evict.key)
@@ -306,7 +287,7 @@ func (c *Cache[K, V]) wait(ctx context.Context, key K, f *flight[K, V], out Outc
 		c.mu.Lock()
 		f.waiters--
 		c.mu.Unlock()
-		return f.v, out, f.err
+		return f.result(out)
 	case <-ctx.Done():
 	}
 
@@ -321,7 +302,7 @@ func (c *Cache[K, V]) wait(ctx context.Context, key K, f *flight[K, V], out Outc
 		// Settled in the race between ctx.Done and acquiring the lock:
 		// the result is ready, deliver it.
 		c.mu.Unlock()
-		return f.v, out, f.err
+		return f.result(out)
 	}
 	last := f.waiters == 0
 	if last && c.m[key] == f {
@@ -394,8 +375,7 @@ func (c *Cache[K, V]) Bytes() int64 {
 // The backing tier is untouched — Reset empties memory, not disk.
 func (c *Cache[K, V]) Reset() {
 	c.mu.Lock()
-	c.m = nil
-	c.lruHead, c.lruTail = nil, nil
-	c.settled, c.bytes = 0, 0
+	c.m, c.lru = nil, nil
+	c.bytes = 0
 	c.mu.Unlock()
 }

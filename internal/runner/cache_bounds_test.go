@@ -245,6 +245,66 @@ func TestCacheBackingConcurrentMiss(t *testing.T) {
 	}
 }
 
+// gatedBacking is a Backing whose Load blocks until its gate opens, so a
+// test can park a second caller on a flight the leader is loading from disk.
+type gatedBacking struct {
+	*mapBacking
+	entered chan struct{}
+	gate    chan struct{}
+}
+
+func (b *gatedBacking) Load(key string) ([]byte, bool) {
+	close(b.entered)
+	<-b.gate
+	return b.mapBacking.Load(key)
+}
+
+// TestCacheBackingWaiterSeesDisk is the disk-waiter relabel regression: a
+// caller that joins a flight whose leader is loading the key from the
+// backing tier ran nothing either, so it must report OutcomeDisk, not
+// OutcomeWaiter (which the server labelled a miss and counted as a
+// singleflight hit).
+func TestCacheBackingWaiterSeesDisk(t *testing.T) {
+	bk := &gatedBacking{mapBacking: newMapBacking(), entered: make(chan struct{}), gate: make(chan struct{})}
+	bk.m["warm"] = []byte("stored")
+	c := &Cache[string, []byte]{Backing: bk}
+	noRun := func(context.Context) ([]byte, error) {
+		return nil, errors.New("fn ran despite a backing hit")
+	}
+	type result struct {
+		v   []byte
+		out Outcome
+		err error
+	}
+	leader := make(chan result, 1)
+	go func() {
+		v, out, err := c.DoContext(context.Background(), "warm", noRun)
+		leader <- result{v, out, err}
+	}()
+	<-bk.entered
+	waiter := make(chan result, 1)
+	go func() {
+		v, out, err := c.DoContext(context.Background(), "warm", noRun)
+		waiter <- result{v, out, err}
+	}()
+	// Open the gate only once the second caller has joined the flight.
+	for joined := false; !joined; {
+		c.mu.Lock()
+		joined = c.m["warm"].waiters == 2
+		c.mu.Unlock()
+		if !joined {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	close(bk.gate)
+	for name, ch := range map[string]chan result{"leader": leader, "waiter": waiter} {
+		r := <-ch
+		if r.err != nil || r.out != OutcomeDisk || string(r.v) != "stored" {
+			t.Errorf("%s = %q, %v, %v; want stored/disk/nil", name, r.v, r.out, r.err)
+		}
+	}
+}
+
 // TestCacheBackingSkipsCancelledFlights is the evict-on-cancel parity
 // regression: when every waiter abandons a flight, the memory tier evicts
 // it even if fn ignores the cancellation and returns a nil error — and the

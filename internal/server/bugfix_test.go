@@ -1,5 +1,5 @@
 // Regression tests for the serving-layer bugfixes that rode along with the
-// fleet PR: the bounded flight-record map, healthz drain status, flight-
+// fleet PR: the bounded response cache, healthz drain status, flight-
 // error-first status attribution in finish, and the stable "apps" shape.
 
 package server
@@ -19,37 +19,35 @@ import (
 	"repro/internal/runner"
 )
 
-// TestFlightsMapBounded drives >10k one-off job keys through the full
-// handler stack and asserts the per-key flight-record map — which shadows
-// the response cache for log attribution — stays bounded instead of
-// leaking one record per distinct key ever served (the zipfian-tail growth
-// PR 7 bounded the cache against).
-func TestFlightsMapBounded(t *testing.T) {
+// TestCacheBoundedKeepsHitAttribution drives >10k one-off job keys through
+// the full handler stack and asserts the response cache stays bounded
+// instead of holding one entry per distinct key ever served, while the
+// attribution riding on each cached value survives: a repeat of the
+// hottest (latest) key is a hit naming the request that computed it.
+func TestCacheBoundedKeepsHitAttribution(t *testing.T) {
 	const bound = 256
-	srv := newTestServer(t, func(c *Config) {
-		c.CacheMaxEntries = bound
-		c.Backend = fakeBackend{run: func(ctx context.Context, cfg core.Config) (*core.MixResult, error) {
-			return fakeMixResult(cfg), nil
-		}}
-	})
+	var buf syncBuffer
+	srv := obsTestServer(t, &buf, func(c *Config) { c.CacheMaxEntries = bound })
 	const keys = 10_050
+	body := func(i int) string { return fmt.Sprintf(`{"mix": ["hmmer"], "seed": "oneoff-%d"}`, i) }
 	for i := 0; i < keys; i++ {
-		body := fmt.Sprintf(`{"mix": ["hmmer"], "seed": "oneoff-%d"}`, i)
-		if rec := postJSON(t, srv, "/v1/run", body); rec.Code != 200 {
+		id := ""
+		if i == keys-1 {
+			id = "hot-leader"
+		}
+		if rec := postWithID(t, srv, "/v1/run", body(i), id); rec.Code != 200 {
 			t.Fatalf("request %d: status %d: %s", i, rec.Code, rec.Body.Bytes())
 		}
 	}
-	if got := srv.flightsLen(); got > bound {
-		t.Fatalf("flights map holds %d records after %d one-off keys, want <= %d", got, keys, bound)
-	}
 	if got := srv.cache.Len(); got > bound {
-		t.Fatalf("response cache holds %d entries, want <= %d", got, bound)
+		t.Fatalf("response cache holds %d entries after %d one-off keys, want <= %d", got, keys, bound)
 	}
-	// Recency works: a repeat of the hottest (latest) key still attributes
-	// its leader through the surviving record.
-	body := fmt.Sprintf(`{"mix": ["hmmer"], "seed": "oneoff-%d"}`, keys-1)
-	if rec := postJSON(t, srv, "/v1/run", body); rec.Code != 200 {
+	if rec := postWithID(t, srv, "/v1/run", body(keys-1), "hot-repeat"); rec.Code != 200 {
 		t.Fatalf("repeat of hot key: %d", rec.Code)
+	}
+	line := requestLine(t, &buf, "hot-repeat")
+	if line["cache"] != "hit" || line["leader"] != "hot-leader" {
+		t.Errorf("hot repeat line = %v, want cache=hit leader=hot-leader", line)
 	}
 }
 
@@ -165,5 +163,28 @@ func TestHealthzDrainingStatusCode(t *testing.T) {
 	}
 	if h.Status != "draining" || !h.Draining {
 		t.Fatalf("draining healthz body = %+v", h)
+	}
+}
+
+// TestSimulationsSkipServerSamplerAndTraceSink is the unbounded-retention
+// regression: simulations used to feed the server telemetry's sampler and
+// trace sink, which nothing serves and nothing bounds, so every run and
+// sweep ever served stayed on the heap (and its interval samples in every
+// /v1/metrics reply). Simulator counters must still land in the server
+// registry.
+func TestSimulationsSkipServerSamplerAndTraceSink(t *testing.T) {
+	srv := newTestServer(t, nil)
+	if rec := postJSON(t, srv, "/v1/run", `{"mix": ["hmmer", "mcf"], "target_insts": 150000, "interval_cycles": 15000}`); rec.Code != 200 {
+		t.Fatalf("run: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if rec := postJSON(t, srv, "/v1/sweep", `{"scale": "tiny"}`); rec.Code != 200 {
+		t.Fatalf("sweep: status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	tel := srv.Telemetry()
+	if n, m := tel.Sink().Len(), tel.Samp().Len(); n != 0 || m != 0 {
+		t.Errorf("server retains %d trace events and %d interval samples, want 0 and 0", n, m)
+	}
+	if n := tel.Reg().Counter("core0.insts").Value(); n == 0 {
+		t.Error("simulator counter core0.insts did not move in the server registry")
 	}
 }

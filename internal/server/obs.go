@@ -253,105 +253,6 @@ func (w *statusWriter) status() int {
 	return w.code
 }
 
-// flightInfo is the per-key record linking a flight back to the request
-// that led it, so waiters and cache hits can log which leader computed
-// their bytes and whether a fault was injected into that flight.
-type flightInfo struct {
-	mu     sync.Mutex
-	leader string
-	fault  string
-
-	// LRU bookkeeping through Server.flights (guarded by Server.flightsMu):
-	// this map shadows the response cache one record per job key, so without
-	// its own bound it re-leaks exactly the zipfian-tail growth the cache's
-	// LRU was built to stop.
-	key        string
-	prev, next *flightInfo
-}
-
-func (fi *flightInfo) setLeader(id string) {
-	fi.mu.Lock()
-	fi.leader = id
-	fi.fault = "" // a fresh flight starts fault-free
-	fi.mu.Unlock()
-}
-
-func (fi *flightInfo) setFault(kind string) {
-	if kind == "" {
-		return
-	}
-	fi.mu.Lock()
-	fi.fault = kind
-	fi.mu.Unlock()
-}
-
-func (fi *flightInfo) get() (leader, fault string) {
-	fi.mu.Lock()
-	defer fi.mu.Unlock()
-	return fi.leader, fi.fault
-}
-
-// flightFor returns (lazily creating) the flight record for key, keeping
-// the map bounded: records are LRU-ordered and creation past maxFlights
-// evicts the coldest. Callers hold their *flightInfo by pointer, so an
-// evicted record stays usable for requests already attached to it — a
-// later lookup for the same key simply starts a fresh record (at worst one
-// waiter logs an empty leader, never a wrong one).
-func (s *Server) flightFor(key string) *flightInfo {
-	s.flightsMu.Lock()
-	defer s.flightsMu.Unlock()
-	if s.flights == nil {
-		s.flights = make(map[string]*flightInfo)
-	}
-	fi, ok := s.flights[key]
-	if ok {
-		s.flightUnlinkLocked(fi)
-		s.flightPushFrontLocked(fi)
-		return fi
-	}
-	fi = &flightInfo{key: key}
-	s.flights[key] = fi
-	s.flightPushFrontLocked(fi)
-	for s.maxFlights > 0 && len(s.flights) > s.maxFlights && s.flightTail != nil {
-		evict := s.flightTail
-		s.flightUnlinkLocked(evict)
-		delete(s.flights, evict.key)
-	}
-	return fi
-}
-
-func (s *Server) flightUnlinkLocked(fi *flightInfo) {
-	if fi.prev != nil {
-		fi.prev.next = fi.next
-	} else if s.flightHead == fi {
-		s.flightHead = fi.next
-	}
-	if fi.next != nil {
-		fi.next.prev = fi.prev
-	} else if s.flightTail == fi {
-		s.flightTail = fi.prev
-	}
-	fi.prev, fi.next = nil, nil
-}
-
-func (s *Server) flightPushFrontLocked(fi *flightInfo) {
-	fi.prev, fi.next = nil, s.flightHead
-	if s.flightHead != nil {
-		s.flightHead.prev = fi
-	}
-	s.flightHead = fi
-	if s.flightTail == nil {
-		s.flightTail = fi
-	}
-}
-
-// flightsLen reports the flight-record count (tests assert boundedness).
-func (s *Server) flightsLen() int {
-	s.flightsMu.Lock()
-	defer s.flightsMu.Unlock()
-	return len(s.flights)
-}
-
 // instrument is the outermost middleware on every route: it assigns the
 // request ID, installs the trace into the context, echoes X-Request-ID,
 // captures status/bytes, records the per-route latency histogram, flattens

@@ -63,9 +63,10 @@ type Config struct {
 	// Scales are the named experiment scales requests may select; nil
 	// installs {"quick", "full"}.
 	Scales map[string]experiments.Scale
-	// Telemetry instruments the server and every simulation it launches;
-	// nil allocates a fresh one. Counters are safe under concurrent
-	// requests; /v1/metrics exports them.
+	// Telemetry instruments the server; nil allocates a fresh one. Every
+	// simulation it launches counts into its Registry only, never its
+	// Sampler or Trace sink. Counters are safe under concurrent requests;
+	// /v1/metrics exports them.
 	Telemetry *telemetry.Telemetry
 	// AbandonGrace is how long a request lingers after its deadline for
 	// the flight to surface a partial-result error (default 40ms — the
@@ -127,7 +128,12 @@ type Server struct {
 	// cache deduplicates work and memoizes encoded response bodies by
 	// canonical job key: concurrent identical requests share one flight,
 	// later ones are served bytes with zero simulation.
-	cache runner.Cache[string, []byte]
+	cache runner.Cache[string, cached]
+
+	// simTel is what every simulation reports into: the server registry
+	// alone. The sampler and trace sink of cfg.Telemetry would retain every
+	// interval and event of every simulation for the life of the process.
+	simTel *telemetry.Telemetry
 
 	// slots is the admission semaphore (capacity MaxInFlight); queued
 	// counts waiters beyond it, bounded by MaxQueue.
@@ -144,10 +150,8 @@ type Server struct {
 	idle     chan struct{} // closed when draining and active hits 0
 
 	// Observability state (obs.go): the access logger, request sequence
-	// numbers, the bounded ring of recent span timelines, the in-flight
-	// request table behind /debug/statusz, and the per-key flight records
-	// linking waiters and cache hits back to the leader that computed
-	// their bytes.
+	// numbers, the bounded ring of recent span timelines and the in-flight
+	// request table behind /debug/statusz.
 	logger  *slog.Logger
 	started time.Time
 	build   string
@@ -156,11 +160,15 @@ type Server struct {
 
 	inflightMu sync.Mutex
 	inflight   map[int64]*reqTrace
+}
 
-	flightsMu              sync.Mutex
-	flights                map[string]*flightInfo
-	flightHead, flightTail *flightInfo // LRU order, most recent first
-	maxFlights             int
+// cached is one response-cache value: the encoded body plus the request ID
+// of the flight leader that produced it and the chaos fault kind injected
+// into that flight, so waiters and later hits attribute their log lines
+// from the value they were served.
+type cached struct {
+	body          []byte
+	leader, fault string
 }
 
 // New builds a Server from cfg, applying defaults for zero fields.
@@ -203,6 +211,7 @@ func New(cfg Config) *Server {
 		backend: cfg.Backend,
 		tel:     cfg.Telemetry,
 		reg:     cfg.Telemetry.Reg(),
+		simTel:  &telemetry.Telemetry{Registry: cfg.Telemetry.Reg()},
 		slots:   make(chan struct{}, cfg.MaxInFlight),
 		queued:  make(chan struct{}, cfg.MaxQueue),
 		drainCh: make(chan struct{}),
@@ -220,15 +229,7 @@ func New(cfg Config) *Server {
 	if cfg.CacheMaxBytes > 0 {
 		s.cache.MaxBytes = cfg.CacheMaxBytes
 	}
-	s.cache.Size = func(b []byte) int64 { return int64(len(b)) }
-	// The flight-record map moves in step with the response cache's entry
-	// bound; when the cache is explicitly unbounded (negative), the
-	// observability shadow map still caps itself — it exists for log
-	// attribution, never a reason to hold every key ever served.
-	s.maxFlights = cfg.CacheMaxEntries
-	if s.maxFlights <= 0 {
-		s.maxFlights = 4096
-	}
+	s.cache.Size = func(c cached) int64 { return int64(len(c.body)) }
 	if cfg.Store != nil {
 		s.cache.Backing = &storeAdapter{st: cfg.Store, reg: s.reg, logger: cfg.Logger}
 	}
@@ -258,15 +259,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // tests asserting on counters).
 func (s *Server) Telemetry() *telemetry.Telemetry { return s.tel }
 
-// ResetCache drops memoized response bodies and the per-key flight records
-// that shadow them (tests and memory bounding).
-func (s *Server) ResetCache() {
-	s.cache.Reset()
-	s.flightsMu.Lock()
-	s.flights = nil
-	s.flightHead, s.flightTail = nil, nil
-	s.flightsMu.Unlock()
-}
+// ResetCache drops memoized response bodies (tests and memory bounding).
+func (s *Server) ResetCache() { s.cache.Reset() }
 
 // ActiveRequests reports requests currently inside simulation handlers.
 func (s *Server) ActiveRequests() int {
@@ -385,27 +379,29 @@ func (s *Server) admit(ctx context.Context) (release func(), err error) {
 }
 
 // storeAdapter bridges the persistent result store into the cache's
-// Backing interface, instrumenting both directions. A failed write-through
-// is counted and logged but never surfaces to the request: the response
-// was already computed, only its persistence is lost.
+// Backing interface, instrumenting both directions. Only the body is
+// persisted: a value loaded from disk names no leader or fault, because no
+// request in this process computed it. A failed write-through is counted
+// and logged but never surfaces to the request: the response was already
+// computed, only its persistence is lost.
 type storeAdapter struct {
 	st     *store.Store
 	reg    *telemetry.Registry
 	logger *slog.Logger
 }
 
-func (a *storeAdapter) Load(key string) ([]byte, bool) {
+func (a *storeAdapter) Load(key string) (cached, bool) {
 	v, ok := a.st.Get(key)
 	if ok {
 		a.reg.Counter("server.store.hits").Inc()
 	} else {
 		a.reg.Counter("server.store.misses").Inc()
 	}
-	return v, ok
+	return cached{body: v}, ok
 }
 
-func (a *storeAdapter) Store(key string, v []byte) {
-	if err := a.st.Put(key, v); err != nil {
+func (a *storeAdapter) Store(key string, v cached) {
+	if err := a.st.Put(key, v.body); err != nil {
 		a.reg.Counter("server.store.write_errors").Inc()
 		if a.logger != nil {
 			a.logger.Error("store write failed", "key", key, "error", err)
@@ -428,19 +424,23 @@ func (s *Server) requestContext(r *http.Request, timeout time.Duration) (context
 // Outcome is what the access log and singleflight counters are built on;
 // execute also records the cache_lookup / singleflight_wait / admission
 // spans and links waiters and cache hits back to the leading request via
-// the per-key flightInfo.
+// the leader and fault carried on the cached value.
 func (s *Server) execute(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) ([]byte, runner.Outcome, error) {
 	rt := traceFrom(ctx)
 	rt.setKey(key)
 	start := time.Now()
-	body, out, err := s.cache.DoContext(ctx, key, func(fctx context.Context) ([]byte, error) {
+	v, out, err := s.cache.DoContext(ctx, key, func(fctx context.Context) (cached, error) {
 		// Only the flight leader's fn runs, and fctx kept the leader's
 		// context values, so this trace is the leading request's: spans
 		// recorded here (admission wait) land on the leader's timeline
 		// even though they run on the flight goroutine.
 		lrt := traceFrom(fctx)
-		fi := s.flightFor(key)
-		fi.setLeader(lrt.requestID())
+		// The value records who computed it and any fault injected on the
+		// way (fn return happens-before the waiters' wakeup), success or
+		// error alike: a cached error is attributed like cached bytes.
+		settle := func(b []byte, err error) (cached, error) {
+			return cached{b, lrt.requestID(), lrt.faultKind()}, err
+		}
 		// Fleet cache peering: when the coordinator routed this request to a
 		// non-owner worker (hedge or failover) it names the key's owner in
 		// X-Mirage-Owner; ask that owner for the bytes before paying for a
@@ -456,7 +456,7 @@ func (s *Server) execute(ctx context.Context, key string, fn func(context.Contex
 			if ok {
 				s.reg.Counter("server.peer.hits").Inc()
 				lrt.setPeer(owner)
-				return b, nil
+				return settle(b, nil)
 			}
 			s.reg.Counter("server.peer.fetch_misses").Inc()
 		}
@@ -468,16 +468,11 @@ func (s *Server) execute(ctx context.Context, key string, fn func(context.Contex
 		lrt.addSpan("admission", admitStart, wait, nil)
 		s.reg.Histogram("server.admit.queue_wait_us").Observe(wait.Microseconds())
 		if aerr != nil {
-			return nil, aerr
+			return settle(nil, aerr)
 		}
 		defer release()
 		s.reg.Counter("server.jobs.executed").Inc()
-		b, ferr := fn(fctx)
-		// Publish any injected fault before the flight settles (fn return
-		// happens-before the waiters' wakeup), so waiters and later cache
-		// hits can attribute it in their own log lines.
-		fi.setFault(lrt.faultKind())
-		return b, ferr
+		return settle(fn(fctx))
 	})
 	wait := time.Since(start)
 	switch out {
@@ -486,19 +481,13 @@ func (s *Server) execute(ctx context.Context, key string, fn func(context.Contex
 		rt.addSpan("cache_lookup", start, 0, map[string]any{"outcome": "miss"})
 		rt.addSpan("singleflight_wait", start, wait, map[string]any{"role": "leader"})
 	case runner.OutcomeWaiter:
-		leader, fault := s.flightFor(key).get()
-		rt.setOutcome("miss", "waiter", leader)
-		if fault != "" {
-			rt.setFault(fault)
-		}
+		rt.setOutcome("miss", "waiter", v.leader)
+		rt.setFault(v.fault)
 		rt.addSpan("cache_lookup", start, 0, map[string]any{"outcome": "miss"})
-		rt.addSpan("singleflight_wait", start, wait, map[string]any{"role": "waiter", "leader": leader})
+		rt.addSpan("singleflight_wait", start, wait, map[string]any{"role": "waiter", "leader": v.leader})
 	case runner.OutcomeHit:
-		leader, fault := s.flightFor(key).get()
-		rt.setOutcome("hit", "", leader)
-		if fault != "" {
-			rt.setFault(fault)
-		}
+		rt.setOutcome("hit", "", v.leader)
+		rt.setFault(v.fault)
 		rt.addSpan("cache_lookup", start, wait, map[string]any{"outcome": "hit"})
 	case runner.OutcomeDisk:
 		// Served from the persistent store: no leader in this process
@@ -506,7 +495,7 @@ func (s *Server) execute(ctx context.Context, key string, fn func(context.Contex
 		rt.setOutcome("disk", "", rt.requestID())
 		rt.addSpan("cache_lookup", start, wait, map[string]any{"outcome": "disk"})
 	}
-	return body, out, err
+	return v.body, out, err
 }
 
 // scale resolves a request's scale name against the registered scales and
@@ -518,7 +507,7 @@ func (s *Server) scale(name string) (experiments.Scale, *apiError) {
 		return experiments.Scale{}, aerr
 	}
 	sc.Parallel = s.cfg.Parallel
-	sc.Telemetry = s.tel
+	sc.Telemetry = s.simTel
 	return sc, nil
 }
 
@@ -685,8 +674,8 @@ func (s *Server) handlePeerCache(w http.ResponseWriter, r *http.Request) {
 		s.invalid(w, badRequest("missing key parameter"))
 		return
 	}
-	body, ok := s.cache.Peek(key)
-	src := "memory"
+	v, ok := s.cache.Peek(key)
+	body, src := v.body, "memory"
 	if !ok && s.cfg.Store != nil {
 		body, ok = s.cfg.Store.Get(key)
 		src = "disk"

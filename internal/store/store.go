@@ -43,6 +43,7 @@ package store
 
 import (
 	"bytes"
+	"container/list"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -104,10 +105,8 @@ type entry struct {
 	off   int64 // record start (magic)
 	total int64 // full record length including header
 	vlen  int64 // value length
-	// LRU links: the store keeps a doubly-linked recency list through its
-	// entries; head = most recently used.
-	key        string
-	prev, next *entry
+	key   string
+	elem  *list.Element // place in Store.lru
 }
 
 // Store is an open result store. Create with Open; Close releases the file.
@@ -116,14 +115,14 @@ type Store struct {
 	maxBytes int64
 	reg      *telemetry.Registry
 
-	mu         sync.Mutex
-	f          *os.File
-	index      map[string]*entry
-	head, tail *entry // recency list; head = MRU
-	liveBytes  int64  // bytes of live records (header included)
-	logBytes   int64  // current file length
-	closed     bool
-	stats      Stats
+	mu        sync.Mutex
+	f         *os.File
+	index     map[string]*entry
+	lru       list.List // live *entry values; front = most recently used
+	liveBytes int64     // bytes of live records (header included)
+	logBytes  int64     // current file length
+	closed    bool
+	stats     Stats
 }
 
 // Open opens (creating if absent) the store in dir, recovering the log per
@@ -269,48 +268,21 @@ func parseRecord(data []byte, p int64) (parsed, int64, bool) {
 	return parsed{key: key, vlen: vlen}, recHdrLen + klen + vlen, true
 }
 
-// --- recency list (guarded by s.mu) ---
-
-func (s *Store) lruUnlink(e *entry) {
-	if e.prev != nil {
-		e.prev.next = e.next
-	} else if s.head == e {
-		s.head = e.next
-	}
-	if e.next != nil {
-		e.next.prev = e.prev
-	} else if s.tail == e {
-		s.tail = e.prev
-	}
-	e.prev, e.next = nil, nil
-}
-
-func (s *Store) lruPushFront(e *entry) {
-	e.prev, e.next = nil, s.head
-	if s.head != nil {
-		s.head.prev = e
-	}
-	s.head = e
-	if s.tail == nil {
-		s.tail = e
-	}
-}
-
 // insertLocked makes e the live entry for key (replacing any earlier one)
 // and the most recently used.
 func (s *Store) insertLocked(key string, e *entry) {
 	if old, ok := s.index[key]; ok {
-		s.lruUnlink(old)
+		s.lru.Remove(old.elem)
 		s.liveBytes -= old.total
 	}
 	s.index[key] = e
-	s.lruPushFront(e)
+	e.elem = s.lru.PushFront(e)
 	s.liveBytes += e.total
 }
 
 // dropLocked removes key's entry from the index and recency list.
 func (s *Store) dropLocked(e *entry) {
-	s.lruUnlink(e)
+	s.lru.Remove(e.elem)
 	s.liveBytes -= e.total
 	delete(s.index, e.key)
 }
@@ -346,8 +318,7 @@ func (s *Store) Get(key string) ([]byte, bool) {
 		s.count("store.misses", 1)
 		return nil, false
 	}
-	s.lruUnlink(e)
-	s.lruPushFront(e)
+	s.lru.MoveToFront(e.elem)
 	s.stats.Hits++
 	s.count("store.hits", 1)
 	return buf[e.total-e.vlen:], true
@@ -408,8 +379,8 @@ func (s *Store) Put(key string, val []byte) error {
 
 // evictLocked drops LRU entries until live bytes fit under limit.
 func (s *Store) evictLocked(limit int64) {
-	for s.liveBytes+headerLen > limit && s.tail != nil {
-		s.dropLocked(s.tail)
+	for s.liveBytes+headerLen > limit && s.lru.Len() > 0 {
+		s.dropLocked(s.lru.Back().Value.(*entry))
 		s.stats.Evictions++
 		s.count("store.evictions", 1)
 	}
@@ -437,7 +408,8 @@ func (s *Store) compactLocked() error {
 	}
 	var moves []move
 	off := int64(headerLen)
-	for e := s.tail; e != nil; e = e.prev {
+	for el := s.lru.Back(); el != nil; el = el.Prev() {
+		e := el.Value.(*entry)
 		buf := make([]byte, e.total)
 		if _, err := s.f.ReadAt(buf, e.off); err != nil {
 			tmp.Close()
