@@ -161,11 +161,12 @@ func benchPipelinePolicy(b *testing.B, name string, pol pipeline.Policy) {
 
 // TestPipelineRunAllocs pins the hot path's allocation budget: a steady-state
 // run on an owned Engine (the path every core takes) may allocate only the
-// slices the Result carries out (IterEnd and IssueOrder), not per-run
-// scratch. The pooled pipeline.Run isn't asserted on — a GC between runs may
-// empty the pool and re-allocate engines, which is noise, not a leak. The
-// bound is deliberately a little loose so unrelated runtime changes don't
-// flake it; the pre-rewrite engine sat near 1180 allocs/op.
+// slices the Result carries out (IterEnd and IssueOrder) and the result
+// memo's entries, not per-run scratch. The pooled pipeline.Run isn't
+// asserted on — a GC between runs may empty the pool and re-allocate
+// engines, which is noise, not a leak. The bound is deliberately a little
+// loose so unrelated runtime changes don't flake it; the pre-rewrite engine
+// sat near 1180 allocs/op.
 func TestPipelineRunAllocs(t *testing.T) {
 	tr := pipelineBenchTrace()
 	deps := trace.BuildDepGraph(tr)

@@ -48,6 +48,20 @@ func TestTelemetryEndToEnd(t *testing.T) {
 	if !sawStall {
 		t.Error("no stall-by-cause counters moved")
 	}
+	// Repeated measurements are answered from the engines' result memos;
+	// each core's hits are a subset of its measurement requests.
+	var memoHits int64
+	for name, v := range m.Counters {
+		if core, ok := strings.CutSuffix(name, ".memo_hits"); ok {
+			memoHits += v
+			if req := m.Counters[core+".measures"]; v > req {
+				t.Errorf("%s = %d exceeds %s.measures = %d", name, v, core, req)
+			}
+		}
+	}
+	if memoHits == 0 {
+		t.Error("no result-memo hit counters moved")
+	}
 	// Per-core SC counters: memoizing runs must record hits or misses.
 	var scLookups int64
 	for name, v := range m.Counters {

@@ -38,9 +38,9 @@ type Core struct {
 	Mem *mem.Hierarchy
 	rng *xrand.Rand
 	tel *telemetry.CoreMetrics
-	// eng is this core's private pipeline engine: measurement scratch is
-	// reused across measure/replay calls, and cores are built per worker,
-	// so ownership composes with -parallel.
+	// eng is this core's private pipeline engine: measurement scratch and
+	// the result memo are reused across measure/replay calls, and cores
+	// are built per worker, so ownership composes with -parallel.
 	eng *pipeline.Engine
 
 	aud      *invariant.Auditor
@@ -73,6 +73,9 @@ func (c *Core) record(res *pipeline.Result) {
 		return
 	}
 	c.tel.Measures.Inc()
+	if c.eng.MemoHit() {
+		c.tel.MemoHits.Inc()
+	}
 	c.tel.MeasuredCycles.Add(int64(res.Cycles))
 	c.tel.StallData.Add(int64(res.StallDataCycles))
 	c.tel.StallFU.Add(int64(res.StallFUCycles))

@@ -15,9 +15,14 @@ const (
 	pageShift    = 12
 )
 
-// TLB is a fully-associative, LRU translation buffer.
+// TLB is a fully-associative, LRU translation buffer. Slots [0, n) hold
+// resident pages with the tick of their last use; every access takes a
+// fresh tick, so the least-recently-used slot is the unique minimum.
 type TLB struct {
-	pages  map[uint64]uint64 // page -> last use tick
+	pages  [TLBEntries]uint64
+	ticks  [TLBEntries]uint64
+	n      int
+	mru    int // slot of the most recent access; checked first
 	tick   uint64
 	hits   uint64
 	misses uint64
@@ -25,7 +30,7 @@ type TLB struct {
 
 // NewTLB returns an empty TLB.
 func NewTLB() *TLB {
-	return &TLB{pages: make(map[uint64]uint64, TLBEntries)}
+	return &TLB{}
 }
 
 // Access translates addr, returning the added latency (0 on a hit, the
@@ -33,34 +38,44 @@ func NewTLB() *TLB {
 func (t *TLB) Access(addr uint64) int {
 	t.tick++
 	page := addr >> pageShift
-	if _, ok := t.pages[page]; ok {
-		t.pages[page] = t.tick
+	if t.n > 0 && t.pages[t.mru] == page {
+		t.ticks[t.mru] = t.tick
 		t.hits++
 		return 0
 	}
+	for i := 0; i < t.n; i++ {
+		if t.pages[i] == page {
+			t.ticks[i] = t.tick
+			t.mru = i
+			t.hits++
+			return 0
+		}
+	}
 	t.misses++
-	if len(t.pages) >= TLBEntries {
-		var victim uint64
-		oldest := t.tick + 1
-		for p, use := range t.pages {
-			if use < oldest {
-				oldest = use
-				victim = p
+	slot := t.n
+	if t.n < TLBEntries {
+		t.n++
+	} else {
+		slot = 0
+		for i := 1; i < TLBEntries; i++ {
+			if t.ticks[i] < t.ticks[slot] {
+				slot = i
 			}
 		}
-		delete(t.pages, victim)
 	}
-	t.pages[page] = t.tick
+	t.pages[slot] = page
+	t.ticks[slot] = t.tick
+	t.mru = slot
 	return PageWalkCost
 }
 
 // Flush empties the TLB (core migration).
 func (t *TLB) Flush() {
-	t.pages = make(map[uint64]uint64, TLBEntries)
+	t.n = 0
 }
 
 // Stats returns hit and miss counts.
 func (t *TLB) Stats() (hits, misses uint64) { return t.hits, t.misses }
 
 // Len returns the number of resident translations.
-func (t *TLB) Len() int { return len(t.pages) }
+func (t *TLB) Len() int { return t.n }

@@ -35,9 +35,10 @@ type Core struct {
 	Mem *mem.Hierarchy
 	rng *xrand.Rand
 	tel *telemetry.CoreMetrics
-	// eng is this core's private pipeline engine: measurement scratch is
-	// reused across the millions of MeasureTrace calls a sweep makes, and
-	// cores are built per worker, so ownership composes with -parallel.
+	// eng is this core's private pipeline engine: measurement scratch and
+	// the result memo are reused across the MeasureTrace calls of one
+	// cluster run, and cores are built per worker, so ownership composes
+	// with -parallel.
 	eng *pipeline.Engine
 
 	aud      *invariant.Auditor
@@ -104,6 +105,9 @@ func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem
 	res := c.eng.Run(req)
 	if c.tel != nil {
 		c.tel.Measures.Inc()
+		if c.eng.MemoHit() {
+			c.tel.MemoHits.Inc()
+		}
 		c.tel.MeasuredCycles.Add(int64(res.Cycles))
 		c.tel.StallData.Add(int64(res.StallDataCycles))
 		c.tel.StallFU.Add(int64(res.StallFUCycles))

@@ -106,11 +106,12 @@ func buildFlatDeps(g *trace.DepGraph) *flatDeps {
 }
 
 // Engine holds the reusable simulation scratch: dynamic-instruction state,
-// the ready bitmap, the wakeup calendar, functional-unit occupancy, and the
-// issue-order sort buffer. A steady-state Run allocates only the two slices
-// the Result carries out (IterEnd and IssueOrder). An Engine is not safe for
-// concurrent use; each worker owns one (the package-level Run draws from a
-// pool).
+// the ready bitmap, the wakeup calendar, functional-unit occupancy, the
+// issue-order sort buffer, the request's resolved inputs, and a memo of
+// past results (memo.go). A steady-state Run allocates only the two slices
+// the Result carries out (IterEnd and IssueOrder) plus the memo's copies.
+// An Engine is not safe for concurrent use; each worker owns one (the
+// package-level Run draws from a pool).
 type Engine struct {
 	dyns     []edyn
 	iterGate []int
@@ -120,6 +121,18 @@ type Engine struct {
 	cal      calendar
 	fus      fuState
 	orderBuf []int32
+
+	// The request's callbacks, resolved once by resolve: per-dynamic-load
+	// latencies in load order, terminating-branch outcomes in draw order
+	// (missNext is the next one to hand out) and per-iteration fetch gates.
+	lats     []int
+	miss     []bool
+	missNext int
+	gates    []int
+
+	memo    map[memoKey]*memoEntry
+	keyBuf  []byte
+	memoHit bool
 }
 
 // NewEngine returns an engine with empty scratch; buffers grow to fit the
@@ -134,17 +147,27 @@ var enginePool = sync.Pool{New: func() any { return NewEngine() }}
 
 // Run simulates the request and returns the result. It panics on malformed
 // requests (simulator-internal misuse, not user input). The simulation runs
-// on a pooled engine; callers that measure in a loop should hold their own
-// Engine instead.
+// on a pooled engine and bypasses the result memo; callers that measure in
+// a loop should hold their own Engine instead.
 func Run(req Request) Result {
 	e := enginePool.Get().(*Engine)
-	res := e.Run(req)
+	res := e.run(req, false)
 	enginePool.Put(e)
 	return res
 }
 
-// Run simulates the request on this engine's scratch storage.
+// Run simulates the request on this engine's scratch storage. A request
+// whose resolved inputs exactly repeat an earlier one on this engine is
+// answered from the memo (memo.go) without simulating.
 func (e *Engine) Run(req Request) Result {
+	return e.run(req, true)
+}
+
+// MemoHit reports whether the last Run was answered from the memo.
+func (e *Engine) MemoHit() bool { return e.memoHit }
+
+func (e *Engine) run(req Request, memoize bool) Result {
+	e.memoHit = false
 	t := req.Trace
 	if t == nil || len(t.Insts) == 0 || req.Iterations <= 0 {
 		return Result{}
@@ -171,6 +194,18 @@ func (e *Engine) Run(req Request) Result {
 		}
 	}
 
+	e.resolve(&req)
+	var key memoKey
+	if memoize {
+		key = e.memoKeyOf(&req)
+		if req.Audit == nil {
+			if res, ok := e.recall(key); ok {
+				e.memoHit = true
+				return res.clone()
+			}
+		}
+	}
+
 	fd := flatDepsOf(req.Deps)
 	e.prepare(&req, fd)
 
@@ -190,12 +225,57 @@ func (e *Engine) Run(req Request) Result {
 	if req.Audit != nil {
 		e.audit(&req, fd, &res)
 	}
+	if memoize {
+		// A stored entry reaches here only on an audited run.
+		if prior, ok := e.recall(key); ok {
+			e.auditMemo(&req, &prior, &res)
+		}
+		e.remember(key, &res)
+	}
 	return res
 }
 
+// resolve calls the request's callbacks into the engine's scratch, once per
+// input in index order: LoadLatency for every dynamic load in program order
+// (the order the lazy engine drew them in), Mispredicts for iterations
+// 0..Iterations-2, FetchGate for every iteration. The simulation reads only
+// the resolved inputs, so they are all a memo key must capture.
+func (e *Engine) resolve(req *Request) {
+	iters := req.Iterations
+	loads, _ := req.Trace.NumMemOps()
+	e.lats = e.lats[:0]
+	for k := 0; k < loads*iters; k++ {
+		lat := isa.Latency[isa.Load]
+		if req.LoadLatency != nil {
+			lat = req.LoadLatency(k)
+		}
+		e.lats = append(e.lats, lat)
+	}
+	e.miss = e.miss[:0]
+	for it := 0; it+1 < iters; it++ {
+		e.miss = append(e.miss, req.Mispredicts != nil && req.Mispredicts(it))
+	}
+	e.missNext = 0
+	e.gates = e.gates[:0]
+	if req.FetchGate != nil {
+		for it := 0; it < iters; it++ {
+			e.gates = append(e.gates, req.FetchGate(it))
+		}
+	}
+}
+
+// mispredicted hands out the next resolved branch outcome: the k-th
+// terminating branch to resolve takes the k-th draw, just as the lazy
+// engine's k-th Mispredicts call drew the k-th value from the callback.
+func (e *Engine) mispredicted() bool {
+	m := e.miss[e.missNext]
+	e.missNext++
+	return m
+}
+
 // prepare sizes the scratch for the request and initializes per-dynamic
-// state: latencies (drawing LoadLatency per dynamic load in program order,
-// exactly like the original engine), predecessor counts, and issue state.
+// state: latencies (the resolved per-load latencies in program order),
+// predecessor counts, and issue state.
 func (e *Engine) prepare(req *Request, fd *flatDeps) {
 	t := req.Trace
 	n := fd.n
@@ -233,8 +313,8 @@ func (e *Engine) prepare(req *Request, fd *flatDeps) {
 			d.readyAt = 0
 			op := e.cls[j]
 			d.lat = isa.Latency[op]
-			if op == isa.Load && req.LoadLatency != nil {
-				d.lat = req.LoadLatency(loadSeq)
+			if op == isa.Load {
+				d.lat = e.lats[loadSeq]
 				loadSeq++
 			}
 			np := fd.predOff[2*j+1] - fd.predOff[2*j]
@@ -246,46 +326,15 @@ func (e *Engine) prepare(req *Request, fd *flatDeps) {
 	}
 }
 
-// readyTime returns the earliest cycle idx can issue given its predecessors'
-// completion times, or -1 if a predecessor has not issued. Used by the
-// in-order paths, where predecessors always precede consumers in the issue
-// sequence.
-func (e *Engine) readyTime(fd *flatDeps, idx int) int {
-	d := &e.dyns[idx]
-	j := int(d.static)
-	base := int(d.iter) * fd.n
-	ready := 0
-	for _, p := range fd.preds[fd.predOff[2*j]:fd.predOff[2*j+1]] {
-		pd := &e.dyns[base+int(p)]
-		if pd.issued < 0 {
-			return -1
-		}
-		if pd.complete > ready {
-			ready = pd.complete
-		}
-	}
-	if d.iter > 0 {
-		cb := base - fd.n
-		for _, p := range fd.preds[fd.predOff[2*j+1]:fd.predOff[2*j+2]] {
-			pd := &e.dyns[cb+int(p)]
-			if pd.issued < 0 {
-				return -1
-			}
-			if pd.complete > ready {
-				ready = pd.complete
-			}
-		}
-	}
-	return ready
-}
-
 // wake notifies the successors of a just-issued instruction: fold its
 // completion time into their readyAt, drop their unresolved-predecessor
 // count, and when the count hits zero on an already-dispatched successor,
 // file a calendar wakeup. readyAt is then at least complete >= cycle+1
 // (every latency is >= 1), so the wakeup is strictly in the future — an
 // instruction can never become issue-eligible in the cycle its last
-// predecessor issues, which is exactly the original engine's readyTime rule.
+// predecessor issues, which is exactly the original engine's readiness rule.
+// The in-order loops pass dispatched 0: they read readyAt and npred at the
+// head of their issue sequence and need no wakeups.
 func (e *Engine) wake(fd *flatDeps, idx, cycle, dispatched, iters, complete int) {
 	d := &e.dyns[idx]
 	j := int(d.static)
@@ -323,7 +372,7 @@ func (e *Engine) runDataflow(req *Request, fd *flatDeps, res *Result) {
 	e.cal.reset()
 	e.fus.reset()
 	if req.FetchGate != nil {
-		iterGate[0] = req.FetchGate(0)
+		iterGate[0] = e.gates[0]
 	}
 
 	dispatched := 0 // next undispatched index
@@ -394,11 +443,11 @@ func (e *Engine) runDataflow(req *Request, fd *flatDeps, res *Result) {
 					// Terminating branch: resolve the next iteration's
 					// front-end redirect.
 					gate := 0
-					if req.Mispredicts != nil && req.Mispredicts(it) {
+					if e.mispredicted() {
 						gate = d.complete + req.MispredictPenalty
 					}
 					if req.FetchGate != nil {
-						if fg := req.FetchGate(it + 1); cycle+fg > gate {
+						if fg := e.gates[it+1]; cycle+fg > gate {
 							gate = cycle + fg
 						}
 					}
@@ -519,7 +568,7 @@ func (e *Engine) runInOrder(req *Request, fd *flatDeps, res *Result) {
 	cycle := 0
 	gate := 0
 	if req.FetchGate != nil {
-		gate = req.FetchGate(0)
+		gate = e.gates[0]
 	}
 
 	// Dynamic issue sequence: program order, or the recorded pattern repeated
@@ -555,12 +604,12 @@ func (e *Engine) runInOrder(req *Request, fd *flatDeps, res *Result) {
 		fuBlocked := false
 		var blockedOp isa.Class
 		for issuedThis < width && next < total {
-			d := &e.dyns[at(next)]
-			rt := e.readyTime(fd, at(next))
-			if rt < 0 {
+			idx := at(next)
+			d := &e.dyns[idx]
+			if d.npred != 0 {
 				panic("pipeline: in-order issue saw unissued predecessor")
 			}
-			if rt > cycle {
+			if d.readyAt > cycle {
 				break // stall-on-use: strictly stop at first stalled inst
 			}
 			op := e.cls[d.static]
@@ -574,16 +623,17 @@ func (e *Engine) runInOrder(req *Request, fd *flatDeps, res *Result) {
 			res.FUBusy[isa.UnitFor(op)]++
 			issuedThis++
 			issuedCount++
+			e.wake(fd, idx, cycle, 0, iters, d.complete)
 
 			if int(d.static) == n-1 {
 				res.IterEnd[d.iter] = d.complete
 				if it := int(d.iter); it+1 < iters {
 					g := 0
-					if req.Mispredicts != nil && req.Mispredicts(it) {
+					if e.mispredicted() {
 						g = d.complete + req.MispredictPenalty
 					}
 					if req.FetchGate != nil {
-						if fg := req.FetchGate(it + 1); cycle+fg > g {
+						if fg := e.gates[it+1]; cycle+fg > g {
 							g = cycle + fg
 						}
 					}
@@ -600,8 +650,7 @@ func (e *Engine) runInOrder(req *Request, fd *flatDeps, res *Result) {
 				res.StallFUCycles++
 			}
 			// Jump to the earliest cycle something can proceed.
-			rt := e.readyTime(fd, at(next))
-			if rt > cycle {
+			if rt := e.dyns[at(next)].readyAt; rt > cycle {
 				res.StallDataCycles += rt - cycle
 				cycle = rt
 				continue

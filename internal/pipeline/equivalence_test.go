@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/program"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -162,8 +163,9 @@ func refMaxLiveVersions(t *trace.Trace, order []uint16) int {
 	return maxV
 }
 
-// TestMaxLiveVersionsMatchesReference checks the linear sweep against the
-// O(n^2) oracle over random schedules of random traces.
+// TestMaxLiveVersionsMatchesReference checks the bucketed sweep against the
+// O(n^2) oracle over random schedules of random traces, and over the OoO
+// schedules of every workload-suite loop at spans 1-4.
 func TestMaxLiveVersionsMatchesReference(t *testing.T) {
 	for seed := uint64(1); seed <= 120; seed++ {
 		tr := randomTrace(seed%50_000 + 7_000)
@@ -176,6 +178,89 @@ func TestMaxLiveVersionsMatchesReference(t *testing.T) {
 		want := refMaxLiveVersions(tr, res.IssueOrder)
 		if got != want {
 			t.Errorf("seed %d span %d: MaxLiveVersions %d, reference %d", seed, span, got, want)
+		}
+	}
+	for i, l := range suiteLoops() {
+		for span := 1; span <= 4; span++ {
+			res := Run(Request{
+				Trace: l.Trace, Deps: l.Deps, Iterations: suiteMeasureIters,
+				Policy: Dataflow, Width: isa.IssueWidth, Window: isa.ROBSize, ProbeSpan: span,
+				MispredictPenalty: isa.OoOPipelineDepth,
+				LoadLatency:       memLatPattern(uint64(i)),
+				Mispredicts:       mispredictPattern(uint64(i), l.Trace.MispredictRate),
+			})
+			got := MaxLiveVersions(l.Trace, res.IssueOrder)
+			want := refMaxLiveVersions(l.Trace, res.IssueOrder)
+			if got != want {
+				t.Errorf("suite trace %d span %d: MaxLiveVersions %d, reference %d", l.Trace.ID, span, got, want)
+			}
+		}
+	}
+}
+
+// suiteMeasureIters and suiteScheduleSpan are the measurement length the
+// cluster asks the cores for and the span of an OoO-recorded schedule
+// (ooo.ScheduleSpan, which this package cannot import).
+const (
+	suiteMeasureIters = 10
+	suiteScheduleSpan = 4
+)
+
+// suiteLoops returns every loop trace of the generated workload suite.
+func suiteLoops() []program.Loop {
+	var loops []program.Loop
+	for _, b := range program.Suite() {
+		for _, ph := range b.Phases {
+			loops = append(loops, ph.Loops...)
+		}
+	}
+	return loops
+}
+
+// TestMispredictCallsInIterationOrder is why Engine.Run may draw every
+// branch outcome up front, in iteration order, and stay bit-identical to
+// the lazy engine: on every suite loop, under each policy the cores use,
+// the frozen reference engine consults Mispredicts exactly once per
+// iteration 0..Iterations-2, in that order. The suite's terminating branch
+// reads the loop-carried induction register, so iteration i's branch is
+// ready strictly before iteration i+1's and oldest-first select (or the
+// OoO-recorded order) resolves it first — whatever the load latencies.
+func TestMispredictCallsInIterationOrder(t *testing.T) {
+	for i, l := range suiteLoops() {
+		df := Request{
+			Trace: l.Trace, Deps: l.Deps, Iterations: suiteMeasureIters,
+			Policy: Dataflow, Width: isa.IssueWidth, Window: isa.ROBSize,
+			ProbeSpan: suiteScheduleSpan, MispredictPenalty: isa.OoOPipelineDepth,
+		}
+		inorder := Request{
+			Trace: l.Trace, Deps: l.Deps, Iterations: suiteMeasureIters,
+			Policy: ProgramOrder, Width: isa.IssueWidth, MispredictPenalty: isa.InOPipelineDepth,
+		}
+		replay := inorder
+		replay.Policy = RecordedOrder
+		replay.Order = referenceRun(df).IssueOrder
+		replay.ProbeSpan = suiteScheduleSpan
+		replay.Iterations = 12 // rounded up to whole spans, as ino.MeasureReplay does
+		for _, req := range []Request{df, inorder, replay} {
+			var calls []int
+			draw := mispredictPattern(uint64(i), 0.5)
+			req.Mispredicts = func(it int) bool {
+				calls = append(calls, it)
+				return draw(it)
+			}
+			req.LoadLatency = memLatPattern(uint64(i) + 1)
+			if req.Policy != RecordedOrder {
+				req.FetchGate = fetchGatePattern(3, 7)
+			}
+			referenceRun(req)
+			ok := len(calls) == req.Iterations-1
+			for k, it := range calls {
+				ok = ok && it == k
+			}
+			if !ok {
+				t.Fatalf("suite trace %d policy %d: Mispredicts calls %v, want 0..%d in order",
+					l.Trace.ID, req.Policy, calls, req.Iterations-2)
+			}
 		}
 	}
 }

@@ -20,7 +20,7 @@
 package pipeline
 
 import (
-	"sort"
+	"slices"
 
 	"repro/internal/invariant"
 	"repro/internal/isa"
@@ -63,21 +63,30 @@ type Request struct {
 	// mispredicted trace-terminating branch.
 	MispredictPenalty int
 
+	// The three callbacks are called before simulating, once per input in
+	// index order; the simulation reads only their results.
+	//
 	// LoadLatency returns the latency of the k-th dynamic load overall
 	// (caller resolves it against the cache hierarchy). If nil, all loads
 	// take the L1-hit latency.
 	LoadLatency func(loadSeq int) int
 	// Mispredicts reports whether the terminating branch of iteration i
-	// mispredicts. If nil, no branch ever mispredicts.
+	// mispredicts, for i in 0..Iterations-2. The k-th terminating branch to
+	// resolve takes the k-th outcome, so a callback that draws from an rng
+	// sees the same calls in the same order as if it were consulted at
+	// each resolution; on the workload suite's loops the k-th branch to
+	// resolve is iteration k's (DESIGN.md §9). If nil, no branch ever
+	// mispredicts.
 	Mispredicts func(iter int) bool
 	// FetchGate returns extra cycles gating the start of iteration i
 	// (instruction-cache or Schedule-Cache miss stalls). May be nil.
 	FetchGate func(iter int) int
 
 	// Audit, when non-nil, cross-checks the final schedule against the
-	// machine invariants after the run (audit.go, DESIGN.md §11); the
-	// default nil costs one comparison. AuditLabel locates violations
-	// (core label and benchmark).
+	// machine invariants after the run (audit.go, DESIGN.md §11) and makes
+	// an owned Engine simulate even an exact repeat, checking the memoized
+	// result against the fresh one; the default nil costs one comparison.
+	// AuditLabel locates violations (core label and benchmark).
 	Audit      *invariant.Auditor
 	AuditLabel string
 }
@@ -134,13 +143,6 @@ func (r *Result) SteadyCyclesPerIter() float64 {
 	return float64(span) / float64(iters)
 }
 
-// regLife is one renamed-register lifetime in schedule positions.
-type regLife struct {
-	reg   isa.Reg
-	start int
-	end   int
-}
-
 // MaxLiveVersions computes, for a schedule order over a block of one or
 // more unrolled trace iterations, the maximum number of simultaneously-live
 // renamed versions any architectural register needs during replay. OinO
@@ -148,13 +150,20 @@ type regLife struct {
 // to instruction p % len(t.Insts) of iteration p / len(t.Insts).
 //
 // A version is live from its write position until the last read of that
-// version (or end of block for values carried out). The maximum overlap per
-// register is found with a sorted two-pointer sweep over lifetime endpoints
-// — O(n log n) against the previous all-pairs stabbing count.
+// version (or end of block for values carried out). Lifetimes are bucketed
+// by register in schedule order, so each bucket's starts come out sorted,
+// and the maximum overlap per register is a two-pointer sweep over the
+// bucket's sorted ends — O(n log n) against the original all-pairs
+// stabbing count.
 func MaxLiveVersions(t *trace.Trace, order []uint16) int {
 	n := len(order) // block length (span * trace length)
 	tn := len(t.Insts)
-	pos := make([]int, n) // schedule position of each block position
+	buf := make([]int, 5*n)
+	pos := buf[:n]           // schedule position of each block position
+	writeEnd := buf[n : 2*n] // latest reader schedule position per writer
+	life := buf[2*n : 3*n]   // lifetime end per writer
+	starts := buf[3*n : 4*n] // bucketed lifetime starts
+	ends := buf[4*n:]        // bucketed lifetime ends
 	for k, s := range order {
 		pos[s] = k
 	}
@@ -162,13 +171,10 @@ func MaxLiveVersions(t *trace.Trace, order []uint16) int {
 	for r := range lastWrite {
 		lastWrite[r] = -1
 	}
-	// writeEnd[w] is the latest reader schedule position recorded for writer
-	// w; seen[w] marks whether any reader recorded one. A reader at schedule
-	// position 0 never records (0 > 0 is false) — the original map-based
-	// sweep behaved the same way via the map's zero value, and replay
-	// version counts are part of the simulator's frozen behaviour.
-	writeEnd := make([]int, n)
-	seen := make([]bool, n)
+	// A reader at schedule position 0 never records (0 > 0 is false), so
+	// writeEnd[w] > 0 exactly when some reader recorded one. The original
+	// map-based sweep behaved the same way via the map's zero value, and
+	// replay version counts are part of the simulator's frozen behaviour.
 	for j := 0; j < n; j++ {
 		in := t.Insts[j%tn]
 		for _, src := range [2]isa.Reg{in.Src1, in.Src2} {
@@ -177,64 +183,65 @@ func MaxLiveVersions(t *trace.Trace, order []uint16) int {
 			}
 			if w := lastWrite[src]; w >= 0 && pos[j] > writeEnd[w] {
 				writeEnd[w] = pos[j]
-				seen[w] = true
 			}
 		}
 		if in.HasDst() {
 			lastWrite[in.Dst] = j
 		}
 	}
-	lives := make([]regLife, 0, n)
+	// life[j] is block position j's lifetime end, or -1 when j writes no
+	// register or its lifetime is degenerate (all reads scheduled before
+	// the write): that covers no point, and the maximum overlap is always
+	// attained at a non-degenerate lifetime's start, so it cannot
+	// contribute. off counts the lifetimes per register.
+	var off [isa.NumRegs + 1]int // bucket r is starts/ends[off[r]:off[r+1]]
 	for j := 0; j < n; j++ {
+		life[j] = -1
 		in := t.Insts[j%tn]
 		if !in.HasDst() {
 			continue
 		}
 		end := pos[j]
-		if seen[j] {
+		if writeEnd[j] > 0 {
 			end = writeEnd[j]
 		}
 		if lastWrite[in.Dst] == j {
 			end = n // carried out of the block: live until replay end
 		}
-		if end < pos[j] {
-			// Degenerate lifetime (all reads scheduled before the write):
-			// it covers no point, and the maximum overlap is always attained
-			// at a non-degenerate lifetime's start, so it cannot contribute.
+		if end >= pos[j] {
+			life[j] = end
+			off[in.Dst+1]++
+		}
+	}
+	for r := 1; r <= isa.NumRegs; r++ {
+		off[r] += off[r-1]
+	}
+	fill := off
+	for k, s := range order {
+		if life[s] < 0 {
 			continue
 		}
-		lives = append(lives, regLife{reg: in.Dst, start: pos[j], end: end})
+		r := t.Insts[int(s)%tn].Dst
+		starts[fill[r]] = k
+		ends[fill[r]] = life[s]
+		fill[r]++
 	}
-	sort.Slice(lives, func(a, b int) bool {
-		if lives[a].reg != lives[b].reg {
-			return lives[a].reg < lives[b].reg
-		}
-		return lives[a].start < lives[b].start
-	})
 	maxV := 1
-	ends := make([]int, 0, len(lives))
-	for lo := 0; lo < len(lives); {
-		hi := lo
-		for hi < len(lives) && lives[hi].reg == lives[lo].reg {
-			hi++
-		}
+	for r := 0; r < isa.NumRegs; r++ {
+		lo, hi := off[r], off[r+1]
 		// Count the maximum number of lifetimes of this register covering
 		// any one lifetime's start: starts are sorted; sweep ends alongside.
-		ends = ends[:0]
-		for i := lo; i < hi; i++ {
-			ends = append(ends, lives[i].end)
-		}
-		sort.Ints(ends)
+		be := ends[lo:hi]
+		slices.Sort(be)
 		k := 0
 		for i := lo; i < hi; i++ {
-			for ends[k] < lives[i].start {
+			for be[k] < starts[i] {
 				k++
 			}
 			if v := (i - lo) - k + 1; v > maxV {
 				maxV = v
 			}
 		}
-		lo = hi
 	}
 	return maxV
 }

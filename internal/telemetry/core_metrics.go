@@ -4,9 +4,12 @@ package telemetry
 // feeds while measuring trace executions. Cores hold a nil *CoreMetrics when
 // telemetry is detached and skip instrumentation entirely.
 type CoreMetrics struct {
-	// Measures counts genuine pipeline simulations (cache-cold or cache-warm
-	// re-measurements); MeasuredCycles accumulates their simulated cycles.
+	// Measures counts measurement requests sent to the core's pipeline
+	// engine (cache-cold or cache-warm re-measurements); MemoHits counts
+	// those the engine answered from its result memo without simulating.
+	// MeasuredCycles accumulates the measured cycles of all of them.
 	Measures       *Counter
+	MemoHits       *Counter
 	MeasuredCycles *Counter
 	// StallData/StallFU/StallFetch break measured issue stalls down by
 	// cause: operand not ready, functional unit busy, front end gated.
@@ -27,6 +30,7 @@ func NewCoreMetrics(reg *Registry, prefix string) *CoreMetrics {
 	}
 	return &CoreMetrics{
 		Measures:       reg.Counter(prefix + ".measures"),
+		MemoHits:       reg.Counter(prefix + ".memo_hits"),
 		MeasuredCycles: reg.Counter(prefix + ".measured_cycles"),
 		StallData:      reg.Counter(prefix + ".stall_data_cycles"),
 		StallFU:        reg.Counter(prefix + ".stall_fu_cycles"),
