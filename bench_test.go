@@ -7,15 +7,10 @@ package repro
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
-	"os"
-	"runtime"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -109,8 +104,7 @@ func BenchmarkFigure15(b *testing.B) {
 }
 
 func BenchmarkHeadline(b *testing.B) {
-	rep := report(b, func() (*experiments.Report, error) { return experiments.Headline(context.Background(), benchScale) })
-	_ = rep
+	report(b, func() (*experiments.Report, error) { return experiments.Headline(context.Background(), benchScale) })
 }
 
 // --- Ablations (DESIGN.md §5) ---
@@ -147,9 +141,8 @@ func benchOneMix(b *testing.B, mutate func(*core.Config)) {
 // BenchmarkClusterTelemetry measures the cost of the observability layer:
 // the same 8:1 Mirage run with telemetry disabled (Off, the default nil
 // fast path) and fully instrumented (On: registry + sampler + trace sink).
-// When both sub-benchmarks run, the pair and the relative overhead are
-// written to BENCH_telemetry.json for trajectory tracking; the Off path is
-// the one every production run takes, so the overhead must stay ≈0.
+// When both sub-benchmarks run, the relative overhead is logged; the Off
+// path is the one every production run takes, so the overhead must stay ≈0.
 func BenchmarkClusterTelemetry(b *testing.B) {
 	mix := core.RandomMixes(core.MixRandom, 8, 1, "telemetry-bench")[0]
 	// Each iteration gets a fresh Telemetry, matching real usage (one
@@ -184,101 +177,7 @@ func BenchmarkClusterTelemetry(b *testing.B) {
 	if offNs == 0 || onNs == 0 {
 		return // a sub-benchmark was filtered out; nothing to compare
 	}
-	overhead := onNs/offNs - 1
-	b.Logf("telemetry overhead: %.2f%% (off %.0f ns/op, on %.0f ns/op)", overhead*100, offNs, onNs)
-	out := map[string]any{
-		"benchmark": "BenchmarkClusterTelemetry",
-		"unit":      "ns/op",
-		"results": map[string]float64{
-			"ClusterTelemetryOff": offNs,
-			"ClusterTelemetryOn":  onNs,
-		},
-		"overhead_frac": overhead,
-	}
-	buf, err := json.MarshalIndent(out, "", " ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_telemetry.json", append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkSweepParallel measures the parallel experiment engine on the
-// Figures 7/8/9b sweep: the same reduced sweep serially (-parallel 1) and on
-// a full worker pool (-parallel 0 = GOMAXPROCS). Reports are bit-identical
-// either way (TestParallelMatchesSerial); this benchmark tracks the
-// wall-clock payoff. When both sub-benchmarks run, the pair, the machine's
-// CPU count and the speedup are written to BENCH_parallel.json — on a
-// single-CPU machine the speedup is necessarily ~1x, so the file records
-// cpus alongside it.
-func BenchmarkSweepParallel(b *testing.B) {
-	// A reduced sweep keeps one iteration in seconds while still fanning out
-	// 6 Compare jobs (= 30 simulations).
-	sweep := experiments.Scale{
-		TargetInsts:    1_000_000,
-		IntervalCycles: 40_000,
-		MixesPerPoint:  3,
-		NValues:        []int{4, 8},
-	}
-	program.Suite() // generate the workload suite outside the timed region
-	run := func(b *testing.B, parallel int) {
-		b.Helper()
-		for i := 0; i < b.N; i++ {
-			s := sweep
-			s.Parallel = parallel
-			// A per-iteration scale name gives each iteration a fresh sweep
-			// cache key, so every iteration simulates instead of replaying
-			// the memoized result (seeds ignore the name: results match).
-			s.Name = fmt.Sprintf("sweepbench-p%d-i%d", parallel, i)
-			if _, err := experiments.Figure7(context.Background(), s); err != nil {
-				b.Fatal(err)
-			}
-		}
-	}
-	var serialNs, parallelNs float64
-	b.Run("Serial", func(b *testing.B) {
-		run(b, 1)
-		serialNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	})
-	b.Run("Parallel", func(b *testing.B) {
-		run(b, 0)
-		parallelNs = float64(b.Elapsed().Nanoseconds()) / float64(b.N)
-	})
-	if serialNs == 0 || parallelNs == 0 {
-		return // a sub-benchmark was filtered out; nothing to compare
-	}
-	cpus := runtime.GOMAXPROCS(0)
-	// On a single-CPU machine the "speedup" is pure pool overhead, not a
-	// meaningful scaling number; record null so trajectory tooling skips the
-	// point instead of averaging in a ~1x.
-	var speedup any
-	if cpus > 1 {
-		s := serialNs / parallelNs
-		speedup = s
-		b.Logf("sweep speedup: %.2fx on %d CPUs (serial %.0f ns/op, parallel %.0f ns/op)",
-			s, cpus, serialNs, parallelNs)
-	} else {
-		b.Logf("single CPU: speedup not meaningful (serial %.0f ns/op, parallel %.0f ns/op)",
-			serialNs, parallelNs)
-	}
-	out := map[string]any{
-		"benchmark": "BenchmarkSweepParallel",
-		"unit":      "ns/op",
-		"cpus":      cpus,
-		"results": map[string]float64{
-			"SweepSerial":   serialNs,
-			"SweepParallel": parallelNs,
-		},
-		"speedup": speedup,
-	}
-	buf, err := json.MarshalIndent(out, "", " ")
-	if err != nil {
-		b.Fatal(err)
-	}
-	if err := os.WriteFile("BENCH_parallel.json", append(buf, '\n'), 0o644); err != nil {
-		b.Fatal(err)
-	}
+	b.Logf("telemetry overhead: %.2f%% (off %.0f ns/op, on %.0f ns/op)", (onNs/offNs-1)*100, offNs, onNs)
 }
 
 // BenchmarkAblationSCSize sweeps the Schedule Cache capacity around the

@@ -97,17 +97,16 @@ func (c *Cache) Stats() Stats { return c.stats }
 // ResetStats zeroes the counters without disturbing contents.
 func (c *Cache) ResetStats() { c.stats = Stats{} }
 
-// RegisterTelemetry publishes this cache's counters as snapshot-time gauges
-// under prefix (e.g. "core0.l1d"). Values are read when the registry is
-// snapshotted, so registration costs nothing on the access path. A nil
-// registry is a no-op.
-func (c *Cache) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
-	reg.RegisterFunc(prefix+".accesses", func() float64 { return float64(c.stats.Accesses) })
-	reg.RegisterFunc(prefix+".misses", func() float64 { return float64(c.stats.Misses) })
-	reg.RegisterFunc(prefix+".miss_rate", func() float64 { return c.stats.MissRate() })
-	reg.RegisterFunc(prefix+".evictions", func() float64 { return float64(c.stats.Evictions) })
-	reg.RegisterFunc(prefix+".prefetches", func() float64 { return float64(c.stats.Prefetches) })
-	reg.RegisterFunc(prefix+".prefetch_hits", func() float64 { return float64(c.stats.PrefetchHits) })
+// PublishTelemetry adds this cache's counters to the registry's counters
+// under prefix (e.g. "core0.mem.l1d"). Call it once, after the run's last
+// access and on the goroutine that made them, so a concurrent registry
+// snapshot never reads live cache state. A nil registry is a no-op.
+func (c *Cache) PublishTelemetry(reg *telemetry.Registry, prefix string) {
+	reg.Counter(prefix + ".accesses").Add(int64(c.stats.Accesses))
+	reg.Counter(prefix + ".misses").Add(int64(c.stats.Misses))
+	reg.Counter(prefix + ".evictions").Add(int64(c.stats.Evictions))
+	reg.Counter(prefix + ".prefetches").Add(int64(c.stats.Prefetches))
+	reg.Counter(prefix + ".prefetch_hits").Add(int64(c.stats.PrefetchHits))
 }
 
 func (c *Cache) index(addr uint64) (set int, tag uint64) {

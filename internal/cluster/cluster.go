@@ -599,10 +599,8 @@ func (c *Cluster) replaySpeedup(a *app, ms *measurement) float64 {
 	if a.ipcOoO <= 0 || ms.cyclesPerIter <= 0 {
 		return 1
 	}
-	// speedup = IPC_replay / IPC_OoO, capped at 1.
-	// (Eq 2's speedup, using this trace's replay IPC.)
-	ipcReplay := 1.0 / ms.cyclesPerIter // per-inst scale cancels in the cap
-	_ = ipcReplay
+	// The credit is the app's last in-order IPC over its OoO IPC, capped
+	// at 1.
 	sp := a.lastIPCInO / a.ipcOoO
 	if sp > 1 {
 		sp = 1

@@ -53,7 +53,8 @@ type appTel struct {
 }
 
 // attachTelemetry resolves every instrument and hooks the component layers
-// (cores, memory hierarchies, Schedule Caches) into the registry.
+// (cores, Schedule Caches) into the registry. Memory hierarchies publish
+// their counters once, in finalizeTelemetry.
 func (c *Cluster) attachTelemetry() {
 	tel := c.cfg.Telemetry
 	if !tel.Enabled() {
@@ -89,7 +90,6 @@ func (c *Cluster) attachTelemetry() {
 		at.oooIntervals = reg.Counter(prefix + ".ooo_intervals")
 		a.inoC.AttachTelemetry(reg, prefix+".ino")
 		a.oooC.AttachTelemetry(reg, prefix+".ooo")
-		a.mem.RegisterTelemetry(reg, prefix+".mem")
 		if a.sc != nil {
 			a.sc.AttachTelemetry(reg, prefix+".sc")
 		}
@@ -245,7 +245,7 @@ func (ct *clusterTel) onMigrationCost(drain, scXfer int64) {
 }
 
 // finalizeTelemetry closes still-open tenures and publishes end-of-run
-// result gauges.
+// result gauges and the memory hierarchies' counters.
 func (c *Cluster) finalizeTelemetry(res *Result) {
 	ct := c.tel
 	if ct == nil {
@@ -262,5 +262,8 @@ func (c *Cluster) finalizeTelemetry(res *Result) {
 	reg.Gauge("cluster.bus_transfer_cycles").Set(float64(res.BusTransferCycles))
 	for i, ar := range res.Apps {
 		reg.Gauge(fmt.Sprintf("core%d.ipc", i)).Set(ar.IPC)
+	}
+	for i, a := range c.apps {
+		a.mem.PublishTelemetry(reg, fmt.Sprintf("core%d.mem", i))
 	}
 }

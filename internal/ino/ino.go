@@ -99,8 +99,8 @@ func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem
 	if iters <= 0 {
 		iters = MeasureIters
 	}
-	loadLats, nLoads, nStores := c.resolveMemLats(t, walkers, iters)
-	fetchGates := fetchStalls(c.Mem, t, iters)
+	loadLats, nLoads, nStores := c.Mem.LoadLatencies(t, walkers, iters)
+	fetchGates := c.Mem.FetchGates(t, iters)
 	req := pipeline.Request{
 		Trace:             t,
 		Deps:              deps,
@@ -147,7 +147,8 @@ func (c *Core) MeasureReplay(t *trace.Trace, deps *trace.DepGraph, sched *trace.
 	if rem := iters % span; rem != 0 {
 		iters += span - rem
 	}
-	loadLats, nLoads, nStores := c.resolveMemLats(t, walkers, iters)
+	// No fetch gates: replayed trace blocks come from the on-core SC.
+	loadLats, nLoads, nStores := c.Mem.LoadLatencies(t, walkers, iters)
 	req := pipeline.Request{
 		Trace:             t,
 		Deps:              deps,
@@ -198,60 +199,6 @@ func (c *Core) MeasureReplay(t *trace.Trace, deps *trace.DepGraph, sched *trace.
 	return r
 }
 
-// fetchStalls pre-computes per-iteration instruction-fetch stalls; replay
-// mode skips this — memoized trace blocks come from the on-core SC.
-func fetchStalls(h *mem.Hierarchy, t *trace.Trace, iters int) []int {
-	gates := make([]int, iters)
-	pc := uint64(t.ID) &^ 0x3f
-	for it := range gates {
-		gates[it] = h.FetchStall(pc, t.Len()*isa.InstBytes)
-	}
-	return gates
-}
-
-// memOp is one memory instruction of a trace with its walker resolved, so
-// the per-iteration latency loop neither rescans non-memory instructions nor
-// re-checks the stream bound per dynamic instruction.
-type memOp struct {
-	load   bool
-	stream uint8
-	w      *mem.Walker // nil when the stream index is out of range
-}
-
-func (c *Core) resolveMemLats(t *trace.Trace, walkers []*mem.Walker, iters int) (lats []int, nLoads, nStores int) {
-	loads, stores := t.NumMemOps()
-	nLoads = loads * iters
-	nStores = stores * iters
-	if loads == 0 && stores == 0 {
-		return nil, 0, 0
-	}
-	ops := make([]memOp, 0, loads+stores)
-	for _, in := range t.Insts {
-		switch in.Op {
-		case isa.Load, isa.Store:
-			op := memOp{load: in.Op == isa.Load, stream: in.MemStream}
-			if int(in.MemStream) < len(walkers) {
-				op.w = walkers[in.MemStream]
-			}
-			ops = append(ops, op)
-		}
-	}
-	lats = make([]int, 0, nLoads)
-	for it := 0; it < iters; it++ {
-		for _, op := range ops {
-			switch {
-			case op.load && op.w != nil:
-				lats = append(lats, c.Mem.LoadLatency(op.stream, op.w.Next()))
-			case op.load:
-				lats = append(lats, mem.L1Latency)
-			case op.w != nil:
-				c.Mem.StoreAccess(op.stream, op.w.Next())
-			}
-		}
-	}
-	return lats, nLoads, nStores
-}
-
 func (c *Core) countEvents(t *trace.Trace, res *pipeline.Result, iters, nLoads, nStores int, oino bool) energy.Events {
 	n := uint64(len(t.Insts)) * uint64(iters)
 	var ev energy.Events
@@ -290,13 +237,4 @@ func (c *Core) countEvents(t *trace.Trace, res *pipeline.Result, iters, nLoads, 
 		ev.L1IAccess = n / 2
 	}
 	return ev
-}
-
-// OinOKind returns the energy-model core kind for a measurement: replay
-// spans bill OinO coefficients, plain spans bill InO coefficients.
-func OinOKind(replay bool) energy.CoreKind {
-	if replay {
-		return energy.KindOinO
-	}
-	return energy.KindInO
 }

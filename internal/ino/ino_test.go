@@ -133,12 +133,6 @@ func TestOinOEnergyEvents(t *testing.T) {
 	}
 }
 
-func TestOinOKind(t *testing.T) {
-	if OinOKind(true).String() != "OinO" || OinOKind(false).String() != "InO" {
-		t.Error("OinOKind mapping wrong")
-	}
-}
-
 func TestLoadLatencyUsesWalkers(t *testing.T) {
 	tr := &trace.Trace{ID: 206, Stability: 0.9,
 		Streams: []trace.StreamSpec{{Kind: trace.StreamRandom, Base: 0, WorkingSet: 8 << 20}},

@@ -81,9 +81,6 @@ const (
 	NoReg Reg = 255
 )
 
-// IsFP reports whether r is a floating-point register.
-func (r Reg) IsFP() bool { return r.Valid() && r >= NumIntRegs }
-
 // Valid reports whether r names a real register.
 func (r Reg) Valid() bool { return r < NumRegs }
 

@@ -25,20 +25,16 @@ func TestIsMem(t *testing.T) {
 func TestRegPredicates(t *testing.T) {
 	cases := []struct {
 		r     Reg
-		fp    bool
 		valid bool
 	}{
-		{0, false, true},
-		{NumIntRegs - 1, false, true},
-		{NumIntRegs, true, true},
-		{NumRegs - 1, true, true},
-		{NumRegs, false, false},
-		{NoReg, false, false},
+		{0, true},
+		{NumIntRegs - 1, true},
+		{NumIntRegs, true},
+		{NumRegs - 1, true},
+		{NumRegs, false},
+		{NoReg, false},
 	}
 	for _, c := range cases {
-		if c.r.IsFP() != c.fp {
-			t.Errorf("Reg(%d).IsFP() = %v, want %v", c.r, c.r.IsFP(), c.fp)
-		}
 		if c.r.Valid() != c.valid {
 			t.Errorf("Reg(%d).Valid() = %v, want %v", c.r, c.r.Valid(), c.valid)
 		}

@@ -6,6 +6,7 @@ package mem
 
 import (
 	"repro/internal/cache"
+	"repro/internal/isa"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -61,27 +62,21 @@ func NewHierarchy() *Hierarchy {
 // Traffic returns accumulated line-transfer counts.
 func (h *Hierarchy) Traffic() Traffic { return h.traffic }
 
-// RegisterTelemetry publishes the hierarchy's cache and TLB counters as
-// snapshot-time gauges under prefix (e.g. "core0.mem"). A nil registry is a
+// PublishTelemetry adds the hierarchy's cache, TLB and bus counters to the
+// registry's counters under prefix (e.g. "core0.mem"), once per run on the
+// simulating goroutine (see cache.PublishTelemetry). A nil registry is a
 // no-op.
-func (h *Hierarchy) RegisterTelemetry(reg *telemetry.Registry, prefix string) {
-	h.L1I.RegisterTelemetry(reg, prefix+".l1i")
-	h.L1D.RegisterTelemetry(reg, prefix+".l1d")
-	h.L2.RegisterTelemetry(reg, prefix+".l2")
-	reg.RegisterFunc(prefix+".itlb.misses", func() float64 {
-		_, m := h.ITLB.Stats()
-		return float64(m)
-	})
-	reg.RegisterFunc(prefix+".dtlb.misses", func() float64 {
-		_, m := h.DTLB.Stats()
-		return float64(m)
-	})
-	reg.RegisterFunc(prefix+".bus.l1_l2_lines", func() float64 { return float64(h.traffic.L1ToL2Lines) })
-	reg.RegisterFunc(prefix+".bus.l2_mem_lines", func() float64 { return float64(h.traffic.L2ToMemLines) })
+func (h *Hierarchy) PublishTelemetry(reg *telemetry.Registry, prefix string) {
+	h.L1I.PublishTelemetry(reg, prefix+".l1i")
+	h.L1D.PublishTelemetry(reg, prefix+".l1d")
+	h.L2.PublishTelemetry(reg, prefix+".l2")
+	_, itlbMisses := h.ITLB.Stats()
+	_, dtlbMisses := h.DTLB.Stats()
+	reg.Counter(prefix + ".itlb.misses").Add(int64(itlbMisses))
+	reg.Counter(prefix + ".dtlb.misses").Add(int64(dtlbMisses))
+	reg.Counter(prefix + ".bus.l1_l2_lines").Add(int64(h.traffic.L1ToL2Lines))
+	reg.Counter(prefix + ".bus.l2_mem_lines").Add(int64(h.traffic.L2ToMemLines))
 }
-
-// ResetTraffic zeroes transfer counts (per-interval accounting).
-func (h *Hierarchy) ResetTraffic() { h.traffic = Traffic{} }
 
 // LoadLatency performs a data load at addr on behalf of streamID and returns
 // its total latency in cycles, including any page-walk on a DTLB miss.
@@ -144,6 +139,66 @@ func (h *Hierarchy) FetchStall(pc uint64, codeBytes int) int {
 	return stall
 }
 
+// FetchGates returns the per-iteration instruction-fetch stall of iters
+// back-to-back iterations of t: zero once its code lines are L1I/ITLB
+// resident, the warmup misses otherwise (post-migration cost).
+func (h *Hierarchy) FetchGates(t *trace.Trace, iters int) []int {
+	gates := make([]int, iters)
+	pc := uint64(t.ID) &^ 0x3f
+	for it := range gates {
+		gates[it] = h.FetchStall(pc, t.Len()*isa.InstBytes)
+	}
+	return gates
+}
+
+// memOp is one memory instruction of a trace with its walker resolved, so
+// the per-iteration latency loop neither rescans non-memory instructions nor
+// re-checks the stream bound per dynamic instruction.
+type memOp struct {
+	load   bool
+	stream uint8
+	w      *Walker // nil when the stream index is out of range
+}
+
+// LoadLatencies walks iters iterations of t's address streams through the
+// hierarchy in program order and returns the per-dynamic-load latencies,
+// with the dynamic load and store counts. walkers[i] supplies stream i; a
+// memory instruction naming a missing stream costs an L1 hit and touches
+// nothing.
+func (h *Hierarchy) LoadLatencies(t *trace.Trace, walkers []*Walker, iters int) (lats []int, nLoads, nStores int) {
+	loads, stores := t.NumMemOps()
+	nLoads = loads * iters
+	nStores = stores * iters
+	if loads == 0 && stores == 0 {
+		return nil, 0, 0
+	}
+	ops := make([]memOp, 0, loads+stores)
+	for _, in := range t.Insts {
+		switch in.Op {
+		case isa.Load, isa.Store:
+			op := memOp{load: in.Op == isa.Load, stream: in.MemStream}
+			if int(in.MemStream) < len(walkers) {
+				op.w = walkers[in.MemStream]
+			}
+			ops = append(ops, op)
+		}
+	}
+	lats = make([]int, 0, nLoads)
+	for it := 0; it < iters; it++ {
+		for _, op := range ops {
+			switch {
+			case op.load && op.w != nil:
+				lats = append(lats, h.LoadLatency(op.stream, op.w.Next()))
+			case op.load:
+				lats = append(lats, L1Latency)
+			case op.w != nil:
+				h.StoreAccess(op.stream, op.w.Next())
+			}
+		}
+	}
+	return lats, nLoads, nStores
+}
+
 // FlushL1s empties both L1s, the TLBs and the prefetcher's learned strides;
 // the cluster calls it when the application migrates to another core. The
 // L2 is shared across the cluster, so it survives migration.
@@ -188,6 +243,3 @@ func (w *Walker) Next() uint64 {
 		return addr
 	}
 }
-
-// Spec returns the walker's stream specification.
-func (w *Walker) Spec() trace.StreamSpec { return w.spec }

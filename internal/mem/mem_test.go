@@ -67,12 +67,8 @@ func TestTrafficCounters(t *testing.T) {
 	if tr.L1ToL2Lines != 1 || tr.L2ToMemLines != 1 {
 		t.Errorf("traffic %+v", tr)
 	}
-	h.ResetTraffic()
-	if h.Traffic() != (Traffic{}) {
-		t.Error("traffic not reset")
-	}
 	h.LoadLatency(0, 0xA000) // L1 hit: no traffic
-	if h.Traffic() != (Traffic{}) {
+	if h.Traffic() != tr {
 		t.Error("hit generated traffic")
 	}
 }
@@ -119,7 +115,7 @@ func TestWalkerZeroWorkingSet(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		w.Next()
 	}
-	if w.Spec().WorkingSet == 0 {
+	if w.spec.WorkingSet == 0 {
 		t.Error("working set not defaulted")
 	}
 }

@@ -84,8 +84,8 @@ func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem
 	if iters <= 0 {
 		iters = MeasureIters
 	}
-	loadLats, nLoads, nStores := c.resolveMemLats(t, walkers, iters)
-	fetchGates := fetchStalls(c.Mem, t, iters)
+	loadLats, nLoads, nStores := c.Mem.LoadLatencies(t, walkers, iters)
+	fetchGates := c.Mem.FetchGates(t, iters)
 
 	req := pipeline.Request{
 		Trace:             t,
@@ -127,69 +127,6 @@ func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem
 		r.IPC = float64(len(t.Insts)) / cpi
 	}
 	return r
-}
-
-// fetchStalls pre-computes the per-iteration instruction-fetch stall of a
-// trace: zero once its code lines are L1I/ITLB resident, the warmup misses
-// otherwise (post-migration cost).
-func fetchStalls(h *mem.Hierarchy, t *trace.Trace, iters int) []int {
-	gates := make([]int, iters)
-	pc := uint64(t.ID) &^ 0x3f
-	for it := range gates {
-		gates[it] = h.FetchStall(pc, t.Len()*isa.InstBytes)
-	}
-	return gates
-}
-
-// memOp is one memory instruction of a trace with its walker resolved, so
-// the per-iteration latency loop neither rescans non-memory instructions nor
-// re-checks the stream bound per dynamic instruction.
-type memOp struct {
-	load   bool
-	stream uint8
-	w      *mem.Walker // nil when the stream index is out of range
-}
-
-// collectMemOps resolves a trace's memory instructions against its walkers
-// once, in program order.
-func collectMemOps(t *trace.Trace, walkers []*mem.Walker, buf []memOp) []memOp {
-	for _, in := range t.Insts {
-		switch in.Op {
-		case isa.Load, isa.Store:
-			op := memOp{load: in.Op == isa.Load, stream: in.MemStream}
-			if int(in.MemStream) < len(walkers) {
-				op.w = walkers[in.MemStream]
-			}
-			buf = append(buf, op)
-		}
-	}
-	return buf
-}
-
-// resolveMemLats walks the trace's address streams through the hierarchy in
-// program order, returning per-dynamic-load latencies.
-func (c *Core) resolveMemLats(t *trace.Trace, walkers []*mem.Walker, iters int) (lats []int, nLoads, nStores int) {
-	loads, stores := t.NumMemOps()
-	nLoads = loads * iters
-	nStores = stores * iters
-	if loads == 0 && stores == 0 {
-		return nil, 0, 0
-	}
-	ops := collectMemOps(t, walkers, make([]memOp, 0, loads+stores))
-	lats = make([]int, 0, nLoads)
-	for it := 0; it < iters; it++ {
-		for _, op := range ops {
-			switch {
-			case op.load && op.w != nil:
-				lats = append(lats, c.Mem.LoadLatency(op.stream, op.w.Next()))
-			case op.load:
-				lats = append(lats, mem.L1Latency)
-			case op.w != nil:
-				c.Mem.StoreAccess(op.stream, op.w.Next())
-			}
-		}
-	}
-	return lats, nLoads, nStores
 }
 
 func extractSchedule(t *trace.Trace, res *pipeline.Result) *trace.Schedule {

@@ -450,3 +450,40 @@ func TestPprofMountedOnlyWhenEnabled(t *testing.T) {
 		t.Errorf("pprof index status = %d, want 200", rec.Code)
 	}
 }
+
+// TestMetricsDuringSimulation is the /v1/metrics data-race regression: the
+// memory hierarchies used to publish their cache, TLB and bus counts as
+// gauges evaluated at snapshot time, so a scrape read simulator state the
+// running simulation was writing. Under -race this fails on any such read;
+// the counters now land once per run, on the simulating goroutine.
+func TestMetricsDuringSimulation(t *testing.T) {
+	srv := newTestServer(t, func(c *Config) { c.Backend = SimBackend{} })
+	done := make(chan struct{})
+	var scraper sync.WaitGroup
+	scraper.Add(1)
+	go func() {
+		defer scraper.Done()
+		for {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			if rec := get(t, srv, "/v1/metrics"); rec.Code != http.StatusOK {
+				t.Errorf("metrics: status %d", rec.Code)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 3; i++ {
+		body := fmt.Sprintf(`{"mix": ["hmmer", "mcf"], "target_insts": 60000, "seed": "scrape-%d"}`, i)
+		if rec := postJSON(t, srv, "/v1/run", body); rec.Code != http.StatusOK {
+			t.Errorf("run %d: status %d: %s", i, rec.Code, rec.Body.Bytes())
+		}
+	}
+	close(done)
+	scraper.Wait()
+	if n := srv.Telemetry().Reg().Counter("core0.mem.l1d.accesses").Value(); n == 0 {
+		t.Error("core0.mem.l1d.accesses did not move in the server registry")
+	}
+}

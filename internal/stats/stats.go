@@ -67,14 +67,6 @@ func STP(ipc, ipcRef []float64) float64 {
 	return Mean(speedups)
 }
 
-// Ratio returns a/b, or 0 when b is 0.
-func Ratio(a, b float64) float64 {
-	if b == 0 {
-		return 0
-	}
-	return a / b
-}
-
 // Pct formats a fraction as a percentage string.
 func Pct(x float64) string { return fmt.Sprintf("%.0f%%", x*100) }
 
@@ -132,6 +124,5 @@ func (t *Table) String() string {
 	return b.String()
 }
 
-// F formats a float with 2 decimals; F3 with 3.
-func F(x float64) string  { return fmt.Sprintf("%.2f", x) }
-func F3(x float64) string { return fmt.Sprintf("%.3f", x) }
+// F formats a float with 2 decimals.
+func F(x float64) string { return fmt.Sprintf("%.2f", x) }

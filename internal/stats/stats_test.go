@@ -77,12 +77,6 @@ func TestSTP(t *testing.T) {
 	}
 }
 
-func TestRatio(t *testing.T) {
-	if Ratio(1, 0) != 0 || Ratio(6, 3) != 2 {
-		t.Error("ratio")
-	}
-}
-
 func TestPct(t *testing.T) {
 	if Pct(0.84) != "84%" {
 		t.Errorf("Pct: %q", Pct(0.84))
@@ -90,7 +84,7 @@ func TestPct(t *testing.T) {
 }
 
 func TestFormats(t *testing.T) {
-	if F(1.234) != "1.23" || F3(1.2345) != "1.234" {
+	if F(1.234) != "1.23" {
 		t.Error("float formats")
 	}
 }

@@ -216,7 +216,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Histogram
-	funcs    map[string]func() float64
 }
 
 // NewRegistry builds an empty registry.
@@ -225,7 +224,6 @@ func NewRegistry() *Registry {
 		counters: make(map[string]*Counter),
 		gauges:   make(map[string]*Gauge),
 		hists:    make(map[string]*Histogram),
-		funcs:    make(map[string]func() float64),
 	}
 }
 
@@ -277,19 +275,6 @@ func (r *Registry) Histogram(name string) *Histogram {
 	return h
 }
 
-// RegisterFunc registers a gauge computed on demand at snapshot time — used
-// by components (caches) that already maintain internal counters. fn runs
-// under the registry lock; it must not call back into the registry. A nil
-// registry ignores the call.
-func (r *Registry) RegisterFunc(name string, fn func() float64) {
-	if r == nil || fn == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.funcs[name] = fn
-}
-
 // Snapshot is a point-in-time export of a registry, ready for JSON encoding.
 type Snapshot struct {
 	Counters   map[string]int64             `json:"counters,omitempty"`
@@ -297,8 +282,8 @@ type Snapshot struct {
 	Histograms map[string]HistogramSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot captures every instrument's current value (func gauges are
-// evaluated now). A nil registry yields a zero Snapshot.
+// Snapshot captures every instrument's current value. A nil registry
+// yields a zero Snapshot.
 func (r *Registry) Snapshot() Snapshot {
 	var s Snapshot
 	if r == nil {
@@ -312,13 +297,10 @@ func (r *Registry) Snapshot() Snapshot {
 			s.Counters[n] = c.Value()
 		}
 	}
-	if len(r.gauges)+len(r.funcs) > 0 {
-		s.Gauges = make(map[string]float64, len(r.gauges)+len(r.funcs))
+	if len(r.gauges) > 0 {
+		s.Gauges = make(map[string]float64, len(r.gauges))
 		for n, g := range r.gauges {
 			s.Gauges[n] = g.Value()
-		}
-		for n, fn := range r.funcs {
-			s.Gauges[n] = fn()
 		}
 	}
 	if len(r.hists) > 0 {

@@ -15,7 +15,6 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	tel.Reg().Counter("x").Add(5)
 	tel.Reg().Gauge("g").Set(1)
 	tel.Reg().Histogram("h").Observe(3)
-	tel.Reg().RegisterFunc("f", func() float64 { return 1 })
 	tel.Samp().Record(IntervalSample{})
 	tel.Sink().Emit(TraceEvent{})
 	tel.Sink().Complete("a", "b", 0, 1, 0, nil)
@@ -55,13 +54,12 @@ func TestRegistryIdentityAndSnapshot(t *testing.T) {
 	c2.Inc()
 	r.Gauge("sim.owner").Set(2.5)
 	r.Histogram("sim.penalty").Observe(10)
-	r.RegisterFunc("sim.rate", func() float64 { return 0.25 })
 
 	s := r.Snapshot()
 	if s.Counters["sim.migrations"] != 4 {
 		t.Errorf("counter = %d, want 4", s.Counters["sim.migrations"])
 	}
-	if s.Gauges["sim.owner"] != 2.5 || s.Gauges["sim.rate"] != 0.25 {
+	if s.Gauges["sim.owner"] != 2.5 {
 		t.Errorf("gauges = %v", s.Gauges)
 	}
 	hs := s.Histograms["sim.penalty"]

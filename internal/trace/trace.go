@@ -184,28 +184,6 @@ func BuildDepGraph(t *Trace) *DepGraph {
 	return g
 }
 
-// CriticalPathLen returns the length, in cycles, of the longest dependence
-// chain through one iteration assuming L1-hit load latency. It is a lower
-// bound on per-iteration execution time with infinite resources.
-func CriticalPathLen(t *Trace, g *DepGraph) int {
-	n := len(t.Insts)
-	depth := make([]int, n)
-	longest := 0
-	for j := 0; j < n; j++ {
-		start := 0
-		for _, p := range g.Preds[j] {
-			if d := depth[p]; d > start {
-				start = d
-			}
-		}
-		depth[j] = start + isa.Latency[t.Insts[j].Op]
-		if depth[j] > longest {
-			longest = depth[j]
-		}
-	}
-	return longest
-}
-
 // Schedule is a memoized OoO issue schedule for a trace: the order in which
 // the OoO issued the trace's instructions, plus the metadata block that lets
 // the OinO-mode LSQ reconstruct original memory order (Section 3.3.2).

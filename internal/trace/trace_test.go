@@ -68,27 +68,6 @@ func TestBuildDepGraphPredsPrecede(t *testing.T) {
 	}
 }
 
-func TestCriticalPathLen(t *testing.T) {
-	tr := chainTrace()
-	g := BuildDepGraph(tr)
-	// Serial chain: ALU(1) + Load(2) + Mul(3) + Branch(1) = 7.
-	want := isa.Latency[isa.IntALU] + isa.Latency[isa.Load] + isa.Latency[isa.IntMul] + isa.Latency[isa.Branch]
-	if got := CriticalPathLen(tr, g); got != want {
-		t.Errorf("critical path %d, want %d", got, want)
-	}
-}
-
-func TestCriticalPathIndependent(t *testing.T) {
-	tr := &Trace{ID: 2, Insts: []isa.Inst{
-		{Op: isa.IntALU, Dst: 1, Src1: isa.NoReg},
-		{Op: isa.IntALU, Dst: 2, Src1: isa.NoReg},
-		{Op: isa.IntALU, Dst: 3, Src1: isa.NoReg},
-	}}
-	if got := CriticalPathLen(tr, BuildDepGraph(tr)); got != 1 {
-		t.Errorf("independent ops critical path %d, want 1", got)
-	}
-}
-
 func TestNumMemOps(t *testing.T) {
 	tr := chainTrace()
 	loads, stores := tr.NumMemOps()
