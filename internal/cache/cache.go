@@ -29,26 +29,21 @@ type Stats struct {
 	PrefetchHits uint64
 }
 
-// MissRate returns misses/accesses, or 0 with no accesses.
-func (s Stats) MissRate() float64 {
-	if s.Accesses == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(s.Accesses)
-}
-
+// line is one cache block's state, ordered so it packs into 24 bytes.
 type line struct {
 	tag        uint64
-	valid      bool
 	lastUse    uint64
+	valid      bool
 	prefetched bool
 }
 
 // Cache is a set-associative, write-allocate, LRU cache model. It tracks
 // presence only (no data), which is all the timing model needs.
 type Cache struct {
-	cfg      Config
-	sets     [][]line
+	cfg Config
+	// lines holds every set's ways back to back: set i is
+	// lines[i*Assoc : (i+1)*Assoc].
+	lines    []line
 	setShift uint
 	setMask  uint64
 	tick     uint64
@@ -76,17 +71,16 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
-	c := &Cache{
+	return &Cache{
 		cfg:      cfg,
-		sets:     make([][]line, nSets),
+		lines:    make([]line, nSets*cfg.Assoc),
 		setShift: shift,
 		setMask:  uint64(nSets - 1),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Assoc)
-	}
-	return c
 }
+
+// set returns the ways of set i.
+func (c *Cache) set(i int) []line { return c.lines[i*c.cfg.Assoc : (i+1)*c.cfg.Assoc] }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
@@ -120,7 +114,7 @@ func (c *Cache) Access(addr uint64) bool {
 	c.tick++
 	c.stats.Accesses++
 	set, tag := c.index(addr)
-	lines := c.sets[set]
+	lines := c.set(set)
 	for i := range lines {
 		if lines[i].valid && lines[i].tag == tag {
 			lines[i].lastUse = c.tick
@@ -139,7 +133,7 @@ func (c *Cache) Access(addr uint64) bool {
 // Probe reports whether addr is resident without updating state.
 func (c *Cache) Probe(addr uint64) bool {
 	set, tag := c.index(addr)
-	for _, ln := range c.sets[set] {
+	for _, ln := range c.set(set) {
 		if ln.valid && ln.tag == tag {
 			return true
 		}
@@ -150,7 +144,7 @@ func (c *Cache) Probe(addr uint64) bool {
 // Prefetch inserts addr if absent, marking it as prefetched.
 func (c *Cache) Prefetch(addr uint64) {
 	set, tag := c.index(addr)
-	for _, ln := range c.sets[set] {
+	for _, ln := range c.set(set) {
 		if ln.valid && ln.tag == tag {
 			return
 		}
@@ -161,7 +155,7 @@ func (c *Cache) Prefetch(addr uint64) {
 }
 
 func (c *Cache) fill(set int, tag uint64, prefetched bool) {
-	lines := c.sets[set]
+	lines := c.set(set)
 	victim := 0
 	for i := range lines {
 		if !lines[i].valid {
@@ -180,21 +174,15 @@ place:
 // Flush invalidates all contents (used when an application migrates away
 // from a core: the paper models cold L1s on arrival at the new core).
 func (c *Cache) Flush() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
+	clear(c.lines)
 }
 
 // Occupancy returns the number of valid lines (for warmup-cost modeling).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, set := range c.sets {
-		for _, ln := range set {
-			if ln.valid {
-				n++
-			}
+	for _, ln := range c.lines {
+		if ln.valid {
+			n++
 		}
 	}
 	return n

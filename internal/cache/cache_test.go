@@ -3,6 +3,7 @@ package cache
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func smallCache() *Cache {
@@ -118,14 +119,11 @@ func TestResetStatsKeepsContents(t *testing.T) {
 	}
 }
 
-func TestMissRate(t *testing.T) {
-	var s Stats
-	if s.MissRate() != 0 {
-		t.Error("zero-access miss rate should be 0")
-	}
-	s = Stats{Accesses: 4, Misses: 1}
-	if s.MissRate() != 0.25 {
-		t.Errorf("miss rate %v", s.MissRate())
+// TestLineSize pins the line layout: 24 bytes, so an L2's 32k lines take
+// 768 KiB rather than 1 MiB.
+func TestLineSize(t *testing.T) {
+	if n := unsafe.Sizeof(line{}); n != 24 {
+		t.Errorf("line is %d bytes, want 24", n)
 	}
 }
 

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/pipeline"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -192,14 +193,16 @@ type sweepResult struct {
 var sweepCache = runner.Cache[string, *sweepResult]{AbandonGrace: 40 * time.Millisecond}
 
 // ResetCaches drops every memoized simulation result the experiment layer
-// holds (the sweep, per-benchmark profile and CPI caches). The determinism
-// tests call it between serial and parallel passes so the second pass
-// recomputes instead of trivially replaying the first; long-lived harnesses
-// can call it to bound memory.
+// holds (the sweep, per-benchmark profile and CPI caches) and the
+// process-wide pipeline memo beneath it. The determinism tests call it
+// between serial and parallel passes so the second pass recomputes instead
+// of trivially replaying the first; long-lived harnesses can call it to
+// bound memory.
 func ResetCaches() {
 	sweepCache.Reset()
 	profileCache.Reset()
 	cpiCache.Reset()
+	pipeline.ResetMemo()
 }
 
 // runSweep simulates the arbitrator line-up across cluster sizes. The

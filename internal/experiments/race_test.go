@@ -5,6 +5,10 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"repro/internal/isa"
+	"repro/internal/pipeline"
+	"repro/internal/trace"
 )
 
 // TestProfileConcurrent is the regression test for the profileCache data
@@ -54,5 +58,27 @@ func TestProfileConcurrent(t *testing.T) {
 	}
 	if !reflect.DeepEqual(*again, *got[0]) {
 		t.Fatalf("recomputed profile differs:\nfirst:  %+v\nsecond: %+v", *got[0], *again)
+	}
+}
+
+// TestResetCachesDropsPipelineMemo: ResetCaches also empties the
+// process-wide pipeline memo, so a determinism test's second pass simulates
+// instead of replaying the first pass's pipeline results.
+func TestResetCachesDropsPipelineMemo(t *testing.T) {
+	tr := &trace.Trace{ID: 1, Insts: []isa.Inst{
+		{Op: isa.IntMul, Dst: 1, Src1: 1},
+		{Op: isa.Branch, Dst: isa.NoReg, Src1: 1},
+	}}
+	req := pipeline.Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 4, Policy: pipeline.ProgramOrder}
+	e := pipeline.NewEngine()
+	for i := 0; i < 3; i++ {
+		e.Run(req)
+	}
+	if !e.MemoHit() {
+		t.Fatal("the third sighting of a request missed the pipeline memo")
+	}
+	ResetCaches()
+	if e.Run(req); e.MemoHit() {
+		t.Fatal("a request repeated after ResetCaches was answered from the pipeline memo")
 	}
 }

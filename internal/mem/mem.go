@@ -5,6 +5,8 @@
 package mem
 
 import (
+	"slices"
+
 	"repro/internal/cache"
 	"repro/internal/isa"
 	"repro/internal/telemetry"
@@ -44,6 +46,11 @@ type Hierarchy struct {
 	pf   *cache.StridePrefetcher
 
 	traffic Traffic
+
+	// Scratch that LoadLatencies and FetchGates return slices of.
+	ops   []memOp
+	lats  []int
+	gates []int
 }
 
 // NewHierarchy builds a hierarchy with the paper's default geometry.
@@ -141,14 +148,15 @@ func (h *Hierarchy) FetchStall(pc uint64, codeBytes int) int {
 
 // FetchGates returns the per-iteration instruction-fetch stall of iters
 // back-to-back iterations of t: zero once its code lines are L1I/ITLB
-// resident, the warmup misses otherwise (post-migration cost).
+// resident, the warmup misses otherwise (post-migration cost). The slice is
+// the hierarchy's scratch, valid until the next FetchGates call on h.
 func (h *Hierarchy) FetchGates(t *trace.Trace, iters int) []int {
-	gates := make([]int, iters)
+	h.gates = slices.Grow(h.gates[:0], iters)[:iters]
 	pc := uint64(t.ID) &^ 0x3f
-	for it := range gates {
-		gates[it] = h.FetchStall(pc, t.Len()*isa.InstBytes)
+	for it := range h.gates {
+		h.gates[it] = h.FetchStall(pc, t.Len()*isa.InstBytes)
 	}
-	return gates
+	return h.gates
 }
 
 // memOp is one memory instruction of a trace with its walker resolved, so
@@ -164,7 +172,8 @@ type memOp struct {
 // hierarchy in program order and returns the per-dynamic-load latencies,
 // with the dynamic load and store counts. walkers[i] supplies stream i; a
 // memory instruction naming a missing stream costs an L1 hit and touches
-// nothing.
+// nothing. The latency slice is the hierarchy's scratch, valid until the
+// next LoadLatencies call on h.
 func (h *Hierarchy) LoadLatencies(t *trace.Trace, walkers []*Walker, iters int) (lats []int, nLoads, nStores int) {
 	loads, stores := t.NumMemOps()
 	nLoads = loads * iters
@@ -172,7 +181,7 @@ func (h *Hierarchy) LoadLatencies(t *trace.Trace, walkers []*Walker, iters int) 
 	if loads == 0 && stores == 0 {
 		return nil, 0, 0
 	}
-	ops := make([]memOp, 0, loads+stores)
+	ops := h.ops[:0]
 	for _, in := range t.Insts {
 		switch in.Op {
 		case isa.Load, isa.Store:
@@ -183,7 +192,8 @@ func (h *Hierarchy) LoadLatencies(t *trace.Trace, walkers []*Walker, iters int) 
 			ops = append(ops, op)
 		}
 	}
-	lats = make([]int, 0, nLoads)
+	h.ops = ops
+	lats = h.lats[:0]
 	for it := 0; it < iters; it++ {
 		for _, op := range ops {
 			switch {
@@ -196,6 +206,7 @@ func (h *Hierarchy) LoadLatencies(t *trace.Trace, walkers []*Walker, iters int) 
 			}
 		}
 	}
+	h.lats = lats
 	return lats, nLoads, nStores
 }
 

@@ -3,6 +3,7 @@ package mem
 import (
 	"testing"
 
+	"repro/internal/isa"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -189,5 +190,30 @@ func TestFetchStallWarmsUp(t *testing.T) {
 	h.FlushL1s()
 	if again := h.FetchStall(0x10000, 256); again == 0 {
 		t.Error("post-migration code fetch should stall again")
+	}
+}
+
+// TestLatencyScratchReused: LoadLatencies and FetchGates hand out the
+// hierarchy's scratch, so a steady-state measurement allocates nothing for
+// its resolved latencies and gates.
+func TestLatencyScratchReused(t *testing.T) {
+	tr := &trace.Trace{ID: 0x4000, Insts: []isa.Inst{
+		{Op: isa.Load, Dst: 1, Src1: 2},
+		{Op: isa.Store, Src1: 1},
+		{Op: isa.Branch, Dst: isa.NoReg, Src1: 1},
+	}}
+	ws := []*Walker{NewWalker(trace.StreamSpec{WorkingSet: 1 << 16, Stride: 64}, xrand.New(1))}
+	h := NewHierarchy()
+	measure := func() {
+		if lats, loads, _ := h.LoadLatencies(tr, ws, 8); len(lats) != loads || loads != 8 {
+			t.Fatalf("LoadLatencies returned %d latencies for %d loads", len(lats), loads)
+		}
+		if gates := h.FetchGates(tr, 8); len(gates) != 8 {
+			t.Fatalf("FetchGates returned %d gates for 8 iterations", len(gates))
+		}
+	}
+	measure()
+	if n := testing.AllocsPerRun(20, measure); n != 0 {
+		t.Errorf("a repeated measurement allocates %.0f times, want 0", n)
 	}
 }

@@ -35,10 +35,10 @@ type Core struct {
 	Mem *mem.Hierarchy
 	rng *xrand.Rand
 	tel *telemetry.CoreMetrics
-	// eng is this core's private pipeline engine: measurement scratch and
-	// the result memo are reused across the MeasureTrace calls of one
-	// cluster run, and cores are built per worker, so ownership composes
-	// with -parallel.
+	// eng is this core's private pipeline engine: its measurement scratch
+	// is reused across the MeasureTrace calls of one cluster run, and cores
+	// are built per worker, so ownership composes with -parallel. The
+	// result memo behind it is the process's, shared with every other core.
 	eng *pipeline.Engine
 
 	aud      *invariant.Auditor

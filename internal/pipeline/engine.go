@@ -107,10 +107,11 @@ func buildFlatDeps(g *trace.DepGraph) *flatDeps {
 
 // Engine holds the reusable simulation scratch: dynamic-instruction state,
 // the ready bitmap, the wakeup calendar, functional-unit occupancy, the
-// issue-order sort buffer, the request's resolved inputs, and a memo of
-// past results (memo.go). A steady-state Run allocates only the two slices
-// the Result carries out (IterEnd and IssueOrder) plus the memo's copies.
-// An Engine is not safe for concurrent use; each worker owns one (the
+// issue-order sort buffer, the request's resolved inputs, and the key and
+// entry encoding buffers of the process-wide result memo (memo.go). A
+// steady-state Run allocates only the two slices the Result carries out
+// (IterEnd and IssueOrder) plus the memo's entry when it stores one. An
+// Engine is not safe for concurrent use; each worker owns one (the
 // package-level Run draws from a pool).
 type Engine struct {
 	dyns     []edyn
@@ -130,8 +131,8 @@ type Engine struct {
 	missNext int
 	gates    []int
 
-	memo    map[memoKey]*memoEntry
 	keyBuf  []byte
+	entBuf  []byte
 	memoHit bool
 }
 
@@ -157,8 +158,8 @@ func Run(req Request) Result {
 }
 
 // Run simulates the request on this engine's scratch storage. A request
-// whose resolved inputs exactly repeat an earlier one on this engine is
-// answered from the memo (memo.go) without simulating.
+// whose resolved inputs exactly repeat an earlier one on any engine of the
+// process is answered from the shared memo (memo.go) without simulating.
 func (e *Engine) Run(req Request) Result {
 	return e.run(req, true)
 }
@@ -199,9 +200,10 @@ func (e *Engine) run(req Request, memoize bool) Result {
 	if memoize {
 		key = e.memoKeyOf(&req)
 		if req.Audit == nil {
-			if res, ok := e.recall(key); ok {
+			if res, ok := e.recall(key, &req); ok {
 				e.memoHit = true
-				return res.clone()
+				touchMemo()
+				return res
 			}
 		}
 	}
@@ -226,11 +228,13 @@ func (e *Engine) run(req Request, memoize bool) Result {
 		e.audit(&req, fd, &res)
 	}
 	if memoize {
-		// A stored entry reaches here only on an audited run.
-		if prior, ok := e.recall(key); ok {
-			e.auditMemo(&req, &prior, &res)
+		if req.Audit != nil {
+			if prior, ok := e.recall(key, &req); ok {
+				e.auditMemo(&req, &prior, &res)
+			}
 		}
-		e.remember(key, &res)
+		e.remember(key, &req, &res)
+		touchMemo()
 	}
 	return res
 }

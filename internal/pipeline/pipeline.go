@@ -21,6 +21,7 @@ package pipeline
 
 import (
 	"slices"
+	"sync"
 
 	"repro/internal/invariant"
 	"repro/internal/isa"
@@ -143,6 +144,8 @@ func (r *Result) SteadyCyclesPerIter() float64 {
 	return float64(span) / float64(iters)
 }
 
+var livePool = sync.Pool{New: func() any { return new([]int) }}
+
 // MaxLiveVersions computes, for a schedule order over a block of one or
 // more unrolled trace iterations, the maximum number of simultaneously-live
 // renamed versions any architectural register needs during replay. OinO
@@ -154,11 +157,16 @@ func (r *Result) SteadyCyclesPerIter() float64 {
 // by register in schedule order, so each bucket's starts come out sorted,
 // and the maximum overlap per register is a two-pointer sweep over the
 // bucket's sorted ends — O(n log n) against the original all-pairs
-// stabbing count.
+// stabbing count. The 5n ints of scratch come from a pool: the OoO core
+// calls this on every measurement, memo hits included.
 func MaxLiveVersions(t *trace.Trace, order []uint16) int {
 	n := len(order) // block length (span * trace length)
 	tn := len(t.Insts)
-	buf := make([]int, 5*n)
+	bp := livePool.Get().(*[]int)
+	defer livePool.Put(bp)
+	*bp = slices.Grow((*bp)[:0], 5*n)
+	buf := (*bp)[:5*n]
+	clear(buf)
 	pos := buf[:n]           // schedule position of each block position
 	writeEnd := buf[n : 2*n] // latest reader schedule position per writer
 	life := buf[2*n : 3*n]   // lifetime end per writer

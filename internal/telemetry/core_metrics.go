@@ -6,7 +6,8 @@ package telemetry
 type CoreMetrics struct {
 	// Measures counts measurement requests sent to the core's pipeline
 	// engine (cache-cold or cache-warm re-measurements); MemoHits counts
-	// those the engine answered from its result memo without simulating.
+	// those the engine answered from the process-wide result memo without
+	// simulating.
 	// MeasuredCycles accumulates the measured cycles of all of them.
 	Measures       *Counter
 	MemoHits       *Counter
