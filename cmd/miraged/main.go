@@ -9,12 +9,18 @@
 //	        [-store-dir DIR] [-store-max-bytes N]
 //	        [-cache-entries 4096] [-cache-bytes N]
 //	        [-peers http://w1,http://w2,...] [-peer-auth SECRET]
-//	        [-metrics-out m.json] [-pprof cpu.prof] [-pprof-http]
-//	        [-log-format json|text] [-log-level info]
+//	        [-pprof-http] [-log-format json|text] [-log-level info]
 //
 //	miraged -coordinator -workers http://w1:8081,http://w2:8082,... \
-//	        [-addr :8080] [-probe-interval 1s] [-hedge-min 100ms]
-//	        [-hedge-max 10s] [-log-format json|text] [-log-level info]
+//	        [-addr :8080] [-drain-timeout 30s] [-probe-interval 1s]
+//	        [-hedge-min 100ms] [-hedge-max 10s]
+//	        [-log-format json|text] [-log-level info]
+//
+// -addr, -drain-timeout and the -log-* flags apply in both modes; every
+// other flag belongs to one mode, and setting it in the other is an error
+// rather than silently ignored. Profile a live server through
+// /debug/pprof/profile (with -pprof-http) and read its counters from
+// /v1/metrics.
 //
 // In coordinator mode the process simulates nothing itself: it derives the
 // canonical job key from each request (the same derivation the workers
@@ -68,7 +74,7 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime/pprof"
+	"slices"
 	"strings"
 	"syscall"
 	"time"
@@ -89,8 +95,6 @@ func main() {
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "ceiling on per-request timeout_ms")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
 	parallel := flag.Int("parallel", 0, "per-simulation worker budget (0 = GOMAXPROCS); responses are bit-identical at any setting")
-	metricsOut := flag.String("metrics-out", "", "write telemetry counters as JSON to this file on exit")
-	pprofOut := flag.String("pprof", "", "write a CPU profile of the serve loop to this file")
 	pprofHTTP := flag.Bool("pprof-http", false, "mount net/http/pprof under /debug/pprof/")
 	logFormat := flag.String("log-format", "json", "access/lifecycle log format: json or text")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -106,6 +110,7 @@ func main() {
 	peers := flag.String("peers", "", "worker mode: comma-separated base URLs of every fleet worker (the cache-peering allowlist; empty = never fetch from a peer)")
 	peerAuth := flag.String("peer-auth", "", "shared fleet peering secret: required on /internal/peer/cache and sent on peer fetches (empty = unauthenticated)")
 	flag.Parse()
+	checkModeFlags(*coordinator)
 
 	if *maxInFlight < 1 || *queue < 0 || *parallel < 0 {
 		fatalf("-max-inflight must be >= 1, -queue and -parallel >= 0")
@@ -115,11 +120,8 @@ func main() {
 		fatalf("%v", err)
 	}
 	if *coordinator {
-		runCoordinator(logger, *addr, *workers, *probeInterval, *hedgeMin, *hedgeMax, *drainTimeout, *metricsOut)
+		runCoordinator(logger, *addr, *workers, *probeInterval, *hedgeMin, *hedgeMax, *drainTimeout)
 		return
-	}
-	if *workers != "" {
-		fatalf("-workers requires -coordinator")
 	}
 
 	tel := telemetry.New()
@@ -160,19 +162,6 @@ func main() {
 		scfg.PeerFetch = fleet.NewPeerFetch(nil, peerURLs, *peerAuth)
 	}
 	srv := server.New(scfg)
-
-	if *pprofOut != "" {
-		f, err := os.Create(*pprofOut)
-		if err != nil {
-			fatalf("%v", err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fatalf("%v", err)
-		}
-		defer f.Close()
-		defer pprof.StopCPUProfile()
-	}
-
 	hs := &http.Server{Addr: *addr, Handler: srv}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
@@ -200,11 +189,6 @@ func main() {
 	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Error("http shutdown failed", "error", err)
 	}
-	if *metricsOut != "" {
-		if err := tel.WriteMetricsFile(*metricsOut); err != nil {
-			logger.Error("metrics export failed", "path", *metricsOut, "error", err)
-		}
-	}
 	if drainErr != nil {
 		logger.Error("drain incomplete", "error", drainErr)
 		os.Exit(1)
@@ -215,18 +199,16 @@ func main() {
 // runCoordinator is the -coordinator main loop: build the fleet front end
 // over the worker list, start the health prober, serve until signalled,
 // then stop probing and drain the HTTP layer.
-func runCoordinator(logger *slog.Logger, addr, workers string, probeInterval, hedgeMin, hedgeMax, drainTimeout time.Duration, metricsOut string) {
+func runCoordinator(logger *slog.Logger, addr, workers string, probeInterval, hedgeMin, hedgeMax, drainTimeout time.Duration) {
 	urls := splitURLs(workers)
 	if len(urls) == 0 {
 		fatalf("-coordinator requires -workers with at least one URL")
 	}
-	tel := telemetry.New()
 	coord, err := fleet.New(fleet.Config{
 		Workers:       urls,
 		ProbeInterval: probeInterval,
 		HedgeMin:      hedgeMin,
 		HedgeMax:      hedgeMax,
-		Telemetry:     tel,
 		Logger:        logger,
 	})
 	if err != nil {
@@ -259,12 +241,30 @@ func runCoordinator(logger *slog.Logger, addr, workers string, probeInterval, he
 	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Error("http shutdown failed", "error", err)
 	}
-	if metricsOut != "" {
-		if err := tel.WriteMetricsFile(metricsOut); err != nil {
-			logger.Error("metrics export failed", "path", metricsOut, "error", err)
-		}
-	}
 	logger.Info("exited cleanly")
+}
+
+// Flags that only one mode reads. Setting one in the other mode is refused:
+// a coordinator given -store-dir would otherwise persist nothing, silently.
+var (
+	workerOnlyFlags = []string{"max-inflight", "queue", "timeout", "max-timeout",
+		"parallel", "pprof-http", "store-dir", "store-max-bytes",
+		"cache-entries", "cache-bytes", "peers", "peer-auth"}
+	coordinatorOnlyFlags = []string{"workers", "probe-interval", "hedge-min", "hedge-max"}
+)
+
+// checkModeFlags exits if a flag set on the command line belongs to the mode
+// not chosen.
+func checkModeFlags(coordinator bool) {
+	wrong, mode := coordinatorOnlyFlags, "worker"
+	if coordinator {
+		wrong, mode = workerOnlyFlags, "-coordinator"
+	}
+	flag.Visit(func(f *flag.Flag) {
+		if slices.Contains(wrong, f.Name) {
+			fatalf("-%s does not apply in %s mode", f.Name, mode)
+		}
+	})
 }
 
 // splitURLs parses a comma-separated base-URL list (-workers, -peers),

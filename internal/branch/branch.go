@@ -9,11 +9,10 @@ import "repro/internal/xrand"
 // Predictor is a tournament predictor: gshare and bimodal components with a
 // chooser table, as found in cores of the A15 class the paper models.
 type Predictor struct {
-	historyBits int
-	history     uint32
-	gshare      []int8
-	bimodal     []int8
-	chooser     []int8
+	history uint32
+	gshare  []int8
+	bimodal []int8
+	chooser []int8
 }
 
 // NewPredictor builds a predictor with 2^historyBits-entry tables.
@@ -23,10 +22,9 @@ func NewPredictor(historyBits int) *Predictor {
 	}
 	n := 1 << historyBits
 	p := &Predictor{
-		historyBits: historyBits,
-		gshare:      make([]int8, n),
-		bimodal:     make([]int8, n),
-		chooser:     make([]int8, n),
+		gshare:  make([]int8, n),
+		bimodal: make([]int8, n),
+		chooser: make([]int8, n),
 	}
 	// Weakly-taken initial state.
 	for i := range p.gshare {

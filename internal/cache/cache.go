@@ -15,8 +15,6 @@ type Config struct {
 	SizeBytes int
 	LineBytes int
 	Assoc     int
-	// HitLatency is the access latency in cycles on a hit.
-	HitLatency int
 }
 
 // Stats accumulates access counters for a cache.

@@ -7,7 +7,7 @@ import (
 )
 
 func smallCache() *Cache {
-	return New(Config{Name: "t", SizeBytes: 1024, LineBytes: 64, Assoc: 2, HitLatency: 2})
+	return New(Config{Name: "t", SizeBytes: 1024, LineBytes: 64, Assoc: 2})
 }
 
 func TestMissThenHit(t *testing.T) {
@@ -146,7 +146,7 @@ func TestBadGeometryPanics(t *testing.T) {
 }
 
 func TestStridePrefetcherLocksOn(t *testing.T) {
-	target := New(Config{Name: "l2", SizeBytes: 64 << 10, LineBytes: 64, Assoc: 4, HitLatency: 15})
+	target := New(Config{Name: "l2", SizeBytes: 64 << 10, LineBytes: 64, Assoc: 4})
 	p := NewStridePrefetcher(target, 2)
 	// Constant stride of 64: after confidence builds, subsequent lines
 	// should already be resident.
@@ -161,7 +161,7 @@ func TestStridePrefetcherLocksOn(t *testing.T) {
 }
 
 func TestStridePrefetcherIgnoresRandom(t *testing.T) {
-	target := New(Config{Name: "l2", SizeBytes: 64 << 10, LineBytes: 64, Assoc: 4, HitLatency: 15})
+	target := New(Config{Name: "l2", SizeBytes: 64 << 10, LineBytes: 64, Assoc: 4})
 	p := NewStridePrefetcher(target, 2)
 	addrs := []uint64{0x1000, 0x9040, 0x2480, 0xff80, 0x0300, 0x7777}
 	for _, a := range addrs {
@@ -173,7 +173,7 @@ func TestStridePrefetcherIgnoresRandom(t *testing.T) {
 }
 
 func TestStridePrefetcherReset(t *testing.T) {
-	target := New(Config{Name: "l2", SizeBytes: 64 << 10, LineBytes: 64, Assoc: 4, HitLatency: 15})
+	target := New(Config{Name: "l2", SizeBytes: 64 << 10, LineBytes: 64, Assoc: 4})
 	p := NewStridePrefetcher(target, 2)
 	for i := 0; i < 4; i++ {
 		p.Observe(1, uint64(i*64))

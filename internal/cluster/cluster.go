@@ -26,6 +26,9 @@ import (
 	"repro/internal/xrand"
 )
 
+// maxIntervals bounds a run's measured intervals as a safety net.
+const maxIntervals = 10_000
+
 // Config describes one cluster run.
 type Config struct {
 	// Apps are the benchmarks to run, one per InO core (or per OoO core in
@@ -55,17 +58,6 @@ type Config struct {
 	// TargetInsts is the per-application instruction budget; applications
 	// finishing early restart until all complete (Section 4.1).
 	TargetInsts int64
-	// MaxIntervals bounds the run as a safety net.
-	MaxIntervals int
-	// WarmupIntervals run before measurement starts: caches and Schedule
-	// Caches fill and the arbitrator reaches steady rotation, then all
-	// counters reset. Stands in for the billions of instructions that
-	// amortize cold-start in the paper's runs. Defaults to 3 intervals per
-	// application for arbitrated topologies.
-	WarmupIntervals int
-	// NoWarmup disables the warmup default (timeline experiments that want
-	// cold-start visible).
-	NoWarmup bool
 	// PingPongEvery forces every application to switch between two
 	// dedicated identical cores every N intervals (Figure 3b's setup:
 	// "two applications on three identical cores, with one application
@@ -123,9 +115,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.TargetInsts <= 0 {
 		c.TargetInsts = 3_000_000
-	}
-	if c.MaxIntervals <= 0 {
-		c.MaxIntervals = 10_000
 	}
 	if c.SCCapacityBytes <= 0 {
 		c.SCCapacityBytes = schedcache.DefaultCapacityBytes
@@ -353,18 +342,17 @@ func New(cfg Config) (*Cluster, error) {
 // Run executes the simulation to completion and returns the result.
 func (c *Cluster) Run() (*Result, error) {
 	res := &Result{}
-	warm := c.cfg.WarmupIntervals
-	if warm == 0 && !c.cfg.NoWarmup {
-		if c.cfg.HasOoO && !c.cfg.AllOoO {
-			// Long enough for the arbitration rotation to visit everyone.
-			warm = 3 * len(c.apps)
-		} else {
-			// Homogeneous CMPs only need cache warmup.
-			warm = 4
-		}
+	// Warmup intervals run before measurement starts: caches and Schedule
+	// Caches fill and the arbitrator reaches steady rotation, then all
+	// counters reset. They stand in for the billions of instructions that
+	// amortize cold-start in the paper's runs.
+	warm := 4 // homogeneous CMPs only need cache warmup
+	if c.cfg.HasOoO && !c.cfg.AllOoO {
+		// Long enough for the arbitration rotation to visit everyone.
+		warm = 3 * len(c.apps)
 	}
 	interval := 0
-	for ; interval < c.cfg.MaxIntervals+warm; interval++ {
+	for ; interval < maxIntervals+warm; interval++ {
 		c.wallNow = int64(interval) * c.cfg.IntervalCycles
 		c.runInterval(interval, res)
 		c.wallNow += c.cfg.IntervalCycles

@@ -187,3 +187,42 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 		}
 	}
 }
+
+// TestWarmupIntervals pins the warmup length: three intervals per app when
+// an arbitrator rotates apps through the OoO core, four for a homogeneous
+// CMP, each flushed as one sample marked Warmup.
+func TestWarmupIntervals(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		mirage bool
+		want   int
+	}{
+		{"Mirage", true, 6},
+		{"Homo-InO", false, 4},
+	} {
+		tel := telemetry.New()
+		cfg := small(apps("bzip2", "hmmer"))
+		if tc.mirage {
+			cfg.HasOoO = true
+			cfg.Memoize = true
+			cfg.Arbiter = arbiter.NewSCMPKI()
+		}
+		cfg.Telemetry = tel
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Run(); err != nil {
+			t.Fatal(err)
+		}
+		warm := 0
+		for _, s := range tel.Export().Intervals {
+			if s.Warmup {
+				warm++
+			}
+		}
+		if warm != tc.want {
+			t.Errorf("%s: %d warmup samples, want %d", tc.name, warm, tc.want)
+		}
+	}
+}

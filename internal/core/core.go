@@ -110,8 +110,6 @@ type Config struct {
 	IntervalCycles  int64
 	TargetInsts     int64
 	SCCapacityBytes int
-	// NoWarmup disables the warmup phase (timeline experiments).
-	NoWarmup bool
 	// PingPongEvery forces migrations every N intervals (Figure 3b).
 	PingPongEvery int
 	// BroadcastSC enables the Section 6 multithreaded extension: the
@@ -189,7 +187,6 @@ func (c Config) clusterConfig(apps []*program.Benchmark) (cluster.Config, error)
 		IntervalCycles:  c.IntervalCycles,
 		TargetInsts:     c.TargetInsts,
 		SCCapacityBytes: c.SCCapacityBytes,
-		NoWarmup:        c.NoWarmup,
 		PingPongEvery:   c.PingPongEvery,
 		BroadcastSC:     c.BroadcastSC,
 		Seed:            c.Seed + ":" + string(c.Policy),
@@ -294,21 +291,12 @@ func AreaK(t Topology, n, numOoO int) float64 {
 	return 0
 }
 
-// OoOReference runs each benchmark alone on a private OoO core and returns
-// per-app reference IPCs — the denominator of every speedup in Section 5.
-func OoOReference(ctx context.Context, names []string, targetInsts int64, seed string) ([]float64, error) {
-	return OoOReferenceCfg(ctx, Config{
-		Benchmarks:  names,
-		TargetInsts: targetInsts,
-		Seed:        seed,
-	})
-}
-
-// OoOReferenceCfg is OoOReference deriving the reference run from a full
-// base Config, so run-wide modes that are not part of the reference's
-// identity — today the invariant audit — carry over to it. The reference
-// stays uninstrumented and unaffected by base's topology/policy; its seed
-// is base.Seed + ":ref" exactly as OoOReference's always was.
+// OoOReferenceCfg runs each of base's benchmarks alone on a private OoO core
+// and returns per-app reference IPCs — the denominator of every speedup in
+// Section 5. Only base's benchmarks, instruction budget, seed and run-wide
+// modes that are not part of the reference's identity (today the invariant
+// audit) carry over; the reference stays uninstrumented and unaffected by
+// base's topology/policy, and its seed is base.Seed + ":ref".
 func OoOReferenceCfg(ctx context.Context, base Config) ([]float64, error) {
 	cfg := Config{
 		Topology:    TopologyHomoOoO,

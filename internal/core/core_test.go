@@ -126,7 +126,11 @@ func TestRunMixHomoInO(t *testing.T) {
 }
 
 func TestOoOReference(t *testing.T) {
-	ref, err := OoOReference(context.Background(), []string{"hmmer", "astar"}, 300_000, "ref-test")
+	ref, err := OoOReferenceCfg(context.Background(), Config{
+		Benchmarks:  []string{"hmmer", "astar"},
+		TargetInsts: 300_000,
+		Seed:        "ref-test",
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -303,21 +303,6 @@ func Figure14(ctx context.Context, s Scale) (*Report, error) {
 	return r, nil
 }
 
-// Figure14Numbers returns the area-neutral STP/energy pair for tests.
-func Figure14Numbers(ctx context.Context, s Scale) (stpMirage, stpTrad, energyMirage, energyTrad float64, err error) {
-	rep, err := Figure14(ctx, s)
-	if err != nil {
-		return 0, 0, 0, 0, err
-	}
-	parse := func(cell string) float64 {
-		var v float64
-		fmt.Sscanf(cell, "%f%%", &v)
-		return v / 100
-	}
-	rows := rep.Table.Rows
-	return parse(rows[0][1]), parse(rows[0][2]), parse(rows[2][1]), parse(rows[2][2]), nil
-}
-
 // Figure15 reports migration transfer costs as a fraction of execution time
 // plus migration frequency, per benchmark category, for 8:1 SC-MPKI runs.
 func Figure15(ctx context.Context, s Scale) (*Report, error) {

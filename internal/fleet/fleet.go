@@ -38,9 +38,6 @@ type Config struct {
 	// Workers are the base URLs of the miraged workers (e.g.
 	// "http://127.0.0.1:8081"). At least one is required.
 	Workers []string
-	// VNodes is the virtual-node count per worker on the hash ring
-	// (default 64).
-	VNodes int
 	// Scales resolve sweep/figure scale names during key derivation; nil
 	// installs server.DefaultScales(). They must match the workers' —
 	// a coordinator and its workers disagreeing on scales shards
@@ -56,9 +53,6 @@ type Config struct {
 	// 100ms and 10s.
 	HedgeMin time.Duration
 	HedgeMax time.Duration
-	// MaxAttempts bounds how many distinct replicas one request may try
-	// (hedges plus failovers; 0 = every healthy worker).
-	MaxAttempts int
 	// Client performs worker requests and health probes; nil uses a
 	// dedicated client with sane connection reuse.
 	Client *http.Client
@@ -86,7 +80,7 @@ type Coordinator struct {
 
 // New builds a Coordinator from cfg, applying defaults for zero fields.
 func New(cfg Config) (*Coordinator, error) {
-	ring, err := NewRing(cfg.Workers, cfg.VNodes)
+	ring, err := NewRing(cfg.Workers, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -334,7 +328,8 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, route, key s
 	if ringKey == "" {
 		ringKey = fmt.Sprintf("fallback|%s|%s|%d", r.Method, r.URL.Path, hash64(string(body)))
 	}
-	replicas := c.ring.Replicas(ringKey, c.cfg.MaxAttempts)
+	// Every healthy worker is a candidate for hedges and failovers.
+	replicas := c.ring.Replicas(ringKey, 0)
 	if len(replicas) == 0 {
 		c.reg.Counter("fleet.requests.no_workers").Inc()
 		c.writeError(w, http.StatusServiceUnavailable, "no healthy workers")

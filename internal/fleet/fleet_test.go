@@ -13,6 +13,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -20,6 +21,8 @@ import (
 	"time"
 
 	"log/slog"
+
+	"repro/internal/server"
 )
 
 // fakeWorker is a minimal miraged stand-in: healthz plus an echo of which
@@ -218,6 +221,90 @@ func TestCoordinatorHedgesSlowOwner(t *testing.T) {
 			t.Fatal("fleet.hedges counter did not move")
 		}
 	}
+}
+
+// TestCoordinatorHedgingCutsStallTail is the evidence hedging is kept on
+// (DESIGN.md §14). Every worker but one stalls until its request context
+// ends, and 20 distinct keys are sent at once, each under a 300ms client
+// deadline. Hedging after 20ms answers every one in time; never hedging
+// (a 1h budget) loses exactly the keys whose owner stalls.
+func TestCoordinatorHedgingCutsStallTail(t *testing.T) {
+	const n, deadline = 20, 300 * time.Millisecond
+	type outcome struct {
+		ownerStalls, ok bool
+		took            time.Duration
+	}
+	run := func(hedge time.Duration) (out []outcome, p99 time.Duration) {
+		ws := []*fakeWorker{newFakeWorker(t, "w1"), newFakeWorker(t, "w2"), newFakeWorker(t, "w3")}
+		// Reading the body first lets net/http notice the caller hanging up
+		// and cancel r.Context().
+		stall := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+			_, _ = io.Copy(io.Discard, r.Body)
+			<-r.Context().Done()
+		})
+		ws[0].handle.Store(&stall)
+		ws[1].handle.Store(&stall)
+		c := newTestFleet(t, ws, func(cfg *Config) { cfg.HedgeMin, cfg.HedgeMax = hedge, hedge })
+		front := httptest.NewServer(c)
+		defer front.Close()
+		out = make([]outcome, n)
+		var wg sync.WaitGroup
+		for i := range out {
+			body := fmt.Sprintf(`{"mix": ["hmmer"], "seed": "tail-%d"}`, i)
+			var req server.RunRequest
+			if err := json.Unmarshal([]byte(body), &req); err != nil {
+				t.Fatal(err)
+			}
+			key, err := server.CanonicalRunKey(&req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[i].ownerStalls = c.Ring().Replicas(key, 1)[0] != ws[2].srv.URL
+			wg.Add(1)
+			go func(o *outcome) {
+				defer wg.Done()
+				ctx, cancel := context.WithTimeout(context.Background(), deadline)
+				defer cancel()
+				hr, _ := http.NewRequestWithContext(ctx, "POST", front.URL+"/v1/run", strings.NewReader(body))
+				start := time.Now()
+				if resp, err := http.DefaultClient.Do(hr); err == nil {
+					_, err = io.ReadAll(resp.Body)
+					resp.Body.Close()
+					o.ok = err == nil && resp.StatusCode == http.StatusOK
+				}
+				o.took = time.Since(start)
+			}(&out[i])
+		}
+		wg.Wait()
+		took := make([]time.Duration, n)
+		for i, o := range out {
+			took[i] = o.took
+		}
+		slices.Sort(took)
+		return out, took[(99*n+99)/100-1]
+	}
+
+	hedged, hedgedP99 := run(20 * time.Millisecond)
+	for i, o := range hedged {
+		if !o.ok || o.took >= deadline {
+			t.Errorf("hedged: request %d ok=%v in %v, want a 200 within %v", i, o.ok, o.took, deadline)
+		}
+	}
+	unhedged, unhedgedP99 := run(time.Hour)
+	stalled := 0
+	for i, o := range unhedged {
+		if o.ownerStalls {
+			stalled++
+		}
+		if o.ok == o.ownerStalls {
+			t.Errorf("unhedged: request %d ok=%v with stalled owner=%v", i, o.ok, o.ownerStalls)
+		}
+	}
+	if stalled == 0 {
+		t.Fatal("the fast worker owned every key; the no-hedge run proves nothing")
+	}
+	t.Logf("p99 over %d requests: %v hedged at 20ms, %v never hedged (%d owners stalled)",
+		n, hedgedP99, unhedgedP99, stalled)
 }
 
 func TestProberEvictsAndRestores(t *testing.T) {

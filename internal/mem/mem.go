@@ -23,9 +23,9 @@ const (
 
 // Default cache geometries per Table 2.
 var (
-	L1IConfig = cache.Config{Name: "L1I", SizeBytes: 32 << 10, LineBytes: 64, Assoc: 4, HitLatency: L1Latency}
-	L1DConfig = cache.Config{Name: "L1D", SizeBytes: 32 << 10, LineBytes: 64, Assoc: 4, HitLatency: L1Latency}
-	L2Config  = cache.Config{Name: "L2", SizeBytes: 2 << 20, LineBytes: 64, Assoc: 8, HitLatency: L2Latency}
+	L1IConfig = cache.Config{Name: "L1I", SizeBytes: 32 << 10, LineBytes: 64, Assoc: 4}
+	L1DConfig = cache.Config{Name: "L1D", SizeBytes: 32 << 10, LineBytes: 64, Assoc: 4}
+	L2Config  = cache.Config{Name: "L2", SizeBytes: 2 << 20, LineBytes: 64, Assoc: 8}
 )
 
 // Traffic counts L1<->L2 and L2<->memory line transfers; the cluster's bus

@@ -105,9 +105,6 @@ func RegistryFrom(ctx context.Context) *telemetry.Registry {
 	return reg
 }
 
-// registryFrom is the internal alias RegistryFrom grew out of.
-func registryFrom(ctx context.Context) *telemetry.Registry { return RegistryFrom(ctx) }
-
 // Run executes jobs on up to `workers` goroutines and returns their results
 // in submission order: results[i] is jobs[i]'s result regardless of which
 // worker ran it or when it finished.
@@ -139,7 +136,7 @@ func Run[T any](ctx context.Context, workers int, jobs []Job[T]) ([]T, error) {
 		return runSerial(ctx, jobs)
 	}
 
-	reg := registryFrom(ctx)
+	reg := RegistryFrom(ctx)
 	cDone := reg.Counter("runner.jobs.completed")
 	cSkip := reg.Counter("runner.jobs.cancelled")
 
@@ -214,7 +211,7 @@ feed:
 // runSerial is the workers==1 path and the reference semantics: run each job
 // in order, stop at the first error or at the cancellation point.
 func runSerial[T any](ctx context.Context, jobs []Job[T]) ([]T, error) {
-	reg := registryFrom(ctx)
+	reg := RegistryFrom(ctx)
 	cDone := reg.Counter("runner.jobs.completed")
 	cSkip := reg.Counter("runner.jobs.cancelled")
 	results := make([]T, len(jobs))

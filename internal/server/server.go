@@ -68,10 +68,6 @@ type Config struct {
 	// Sampler or Trace sink. Counters are safe under concurrent requests;
 	// /v1/metrics exports them.
 	Telemetry *telemetry.Telemetry
-	// AbandonGrace is how long a request lingers after its deadline for
-	// the flight to surface a partial-result error (default 40ms — the
-	// e2e contract returns within 100ms of cancellation).
-	AbandonGrace time.Duration
 	// Logger receives the structured JSON access log (one line per
 	// request) and server-side error events. nil disables logging.
 	Logger *slog.Logger
@@ -194,9 +190,6 @@ func New(cfg Config) *Server {
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.New()
 	}
-	if cfg.AbandonGrace <= 0 {
-		cfg.AbandonGrace = 40 * time.Millisecond
-	}
 	if cfg.TraceEvents == 0 {
 		cfg.TraceEvents = 4096
 	}
@@ -222,7 +215,10 @@ func New(cfg Config) *Server {
 	if cfg.TraceEvents > 0 {
 		s.reqSink = telemetry.NewBoundedTraceSink(cfg.TraceEvents)
 	}
-	s.cache.AbandonGrace = cfg.AbandonGrace
+	// A request lingers this long after its deadline for the flight to
+	// surface a partial-result error; the e2e contract returns within
+	// 100ms of cancellation.
+	s.cache.AbandonGrace = 40 * time.Millisecond
 	if cfg.CacheMaxEntries > 0 {
 		s.cache.MaxEntries = cfg.CacheMaxEntries
 	}

@@ -4,8 +4,6 @@
 // bit-reproducible across runs and platforms.
 package xrand
 
-import "math"
-
 // Rand is a xoshiro256** generator seeded via splitmix64. The zero value is
 // not usable; construct with New or NewString.
 type Rand struct {
@@ -60,11 +58,6 @@ func (r *Rand) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (r *Rand) Int63() int64 {
-	return int64(r.Uint64() >> 1)
-}
-
 // Float64 returns a uniform float64 in [0, 1).
 func (r *Rand) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
@@ -79,35 +72,6 @@ func (r *Rand) Bool(p float64) bool {
 		return true
 	}
 	return r.Float64() < p
-}
-
-// NormFloat64 returns a normally distributed float64 with mean 0 and
-// standard deviation 1, via the Box-Muller transform.
-func (r *Rand) NormFloat64() float64 {
-	for {
-		u := r.Float64()
-		if u > 0 {
-			v := r.Float64()
-			return math.Sqrt(-2*math.Log(u)) * math.Cos(2*math.Pi*v)
-		}
-	}
-}
-
-// Geometric returns a geometrically distributed count with success
-// probability p (expected value roughly 1/p). Returns at least 1.
-func (r *Rand) Geometric(p float64) int {
-	if p >= 1 {
-		return 1
-	}
-	if p <= 0 {
-		return 1 << 30
-	}
-	u := r.Float64()
-	n := int(math.Log(1-u)/math.Log(1-p)) + 1
-	if n < 1 {
-		n = 1
-	}
-	return n
 }
 
 // Pick returns an index in [0, len(weights)) chosen with probability

@@ -107,50 +107,6 @@ func TestBoolProbability(t *testing.T) {
 	}
 }
 
-func TestNormFloat64Moments(t *testing.T) {
-	r := New(23)
-	var sum, sumSq float64
-	const n = 100000
-	for i := 0; i < n; i++ {
-		v := r.NormFloat64()
-		sum += v
-		sumSq += v * v
-	}
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if math.Abs(mean) > 0.02 {
-		t.Errorf("normal mean %v, want ~0", mean)
-	}
-	if math.Abs(variance-1) > 0.05 {
-		t.Errorf("normal variance %v, want ~1", variance)
-	}
-}
-
-func TestGeometricMean(t *testing.T) {
-	r := New(29)
-	var sum float64
-	const n, p = 50000, 0.2
-	for i := 0; i < n; i++ {
-		sum += float64(r.Geometric(p))
-	}
-	if mean := sum / n; math.Abs(mean-1/p) > 0.2 {
-		t.Errorf("Geometric(%v) mean %v, want ~%v", p, mean, 1/p)
-	}
-}
-
-func TestGeometricEdges(t *testing.T) {
-	r := New(31)
-	if g := r.Geometric(1); g != 1 {
-		t.Errorf("Geometric(1) = %d, want 1", g)
-	}
-	if g := r.Geometric(0); g < 1<<29 {
-		t.Errorf("Geometric(0) = %d, want huge", g)
-	}
-	if g := r.Geometric(0.5); g < 1 {
-		t.Errorf("Geometric must return >= 1, got %d", g)
-	}
-}
-
 func TestPickWeighted(t *testing.T) {
 	r := New(37)
 	w := []float64{1, 0, 3}
@@ -197,15 +153,6 @@ func TestForkDeterminism(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		if f1.Uint64() != f2.Uint64() {
 			t.Fatal("identical forks diverged")
-		}
-	}
-}
-
-func TestInt63NonNegative(t *testing.T) {
-	r := New(53)
-	for i := 0; i < 10000; i++ {
-		if r.Int63() < 0 {
-			t.Fatal("Int63 returned negative")
 		}
 	}
 }

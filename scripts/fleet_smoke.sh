@@ -7,7 +7,8 @@
 #     on the transport error and the prober logs a "ring re-shard",
 #   * the restarted worker re-enters the ring warm: it serves the keys it
 #     owned before the kill from its disk store (X-Cache: disk),
-#   * the coordinator's own healthz and Prometheus surfaces hold up.
+#   * the coordinator's own healthz and Prometheus surfaces hold up,
+#   * a worker-only flag given to a coordinator is refused, not ignored.
 # CI runs this in the fleet-smoke job and uploads the logs on failure; it is
 # equally runnable locally: ./scripts/fleet_smoke.sh
 set -euo pipefail
@@ -55,6 +56,15 @@ start_worker() { # index port -> appends pid
   PIDS+=($!)
 }
 
+echo "== a coordinator refuses worker-only flags"
+if timeout 10 ./miraged-fleet -coordinator -addr "$HOST:18195" -workers "$WORKERS" \
+  -store-dir "$WORKDIR/ignored" 2>"$WORKDIR/mode.err"; then
+  echo "coordinator accepted -store-dir" >&2; exit 1
+fi
+grep -q -- '-store-dir does not apply' "$WORKDIR/mode.err" || {
+  echo "coordinator did not name -store-dir:" >&2; cat "$WORKDIR/mode.err" >&2; exit 1
+}
+
 echo "== start 3 workers + reference node"
 for i in 0 1 2; do
   start_worker "$i" "${WORKER_PORTS[$i]}"
@@ -66,7 +76,8 @@ wait_healthz "$REF" "fleet-ref.log"
 
 echo "== start coordinator on $COORD"
 ./miraged-fleet -coordinator -addr "$COORD" -workers "$WORKERS" \
-  -probe-interval 200ms -log-format json 2>"fleet.log" &
+  -probe-interval 200ms -hedge-min 2s -hedge-max 20s \
+  -log-format json 2>"fleet.log" &
 COORD_PID=$!
 PIDS+=($COORD_PID)
 wait_healthz "$COORD" "fleet.log"

@@ -7,7 +7,12 @@
 #   * /v1/metrics?format=prometheus parses as text exposition 0.0.4 with
 #     well-formed `# TYPE` lines and no duplicate series,
 #   * /debug/requests/trace is a Chrome-trace JSON array with simulate spans,
-#   * /debug/statusz renders.
+#   * /debug/statusz renders,
+#   * /v1/metrics JSON counts the request (server.requests >= 1) and
+#     /debug/pprof/cmdline answers 200: the live replacements for a metrics
+#     file and a CPU-profile file.
+# miraged boots with every worker flag the request path reads set to a
+# non-default value, so a flag that stops parsing fails here.
 # CI runs this in the serve-smoke job and uploads serve.log/metrics.prom on
 # failure; it is equally runnable locally: ./scripts/serve_smoke.sh
 set -euo pipefail
@@ -30,7 +35,9 @@ cleanup() {
 trap cleanup EXIT
 
 echo "== start miraged on $ADDR"
-./miraged-smoke -addr "$ADDR" -log-format json 2>"$LOG" &
+./miraged-smoke -addr "$ADDR" -log-format json -log-level debug \
+  -timeout 30s -max-timeout 2m -drain-timeout 5s -parallel 1 -pprof-http \
+  -cache-entries 64 -cache-bytes 16777216 2>"$LOG" &
 SRV_PID=$!
 
 for i in $(seq 1 50); do
@@ -60,6 +67,9 @@ echo "== scrape surfaces"
 curl -sf "$BASE/v1/metrics?format=prometheus" -o metrics.prom
 curl -sf "$BASE/debug/statusz" | grep -q "active_requests:" || { echo "statusz malformed" >&2; exit 1; }
 curl -sf "$BASE/debug/requests/trace" -o trace.json
+curl -sf "$BASE/v1/metrics" -o metrics.json
+CODE="$(curl -s -o /dev/null -w '%{http_code}' "$BASE/debug/pprof/cmdline")"
+[ "$CODE" = "200" ] || { echo "/debug/pprof/cmdline answered $CODE with -pprof-http" >&2; exit 1; }
 
 echo "== stop miraged"
 kill "$SRV_PID"
@@ -139,8 +149,14 @@ for want in ("request", "admission", "simulate", "encode"):
     if want not in names:
         sys.exit(f"trace.json missing span {want!r} for smoke-run-1 (have {sorted(n for n in names if n)})")
 
+# 4. The JSON metrics counted the request.
+with open("metrics.json") as f:
+    requests = json.load(f)["counters"].get("server.requests", 0)
+if requests < 1:
+    sys.exit(f"metrics.json server.requests = {requests}, want >= 1")
+
 print("serve smoke OK:", len(series), "series,", len(events), "trace events")
 PY
 
-rm -f metrics.prom trace.json serve.log
+rm -f metrics.prom metrics.json trace.json serve.log
 echo "== serve smoke passed"
