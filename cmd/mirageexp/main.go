@@ -93,7 +93,9 @@ func main() {
 		}
 		reports = append(reports, rep)
 		fmt.Println(rep.String())
-		fmt.Printf("(%s took %.1fs)\n\n", e.ID, time.Since(start).Seconds())
+		// Timings go to stderr so stdout is deterministic: CI diffs it
+		// against the committed experiments_output.txt.
+		fmt.Fprintf(os.Stderr, "(%s took %.1fs)\n", e.ID, time.Since(start).Seconds())
 	}
 
 	if *jsonOut != "" {

@@ -50,18 +50,9 @@ func main() {
 		return
 	}
 
-	var topo core.Topology
-	switch *topoFlag {
-	case "mirage":
-		topo = core.TopologyMirage
-	case "traditional":
-		topo = core.TopologyTraditional
-	case "homo-ino":
-		topo = core.TopologyHomoInO
-	case "homo-ooo":
-		topo = core.TopologyHomoOoO
-	default:
-		fatalf("unknown topology %q", *topoFlag)
+	topo, err := core.ParseTopology(*topoFlag)
+	if err != nil {
+		fatalf("%v", err)
 	}
 
 	var mix []string
@@ -111,7 +102,7 @@ func main() {
 		mr  *core.MixResult
 		ref []float64
 	)
-	_, err := runner.Run(context.Background(), workers, []runner.Job[struct{}]{
+	_, err = runner.Run(context.Background(), workers, []runner.Job[struct{}]{
 		{Name: "mix", Run: func() (struct{}, error) {
 			var err error
 			mr, err = core.RunMix(context.Background(), cfg)

@@ -21,10 +21,7 @@ func main() {
 	base := core.Config{Seed: "areaneutral-example"}
 
 	// Mirage 8:1 under the SC-MPKI arbitrator.
-	cmp, err := core.Compare(context.Background(), mix, base, []struct {
-		Policy   core.Policy
-		Topology core.Topology
-	}{{core.PolicySCMPKI, core.TopologyMirage}})
+	cmp, err := core.Compare(context.Background(), mix, base, []core.Arm{{core.PolicySCMPKI, core.TopologyMirage}})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -77,6 +77,22 @@ const (
 	TopologyHomoOoO
 )
 
+// ParseTopology maps a topology's command-line and wire name (mirage,
+// traditional, homo-ino, homo-ooo) to the Topology.
+func ParseTopology(name string) (Topology, error) {
+	switch name {
+	case "mirage":
+		return TopologyMirage, nil
+	case "traditional":
+		return TopologyTraditional, nil
+	case "homo-ino":
+		return TopologyHomoInO, nil
+	case "homo-ooo":
+		return TopologyHomoOoO, nil
+	}
+	return 0, fmt.Errorf("unknown topology %q (want mirage, traditional, homo-ino or homo-ooo)", name)
+}
+
 // String implements fmt.Stringer.
 func (t Topology) String() string {
 	switch t {
@@ -363,22 +379,25 @@ type Comparison struct {
 	ByPolicy map[Policy]*MixResult
 }
 
-// ArbitratorSet is the per-figure policy lineup: SC-MPKI and
-// SC-MPKI+maxSTP on Mirage hardware, maxSTP on a traditional Het-CMP.
-var ArbitratorSet = []struct {
+// Arm is one entry of a line-up: an arbitration policy on a topology. It is
+// an alias of an unnamed struct so callers may write unkeyed literals such
+// as {PolicySCMPKI, TopologyMirage} without tripping go vet's composites
+// check.
+type Arm = struct {
 	Policy   Policy
 	Topology Topology
-}{
+}
+
+// ArbitratorSet is the per-figure policy lineup: SC-MPKI and
+// SC-MPKI+maxSTP on Mirage hardware, maxSTP on a traditional Het-CMP.
+var ArbitratorSet = []Arm{
 	{PolicySCMPKI, TopologyMirage},
 	{PolicySCMPKIMaxSTP, TopologyMirage},
 	{PolicyMaxSTP, TopologyTraditional},
 }
 
 // FairSet is the Figure 12/13 lineup.
-var FairSet = []struct {
-	Policy   Policy
-	Topology Topology
-}{
+var FairSet = []Arm{
 	{PolicySCMPKIFair, TopologyMirage},
 	{PolicyFair, TopologyTraditional},
 	{PolicyMaxSTP, TopologyTraditional},
@@ -390,10 +409,7 @@ var FairSet = []struct {
 // seeds, so with base.Parallel > 1 they fan out to a worker pool; STPs are
 // derived afterwards in the fixed serial order against the collated
 // reference IPCs, keeping the Comparison bit-identical at any parallelism.
-func Compare(ctx context.Context, mix []string, base Config, set []struct {
-	Policy   Policy
-	Topology Topology
-}) (*Comparison, error) {
+func Compare(ctx context.Context, mix []string, base Config, set []Arm) (*Comparison, error) {
 	cmp := &Comparison{Mix: mix, ByPolicy: make(map[Policy]*MixResult)}
 
 	refCfg := base

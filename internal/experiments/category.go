@@ -52,6 +52,16 @@ func Figure9a() (*Report, error) {
 	return r, nil
 }
 
+// categories are the benchmark-category mix groups of Figures 11 and 15.
+var categories = []struct {
+	label string
+	kind  core.MixKind
+}{
+	{"HPD", core.MixHPD},
+	{"LPD", core.MixLPD},
+	{"Random", core.MixRandom},
+}
+
 // Figure11 evaluates the 8:1 configuration per benchmark category: HPD-only
 // mixes, LPD-only mixes and random mixes, reporting STP, OoO utilization
 // and energy relative to Homo-OoO for each arbitrator.
@@ -61,53 +71,22 @@ func Figure11(ctx context.Context, s Scale) (*Report, error) {
 	r.Table.Title = "Figure 11: 8:1 by benchmark category"
 	r.Table.Headers = []string{"mix", "metric", "Homo-InO", "SC-MPKI", "SC-MPKI+maxSTP", "maxSTP"}
 
-	kinds := []struct {
-		label string
-		kind  core.MixKind
-	}{
-		{"HPD", core.MixHPD},
-		{"LPD", core.MixLPD},
-		{"Random", core.MixRandom},
+	groups := make([][][]string, len(categories))
+	for ki, kr := range categories {
+		groups[ki] = core.RandomMixes(kr.kind, 8, s.MixesPerPoint, "fig11-"+kr.label)
 	}
-	// Flatten the (category, mix) grid into independent Compare jobs, then
-	// average over the collated results in the old serial order.
-	type f11Job struct {
-		label string
-		mi    int
-		mix   []string
-	}
-	var jobs []f11Job
-	for _, kr := range kinds {
-		for mi, mix := range core.RandomMixes(kr.kind, 8, s.MixesPerPoint, "fig11-"+kr.label) {
-			jobs = append(jobs, f11Job{label: kr.label, mi: mi, mix: mix})
-		}
-	}
-	cmps, err := runner.Map(ctx, s.workers(), jobs,
-		func(_ int, j f11Job) string { return fmt.Sprintf("fig11/%s-%d", j.label, j.mi) },
-		func(_ int, j f11Job) (*core.Comparison, error) {
-			return core.Compare(context.Background(), j.mix, s.baseConfig(fmt.Sprintf("f11-%s-%d", j.label, j.mi)), core.ArbitratorSet)
-		})
+	points, err := compareGrid(ctx, s, groups,
+		func(g, mi int) string { return fmt.Sprintf("f11-%s-%d", categories[g].label, mi) },
+		core.ArbitratorSet)
 	if err != nil {
 		return nil, err
 	}
-	for ki, kr := range kinds {
-		var stp, util, egy [4]float64 // HomoInO, SCMPKI, SCMPKI+maxSTP, maxSTP
-		for mi := 0; mi < s.MixesPerPoint; mi++ {
-			cmp := cmps[ki*s.MixesPerPoint+mi]
-			eOoO := cmp.HomoOoO.EnergyPJ
-			stp[0] += cmp.HomoInO.STP
-			egy[0] += cmp.HomoInO.EnergyPJ / eOoO
-			for pi, pol := range []core.Policy{core.PolicySCMPKI, core.PolicySCMPKIMaxSTP, core.PolicyMaxSTP} {
-				mr := cmp.ByPolicy[pol]
-				stp[pi+1] += mr.STP
-				util[pi+1] += mr.OoOActiveFrac
-				egy[pi+1] += mr.EnergyPJ / eOoO
-			}
-		}
-		k := float64(s.MixesPerPoint)
-		r.Table.AddRow(kr.label, "STP", stats.Pct(stp[0]/k), stats.Pct(stp[1]/k), stats.Pct(stp[2]/k), stats.Pct(stp[3]/k))
-		r.Table.AddRow(kr.label, "OoO util", "-", stats.Pct(util[1]/k), stats.Pct(util[2]/k), stats.Pct(util[3]/k))
-		r.Table.AddRow(kr.label, "energy", stats.Pct(egy[0]/k), stats.Pct(egy[1]/k), stats.Pct(egy[2]/k), stats.Pct(egy[3]/k))
+	for ki, kr := range categories {
+		p := points[ki]
+		sc, both, maxSTP := p.arms[core.PolicySCMPKI], p.arms[core.PolicySCMPKIMaxSTP], p.arms[core.PolicyMaxSTP]
+		r.Table.AddRow(kr.label, "STP", stats.Pct(p.homoInO.stp), stats.Pct(sc.stp), stats.Pct(both.stp), stats.Pct(maxSTP.stp))
+		r.Table.AddRow(kr.label, "OoO util", "-", stats.Pct(sc.oooActive), stats.Pct(both.oooActive), stats.Pct(maxSTP.oooActive))
+		r.Table.AddRow(kr.label, "energy", stats.Pct(p.homoInO.energy), stats.Pct(sc.energy), stats.Pct(both.energy), stats.Pct(maxSTP.energy))
 	}
 	return r, nil
 }
@@ -126,25 +105,17 @@ func Figure12(ctx context.Context, s Scale) (*Report, error) {
 	}
 	r.Table.Headers = headers
 
-	// A single Compare call: let it fan its policy runs out internally.
-	base := s.baseConfig("fig12")
-	base.Parallel = s.workers()
-	cmp, err := core.Compare(ctx, mix, base, core.FairSet)
+	shares, err := OoOShares(ctx, s, "fig12", mix, core.FairSet)
 	if err != nil {
 		return nil, err
 	}
 	for _, pol := range []core.Policy{core.PolicyMaxSTP, core.PolicySCMPKI, core.PolicyFair, core.PolicySCMPKIFair} {
-		mr := cmp.ByPolicy[pol]
+		// Utilization of the OoO by each app, as a fraction of total time:
+		// rows need not sum to 100% — the remainder is the OoO power-gated
+		// (Section 5.3's point).
 		row := []string{string(pol)}
-		for _, a := range mr.Cluster.Apps {
-			// Utilization of the OoO by this app, as a fraction of total
-			// time: rows need not sum to 100% — the remainder is the OoO
-			// power-gated (Section 5.3's point).
-			if mr.Cluster.RunCycles > 0 {
-				row = append(row, stats.Pct(float64(a.OoOCycles)/float64(mr.Cluster.RunCycles)))
-			} else {
-				row = append(row, "0%")
-			}
+		for _, share := range shares[pol] {
+			row = append(row, stats.Pct(share))
 		}
 		r.Table.AddRow(row...)
 	}
@@ -152,21 +123,19 @@ func Figure12(ctx context.Context, s Scale) (*Report, error) {
 }
 
 // OoOShares returns each app's share of total OoO time under each policy of
-// the line-up, keyed by policy (for the fairness property tests). The
-// per-policy runs are independent and fan out to the scale's worker pool.
-func OoOShares(ctx context.Context, s Scale, mix []string, set []struct {
-	Policy   core.Policy
-	Topology core.Topology
-}) (map[core.Policy][]float64, error) {
-	cfgs := make([]core.Config, len(set))
-	for i, pt := range set {
-		cfg := s.baseConfig("shares")
-		cfg.Topology = pt.Topology
-		cfg.Policy = pt.Policy
-		cfg.Benchmarks = mix
-		cfgs[i] = cfg
-	}
-	mrs, err := runMixes(ctx, s, "shares", cfgs)
+// the line-up, keyed by policy (Figure 12 and the fairness property tests).
+// Every run is seeded with seed; the per-policy runs are independent and
+// fan out to the scale's worker pool.
+func OoOShares(ctx context.Context, s Scale, seed string, mix []string, set []core.Arm) (map[core.Policy][]float64, error) {
+	mrs, err := runner.Map(ctx, s.workers(), set,
+		func(_ int, arm core.Arm) string { return seed + ":" + string(arm.Policy) },
+		func(_ int, arm core.Arm) (*core.MixResult, error) {
+			cfg := s.baseConfig(seed)
+			cfg.Topology = arm.Topology
+			cfg.Policy = arm.Policy
+			cfg.Benchmarks = mix
+			return core.RunMix(context.Background(), cfg)
+		})
 	if err != nil {
 		return nil, err
 	}
@@ -191,51 +160,22 @@ func Figure13(ctx context.Context, s Scale) (*Report, error) {
 		Notes: "SC-MPKI-fair reaches Fair's balance while powering the OoO down when memoization suffices"}
 	r.Table.Title = "Figure 13: fair schedulers vs cluster size"
 	r.Table.Headers = []string{"n", "metric", "Homo-InO", "SC-MPKI-fair", "Fair"}
-	set := []struct {
-		Policy   core.Policy
-		Topology core.Topology
-	}{
-		{core.PolicySCMPKIFair, core.TopologyMirage},
-		{core.PolicyFair, core.TopologyTraditional},
+	groups := make([][][]string, len(s.NValues))
+	for i, n := range s.NValues {
+		groups[i] = core.RandomMixes(core.MixRandom, n, s.MixesPerPoint, fmt.Sprintf("fig13-%d", n))
 	}
-	type f13Job struct {
-		n, mi int
-		mix   []string
-	}
-	var jobs []f13Job
-	for _, n := range s.NValues {
-		for mi, mix := range core.RandomMixes(core.MixRandom, n, s.MixesPerPoint, fmt.Sprintf("fig13-%d", n)) {
-			jobs = append(jobs, f13Job{n: n, mi: mi, mix: mix})
-		}
-	}
-	cmps, err := runner.Map(ctx, s.workers(), jobs,
-		func(_ int, j f13Job) string { return fmt.Sprintf("fig13/f13-%d-%d", j.n, j.mi) },
-		func(_ int, j f13Job) (*core.Comparison, error) {
-			return core.Compare(context.Background(), j.mix, s.baseConfig(fmt.Sprintf("f13-%d-%d", j.n, j.mi)), set)
-		})
+	points, err := compareGrid(ctx, s, groups,
+		func(g, mi int) string { return fmt.Sprintf("f13-%d-%d", s.NValues[g], mi) },
+		[]core.Arm{{core.PolicySCMPKIFair, core.TopologyMirage}, {core.PolicyFair, core.TopologyTraditional}})
 	if err != nil {
 		return nil, err
 	}
-	for ni, n := range s.NValues {
-		var stpI, stpSF, stpF, utilSF, utilF, eI, eSF, eF float64
-		for mi := 0; mi < s.MixesPerPoint; mi++ {
-			cmp := cmps[ni*s.MixesPerPoint+mi]
-			eOoO := cmp.HomoOoO.EnergyPJ
-			stpI += cmp.HomoInO.STP
-			eI += cmp.HomoInO.EnergyPJ / eOoO
-			sf := cmp.ByPolicy[core.PolicySCMPKIFair]
-			f := cmp.ByPolicy[core.PolicyFair]
-			stpSF += sf.STP
-			stpF += f.STP
-			utilSF += sf.OoOActiveFrac
-			utilF += f.OoOActiveFrac
-			eSF += sf.EnergyPJ / eOoO
-			eF += f.EnergyPJ / eOoO
-		}
-		k := float64(s.MixesPerPoint)
-		r.Table.AddRow(fmt.Sprint(n), "performance", stats.Pct(stpI/k), stats.Pct(stpSF/k), stats.Pct(stpF/k))
-		r.Table.AddRow(fmt.Sprint(n), "utilization", "-", stats.Pct(utilSF/k), stats.Pct(utilF/k))
-		r.Table.AddRow(fmt.Sprint(n), "energy", stats.Pct(eI/k), stats.Pct(eSF/k), stats.Pct(eF/k))
+	for i, n := range s.NValues {
+		p := points[i]
+		sf, f := p.arms[core.PolicySCMPKIFair], p.arms[core.PolicyFair]
+		r.Table.AddRow(fmt.Sprint(n), "performance", stats.Pct(p.homoInO.stp), stats.Pct(sf.stp), stats.Pct(f.stp))
+		r.Table.AddRow(fmt.Sprint(n), "utilization", "-", stats.Pct(sf.oooActive), stats.Pct(f.oooActive))
+		r.Table.AddRow(fmt.Sprint(n), "energy", stats.Pct(p.homoInO.energy), stats.Pct(sf.energy), stats.Pct(f.energy))
 	}
 	return r, nil
 }
@@ -260,10 +200,7 @@ func Figure14(ctx context.Context, s Scale) (*Report, error) {
 		func(mi int, _ []string) string { return fmt.Sprintf("fig14/f14-%d", mi) },
 		func(mi int, mix []string) (f14Point, error) {
 			base := s.baseConfig(fmt.Sprintf("f14-%d", mi))
-			cmp, err := core.Compare(context.Background(), mix, base, []struct {
-				Policy   core.Policy
-				Topology core.Topology
-			}{{core.PolicySCMPKI, core.TopologyMirage}})
+			cmp, err := core.Compare(context.Background(), mix, base, []core.Arm{{core.PolicySCMPKI, core.TopologyMirage}})
 			if err != nil {
 				return f14Point{}, err
 			}
@@ -311,33 +248,26 @@ func Figure15(ctx context.Context, s Scale) (*Report, error) {
 	r.Table.Title = "Figure 15: migration transfer costs (8:1, SC-MPKI)"
 	r.Table.Headers = []string{"mix", "SC transfer", "L1 refill", "migrations/100 intervals", "overhead"}
 
-	kinds := []struct {
-		label string
-		kind  core.MixKind
-	}{
-		{"HPD", core.MixHPD},
-		{"LPD", core.MixLPD},
-		{"Random", core.MixRandom},
+	groups := make([][][]string, len(categories))
+	for ki, kr := range categories {
+		groups[ki] = core.RandomMixes(kr.kind, 8, s.MixesPerPoint, "fig15-"+kr.label)
 	}
-	var cfgs []core.Config
-	for _, kr := range kinds {
-		for mi, mix := range core.RandomMixes(kr.kind, 8, s.MixesPerPoint, "fig15-"+kr.label) {
-			cfg := s.baseConfig(fmt.Sprintf("f15-%s-%d", kr.label, mi))
+	mrs, err := runGrid(ctx, s, groups,
+		func(g, mi int) string { return fmt.Sprintf("f15-%s-%d", categories[g].label, mi) },
+		func(_ int, mix []string, seed string) (*core.MixResult, error) {
+			cfg := s.baseConfig(seed)
 			cfg.Topology = core.TopologyMirage
 			cfg.Policy = core.PolicySCMPKI
 			cfg.Benchmarks = mix
-			cfgs = append(cfgs, cfg)
-		}
-	}
-	mrs, err := runMixes(ctx, s, "fig15", cfgs)
+			return core.RunMix(context.Background(), cfg)
+		})
 	if err != nil {
 		return nil, err
 	}
-	for ki, kr := range kinds {
+	for ki, kr := range categories {
 		var scFrac, l1Frac, freq float64
 		var samples float64
-		for mi := 0; mi < s.MixesPerPoint; mi++ {
-			mr := mrs[ki*s.MixesPerPoint+mi]
+		for _, mr := range mrs[ki] {
 			for _, a := range mr.Cluster.Apps {
 				if a.Cycles == 0 {
 					continue

@@ -61,14 +61,6 @@ func (s Scale) workers() int {
 	return s.Parallel
 }
 
-// runMixes simulates a batch of independent configurations on the scale's
-// worker pool, returning results in input order. name labels jobs in errors.
-func runMixes(ctx context.Context, s Scale, name string, cfgs []core.Config) ([]*core.MixResult, error) {
-	return runner.Map(ctx, s.workers(), cfgs,
-		func(_ int, cfg core.Config) string { return name + "/" + cfg.Seed + ":" + string(cfg.Policy) },
-		func(_ int, cfg core.Config) (*core.MixResult, error) { return core.RunMix(context.Background(), cfg) })
-}
-
 // TinyScale runs every experiment in well under a second. It exists for
 // serving smoke and load tests (mirageload's sweep traffic), where the
 // point is exercising the serving layer, not producing meaningful curves.
@@ -170,27 +162,103 @@ func WriteReportsJSON(w io.Writer, reports []*Report) error {
 	return enc.Encode(reports)
 }
 
-// sweepPoint is one (n, policy) observation averaged over mixes.
-type sweepPoint struct {
+// point is one line-up entry averaged over a group's mixes.
+type point struct {
 	stp       float64 // relative to Homo-OoO
 	energy    float64 // relative to Homo-OoO
 	oooActive float64 // fraction of wall cycles
 }
 
-// sweepResult caches the Figures 7/8/9b sweep so one simulation pass feeds
-// all three reports.
-type sweepResult struct {
-	n        []int
-	homoInO  []sweepPoint
-	byPolicy map[core.Policy][]sweepPoint
+// add accumulates one mix's result, with energy relative to eOoO.
+func (p *point) add(mr *core.MixResult, eOoO float64) {
+	p.stp += mr.STP
+	p.energy += mr.EnergyPJ / eOoO
+	p.oooActive += mr.OoOActiveFrac
 }
+
+// mean divides the accumulated sums by the group's mix count.
+func (p point) mean(k float64) point {
+	return point{stp: p.stp / k, energy: p.energy / k, oooActive: p.oooActive / k}
+}
+
+// gridPoint is one group of a compareGrid: Homo-InO and every arm of the
+// line-up, averaged over the group's mixes.
+type gridPoint struct {
+	homoInO point
+	arms    map[core.Policy]point
+}
+
+// runGrid runs one job per (group, mix) cell of groups on the scale's
+// worker pool and returns the results grouped like groups. seed names each
+// cell's job and is handed to run. Every cell owns its seed, so results are
+// scheduling-independent, and each group comes back in mix order, so
+// averages accumulated over it are bit-identical at any parallelism.
+func runGrid[T any](ctx context.Context, s Scale, groups [][][]string, seed func(g, mi int) string, run func(g int, mix []string, seed string) (T, error)) ([][]T, error) {
+	type cell struct {
+		g    int
+		mix  []string
+		seed string
+	}
+	var cells []cell
+	for g, mixes := range groups {
+		for mi, mix := range mixes {
+			cells = append(cells, cell{g: g, mix: mix, seed: seed(g, mi)})
+		}
+	}
+	flat, err := runner.Map(ctx, s.workers(), cells,
+		func(_ int, c cell) string { return "grid/" + c.seed },
+		func(_ int, c cell) (T, error) { return run(c.g, c.mix, c.seed) })
+	if err != nil {
+		return nil, err
+	}
+	out := make([][]T, len(groups))
+	for g, mixes := range groups {
+		out[g], flat = flat[:len(mixes)], flat[len(mixes):]
+	}
+	return out, nil
+}
+
+// compareGrid runs core.Compare with the line-up set on every cell of
+// groups and averages each group over its mixes, relative to Homo-OoO.
+// Section 5 reports every configuration this way, and Figures 7-9b, 11
+// and 13 are built on it.
+func compareGrid(ctx context.Context, s Scale, groups [][][]string, seed func(g, mi int) string, set []core.Arm) ([]gridPoint, error) {
+	cmps, err := runGrid(ctx, s, groups, seed, func(_ int, mix []string, seed string) (*core.Comparison, error) {
+		return core.Compare(context.Background(), mix, s.baseConfig(seed), set)
+	})
+	if err != nil {
+		return nil, err
+	}
+	points := make([]gridPoint, len(cmps))
+	for g, group := range cmps {
+		var inO point
+		arms := make([]point, len(set))
+		for _, cmp := range group {
+			eOoO := cmp.HomoOoO.EnergyPJ
+			inO.add(cmp.HomoInO, eOoO)
+			for ai, arm := range set {
+				arms[ai].add(cmp.ByPolicy[arm.Policy], eOoO)
+			}
+		}
+		k := float64(len(group))
+		points[g] = gridPoint{homoInO: inO.mean(k), arms: make(map[core.Policy]point, len(set))}
+		for ai, arm := range set {
+			points[g].arms[arm.Policy] = arms[ai].mean(k)
+		}
+	}
+	return points, nil
+}
+
+// sweepResult caches the Figures 7/8/9b sweep so one simulation pass feeds
+// all three reports. It is indexed like Scale.NValues.
+type sweepResult []gridPoint
 
 // sweepCache's abandon grace lets a caller whose context ends mid-sweep
 // still harvest the flight's partial-result error (*runner.Canceled with
 // completed/total counts) instead of a bare context error — the server's
 // 504 detail rides on it — while keeping abandonment latency well under
 // the 100ms bound the e2e cancellation test enforces.
-var sweepCache = runner.Cache[string, *sweepResult]{AbandonGrace: 40 * time.Millisecond}
+var sweepCache = runner.Cache[string, sweepResult]{AbandonGrace: 40 * time.Millisecond}
 
 // ResetCaches drops every memoized simulation result the experiment layer
 // holds (the sweep, per-benchmark profile and CPI caches) and the
@@ -205,66 +273,22 @@ func ResetCaches() {
 	pipeline.ResetMemo()
 }
 
-// runSweep simulates the arbitrator line-up across cluster sizes. The
-// (n, mix) grid is flattened into independent jobs — each owns its seed, so
-// results are scheduling-independent — and the per-n averages below are
-// accumulated over the collated slice in the same order the old serial loop
-// used, keeping every downstream figure bit-identical at any parallelism.
-// The sweep is memoized through a singleflight cache keyed by every scale
-// knob that changes the result; the flight runs under a detached context so
-// concurrent callers (CLI + several server requests) share one pass, and
-// only when every caller abandons it does the sweep stop scheduling jobs.
-func runSweep(ctx context.Context, s Scale) (*sweepResult, error) {
+// runSweep simulates the arbitrator line-up across cluster sizes: one
+// compareGrid whose groups are the cluster sizes. The sweep is memoized
+// through a singleflight cache keyed by every scale knob that changes the
+// result; the flight runs under a detached context so concurrent callers
+// (CLI + several server requests) share one pass, and only when every
+// caller abandons it does the sweep stop scheduling jobs.
+func runSweep(ctx context.Context, s Scale) (sweepResult, error) {
 	key := fmt.Sprintf("%s/%d/%d/%d/%v", s.Name, s.TargetInsts, s.IntervalCycles, s.MixesPerPoint, s.NValues)
-	res, _, err := sweepCache.DoContext(ctx, key, func(fctx context.Context) (*sweepResult, error) {
-		type sweepJob struct {
-			n, mi int
-			mix   []string
+	res, _, err := sweepCache.DoContext(ctx, key, func(fctx context.Context) (sweepResult, error) {
+		groups := make([][][]string, len(s.NValues))
+		for i, n := range s.NValues {
+			groups[i] = core.RandomMixes(core.MixRandom, n, s.MixesPerPoint, fmt.Sprintf("sweep-n%d", n))
 		}
-		var jobs []sweepJob
-		for _, n := range s.NValues {
-			mixes := core.RandomMixes(core.MixRandom, n, s.MixesPerPoint, fmt.Sprintf("sweep-n%d", n))
-			for mi, mix := range mixes {
-				jobs = append(jobs, sweepJob{n: n, mi: mi, mix: mix})
-			}
-		}
-		cmps, err := runner.Map(fctx, s.workers(), jobs,
-			func(_ int, j sweepJob) string { return fmt.Sprintf("sweep/sw-%d-%d", j.n, j.mi) },
-			func(_ int, j sweepJob) (*core.Comparison, error) {
-				return core.Compare(context.Background(), j.mix, s.baseConfig(fmt.Sprintf("sw-%d-%d", j.n, j.mi)), core.ArbitratorSet)
-			})
-		if err != nil {
-			return nil, err
-		}
-		res := &sweepResult{byPolicy: make(map[core.Policy][]sweepPoint)}
-		for ni, n := range s.NValues {
-			var inO sweepPoint
-			acc := map[core.Policy]*sweepPoint{}
-			for _, pt := range core.ArbitratorSet {
-				acc[pt.Policy] = &sweepPoint{}
-			}
-			for mi := 0; mi < s.MixesPerPoint; mi++ {
-				cmp := cmps[ni*s.MixesPerPoint+mi]
-				eOoO := cmp.HomoOoO.EnergyPJ
-				inO.stp += cmp.HomoInO.STP
-				inO.energy += cmp.HomoInO.EnergyPJ / eOoO
-				for _, pt := range core.ArbitratorSet {
-					mr := cmp.ByPolicy[pt.Policy]
-					acc[pt.Policy].stp += mr.STP
-					acc[pt.Policy].energy += mr.EnergyPJ / eOoO
-					acc[pt.Policy].oooActive += mr.OoOActiveFrac
-				}
-			}
-			k := float64(s.MixesPerPoint)
-			res.n = append(res.n, n)
-			res.homoInO = append(res.homoInO, sweepPoint{stp: inO.stp / k, energy: inO.energy / k})
-			for _, pt := range core.ArbitratorSet {
-				p := acc[pt.Policy]
-				res.byPolicy[pt.Policy] = append(res.byPolicy[pt.Policy],
-					sweepPoint{stp: p.stp / k, energy: p.energy / k, oooActive: p.oooActive / k})
-			}
-		}
-		return res, nil
+		return compareGrid(fctx, s, groups,
+			func(g, mi int) string { return fmt.Sprintf("sw-%d-%d", s.NValues[g], mi) },
+			core.ArbitratorSet)
 	})
 	return res, err
 }
@@ -282,12 +306,12 @@ func Figure7(ctx context.Context, s Scale) (*Report, error) {
 	}
 	r.Table.Title = "Figure 7: STP relative to Homo-OoO vs InO cores per OoO"
 	r.Table.Headers = []string{"n", "Homo-InO", "SC-MPKI", "SC-MPKI+maxSTP", "maxSTP"}
-	for i, n := range sw.n {
+	for i, n := range s.NValues {
 		r.Table.AddRow(fmt.Sprint(n),
-			stats.Pct(sw.homoInO[i].stp),
-			stats.Pct(sw.byPolicy[core.PolicySCMPKI][i].stp),
-			stats.Pct(sw.byPolicy[core.PolicySCMPKIMaxSTP][i].stp),
-			stats.Pct(sw.byPolicy[core.PolicyMaxSTP][i].stp))
+			stats.Pct(sw[i].homoInO.stp),
+			stats.Pct(sw[i].arms[core.PolicySCMPKI].stp),
+			stats.Pct(sw[i].arms[core.PolicySCMPKIMaxSTP].stp),
+			stats.Pct(sw[i].arms[core.PolicyMaxSTP].stp))
 	}
 	return r, nil
 }
@@ -304,12 +328,12 @@ func Figure8(ctx context.Context, s Scale) (*Report, error) {
 	}
 	r.Table.Title = "Figure 8: energy relative to Homo-OoO vs InO cores per OoO"
 	r.Table.Headers = []string{"n", "Homo-InO", "SC-MPKI", "SC-MPKI+maxSTP", "maxSTP"}
-	for i, n := range sw.n {
+	for i, n := range s.NValues {
 		r.Table.AddRow(fmt.Sprint(n),
-			stats.Pct(sw.homoInO[i].energy),
-			stats.Pct(sw.byPolicy[core.PolicySCMPKI][i].energy),
-			stats.Pct(sw.byPolicy[core.PolicySCMPKIMaxSTP][i].energy),
-			stats.Pct(sw.byPolicy[core.PolicyMaxSTP][i].energy))
+			stats.Pct(sw[i].homoInO.energy),
+			stats.Pct(sw[i].arms[core.PolicySCMPKI].energy),
+			stats.Pct(sw[i].arms[core.PolicySCMPKIMaxSTP].energy),
+			stats.Pct(sw[i].arms[core.PolicyMaxSTP].energy))
 	}
 	return r, nil
 }
@@ -327,11 +351,11 @@ func Figure9b(ctx context.Context, s Scale) (*Report, error) {
 	}
 	r.Table.Title = "Figure 9b: %% cycles the OoO was active"
 	r.Table.Headers = []string{"n", "SC-MPKI", "SC-MPKI+maxSTP", "maxSTP"}
-	for i, n := range sw.n {
+	for i, n := range s.NValues {
 		r.Table.AddRow(fmt.Sprint(n),
-			stats.Pct(sw.byPolicy[core.PolicySCMPKI][i].oooActive),
-			stats.Pct(sw.byPolicy[core.PolicySCMPKIMaxSTP][i].oooActive),
-			stats.Pct(sw.byPolicy[core.PolicyMaxSTP][i].oooActive))
+			stats.Pct(sw[i].arms[core.PolicySCMPKI].oooActive),
+			stats.Pct(sw[i].arms[core.PolicySCMPKIMaxSTP].oooActive),
+			stats.Pct(sw[i].arms[core.PolicyMaxSTP].oooActive))
 	}
 	return r, nil
 }
@@ -348,7 +372,7 @@ func Headline(ctx context.Context, s Scale) (*Report, error) {
 	r.Table.Title = "Headline: Mirage 8:1 vs Homo-OoO (paper: 84% perf, 45% energy, 74% area)"
 	r.Table.Headers = []string{"metric", "Mirage(SC-MPKI)", "paper"}
 	idx8 := -1
-	for i, n := range sw.n {
+	for i, n := range s.NValues {
 		if n == 8 {
 			idx8 = i
 		}
@@ -356,16 +380,16 @@ func Headline(ctx context.Context, s Scale) (*Report, error) {
 	if idx8 < 0 {
 		return nil, fmt.Errorf("headline: scale does not sweep n=8")
 	}
-	p8 := sw.byPolicy[core.PolicySCMPKI][idx8]
+	p8 := sw[idx8].arms[core.PolicySCMPKI]
 	area := core.Area(core.TopologyMirage, 8) / core.Area(core.TopologyHomoOoO, 8)
 	r.Table.AddRow("performance", stats.Pct(p8.stp), "84%")
 	r.Table.AddRow("energy", stats.Pct(p8.energy), "45%")
 	r.Table.AddRow("area", stats.Pct(area), "74%")
 	// Scaling knee: first n where the SC-MPKI arbitrator's OoO is active
 	// nearly all the time (starvation sets in).
-	knee := sw.n[len(sw.n)-1]
-	for i, n := range sw.n {
-		if sw.byPolicy[core.PolicySCMPKI][i].oooActive > 0.95 {
+	knee := s.NValues[len(s.NValues)-1]
+	for i, n := range s.NValues {
+		if sw[i].arms[core.PolicySCMPKI].oooActive > 0.95 {
 			knee = n
 			break
 		}

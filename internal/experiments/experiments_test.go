@@ -213,10 +213,7 @@ func TestFairnessCap(t *testing.T) {
 		t.Skip("experiment runs are slow")
 	}
 	mix := core.RandomMixes(core.MixRandom, 8, 1, "fair-cap")[0]
-	byPolicy, err := OoOShares(context.Background(), tinyScale, mix, []struct {
-		Policy   core.Policy
-		Topology core.Topology
-	}{{core.PolicySCMPKIFair, core.TopologyMirage}})
+	byPolicy, err := OoOShares(context.Background(), tinyScale, "shares", mix, []core.Arm{{core.PolicySCMPKIFair, core.TopologyMirage}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -235,10 +232,7 @@ func TestMaxSTPStarves(t *testing.T) {
 		t.Skip("experiment runs are slow")
 	}
 	mix := core.RandomMixes(core.MixRandom, 8, 1, "starve")[0]
-	byPolicy, err := OoOShares(context.Background(), tinyScale, mix, []struct {
-		Policy   core.Policy
-		Topology core.Topology
-	}{{core.PolicyMaxSTP, core.TopologyTraditional}})
+	byPolicy, err := OoOShares(context.Background(), tinyScale, "shares", mix, []core.Arm{{core.PolicyMaxSTP, core.TopologyTraditional}})
 	if err != nil {
 		t.Fatal(err)
 	}

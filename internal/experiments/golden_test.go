@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"flag"
 	"os"
@@ -103,4 +104,27 @@ func TestWriteReportsJSONGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	checkGolden(t, "reports_nil.json", buf.Bytes())
+}
+
+// TestReportsGolden pins the rendered output of every registered experiment
+// at tinyScale, so a refactor of the evaluation loops cannot shift a single
+// cell unseen. Regenerate with `go test ./internal/experiments -run
+// TestReportsGolden -update` only when a change is meant to move numbers.
+func TestReportsGolden(t *testing.T) {
+	if testing.Short() {
+		t.Skip("experiment runs are slow")
+	}
+	var reports []*Report
+	for _, e := range All() {
+		rep, err := e.Run(context.Background(), tinyScale)
+		if err != nil {
+			t.Fatalf("%s: %v", e.ID, err)
+		}
+		reports = append(reports, rep)
+	}
+	var buf bytes.Buffer
+	if err := WriteReportsJSON(&buf, reports); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "reports_tiny.json", buf.Bytes())
 }

@@ -9,7 +9,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/runner"
 	"repro/internal/stats"
 )
 
@@ -24,28 +23,20 @@ func SCSize(ctx context.Context, s Scale) (*Report, error) {
 	r.Table.Title = "SC sizing study (8:1, SC-MPKI)"
 	r.Table.Headers = []string{"SC capacity", "STP vs Homo-OoO", "OoO active"}
 
+	// Every capacity runs the same mixes.
 	mixes := core.RandomMixes(core.MixRandom, 8, s.MixesPerPoint, "scsize")
-	// Flatten the (capacity, mix) grid into independent baseline runs; the
-	// per-capacity averages accumulate over the collated slice in serial
-	// order.
-	type scJob struct {
-		capBytes, mi int
-		mix          []string
+	groups := make([][][]string, len(SCSizes))
+	for ci := range groups {
+		groups[ci] = mixes
 	}
-	var jobs []scJob
-	for _, capBytes := range SCSizes {
-		for mi, mix := range mixes {
-			jobs = append(jobs, scJob{capBytes: capBytes, mi: mi, mix: mix})
-		}
-	}
-	mrs, err := runner.Map(ctx, s.workers(), jobs,
-		func(_ int, j scJob) string { return fmt.Sprintf("scsize/%d-%d", j.capBytes, j.mi) },
-		func(_ int, j scJob) (*core.MixResult, error) {
-			cfg := s.baseConfig(fmt.Sprintf("scsize-%d-%d", j.capBytes, j.mi))
+	mrs, err := runGrid(ctx, s, groups,
+		func(g, mi int) string { return fmt.Sprintf("scsize-%d-%d", SCSizes[g], mi) },
+		func(g int, mix []string, seed string) (*core.MixResult, error) {
+			cfg := s.baseConfig(seed)
 			cfg.Topology = core.TopologyMirage
 			cfg.Policy = core.PolicySCMPKI
-			cfg.Benchmarks = j.mix
-			cfg.SCCapacityBytes = j.capBytes
+			cfg.Benchmarks = mix
+			cfg.SCCapacityBytes = SCSizes[g]
 			return core.RunMixWithBaseline(context.Background(), cfg)
 		})
 	if err != nil {
@@ -53,12 +44,11 @@ func SCSize(ctx context.Context, s Scale) (*Report, error) {
 	}
 	for ci, capBytes := range SCSizes {
 		var stp, util float64
-		for mi := range mixes {
-			mr := mrs[ci*len(mixes)+mi]
+		for _, mr := range mrs[ci] {
 			stp += mr.STP
 			util += mr.OoOActiveFrac
 		}
-		k := float64(len(mixes))
+		k := float64(len(mrs[ci]))
 		r.Table.AddRow(fmt.Sprintf("%dKB", capBytes>>10),
 			stats.Pct(stp/k), stats.Pct(util/k))
 	}

@@ -8,7 +8,6 @@ import (
 	"fmt"
 
 	"repro/internal/core"
-	"repro/internal/runner"
 	"repro/internal/stats"
 )
 
@@ -99,35 +98,17 @@ func Figure10(ctx context.Context, s Scale) (*Report, error) {
 	r.Table.Title = "Figure 10: case study (3 InO : 1 OoO), astar + hmmer + bzip2"
 	r.Table.Headers = []string{"arbitrator", "app", "%intervals on OoO", "speedup vs OoO"}
 
-	points := []struct {
-		policy core.Policy
-		topo   core.Topology
-	}{
-		{core.PolicyMaxSTP, core.TopologyTraditional},
-		{core.PolicySCMPKI, core.TopologyMirage},
-	}
-	cmps, err := runner.Map(ctx, s.workers(), points,
-		func(_ int, pt struct {
-			policy core.Policy
-			topo   core.Topology
-		}) string {
-			return "fig10/" + string(pt.policy)
-		},
-		func(_ int, pt struct {
-			policy core.Policy
-			topo   core.Topology
-		}) (*core.Comparison, error) {
-			return core.Compare(context.Background(), mix, s.baseConfig("fig10"), []struct {
-				Policy   core.Policy
-				Topology core.Topology
-			}{{pt.policy, pt.topo}})
-		})
+	// One Compare shares the Homo-OoO reference between both arbitrators
+	// and fans its runs out internally.
+	arms := []core.Arm{{core.PolicyMaxSTP, core.TopologyTraditional}, {core.PolicySCMPKI, core.TopologyMirage}}
+	base := s.baseConfig("fig10")
+	base.Parallel = s.workers()
+	cmp, err := core.Compare(ctx, mix, base, arms)
 	if err != nil {
 		return nil, err
 	}
-	for pi, pt := range points {
-		cmp := cmps[pi]
-		mr := cmp.ByPolicy[pt.policy]
+	for _, arm := range arms {
+		mr := cmp.ByPolicy[arm.Policy]
 		for i, a := range mr.Cluster.Apps {
 			onOoO := 0
 			for _, iv := range a.Timeline {
@@ -139,7 +120,7 @@ func Figure10(ctx context.Context, s Scale) (*Report, error) {
 			if len(a.Timeline) > 0 {
 				share = float64(onOoO) / float64(len(a.Timeline))
 			}
-			r.Table.AddRow(string(pt.policy), a.Name, stats.Pct(share),
+			r.Table.AddRow(string(arm.Policy), a.Name, stats.Pct(share),
 				stats.F(a.IPC/cmp.RefIPC[i]))
 		}
 	}

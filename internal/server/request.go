@@ -106,21 +106,6 @@ func decodeJSON(r *http.Request, dst any) *apiError {
 	return nil
 }
 
-// parseTopology maps the wire name to a core topology.
-func parseTopology(name string) (core.Topology, *apiError) {
-	switch name {
-	case "", "mirage":
-		return core.TopologyMirage, nil
-	case "traditional":
-		return core.TopologyTraditional, nil
-	case "homo-ino":
-		return core.TopologyHomoInO, nil
-	case "homo-ooo":
-		return core.TopologyHomoOoO, nil
-	}
-	return 0, badRequest("unknown topology %q (want mirage, traditional, homo-ino or homo-ooo)", name)
-}
-
 // validSeed constrains seeds to printable ASCII without the key separator,
 // keeping canonical keys injective and log lines sane.
 func validSeed(s string) bool {
@@ -168,9 +153,13 @@ func canonicalRun(req *RunRequest) (string, core.Config, *apiError) {
 			return "", none, badRequest("unknown benchmark %q", name)
 		}
 	}
-	topo, aerr := parseTopology(req.Topology)
-	if aerr != nil {
-		return "", none, aerr
+	topoName := req.Topology
+	if topoName == "" {
+		topoName = "mirage"
+	}
+	topo, err := core.ParseTopology(topoName)
+	if err != nil {
+		return "", none, badRequest("%v", err)
 	}
 	policy := core.Policy(req.Policy)
 	hasOoO := topo == core.TopologyMirage || topo == core.TopologyTraditional

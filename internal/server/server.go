@@ -56,9 +56,11 @@ type Config struct {
 	// MaxTimeout caps what a request may ask for (default 10m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Parallel is the per-simulation worker budget handed to the
-	// experiment layer (0 = GOMAXPROCS). Responses are byte-identical at
-	// any setting; only latency changes.
+	// Parallel is the per-request worker budget. Figures and sweeps hand
+	// it to the experiment layer, where 0 means GOMAXPROCS; /v1/run hands
+	// it to core.Config, where 0 and 1 both mean serial, so the mix and its
+	// Homo-OoO reference run one after the other. Responses are
+	// byte-identical at any setting; only latency changes.
 	Parallel int
 	// Scales are the named experiment scales requests may select; nil
 	// installs {"quick", "full"}.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestMean(t *testing.T) {
@@ -13,49 +12,6 @@ func TestMean(t *testing.T) {
 	}
 	if got := Mean([]float64{1, 2, 3}); got != 2 {
 		t.Errorf("mean %v", got)
-	}
-}
-
-func TestGeoMean(t *testing.T) {
-	if GeoMean(nil) != 0 {
-		t.Error("empty geomean")
-	}
-	if got := GeoMean([]float64{2, 8}); math.Abs(got-4) > 1e-12 {
-		t.Errorf("geomean %v, want 4", got)
-	}
-	if GeoMean([]float64{1, 0}) != 0 {
-		t.Error("non-positive input should give 0")
-	}
-}
-
-func TestHarmonicMean(t *testing.T) {
-	if got := HarmonicMean([]float64{1, 1}); got != 1 {
-		t.Errorf("harmonic %v", got)
-	}
-	if got := HarmonicMean([]float64{2, 6}); math.Abs(got-3) > 1e-12 {
-		t.Errorf("harmonic %v, want 3", got)
-	}
-	if HarmonicMean(nil) != 0 || HarmonicMean([]float64{0}) != 0 {
-		t.Error("degenerate harmonic mean")
-	}
-}
-
-func TestMeanOrderingProperty(t *testing.T) {
-	// harmonic <= geometric <= arithmetic for positive inputs.
-	err := quick.Check(func(raw []uint16) bool {
-		if len(raw) == 0 {
-			return true
-		}
-		xs := make([]float64, len(raw))
-		for i, r := range raw {
-			xs[i] = float64(r%1000) + 1
-		}
-		h, g, a := HarmonicMean(xs), GeoMean(xs), Mean(xs)
-		const eps = 1e-9
-		return h <= g+eps && g <= a+eps
-	}, &quick.Config{MaxCount: 200})
-	if err != nil {
-		t.Error(err)
 	}
 }
 
@@ -96,16 +52,6 @@ func TestMeanEdgeCases(t *testing.T) {
 		in   []float64
 		want float64
 	}{
-		{"geomean nil", GeoMean, nil, 0},
-		{"geomean empty", GeoMean, []float64{}, 0},
-		{"geomean zero element", GeoMean, []float64{4, 0, 9}, 0},
-		{"geomean negative element", GeoMean, []float64{4, -1, 9}, 0},
-		{"geomean singleton", GeoMean, []float64{7}, 7},
-		{"harmonic nil", HarmonicMean, nil, 0},
-		{"harmonic empty", HarmonicMean, []float64{}, 0},
-		{"harmonic zero element", HarmonicMean, []float64{1, 0}, 0},
-		{"harmonic negative element", HarmonicMean, []float64{1, -2}, 0},
-		{"harmonic singleton", HarmonicMean, []float64{5}, 5},
 		{"mean nil", Mean, nil, 0},
 		{"mean negatives ok", Mean, []float64{-1, 1}, 0},
 	}
