@@ -94,7 +94,7 @@ func main() {
 	timeout := flag.Duration("timeout", 60*time.Second, "default per-request deadline when the request names none")
 	maxTimeout := flag.Duration("max-timeout", 10*time.Minute, "ceiling on per-request timeout_ms")
 	drainTimeout := flag.Duration("drain-timeout", 30*time.Second, "how long shutdown waits for in-flight requests")
-	parallel := flag.Int("parallel", 0, "per-request worker budget: figures and sweeps treat 0 as GOMAXPROCS, /v1/run treats 0 and 1 as serial (its mix, then its reference); responses are bit-identical at any setting")
+	parallel := flag.Int("parallel", 0, "worker budget of one figure or sweep request (0 = GOMAXPROCS, 1 = serial); responses are bit-identical at any setting")
 	pprofHTTP := flag.Bool("pprof-http", false, "mount net/http/pprof under /debug/pprof/")
 	logFormat := flag.String("log-format", "json", "access/lifecycle log format: json or text")
 	logLevel := flag.String("log-level", "info", "minimum log level: debug, info, warn or error")

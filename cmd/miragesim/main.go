@@ -14,13 +14,11 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"runtime/pprof"
 	"strings"
 
 	"repro/internal/core"
 	"repro/internal/program"
-	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
 )
@@ -80,7 +78,7 @@ func main() {
 		defer pprof.StopCPUProfile()
 	}
 
-	cfg := core.Config{
+	mr, err := core.RunMixWithBaseline(context.Background(), core.Config{
 		Topology:       topo,
 		Benchmarks:     mix,
 		Policy:         core.Policy(*policyFlag),
@@ -88,36 +86,13 @@ func main() {
 		TargetInsts:    *insts,
 		IntervalCycles: *interval,
 		Seed:           *seed,
+		Parallel:       *parallel,
 		Telemetry:      tel,
 		Audit:          *audit,
-	}
-	// The mix and its Homo-OoO reference are independent simulations; run
-	// them as two runner jobs (the old code also simulated the reference a
-	// second time inside RunMixWithBaseline — this keeps one of each).
-	workers := *parallel
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var (
-		mr  *core.MixResult
-		ref []float64
-	)
-	_, err = runner.Run(context.Background(), workers, []runner.Job[struct{}]{
-		{Name: "mix", Run: func() (struct{}, error) {
-			var err error
-			mr, err = core.RunMix(context.Background(), cfg)
-			return struct{}{}, err
-		}},
-		{Name: "ref", Run: func() (struct{}, error) {
-			var err error
-			ref, err = core.OoOReferenceCfg(context.Background(), cfg)
-			return struct{}{}, err
-		}},
 	})
 	if err != nil {
 		fatalf("%v", err)
 	}
-	mr.STP = stats.STP(mr.PerAppIPC, ref)
 
 	if *metricsOut != "" {
 		if err := tel.WriteMetricsFile(*metricsOut); err != nil {
@@ -142,7 +117,7 @@ func main() {
 		if a.Cycles > 0 {
 			share = stats.Pct(float64(a.OoOCycles) / float64(a.Cycles))
 		}
-		tbl.AddRow(a.Name, stats.F(a.IPC), stats.F(a.IPC/ref[i]), memo, share, fmt.Sprint(a.Migrations))
+		tbl.AddRow(a.Name, stats.F(a.IPC), stats.F(a.IPC/mr.RefIPC[i]), memo, share, fmt.Sprint(a.Migrations))
 	}
 	fmt.Println(tbl.String())
 	fmt.Printf("STP (vs Homo-OoO): %.2f\n", mr.STP)

@@ -86,9 +86,6 @@ func (c *Cache) Config() Config { return c.cfg }
 // Stats returns a copy of the current counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes the counters without disturbing contents.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // PublishTelemetry adds this cache's counters to the registry's counters
 // under prefix (e.g. "core0.mem.l1d"). Call it once, after the run's last
 // access and on the goroutine that made them, so a concurrent registry

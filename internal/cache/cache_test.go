@@ -107,18 +107,6 @@ func TestPrefetchMarksLines(t *testing.T) {
 	}
 }
 
-func TestResetStatsKeepsContents(t *testing.T) {
-	c := smallCache()
-	c.Access(0x40)
-	c.ResetStats()
-	if c.Stats() != (Stats{}) {
-		t.Error("stats not cleared")
-	}
-	if !c.Probe(0x40) {
-		t.Error("contents lost on stat reset")
-	}
-}
-
 // TestLineSize pins the line layout: 24 bytes, so an L2's 32k lines take
 // 768 KiB rather than 1 MiB.
 func TestLineSize(t *testing.T) {

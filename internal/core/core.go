@@ -142,10 +142,10 @@ type Config struct {
 	Seed string
 	// Parallel is the worker budget for helpers that launch multiple
 	// simulations from one call — Compare and RunMixWithBaseline fan their
-	// independent RunMix invocations out to an internal/runner pool.
-	// 0 or 1 keeps those helpers serial (the default); RunMix itself is
-	// always a single simulation regardless. Results are identical at any
-	// setting; only wall-clock time changes.
+	// independent RunMix invocations out to an internal/runner pool. As
+	// everywhere else, 0 (the default) means GOMAXPROCS and 1 serial; RunMix
+	// itself is always a single simulation regardless. Results are identical
+	// at any setting; only wall-clock time changes.
 	Parallel int
 	// Telemetry, when non-nil, receives the run's metrics, per-interval
 	// arbitration time-series and trace events (see internal/telemetry).
@@ -169,9 +169,11 @@ type MixResult struct {
 	Cluster *cluster.Result
 	// PerAppIPC is each application's end-to-end IPC.
 	PerAppIPC []float64
-	// STP is the mean speedup versus each app alone on an OoO
-	// (populated by RunMixWithBaseline / experiment harnesses).
-	STP float64
+	// RefIPC is each application's IPC alone on an OoO core, and STP the
+	// mean speedup versus it (populated by RunMixWithBaseline; Compare and
+	// the experiment harnesses fill STP only).
+	RefIPC []float64
+	STP    float64
 	// EnergyPJ is total energy; AreaMM2 the CMP area.
 	EnergyPJ float64
 	AreaMM2  float64
@@ -307,64 +309,47 @@ func AreaK(t Topology, n, numOoO int) float64 {
 	return 0
 }
 
-// OoOReferenceCfg runs each of base's benchmarks alone on a private OoO core
-// and returns per-app reference IPCs — the denominator of every speedup in
-// Section 5. Only base's benchmarks, instruction budget, seed and run-wide
-// modes that are not part of the reference's identity (today the invariant
-// audit) carry over; the reference stays uninstrumented and unaffected by
-// base's topology/policy, and its seed is base.Seed + ":ref".
-func OoOReferenceCfg(ctx context.Context, base Config) ([]float64, error) {
-	cfg := Config{
+// referenceConfig is the Homo-OoO reference of base: each of base's
+// benchmarks alone on a private OoO core, whose per-app IPCs are the
+// denominator of every speedup in Section 5. Only base's benchmarks,
+// instruction budget, seed and run-wide modes that are not part of the
+// reference's identity (today the invariant audit) carry over; the reference
+// stays uninstrumented and unaffected by base's topology/policy, and its seed
+// is base.Seed + ":ref".
+func referenceConfig(base Config) Config {
+	return Config{
 		Topology:    TopologyHomoOoO,
 		Benchmarks:  base.Benchmarks,
 		TargetInsts: base.TargetInsts,
 		Seed:        base.Seed + ":ref",
 		Audit:       base.Audit,
 	}
-	mr, err := RunMix(ctx, cfg)
+}
+
+// runAll runs every configuration on an internal/runner pool of `parallel`
+// workers (0 means GOMAXPROCS, 1 serial) and returns the results in cfgs
+// order. A failing run's own error is returned, unwrapped from the runner's.
+func runAll(ctx context.Context, parallel int, cfgs []Config) ([]*MixResult, error) {
+	results, err := runner.Map(ctx, parallel, cfgs, nil,
+		func(_ int, cfg Config) (*MixResult, error) { return RunMix(context.Background(), cfg) })
+	var je *runner.JobError
+	if errors.As(err, &je) {
+		return nil, je.Err
+	}
+	return results, err
+}
+
+// RunMixWithBaseline runs cfg and its Homo-OoO reference and fills RefIPC
+// and STP. The two simulations are independent (distinct seeds, no shared
+// state), so they run on cfg.Parallel workers and the result is unchanged.
+func RunMixWithBaseline(ctx context.Context, cfg Config) (*MixResult, error) {
+	results, err := runAll(ctx, cfg.Parallel, []Config{cfg, referenceConfig(cfg)})
 	if err != nil {
 		return nil, err
 	}
-	return mr.PerAppIPC, nil
-}
-
-// workers lowers a Config.Parallel knob to a runner worker count: 0 and 1
-// both mean serial, anything larger is a bound on concurrent simulations.
-func workers(parallel int) int {
-	if parallel <= 1 {
-		return 1
-	}
-	return parallel
-}
-
-// RunMixWithBaseline runs cfg and fills STP against the Homo-OoO reference.
-// The two simulations are independent (distinct seeds, no shared state); with
-// cfg.Parallel > 1 they run concurrently and the result is unchanged.
-func RunMixWithBaseline(ctx context.Context, cfg Config) (*MixResult, error) {
-	var (
-		mr  *MixResult
-		ref []float64
-	)
-	jobs := []runner.Job[struct{}]{
-		{Name: "mix:" + cfg.Seed, Run: func() (struct{}, error) {
-			var err error
-			mr, err = RunMix(context.Background(), cfg)
-			return struct{}{}, err
-		}},
-		{Name: "ref:" + cfg.Seed, Run: func() (struct{}, error) {
-			var err error
-			ref, err = OoOReferenceCfg(context.Background(), cfg)
-			return struct{}{}, err
-		}},
-	}
-	if _, err := runner.Run(ctx, workers(cfg.Parallel), jobs); err != nil {
-		var je *runner.JobError
-		if errors.As(err, &je) {
-			return nil, je.Err
-		}
-		return nil, err
-	}
-	mr.STP = stats.STP(mr.PerAppIPC, ref)
+	mr := results[0]
+	mr.RefIPC = results[1].PerAppIPC
+	mr.STP = stats.STP(mr.PerAppIPC, mr.RefIPC)
 	return mr, nil
 }
 
@@ -406,9 +391,9 @@ var FairSet = []Arm{
 
 // Compare runs the standard arbitrator line-up on one mix. The reference,
 // Homo-InO and per-policy runs are independent simulations with disjoint
-// seeds, so with base.Parallel > 1 they fan out to a worker pool; STPs are
-// derived afterwards in the fixed serial order against the collated
-// reference IPCs, keeping the Comparison bit-identical at any parallelism.
+// seeds, so they fan out to base.Parallel workers; STPs are derived
+// afterwards in the fixed serial order against the collated reference IPCs,
+// keeping the Comparison bit-identical at any parallelism.
 func Compare(ctx context.Context, mix []string, base Config, set []Arm) (*Comparison, error) {
 	cmp := &Comparison{Mix: mix, ByPolicy: make(map[Policy]*MixResult)}
 
@@ -427,16 +412,8 @@ func Compare(ctx context.Context, mix []string, base Config, set []Arm) (*Compar
 		cfg.Policy = pt.Policy
 		cfgs = append(cfgs, cfg)
 	}
-	results, err := runner.Map(ctx, workers(base.Parallel), cfgs,
-		func(i int, cfg Config) string {
-			return fmt.Sprintf("compare:%s:%s:%s", cfg.Seed, cfg.Topology, cfg.Policy)
-		},
-		func(i int, cfg Config) (*MixResult, error) { return RunMix(context.Background(), cfg) })
+	results, err := runAll(ctx, base.Parallel, cfgs)
 	if err != nil {
-		var je *runner.JobError
-		if errors.As(err, &je) {
-			return nil, je.Err
-		}
 		return nil, err
 	}
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"testing"
 
 	"repro/internal/program"
@@ -126,14 +127,15 @@ func TestRunMixHomoInO(t *testing.T) {
 }
 
 func TestOoOReference(t *testing.T) {
-	ref, err := OoOReferenceCfg(context.Background(), Config{
+	mr, err := RunMix(context.Background(), referenceConfig(Config{
 		Benchmarks:  []string{"hmmer", "astar"},
 		TargetInsts: 300_000,
 		Seed:        "ref-test",
-	})
+	}))
 	if err != nil {
 		t.Fatal(err)
 	}
+	ref := mr.PerAppIPC
 	if len(ref) != 2 {
 		t.Fatalf("ref count %d", len(ref))
 	}
@@ -186,5 +188,41 @@ func TestRunMixDeterministic(t *testing.T) {
 	}
 	if a.EnergyPJ != b.EnergyPJ {
 		t.Error("energy differs across identical runs")
+	}
+
+	// Compare and RunMixWithBaseline return identical results at Parallel 0
+	// (GOMAXPROCS, the default), 1 (serial) and 2.
+	type outcome struct {
+		stp, energy    float64
+		perApp, refIPC []float64
+	}
+	of := func(mr *MixResult, ref []float64) outcome {
+		return outcome{mr.STP, mr.EnergyPJ, mr.PerAppIPC, ref}
+	}
+	var want []outcome
+	for _, par := range []int{0, 1, 2} {
+		cfg.Parallel = par
+		mr, err := RunMixWithBaseline(context.Background(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cmp, err := Compare(context.Background(), cfg.Benchmarks, cfg, ArbitratorSet)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := []outcome{of(mr, mr.RefIPC), of(cmp.HomoOoO, cmp.RefIPC), of(cmp.HomoInO, cmp.RefIPC)}
+		for _, arm := range ArbitratorSet {
+			got = append(got, of(cmp.ByPolicy[arm.Policy], cmp.RefIPC))
+		}
+		if want == nil {
+			want = got
+			continue
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Parallel %d: results differ from Parallel 0:\n got %+v\nwant %+v", par, got, want)
+		}
+	}
+	if len(want[0].refIPC) != len(cfg.Benchmarks) {
+		t.Errorf("RunMixWithBaseline RefIPC = %v, want one per app", want[0].refIPC)
 	}
 }

@@ -127,7 +127,7 @@ func Figure12(ctx context.Context, s Scale) (*Report, error) {
 // Every run is seeded with seed; the per-policy runs are independent and
 // fan out to the scale's worker pool.
 func OoOShares(ctx context.Context, s Scale, seed string, mix []string, set []core.Arm) (map[core.Policy][]float64, error) {
-	mrs, err := runner.Map(ctx, s.workers(), set,
+	mrs, err := runner.Map(ctx, s.Parallel, set,
 		func(_ int, arm core.Arm) string { return seed + ":" + string(arm.Policy) },
 		func(_ int, arm core.Arm) (*core.MixResult, error) {
 			cfg := s.baseConfig(seed)
@@ -196,7 +196,7 @@ func Figure14(ctx context.Context, s Scale) (*Report, error) {
 		cmp *core.Comparison
 		tr  *core.MixResult
 	}
-	points, err := runner.Map(ctx, s.workers(), mixes,
+	points, err := runner.Map(ctx, s.Parallel, mixes,
 		func(mi int, _ []string) string { return fmt.Sprintf("fig14/f14-%d", mi) },
 		func(mi int, mix []string) (f14Point, error) {
 			base := s.baseConfig(fmt.Sprintf("f14-%d", mi))

@@ -14,7 +14,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"runtime"
 	"time"
 
 	"repro/internal/core"
@@ -53,14 +52,6 @@ type Scale struct {
 	Audit bool
 }
 
-// workers lowers Scale.Parallel to a runner worker count.
-func (s Scale) workers() int {
-	if s.Parallel == 0 {
-		return runtime.GOMAXPROCS(0)
-	}
-	return s.Parallel
-}
-
 // TinyScale runs every experiment in well under a second. It exists for
 // serving smoke and load tests (mirageload's sweep traffic), where the
 // point is exercising the serving layer, not producing meaningful curves.
@@ -93,11 +84,16 @@ var FullScale = Scale{
 	TimelineIntervals: 300,
 }
 
+// baseConfig is the core.Config every experiment run starts from. Its
+// Parallel is 1: an experiment fans its own runs out on s.Parallel workers,
+// so the Compare or RunMixWithBaseline inside one job stays serial instead
+// of starting a second pool per job.
 func (s Scale) baseConfig(seed string) core.Config {
 	return core.Config{
 		TargetInsts:    s.TargetInsts,
 		IntervalCycles: s.IntervalCycles,
 		Seed:           seed,
+		Parallel:       1,
 		Telemetry:      s.Telemetry,
 		Audit:          s.Audit,
 	}
@@ -205,7 +201,7 @@ func runGrid[T any](ctx context.Context, s Scale, groups [][][]string, seed func
 			cells = append(cells, cell{g: g, mix: mix, seed: seed(g, mi)})
 		}
 	}
-	flat, err := runner.Map(ctx, s.workers(), cells,
+	flat, err := runner.Map(ctx, s.Parallel, cells,
 		func(_ int, c cell) string { return "grid/" + c.seed },
 		func(_ int, c cell) (T, error) { return run(c.g, c.mix, c.seed) })
 	if err != nil {

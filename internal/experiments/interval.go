@@ -39,7 +39,7 @@ func Figure3b(ctx context.Context, s Scale) (*Report, error) {
 	// Each interval is an independent pair of measurements; fan them out and
 	// add rows from the collated slice in interval order.
 	type ivPoint struct{ perf, memo float64 }
-	points, err := runner.Map(ctx, s.workers(), intervals,
+	points, err := runner.Map(ctx, s.Parallel, intervals,
 		func(_ int, iv int64) string { return fmt.Sprintf("fig3b/iv-%d", iv) },
 		func(_ int, iv int64) (ivPoint, error) {
 			perf, err := pingPongPerf(s, mix, iv)

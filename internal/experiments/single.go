@@ -151,7 +151,7 @@ func categoryAgg(ps []*benchProfile, f func(*benchProfile) float64) (overall, hp
 // to the scale's worker pool; the cache's singleflight semantics keep each
 // benchmark profiled once even when figures run concurrently.
 func allProfiles(ctx context.Context, s Scale) ([]*benchProfile, error) {
-	return runner.Map(ctx, s.workers(), program.Names(),
+	return runner.Map(ctx, s.Parallel, program.Names(),
 		func(_ int, name string) string { return "profile/" + name },
 		func(_ int, name string) (*benchProfile, error) { return profile(context.Background(), s, name) })
 }

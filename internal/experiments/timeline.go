@@ -102,7 +102,7 @@ func Figure10(ctx context.Context, s Scale) (*Report, error) {
 	// and fans its runs out internally.
 	arms := []core.Arm{{core.PolicyMaxSTP, core.TopologyTraditional}, {core.PolicySCMPKI, core.TopologyMirage}}
 	base := s.baseConfig("fig10")
-	base.Parallel = s.workers()
+	base.Parallel = s.Parallel
 	cmp, err := core.Compare(ctx, mix, base, arms)
 	if err != nil {
 		return nil, err

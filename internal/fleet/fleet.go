@@ -239,26 +239,16 @@ func (c *Coordinator) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	_ = enc.Encode(resp)
 }
 
-// handleMetrics exports the coordinator's own telemetry (the workers serve
-// their own /v1/metrics directly).
+// handleMetrics exports the coordinator's own telemetry, negotiated like a
+// worker's (the workers serve their own /v1/metrics directly).
 func (c *Coordinator) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var buf bytes.Buffer
-	var err error
-	if r.URL.Query().Get("format") == "prometheus" {
-		err = c.tel.WritePrometheus(&buf)
-	} else {
-		err = c.tel.WriteMetrics(&buf)
-	}
+	body, contentType, err := server.RenderMetrics(c.tel, r)
 	if err != nil {
 		c.writeError(w, http.StatusInternalServerError, "metrics render failed")
 		return
 	}
-	if r.URL.Query().Get("format") == "prometheus" {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-	}
-	_, _ = w.Write(buf.Bytes())
+	w.Header().Set("Content-Type", contentType)
+	_, _ = w.Write(body)
 }
 
 func (c *Coordinator) writeError(w http.ResponseWriter, status int, msg string) {

@@ -527,4 +527,15 @@ func TestCoordinatorMetrics(t *testing.T) {
 	if !strings.Contains(rec.Body.String(), "fleet.requests") {
 		t.Fatalf("metrics missing fleet counters: %s", rec.Body.Bytes())
 	}
+	// A scraper asking for text/plain gets Prometheus text, as from a worker.
+	req := httptest.NewRequest("GET", "/v1/metrics", nil)
+	req.Header.Set("Accept", "text/plain")
+	rec = httptest.NewRecorder()
+	c.ServeHTTP(rec, req)
+	if ct := rec.Header().Get("Content-Type"); rec.Code != 200 || !strings.HasPrefix(ct, "text/plain") {
+		t.Fatalf("Accept: text/plain got status %d, Content-Type %q", rec.Code, ct)
+	}
+	if !strings.Contains(rec.Body.String(), "# TYPE ") {
+		t.Fatalf("Accept: text/plain body is not Prometheus text: %s", rec.Body.Bytes())
+	}
 }

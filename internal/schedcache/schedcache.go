@@ -79,17 +79,11 @@ func (c *Cache) UsedBytes() int { return c.usedBytes }
 // Len returns the number of resident schedules.
 func (c *Cache) Len() int { return len(c.entries) }
 
-// Stats returns a copy of the counters.
+// Stats returns a copy of the run-total counters.
 func (c *Cache) Stats() Stats { return c.stats }
 
-// ResetStats zeroes counters without disturbing contents; the arbitrator
-// does this at every interval boundary so MPKI reflects the last interval.
-// Attached telemetry counters keep accumulating — they track run totals.
-func (c *Cache) ResetStats() { c.stats = Stats{} }
-
 // AttachTelemetry resolves run-total hit/miss/insert/evict counters in reg
-// under prefix (e.g. "core0.sc"). Unlike Stats, the counters survive
-// ResetStats, so they report whole-run totals. A nil registry detaches.
+// under prefix (e.g. "core0.sc"). A nil registry detaches.
 func (c *Cache) AttachTelemetry(reg *telemetry.Registry, prefix string) {
 	if reg == nil {
 		c.tel = nil

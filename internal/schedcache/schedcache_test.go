@@ -155,19 +155,6 @@ func TestCopyFrom(t *testing.T) {
 	}
 }
 
-func TestResetStatsKeepsContents(t *testing.T) {
-	c := New(0)
-	c.Insert(sched(1, 50))
-	c.Lookup(1, 50)
-	c.ResetStats()
-	if c.Stats() != (Stats{}) {
-		t.Error("stats survive reset")
-	}
-	if !c.Contains(1) {
-		t.Error("contents lost on stat reset")
-	}
-}
-
 func TestIDs(t *testing.T) {
 	c := New(0)
 	c.Insert(sched(3, 10))

@@ -121,13 +121,17 @@ func validSeed(s string) bool {
 }
 
 // validateRun normalizes a RunRequest into a runJob, stamping in the
-// server-wide parallelism and telemetry (neither is part of the key).
+// server-wide telemetry (not part of the key).
 func (s *Server) validateRun(req *RunRequest) (*runJob, *apiError) {
 	key, cfg, aerr := canonicalRun(req)
 	if aerr != nil {
 		return nil, aerr
 	}
-	cfg.Parallel = s.cfg.Parallel
+	// A run's mix and its Homo-OoO reference go one after the other:
+	// admission (MaxInFlight) is the server's parallelism. Running the pair
+	// concurrently raised miragebench's run-cold maxrss 48 -> 54 MiB on a
+	// 2-vCPU VM and cut its p50 by only 5% (DESIGN.md §10).
+	cfg.Parallel = 1
 	cfg.Telemetry = s.simTel
 	return &runJob{
 		job: job{key: key, timeout: s.timeout(req.TimeoutMS)},

@@ -56,11 +56,10 @@ type Config struct {
 	// MaxTimeout caps what a request may ask for (default 10m).
 	DefaultTimeout time.Duration
 	MaxTimeout     time.Duration
-	// Parallel is the per-request worker budget. Figures and sweeps hand
-	// it to the experiment layer, where 0 means GOMAXPROCS; /v1/run hands
-	// it to core.Config, where 0 and 1 both mean serial, so the mix and its
-	// Homo-OoO reference run one after the other. Responses are
-	// byte-identical at any setting; only latency changes.
+	// Parallel is the worker budget of one figure or sweep request (0 means
+	// GOMAXPROCS, 1 serial). /v1/run ignores it and always runs its mix and
+	// its reference serially. Responses are byte-identical at any setting;
+	// only latency changes.
 	Parallel int
 	// Scales are the named experiment scales requests may select; nil
 	// installs {"quick", "full"}.
@@ -689,27 +688,13 @@ func (s *Server) handlePeerCache(w http.ResponseWriter, r *http.Request) {
 	_, _ = w.Write(body)
 }
 
-// handleMetrics exports the telemetry snapshot: the native JSON dump by
-// default, Prometheus text exposition 0.0.4 when the request asks for it
-// (`?format=prometheus`, or an Accept header naming text/plain or
-// OpenMetrics). The body renders into a buffer first so a render failure
+// handleMetrics exports the telemetry snapshot in the format RenderMetrics
+// negotiates. The body renders into a buffer first so a render failure
 // can still become a clean 500 and the Content-Type commits only once a
 // body exists; failures writing to the client are logged and counted, not
 // silently dropped.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	prom := r.URL.Query().Get("format") == "prometheus"
-	if !prom {
-		if a := r.Header.Get("Accept"); strings.Contains(a, "text/plain") || strings.Contains(a, "openmetrics") {
-			prom = true
-		}
-	}
-	var buf bytes.Buffer
-	var err error
-	if prom {
-		err = s.tel.WritePrometheus(&buf)
-	} else {
-		err = s.tel.WriteMetrics(&buf)
-	}
+	body, contentType, err := RenderMetrics(s.tel, r)
 	if err != nil {
 		s.reg.Counter("server.metrics.render_errors").Inc()
 		if s.logger != nil {
@@ -718,17 +703,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		s.writeError(w, http.StatusInternalServerError, "metrics render failed", nil, 0, "")
 		return
 	}
-	if prom {
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	} else {
-		w.Header().Set("Content-Type", "application/json")
-	}
-	if _, err := w.Write(buf.Bytes()); err != nil {
+	w.Header().Set("Content-Type", contentType)
+	if _, err := w.Write(body); err != nil {
 		s.reg.Counter("server.metrics.write_errors").Inc()
 		if s.logger != nil {
 			s.logger.Error("metrics write failed", "error", err)
 		}
 	}
+}
+
+// RenderMetrics renders tel for a /v1/metrics request and returns the body
+// with its Content-Type: Prometheus text exposition when the request asks
+// for it (?format=prometheus, or an Accept header naming text/plain or
+// OpenMetrics), the JSON snapshot otherwise. The worker and the fleet
+// coordinator both serve /v1/metrics through it.
+func RenderMetrics(tel *telemetry.Telemetry, r *http.Request) ([]byte, string, error) {
+	var buf bytes.Buffer
+	a := r.Header.Get("Accept")
+	if r.URL.Query().Get("format") == "prometheus" || strings.Contains(a, "text/plain") || strings.Contains(a, "openmetrics") {
+		err := tel.WritePrometheus(&buf)
+		return buf.Bytes(), "text/plain; version=0.0.4; charset=utf-8", err
+	}
+	err := tel.WriteMetrics(&buf)
+	return buf.Bytes(), "application/json", err
 }
 
 // --- response writing ---

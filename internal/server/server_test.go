@@ -236,6 +236,38 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestWorkerBudget pins where Config.Parallel goes: figures and sweeps get
+// it as their Scale.Parallel, while /v1/run always hands its backend a
+// serial pair (core.Config.Parallel == 1), whatever the server's budget.
+func TestWorkerBudget(t *testing.T) {
+	var runPar, figPar atomic.Int64
+	srv := newTestServer(t, func(c *Config) {
+		c.Parallel = 4
+		c.Backend = fakeBackend{
+			run: func(ctx context.Context, cfg core.Config) (*core.MixResult, error) {
+				runPar.Store(int64(cfg.Parallel))
+				return fakeMixResult(cfg), nil
+			},
+			reports: func(ctx context.Context, sc experiments.Scale, ids []string) ([]*experiments.Report, error) {
+				figPar.Store(int64(sc.Parallel))
+				return []*experiments.Report{{ID: ids[0]}}, nil
+			},
+		}
+	})
+	if rec := postJSON(t, srv, "/v1/run", `{"mix": ["hmmer"]}`); rec.Code != 200 {
+		t.Fatalf("run status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if rec := get(t, srv, "/v1/figures/figure-7"); rec.Code != 200 {
+		t.Fatalf("figure status %d: %s", rec.Code, rec.Body.Bytes())
+	}
+	if got := runPar.Load(); got != 1 {
+		t.Errorf("/v1/run backend Parallel = %d, want 1", got)
+	}
+	if got := figPar.Load(); got != 4 {
+		t.Errorf("figure Scale.Parallel = %d, want 4", got)
+	}
+}
+
 func TestFigureEndpoint(t *testing.T) {
 	srv := newTestServer(t, nil)
 	// Table 2 is the static hardware-configuration table: real backend, no
