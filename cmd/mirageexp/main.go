@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	mirageexp [-scale quick|full] [-only "Figure 7,Figure 8"]
+//	mirageexp [-scale tiny|quick|full] [-only "Figure 7,Figure 8"]
 //	mirageexp -only "Figure 7" -json-out reports.json -metrics-out m.json
 //
 // Each experiment prints a text table whose rows correspond to the figure's
@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"os"
 	"runtime/pprof"
+	"sort"
 	"strings"
 	"time"
 
@@ -26,7 +27,13 @@ import (
 )
 
 func main() {
-	scaleFlag := flag.String("scale", "quick", "experiment scale: quick or full")
+	scales := experiments.Scales()
+	names := make([]string, 0, len(scales))
+	for name := range scales {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	scaleFlag := flag.String("scale", "quick", "experiment scale: one of "+strings.Join(names, ", "))
 	parallelFlag := flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial); reports are bit-identical at any setting")
 	onlyFlag := flag.String("only", "", "comma-separated experiment IDs to run (default all)")
 	auditFlag := flag.Bool("audit", false, "run the invariant audit inside every simulation; any violation fails the experiment")
@@ -36,14 +43,9 @@ func main() {
 	pprofOut := flag.String("pprof", "", "write a CPU profile of the run to this file")
 	flag.Parse()
 
-	var scale experiments.Scale
-	switch *scaleFlag {
-	case "quick":
-		scale = experiments.QuickScale
-	case "full":
-		scale = experiments.FullScale
-	default:
-		fmt.Fprintf(os.Stderr, "mirageexp: unknown scale %q (want quick or full)\n", *scaleFlag)
+	scale, ok := scales[*scaleFlag]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "mirageexp: unknown scale %q (want one of %s)\n", *scaleFlag, strings.Join(names, ", "))
 		os.Exit(2)
 	}
 	if *parallelFlag < 0 {

@@ -3,9 +3,10 @@
 //
 // The library lives under internal/ (see internal/core for the public entry
 // points), the executables under cmd/, and runnable examples under
-// examples/. This root package carries the repository-wide benchmark
-// harness: one testing.B benchmark per table and figure of the paper's
-// evaluation plus ablation sweeps — run `go test -bench=. -benchmem`.
+// examples/. This root package carries ablation benchmarks for the design
+// choices DESIGN.md §5 calls out and the cost of the observability layer —
+// run `go test -bench=. -benchmem`. The paper's tables and figures are
+// regenerated by cmd/mirageexp; serving timings come from bench/.
 //
 // See README.md for a tour, DESIGN.md for the system inventory and
 // substitution rationale, and EXPERIMENTS.md for paper-vs-measured results.

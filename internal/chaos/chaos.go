@@ -1,10 +1,9 @@
 // Package chaos is a deterministic fault injector for the miraged service
-// stack (DESIGN.md §11): it wraps a server.Backend (and runner job lists)
-// with seeded latency spikes, transient errors, context-deadline blowouts
-// and partial-sweep failures, so the e2e suite can prove the API contract —
-// status mapping, Retry-After, cache hygiene, byte-identical retries,
-// graceful drain — holds under the failures production infrastructure
-// actually produces.
+// stack (DESIGN.md §11): it wraps a server.Backend with seeded latency
+// spikes, transient errors, context-deadline blowouts and partial-sweep
+// failures, so the e2e suite can prove the API contract — status mapping,
+// Retry-After, cache hygiene, byte-identical retries, graceful drain —
+// holds under the failures production infrastructure actually produces.
 //
 // Determinism is the point: every fault decision derives from
 // (seed, operation key, attempt number) through internal/xrand, never from

@@ -1,13 +1,6 @@
 package chaos
 
-import (
-	"context"
-	"errors"
-	"testing"
-	"time"
-
-	"repro/internal/runner"
-)
+import "testing"
 
 func mustInjector(t *testing.T, cfg Config) *Injector {
 	t.Helper()
@@ -108,51 +101,6 @@ func TestLatencyDoesNotConsumeBudget(t *testing.T) {
 		if f := in.Plan("k", n, 0); f.Kind != KindLatency {
 			t.Fatalf("attempt %d: got %v, want latency", n, f.Kind)
 		}
-	}
-}
-
-func TestWrapJobsInjectsAndRecovers(t *testing.T) {
-	in := mustInjector(t, Config{
-		Seed: "jobs", PTransient: 1, MaxFaultsPerKey: 2,
-	})
-	ran := 0
-	jobs := WrapJobs(in, []runner.Job[int]{
-		{Name: "j0", Run: func() (int, error) { ran++; return 42, nil }},
-	})
-	// First two executions fail transiently, the third runs the real job.
-	for attempt := 0; attempt < 2; attempt++ {
-		_, err := runner.Run(context.Background(), 1, jobs)
-		if !errors.Is(err, runner.ErrTransient) {
-			t.Fatalf("attempt %d: err = %v, want transient", attempt, err)
-		}
-		var je *runner.JobError
-		if !errors.As(err, &je) || je.Name != "j0" {
-			t.Fatalf("attempt %d: err = %v, want JobError for j0", attempt, err)
-		}
-	}
-	res, err := runner.Run(context.Background(), 1, jobs)
-	if err != nil || res[0] != 42 {
-		t.Fatalf("post-budget run: res=%v err=%v", res, err)
-	}
-	if ran != 1 {
-		t.Fatalf("inner job ran %d times, want 1", ran)
-	}
-}
-
-func TestWrapJobsLatencySleepsInline(t *testing.T) {
-	in := mustInjector(t, Config{
-		Seed: "sleepy", PLatency: 1, Latency: 2 * time.Millisecond,
-	})
-	jobs := WrapJobs(in, []runner.Job[int]{
-		{Name: "j", Run: func() (int, error) { return 1, nil }},
-	})
-	start := time.Now()
-	res, err := runner.Run(context.Background(), 1, jobs)
-	if err != nil || res[0] != 1 {
-		t.Fatalf("res=%v err=%v", res, err)
-	}
-	if time.Since(start) <= 0 {
-		t.Fatal("no time elapsed")
 	}
 }
 

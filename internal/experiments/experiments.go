@@ -74,7 +74,7 @@ var QuickScale = Scale{
 	TimelineIntervals: 120,
 }
 
-// FullScale is the default for the experiment binary.
+// FullScale runs every experiment at the largest size.
 var FullScale = Scale{
 	Name:              "full",
 	TargetInsts:       6_000_000,
@@ -82,6 +82,17 @@ var FullScale = Scale{
 	MixesPerPoint:     4,
 	NValues:           []int{4, 8, 12, 16},
 	TimelineIntervals: 300,
+}
+
+// Scales returns the named scales mirageexp's -scale flag and miraged's
+// requests select from, keyed by Name. The map is a fresh copy the caller
+// may extend.
+func Scales() map[string]Scale {
+	return map[string]Scale{
+		TinyScale.Name:  TinyScale,
+		QuickScale.Name: QuickScale,
+		FullScale.Name:  FullScale,
+	}
 }
 
 // baseConfig is the core.Config every experiment run starts from. Its

@@ -4,9 +4,9 @@
 // a consistent-hash ring; slow owners get hedged to the next distinct
 // replica after a latency budget learned from the coordinator's own p99;
 // dead or draining workers leave the ring within one probe interval. The
-// coordinator derives keys with the same exported helpers the workers
-// validate with (internal/server), so routing, cache peering and the
-// workers' caches all agree on what "the same job" means.
+// coordinator parses every job request with the same server.ParseJob the
+// workers serve it with, so routing, cache peering and the workers' caches
+// all agree on what is a job and what "the same job" means.
 
 package fleet
 
@@ -28,18 +28,13 @@ import (
 	"repro/internal/telemetry"
 )
 
-// maxBodyBytes mirrors the worker-side request body bound: the coordinator
-// buffers at most this much (plus one byte, so oversized bodies still reach
-// a worker and fail there with the canonical 400).
-const maxBodyBytes = 1 << 20
-
 // Config parameterizes a Coordinator.
 type Config struct {
 	// Workers are the base URLs of the miraged workers (e.g.
 	// "http://127.0.0.1:8081"). At least one is required.
 	Workers []string
 	// Scales resolve sweep/figure scale names during key derivation; nil
-	// installs server.DefaultScales(). They must match the workers' —
+	// means server.DefaultScales. They must match the workers' —
 	// a coordinator and its workers disagreeing on scales shards
 	// equivalent requests to different owners.
 	Scales map[string]experiments.Scale
@@ -92,9 +87,6 @@ func New(cfg Config) (*Coordinator, error) {
 			return nil, fmt.Errorf("worker %q: URL must not end with /", w)
 		}
 	}
-	if cfg.Scales == nil {
-		cfg.Scales = server.DefaultScales()
-	}
 	if cfg.ProbeInterval <= 0 {
 		cfg.ProbeInterval = time.Second
 	}
@@ -127,9 +119,9 @@ func New(cfg Config) (*Coordinator, error) {
 	c.lat = c.reg.Histogram("fleet.proxy.latency_us")
 	c.prober = newProber(ring, c.client, cfg.ProbeInterval, cfg.Logger, c.reg)
 	c.mux = http.NewServeMux()
-	c.mux.HandleFunc("POST /v1/run", c.handleRun)
-	c.mux.HandleFunc("POST /v1/sweep", c.handleSweep)
-	c.mux.HandleFunc("GET /v1/figures/{id}", c.handleFigure)
+	for pattern, route := range server.JobRoutes {
+		c.mux.HandleFunc(pattern, c.handleJob(route))
+	}
 	c.mux.HandleFunc("GET /v1/healthz", c.handleHealthz)
 	c.mux.HandleFunc("GET /v1/metrics", c.handleMetrics)
 	c.mux.HandleFunc("/", c.handleFallback)
@@ -155,44 +147,23 @@ func (c *Coordinator) Telemetry() *telemetry.Telemetry { return c.tel }
 // ServeHTTP implements http.Handler.
 func (c *Coordinator) ServeHTTP(w http.ResponseWriter, r *http.Request) { c.mux.ServeHTTP(w, r) }
 
-// readBody buffers the request body up to the worker-side bound plus one
-// byte (so a too-large body still forwards and fails validation there).
-func readBody(r *http.Request) ([]byte, error) {
-	defer r.Body.Close()
-	return io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
-}
-
-func (c *Coordinator) handleRun(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
-	if err != nil {
-		c.writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return
+// handleJob routes one server.JobRoutes route by the key the workers'
+// own parse gives the request. A request no worker would accept gets no
+// key and routes unkeyed, so its owner-of-record worker answers with the
+// canonical error.
+func (c *Coordinator) handleJob(route string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		body, err := server.ReadBody(r)
+		if err != nil {
+			c.writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
+			return
+		}
+		key := ""
+		if j, err := server.ParseJob(route, r, body, c.cfg.Scales); err == nil {
+			key = j.Key
+		}
+		c.proxy(w, r, route, key, body)
 	}
-	var req server.RunRequest
-	key := ""
-	if json.Unmarshal(body, &req) == nil {
-		key, _ = server.CanonicalRunKey(&req)
-	}
-	c.proxy(w, r, "run", key, body)
-}
-
-func (c *Coordinator) handleSweep(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
-	if err != nil {
-		c.writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
-		return
-	}
-	var req server.SweepRequest
-	key := ""
-	if json.Unmarshal(body, &req) == nil {
-		key, _ = server.CanonicalSweepKey(&req, c.cfg.Scales)
-	}
-	c.proxy(w, r, "sweep", key, body)
-}
-
-func (c *Coordinator) handleFigure(w http.ResponseWriter, r *http.Request) {
-	key, _ := server.CanonicalFigureKey(r.PathValue("id"), r.URL.Query().Get("scale"), c.cfg.Scales)
-	c.proxy(w, r, "figure", key, nil)
 }
 
 // handleFallback proxies everything else — debug endpoints, unknown paths —
@@ -208,7 +179,7 @@ func (c *Coordinator) handleFallback(w http.ResponseWriter, r *http.Request) {
 	}
 	var body []byte
 	if r.Body != nil && r.Method != http.MethodGet && r.Method != http.MethodHead {
-		b, err := readBody(r)
+		b, err := server.ReadBody(r)
 		if err != nil {
 			c.writeError(w, http.StatusBadRequest, "reading request body: "+err.Error())
 			return

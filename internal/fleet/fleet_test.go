@@ -361,38 +361,66 @@ func (lw *lockedWriter) Write(p []byte) (int, error) {
 	return lw.w.Write(p)
 }
 
-// TestCoordinatorPassesThroughValidationErrors: a body whose key cannot be
-// derived still routes (deterministically, unhedged) and the worker's
-// response comes back verbatim.
+// TestCoordinatorPassesThroughValidationErrors: a request no worker would
+// accept gets no key — not even one for a valid job it resembles — and
+// still routes (deterministically, unhedged); the worker's response comes
+// back verbatim.
 func TestCoordinatorPassesThroughValidationErrors(t *testing.T) {
 	ws := []*fakeWorker{newFakeWorker(t, "w1"), newFakeWorker(t, "w2")}
+	const rejection = `{"error": "rejected by the worker"}`
 	reject := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
 		rw.Header().Set("Content-Type", "application/json")
 		rw.WriteHeader(http.StatusBadRequest)
-		fmt.Fprint(rw, `{"error": "unknown benchmark \"nope\""}`)
+		fmt.Fprint(rw, rejection)
 	})
 	for _, w := range ws {
 		w.handle.Store(&reject)
 	}
-	c := newTestFleet(t, ws, nil)
-	body := `{"mix": ["nope"]}`
-	rec := post(c, "/v1/run", body)
-	if rec.Code != http.StatusBadRequest {
-		t.Fatalf("status %d, want the worker's 400", rec.Code)
-	}
-	if !strings.Contains(rec.Body.String(), "unknown benchmark") {
-		t.Fatalf("worker error body not passed through: %s", rec.Body.Bytes())
-	}
-	// Deterministic: repeats land on the same worker.
-	first := ws[0].served.Load() + ws[1].served.Load()
-	if first != 1 {
-		t.Fatalf("validation-failure request hit %d workers, want exactly 1", first)
-	}
-	for i := 0; i < 5; i++ {
-		post(c, "/v1/run", body)
-	}
-	if ws[0].served.Load() != 0 && ws[1].served.Load() != 0 {
-		t.Fatal("unkeyed fallback routing is not deterministic")
+	var logBuf bytes.Buffer
+	logMu := &sync.Mutex{}
+	logger := slog.New(slog.NewJSONHandler(&lockedWriter{mu: logMu, w: &logBuf}, nil))
+	c := newTestFleet(t, ws, func(cfg *Config) { cfg.Logger = logger })
+	for _, tc := range []struct{ method, target, body string }{
+		{"POST", "/v1/run", `{"mix": ["nope"]}`},
+		{"POST", "/v1/run", `{"mix": ["hmmer"], "bogus": 1}`},
+		{"GET", "/v1/figures/table-2?timeout_ms=-1", ""},
+	} {
+		logMu.Lock()
+		logBuf.Reset()
+		logMu.Unlock()
+		before := ws[0].served.Load() + ws[1].served.Load()
+		shard := ""
+		for i := 0; i < 6; i++ {
+			rec := httptest.NewRecorder()
+			c.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)))
+			if rec.Code != http.StatusBadRequest || rec.Body.String() != rejection {
+				t.Fatalf("%s %s: status %d body %s, want the worker's 400 verbatim", tc.target, tc.body, rec.Code, rec.Body.Bytes())
+			}
+			// Deterministic: repeats land on the same worker.
+			if got := rec.Header().Get("X-Mirage-Shard"); i == 0 {
+				shard = got
+			} else if got != shard {
+				t.Fatalf("%s %s: unkeyed fallback routing moved from %s to %s", tc.target, tc.body, shard, got)
+			}
+		}
+		if got := ws[0].served.Load() + ws[1].served.Load() - before; got != 6 {
+			t.Fatalf("%s %s: 6 requests hit workers %d times, want exactly 6 (no hedges)", tc.target, tc.body, got)
+		}
+		logMu.Lock()
+		logged := logBuf.String()
+		logMu.Unlock()
+		for _, line := range strings.Split(strings.TrimSpace(logged), "\n") {
+			var entry map[string]any
+			if err := json.Unmarshal([]byte(line), &entry); err != nil {
+				t.Fatal(err)
+			}
+			if entry["msg"] != "proxy" {
+				continue
+			}
+			if key, ok := entry["key"]; ok {
+				t.Fatalf("%s %s: routed by key %v; a request no worker accepts must route unkeyed", tc.target, tc.body, key)
+			}
+		}
 	}
 }
 

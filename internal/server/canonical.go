@@ -1,9 +1,8 @@
-// Exported canonical job-key derivation. The fleet coordinator
-// (internal/fleet) shards requests across workers by the same canonical
-// keys the workers themselves cache and persist under, so the key
-// derivation — validation, defaults, format strings — is single-sourced
-// here and exported read-only. A coordinator that derived keys its own way
-// would silently break cache peering the first time the two drifted.
+// Canonical job keys. The fleet coordinator (internal/fleet) shards
+// requests across workers by the same canonical keys the workers cache and
+// persist under; both derive them through ParseJob, and the helpers here
+// are the key formats plus thin exports of that same parse for callers
+// that hold a decoded request rather than an HTTP one.
 
 package server
 
@@ -13,24 +12,20 @@ import (
 	"repro/internal/experiments"
 )
 
-// DefaultScales returns the scale registry a zero-config Server installs.
-// The fleet coordinator uses it to resolve sweep/figure scales exactly as a
-// default worker would; mutating the returned map affects only the copy.
-func DefaultScales() map[string]experiments.Scale {
-	return map[string]experiments.Scale{
-		"tiny":  experiments.TinyScale,
-		"quick": experiments.QuickScale,
-		"full":  experiments.FullScale,
-	}
-}
+// DefaultScales returns the scale registry a zero-config Server installs:
+// experiments.Scales. Mutating the returned map affects only the copy.
+func DefaultScales() map[string]experiments.Scale { return experiments.Scales() }
 
-// resolveScale is the pure scale lookup behind Server.scale and the
-// exported key helpers: apply the default name, reject unknown scales. It
-// does NOT stamp server-instance state (parallelism, telemetry) — that
-// stays in Server.scale, because neither is part of any job key.
-func resolveScale(name string, scales map[string]experiments.Scale) (experiments.Scale, *apiError) {
+// resolveScale is the pure scale lookup behind ParseJob: apply the default
+// name, reject unknown scales. scales nil means DefaultScales. It does NOT
+// stamp server-instance state (parallelism, telemetry): neither is part of
+// any job key.
+func resolveScale(name string, scales map[string]experiments.Scale) (experiments.Scale, error) {
 	if name == "" {
 		name = "quick"
+	}
+	if scales == nil {
+		scales = DefaultScales()
 	}
 	sc, ok := scales[name]
 	if !ok {
@@ -52,48 +47,20 @@ func figureKey(slug string, sc experiments.Scale) string {
 		slug, sc.Name, sc.TargetInsts, sc.IntervalCycles, sc.MixesPerPoint, sc.NValues)
 }
 
-// CanonicalRunKey validates req and returns its canonical job key — the
+// CanonicalRunKey validates req as ParseJob does and returns its key — the
 // exact key a worker serving the request would cache the response under.
-// The error, when non-nil, is a client-shaped validation failure; callers
-// routing on the key should fall back to deterministic-but-unkeyed routing
-// so the worker produces the canonical error body.
-func CanonicalRunKey(req *RunRequest) (string, error) {
-	key, _, aerr := canonicalRun(req)
-	if aerr != nil {
-		return "", aerr
-	}
-	return key, nil
-}
+// A non-nil error is the worker's validation failure for req.
+func CanonicalRunKey(req *RunRequest) (string, error) { return jobKey(parseRun(req)) }
 
-// CanonicalSweepKey validates req against scales (nil means
-// DefaultScales) and returns its canonical job key.
+// CanonicalSweepKey validates req against scales (nil means DefaultScales)
+// as ParseJob does and returns its key.
 func CanonicalSweepKey(req *SweepRequest, scales map[string]experiments.Scale) (string, error) {
-	if req.TimeoutMS < 0 {
-		return "", badRequest("timeout_ms must be >= 0")
-	}
-	if scales == nil {
-		scales = DefaultScales()
-	}
-	sc, aerr := resolveScale(req.Scale, scales)
-	if aerr != nil {
-		return "", aerr
-	}
-	return sweepKey(sc), nil
+	return jobKey(parseSweep(req, scales))
 }
 
-// CanonicalFigureKey validates a figure id and scale name against scales
-// (nil means DefaultScales) and returns the canonical job key.
-func CanonicalFigureKey(id, scaleName string, scales map[string]experiments.Scale) (string, error) {
-	exp, ok := experiments.ByName(id)
-	if !ok {
-		return "", fmt.Errorf("unknown experiment %q", id)
+func jobKey(j *Job, err error) (string, error) {
+	if err != nil {
+		return "", err
 	}
-	if scales == nil {
-		scales = DefaultScales()
-	}
-	sc, aerr := resolveScale(scaleName, scales)
-	if aerr != nil {
-		return "", aerr
-	}
-	return figureKey(exp.Slug, sc), nil
+	return j.Key, nil
 }

@@ -6,6 +6,7 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -62,44 +63,61 @@ func TestCanonicalRunKeyMatchesHandler(t *testing.T) {
 	}
 }
 
-// TestCanonicalSweepAndFigureKeys pins the sweep/figure helpers to the
-// internal derivations the handlers use.
+// TestCanonicalSweepAndFigureKeys pins ParseJob, and the exported key
+// helpers over it, to the keys the handler caches under on all three job
+// routes: every response must be readable from the peer-cache endpoint
+// under the key ParseJob gives the same request.
 func TestCanonicalSweepAndFigureKeys(t *testing.T) {
-	srv := newTestServer(t, nil)
-	scales := map[string]experiments.Scale{"quick": experiments.QuickScale, "tiny": tinyScale}
+	srv := newTestServer(t, func(c *Config) {
+		c.Backend = instantBackend
+	})
+	scales := srv.cfg.Scales
+	for _, tc := range []struct{ method, target, body string }{
+		{"POST", "/v1/run", `{"mix": ["hmmer", "mcf"], "seed": "keys", "timeout_ms": 5000}`},
+		{"POST", "/v1/sweep", `{"scale": "tiny"}`},
+		{"GET", "/v1/figures/figure-7?scale=tiny&timeout_ms=5000", ""},
+	} {
+		rec := httptest.NewRecorder()
+		srv.ServeHTTP(rec, httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)))
+		if rec.Code != 200 {
+			t.Fatalf("%s: status %d: %s", tc.target, rec.Code, rec.Body.Bytes())
+		}
+		j, routed, err := parseRequest(httptest.NewRequest(tc.method, tc.target, strings.NewReader(tc.body)), scales)
+		if !routed || err != nil {
+			t.Fatalf("%s: ParseJob routed=%v err=%v", tc.target, routed, err)
+		}
+		peer := get(t, srv, "/internal/peer/cache?key="+url.QueryEscape(j.Key))
+		if peer.Code != 200 || !bytes.Equal(peer.Body.Bytes(), rec.Body.Bytes()) {
+			t.Fatalf("%s: handler did not cache its reply under ParseJob's key %q (peer status %d)", tc.target, j.Key, peer.Code)
+		}
+		var helper string
+		switch j.Route {
+		case "run":
+			var req RunRequest
+			_ = json.Unmarshal([]byte(tc.body), &req)
+			helper, err = CanonicalRunKey(&req)
+		case "sweep":
+			var req SweepRequest
+			_ = json.Unmarshal([]byte(tc.body), &req)
+			helper, err = CanonicalSweepKey(&req, scales)
+		default:
+			continue
+		}
+		if err != nil || helper != j.Key {
+			t.Fatalf("%s: exported key helper = %q, %v; ParseJob = %q", tc.target, helper, err, j.Key)
+		}
+	}
 
-	j, sc, aerr := srv.validateSweep(&SweepRequest{Scale: "tiny"})
-	if aerr != nil {
-		t.Fatal(aerr)
-	}
-	got, err := CanonicalSweepKey(&SweepRequest{Scale: "tiny"}, scales)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != j.key {
-		t.Fatalf("CanonicalSweepKey = %q, handler uses %q", got, j.key)
-	}
 	if _, err := CanonicalSweepKey(&SweepRequest{Scale: "bogus"}, scales); err == nil {
 		t.Fatal("unknown scale: want error")
 	}
 	if _, err := CanonicalSweepKey(&SweepRequest{TimeoutMS: -1}, scales); err == nil {
 		t.Fatal("negative timeout: want error")
 	}
-
-	exp, ok := experiments.ByName("figure-7")
-	if !ok {
-		t.Fatal("figure-7 not registered")
-	}
-	want := figureKey(exp.Slug, sc)
-	got, err = CanonicalFigureKey("figure-7", "tiny", scales)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got != want {
-		t.Fatalf("CanonicalFigureKey = %q, handler uses %q", got, want)
-	}
-	if _, err := CanonicalFigureKey("no-such-figure", "tiny", scales); err == nil {
-		t.Fatal("unknown figure: want error")
+	for _, target := range []string{"/v1/figures/no-such-figure?scale=tiny", "/v1/figures/figure-7?timeout_ms=-1"} {
+		if _, routed, err := parseRequest(httptest.NewRequest("GET", target, nil), scales); !routed || err == nil {
+			t.Fatalf("%s: routed=%v err=%v, want a client error", target, routed, err)
+		}
 	}
 
 	// nil scales means the default registry New installs.
@@ -110,6 +128,24 @@ func TestCanonicalSweepAndFigureKeys(t *testing.T) {
 	if !strings.Contains(defKey, "scale=quick") {
 		t.Fatalf("default scale key = %q, want quick", defKey)
 	}
+}
+
+// parseRequest runs ParseJob on req the way the fleet coordinator reaches
+// it: routed by a mux built from JobRoutes. routed is false when no job
+// route matched and the mux answered on its own.
+func parseRequest(req *http.Request, scales map[string]experiments.Scale) (j *Job, routed bool, err error) {
+	mux := http.NewServeMux()
+	for pattern, route := range JobRoutes {
+		mux.HandleFunc(pattern, func(w http.ResponseWriter, r *http.Request) {
+			routed = true
+			var body []byte
+			if body, err = ReadBody(r); err == nil {
+				j, err = ParseJob(route, r, body, scales)
+			}
+		})
+	}
+	mux.ServeHTTP(httptest.NewRecorder(), req)
+	return j, routed, err
 }
 
 // TestPeerCacheEndpoint: the peering endpoint serves settled response bytes

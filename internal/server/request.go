@@ -1,16 +1,20 @@
-// Request decoding, validation and canonicalization. Every request is
+// Job parsing: the one path from a job request to a Job. Every request is
 // normalized into a canonical job key — defaults applied, mix order
 // preserved, timeout excluded — so equivalent requests deduplicate through
-// the singleflight cache and byte-identical responses come for free.
+// the singleflight cache and byte-identical responses come for free. The
+// worker serves, and the fleet coordinator routes, through the same
+// ParseJob (DESIGN.md §14).
 
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"time"
 
@@ -71,31 +75,82 @@ type RunRequest struct {
 
 // SweepRequest is the /v1/sweep body: the Figures 7/8/9b arbitrator sweep.
 type SweepRequest struct {
-	// Scale names a registered scale ("quick", "full").
+	// Scale names a registered scale (default "quick"; see DefaultScales).
 	Scale string `json:"scale,omitempty"`
 	// TimeoutMS bounds this request's wall time (not part of the job key).
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// job is a validated, canonicalized unit of work.
-type job struct {
-	// key is the canonical dedup key: every normalized field that changes
+// JobRoutes maps each job route's mux pattern to the route name ParseJob
+// takes. The worker and the fleet coordinator both register exactly these
+// routes, so neither can serve a job route the other does not know.
+var JobRoutes = map[string]string{
+	"POST /v1/run":         "run",
+	"POST /v1/sweep":       "sweep",
+	"GET /v1/figures/{id}": "figure",
+}
+
+// Job is one parsed job request: its canonical key, its timeout and what
+// to simulate. ParseJob stamps in no server state; the worker adds its
+// parallelism and telemetry before running it.
+type Job struct {
+	// Route is the JobRoutes name the request arrived on.
+	Route string
+	// Key is the canonical dedup key: every normalized field that changes
 	// the result, and nothing that doesn't (timeout, parallelism).
-	key     string
-	timeout time.Duration
+	Key string
+	// Timeout is the requested timeout_ms; zero asks for the server default.
+	Timeout time.Duration
+
+	// cfg is a run's cluster; scale and ids name a sweep's or a figure's
+	// reports.
+	cfg   core.Config
+	scale experiments.Scale
+	ids   []string
 }
 
-// runJob is a validated /v1/run request.
-type runJob struct {
-	job
-	cfg core.Config
+// ReadBody buffers a request body up to the body bound plus one byte, so
+// ParseJob still sees that an oversized body is too large.
+func ReadBody(r *http.Request) ([]byte, error) {
+	if r.Body == nil {
+		return nil, nil
+	}
+	return io.ReadAll(io.LimitReader(r.Body, maxBodyBytes+1))
 }
 
-// decodeJSON strictly decodes one JSON object from the request body:
-// unknown fields, trailing garbage and oversized bodies are all 400s.
-func decodeJSON(r *http.Request, dst any) *apiError {
-	body := http.MaxBytesReader(nil, r.Body, maxBodyBytes)
-	dec := json.NewDecoder(body)
+// ParseJob turns one job request into a Job: the strict decode of body
+// (run and sweep) or of r's path and query (figure), validation, defaults
+// and the canonical key. scales resolves scale names (nil means
+// DefaultScales). The worker serves a request exactly when ParseJob
+// accepts it, and the fleet coordinator shards by the Key it returns, so
+// the two cannot disagree on what is a job or which job it is. A non-nil
+// error is a client error carrying the worker's status and message.
+func ParseJob(route string, r *http.Request, body []byte, scales map[string]experiments.Scale) (*Job, error) {
+	switch route {
+	case "run":
+		var req RunRequest
+		if err := decodeJSON(body, &req); err != nil {
+			return nil, err
+		}
+		return parseRun(&req)
+	case "sweep":
+		var req SweepRequest
+		if err := decodeJSON(body, &req); err != nil {
+			return nil, err
+		}
+		return parseSweep(&req, scales)
+	case "figure":
+		q := r.URL.Query()
+		return parseFigure(r.PathValue("id"), q.Get("timeout_ms"), q.Get("scale"), scales)
+	}
+	return nil, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("unknown job route %q", route)}
+}
+
+// decodeJSON strictly decodes one JSON object from body: unknown fields,
+// trailing garbage and bodies past the bound are all 400s.
+func decodeJSON(body []byte, dst any) error {
+	rd := http.MaxBytesReader(nil, io.NopCloser(bytes.NewReader(body)), maxBodyBytes)
+	dec := json.NewDecoder(rd)
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		return badRequest("invalid request body: %v", err)
@@ -120,41 +175,17 @@ func validSeed(s string) bool {
 	return true
 }
 
-// validateRun normalizes a RunRequest into a runJob, stamping in the
-// server-wide telemetry (not part of the key).
-func (s *Server) validateRun(req *RunRequest) (*runJob, *apiError) {
-	key, cfg, aerr := canonicalRun(req)
-	if aerr != nil {
-		return nil, aerr
-	}
-	// A run's mix and its Homo-OoO reference go one after the other:
-	// admission (MaxInFlight) is the server's parallelism. Running the pair
-	// concurrently raised miragebench's run-cold maxrss 48 -> 54 MiB on a
-	// 2-vCPU VM and cut its p50 by only 5% (DESIGN.md §10).
-	cfg.Parallel = 1
-	cfg.Telemetry = s.simTel
-	return &runJob{
-		job: job{key: key, timeout: s.timeout(req.TimeoutMS)},
-		cfg: cfg,
-	}, nil
-}
-
-// canonicalRun is the pure canonicalization behind validateRun: it
-// validates req and derives the PR 4 job key plus the simulation config,
-// with no server-instance state folded in. The fleet coordinator calls it
-// (via CanonicalRunKey) so the exact same bytes-for-bytes key shards work
-// across workers.
-func canonicalRun(req *RunRequest) (string, core.Config, *apiError) {
-	var none core.Config
+// parseRun validates a /v1/run request and derives its key and cluster.
+func parseRun(req *RunRequest) (*Job, error) {
 	if len(req.Mix) == 0 {
-		return "", none, badRequest("mix must name at least one benchmark")
+		return nil, badRequest("mix must name at least one benchmark")
 	}
 	if len(req.Mix) > maxMixSize {
-		return "", none, badRequest("mix has %d entries; the limit is %d", len(req.Mix), maxMixSize)
+		return nil, badRequest("mix has %d entries; the limit is %d", len(req.Mix), maxMixSize)
 	}
 	for _, name := range req.Mix {
 		if program.ByName(name) == nil {
-			return "", none, badRequest("unknown benchmark %q", name)
+			return nil, badRequest("unknown benchmark %q", name)
 		}
 	}
 	topoName := req.Topology
@@ -163,7 +194,7 @@ func canonicalRun(req *RunRequest) (string, core.Config, *apiError) {
 	}
 	topo, err := core.ParseTopology(topoName)
 	if err != nil {
-		return "", none, badRequest("%v", err)
+		return nil, badRequest("%v", err)
 	}
 	policy := core.Policy(req.Policy)
 	hasOoO := topo == core.TopologyMirage || topo == core.TopologyTraditional
@@ -172,31 +203,31 @@ func canonicalRun(req *RunRequest) (string, core.Config, *apiError) {
 			policy = core.PolicySCMPKI
 		}
 		if _, err := core.NewArbiter(policy); err != nil {
-			return "", none, badRequest("unknown policy %q", req.Policy)
+			return nil, badRequest("unknown policy %q", req.Policy)
 		}
 	} else if policy != "" {
-		return "", none, badRequest("policy %q does not apply to topology %q (no arbitrated OoO)", req.Policy, topo)
+		return nil, badRequest("policy %q does not apply to topology %q (no arbitrated OoO)", req.Policy, topo)
 	}
 	switch {
 	case req.NumOoO < 0 || req.NumOoO > maxNumOoO:
-		return "", none, badRequest("num_ooo %d out of range [0, %d]", req.NumOoO, maxNumOoO)
+		return nil, badRequest("num_ooo %d out of range [0, %d]", req.NumOoO, maxNumOoO)
 	case req.NumOoO > 1 && topo != core.TopologyTraditional:
-		return "", none, badRequest("num_ooo applies to the traditional topology only")
+		return nil, badRequest("num_ooo applies to the traditional topology only")
 	case req.TargetInsts < 0 || req.TargetInsts > maxTargetInsts:
-		return "", none, badRequest("target_insts %d out of range [0, %d]", req.TargetInsts, maxTargetInsts)
+		return nil, badRequest("target_insts %d out of range [0, %d]", req.TargetInsts, maxTargetInsts)
 	case req.IntervalCycles < 0 || req.IntervalCycles > maxInterval:
-		return "", none, badRequest("interval_cycles %d out of range [0, %d]", req.IntervalCycles, maxInterval)
+		return nil, badRequest("interval_cycles %d out of range [0, %d]", req.IntervalCycles, maxInterval)
 	case req.SCCapacityBytes < 0 || req.SCCapacityBytes > maxSCCapacity:
-		return "", none, badRequest("sc_capacity_bytes %d out of range [0, %d]", req.SCCapacityBytes, maxSCCapacity)
+		return nil, badRequest("sc_capacity_bytes %d out of range [0, %d]", req.SCCapacityBytes, maxSCCapacity)
 	case req.TimeoutMS < 0:
-		return "", none, badRequest("timeout_ms must be >= 0")
+		return nil, badRequest("timeout_ms must be >= 0")
 	}
 	seed := req.Seed
 	if seed == "" {
 		seed = "miraged"
 	}
 	if !validSeed(seed) {
-		return "", none, badRequest("seed must be at most %d printable ASCII characters without '|'", maxSeedLen)
+		return nil, badRequest("seed must be at most %d printable ASCII characters without '|'", maxSeedLen)
 	}
 	numOoO := req.NumOoO
 	if topo == core.TopologyTraditional && numOoO == 0 {
@@ -217,25 +248,49 @@ func canonicalRun(req *RunRequest) (string, core.Config, *apiError) {
 	key := fmt.Sprintf("run|topo=%s|policy=%s|ooo=%d|insts=%d|interval=%d|sc=%d|seed=%s|mix=%s",
 		topo, cfg.Policy, numOoO, req.TargetInsts, req.IntervalCycles, req.SCCapacityBytes,
 		seed, strings.Join(req.Mix, ","))
-	return key, cfg, nil
+	return &Job{Route: "run", Key: key, Timeout: ms(req.TimeoutMS), cfg: cfg}, nil
 }
 
-// validateSweep normalizes a SweepRequest into a job plus its resolved scale.
-func (s *Server) validateSweep(req *SweepRequest) (*job, experiments.Scale, *apiError) {
+// parseSweep validates a /v1/sweep request and resolves its scale.
+func parseSweep(req *SweepRequest, scales map[string]experiments.Scale) (*Job, error) {
 	if req.TimeoutMS < 0 {
-		return nil, experiments.Scale{}, badRequest("timeout_ms must be >= 0")
+		return nil, badRequest("timeout_ms must be >= 0")
 	}
-	sc, aerr := s.scale(req.Scale)
-	if aerr != nil {
-		return nil, experiments.Scale{}, aerr
+	sc, err := resolveScale(req.Scale, scales)
+	if err != nil {
+		return nil, err
 	}
-	return &job{key: sweepKey(sc), timeout: s.timeout(req.TimeoutMS)}, sc, nil
+	return &Job{Route: "sweep", Key: sweepKey(sc), Timeout: ms(req.TimeoutMS), scale: sc, ids: experiments.SweepIDs}, nil
 }
 
-// timeout lowers a request's timeout_ms to the effective deadline, applying
-// the server default and ceiling.
-func (s *Server) timeout(ms int64) time.Duration {
-	d := time.Duration(ms) * time.Millisecond
+// parseFigure validates a /v1/figures/{id} request: the experiment id, the
+// timeout_ms and scale query parameters.
+func parseFigure(id, timeoutMS, scale string, scales map[string]experiments.Scale) (*Job, error) {
+	exp, ok := experiments.ByName(id)
+	if !ok {
+		return nil, &apiError{status: http.StatusNotFound, msg: fmt.Sprintf("unknown experiment %q", id)}
+	}
+	var n int64
+	if timeoutMS != "" {
+		v, err := strconv.ParseInt(timeoutMS, 10, 64)
+		if err != nil || v < 0 {
+			return nil, badRequest("invalid timeout_ms %q", timeoutMS)
+		}
+		n = v
+	}
+	sc, err := resolveScale(scale, scales)
+	if err != nil {
+		return nil, err
+	}
+	return &Job{Route: "figure", Key: figureKey(exp.Slug, sc), Timeout: ms(n), scale: sc, ids: []string{exp.ID}}, nil
+}
+
+// ms converts a request's timeout_ms to a duration.
+func ms(n int64) time.Duration { return time.Duration(n) * time.Millisecond }
+
+// timeout lowers a job's requested timeout to the effective deadline,
+// applying the server default and ceiling.
+func (s *Server) timeout(d time.Duration) time.Duration {
 	if d <= 0 {
 		d = s.cfg.DefaultTimeout
 	}

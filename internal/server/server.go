@@ -62,7 +62,7 @@ type Config struct {
 	// only latency changes.
 	Parallel int
 	// Scales are the named experiment scales requests may select; nil
-	// installs {"quick", "full"}.
+	// means DefaultScales.
 	Scales map[string]experiments.Scale
 	// Telemetry instruments the server; nil allocates a fresh one. Every
 	// simulation it launches counts into its Registry only, never its
@@ -185,9 +185,6 @@ func New(cfg Config) *Server {
 	if cfg.MaxTimeout <= 0 {
 		cfg.MaxTimeout = 10 * time.Minute
 	}
-	if cfg.Scales == nil {
-		cfg.Scales = DefaultScales()
-	}
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.New()
 	}
@@ -231,9 +228,9 @@ func New(cfg Config) *Server {
 		s.cache.Backing = &storeAdapter{st: cfg.Store, reg: s.reg, logger: cfg.Logger}
 	}
 	s.mux = http.NewServeMux()
-	s.mux.HandleFunc("POST /v1/run", s.instrument("run", s.track(s.handleRun)))
-	s.mux.HandleFunc("POST /v1/sweep", s.instrument("sweep", s.track(s.handleSweep)))
-	s.mux.HandleFunc("GET /v1/figures/{id}", s.instrument("figure", s.track(s.handleFigure)))
+	for pattern, route := range JobRoutes {
+		s.mux.HandleFunc(pattern, s.instrument(route, s.track(s.handleJob(route))))
+	}
 	s.mux.HandleFunc("GET /v1/healthz", s.instrument("healthz", s.handleHealthz))
 	s.mux.HandleFunc("GET /v1/metrics", s.instrument("metrics", s.handleMetrics))
 	s.mux.HandleFunc("GET /internal/peer/cache", s.instrument("peercache", s.handlePeerCache))
@@ -495,134 +492,59 @@ func (s *Server) execute(ctx context.Context, key string, fn func(context.Contex
 	return v.body, out, err
 }
 
-// scale resolves a request's scale name against the registered scales and
-// stamps in the server-wide parallelism and telemetry (neither is part of
-// any job key: results are bit-identical at any parallelism).
-func (s *Server) scale(name string) (experiments.Scale, *apiError) {
-	sc, aerr := resolveScale(name, s.cfg.Scales)
-	if aerr != nil {
-		return experiments.Scale{}, aerr
-	}
-	sc.Parallel = s.cfg.Parallel
-	sc.Telemetry = s.simTel
-	return sc, nil
-}
-
 // --- endpoint handlers ---
 
-func (s *Server) handleRun(w http.ResponseWriter, r *http.Request) {
-	var req RunRequest
-	if aerr := decodeJSON(r, &req); aerr != nil {
-		s.invalid(w, aerr)
-		return
-	}
-	rj, aerr := s.validateRun(&req)
-	if aerr != nil {
-		s.invalid(w, aerr)
-		return
-	}
-	traceFrom(r.Context()).setDeadline(rj.timeout)
-	ctx, cancel := s.requestContext(r, rj.timeout)
-	defer cancel()
-	body, out, err := s.execute(ctx, rj.key, func(fctx context.Context) ([]byte, error) {
-		var mr *core.MixResult
-		if err := withSpan(fctx, "simulate", func() (err error) {
-			mr, err = s.backend.Run(fctx, rj.cfg)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		var body []byte
-		err := withSpan(fctx, "encode", func() (err error) {
-			body, err = encodeRunResponse(rj, mr)
-			return err
-		})
-		return body, err
-	})
-	s.finish(w, ctx, body, out, err)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req SweepRequest
-	if aerr := decodeJSON(r, &req); aerr != nil {
-		s.invalid(w, aerr)
-		return
-	}
-	j, sc, aerr := s.validateSweep(&req)
-	if aerr != nil {
-		s.invalid(w, aerr)
-		return
-	}
-	traceFrom(r.Context()).setDeadline(j.timeout)
-	ctx, cancel := s.requestContext(r, j.timeout)
-	defer cancel()
-	body, out, err := s.execute(ctx, j.key, func(fctx context.Context) ([]byte, error) {
-		var reports []*experiments.Report
-		if err := withSpan(fctx, "simulate", func() (err error) {
-			reports, err = s.backend.Reports(fctx, sc, experiments.SweepIDs)
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		var buf bytes.Buffer
-		if err := withSpan(fctx, "encode", func() error {
-			return experiments.WriteReportsJSON(&buf, reports)
-		}); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
-	s.finish(w, ctx, body, out, err)
-}
-
-func (s *Server) handleFigure(w http.ResponseWriter, r *http.Request) {
-	exp, ok := experiments.ByName(r.PathValue("id"))
-	if !ok {
-		s.writeError(w, http.StatusNotFound,
-			fmt.Sprintf("unknown experiment %q", r.PathValue("id")), nil, 0,
-			"server.requests.invalid")
-		return
-	}
-	q := r.URL.Query()
-	var timeoutMS int64
-	if v := q.Get("timeout_ms"); v != "" {
-		ms, err := strconv.ParseInt(v, 10, 64)
-		if err != nil || ms < 0 {
-			s.invalid(w, badRequest("invalid timeout_ms %q", v))
+// handleJob serves one JobRoutes route: parse, then the job's deadline,
+// then the job through the cache and admission (execute) onto the wire
+// (finish).
+func (s *Server) handleJob(route string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		raw, err := ReadBody(r)
+		if err != nil {
+			s.invalid(w, badRequest("invalid request body: %v", err))
 			return
 		}
-		timeoutMS = ms
+		j, err := ParseJob(route, r, raw, s.cfg.Scales)
+		if err != nil {
+			s.invalid(w, err.(*apiError)) // ParseJob fails only with client errors
+			return
+		}
+		// Server state no job key holds. A run's mix and its Homo-OoO
+		// reference go one after the other: admission (MaxInFlight) is the
+		// server's parallelism. Running the pair concurrently raised
+		// miragebench's run-cold maxrss 48 -> 54 MiB on a 2-vCPU VM and cut
+		// its p50 by only 5% (DESIGN.md §10). A sweep or figure fans out on
+		// the configured budget.
+		j.cfg.Parallel = 1
+		j.cfg.Telemetry = s.simTel
+		j.scale.Parallel = s.cfg.Parallel
+		j.scale.Telemetry = s.simTel
+		timeout := s.timeout(j.Timeout)
+		traceFrom(r.Context()).setDeadline(timeout)
+		ctx, cancel := s.requestContext(r, timeout)
+		defer cancel()
+		body, out, err := s.execute(ctx, j.Key, func(fctx context.Context) ([]byte, error) {
+			var mr *core.MixResult
+			var reports []*experiments.Report
+			if err := withSpan(fctx, "simulate", func() (err error) {
+				if j.Route == "run" {
+					mr, err = s.backend.Run(fctx, j.cfg)
+				} else {
+					reports, err = s.backend.Reports(fctx, j.scale, j.ids)
+				}
+				return err
+			}); err != nil {
+				return nil, err
+			}
+			var body []byte
+			err := withSpan(fctx, "encode", func() (err error) {
+				body, err = encodeJob(j, mr, reports)
+				return err
+			})
+			return body, err
+		})
+		s.finish(w, ctx, body, out, err)
 	}
-	sc, aerr := s.scale(q.Get("scale"))
-	if aerr != nil {
-		s.invalid(w, aerr)
-		return
-	}
-	key := figureKey(exp.Slug, sc)
-	timeout := s.timeout(timeoutMS)
-	traceFrom(r.Context()).setDeadline(timeout)
-	ctx, cancel := s.requestContext(r, timeout)
-	defer cancel()
-	body, out, err := s.execute(ctx, key, func(fctx context.Context) ([]byte, error) {
-		var reports []*experiments.Report
-		if err := withSpan(fctx, "simulate", func() (err error) {
-			reports, err = s.backend.Reports(fctx, sc, []string{exp.ID})
-			return err
-		}); err != nil {
-			return nil, err
-		}
-		if len(reports) != 1 {
-			return nil, fmt.Errorf("experiment %s yielded %d reports", exp.ID, len(reports))
-		}
-		var buf bytes.Buffer
-		if err := withSpan(fctx, "encode", func() error {
-			return reports[0].WriteJSON(&buf)
-		}); err != nil {
-			return nil, err
-		}
-		return buf.Bytes(), nil
-	})
-	s.finish(w, ctx, body, out, err)
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -840,10 +762,32 @@ func canceledDetail(err error) *errorDetail {
 	return nil
 }
 
-// encodeRunResponse renders a /v1/run result. Fields derive only from the
+// encodeJob renders a job's result: a /v1/run response, the sweep's report
+// array, or the figure's single report. Fields derive only from the
 // deterministic simulation outcome, so bodies are byte-identical across
 // processes and parallelism settings.
-func encodeRunResponse(rj *runJob, mr *core.MixResult) ([]byte, error) {
+func encodeJob(j *Job, mr *core.MixResult, reports []*experiments.Report) ([]byte, error) {
+	if j.Route == "run" {
+		return encodeRunResponse(j, mr)
+	}
+	var buf bytes.Buffer
+	var err error
+	switch {
+	case j.Route == "sweep":
+		err = experiments.WriteReportsJSON(&buf, reports)
+	case len(reports) != 1:
+		err = fmt.Errorf("experiment %s yielded %d reports", j.ids[0], len(reports))
+	default:
+		err = reports[0].WriteJSON(&buf)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// encodeRunResponse renders a /v1/run result.
+func encodeRunResponse(j *Job, mr *core.MixResult) ([]byte, error) {
 	type runApp struct {
 		Name         string  `json:"name"`
 		IPC          float64 `json:"ipc"`
@@ -863,10 +807,10 @@ func encodeRunResponse(rj *runJob, mr *core.MixResult) ([]byte, error) {
 		Apps          []runApp `json:"apps"`
 	}
 	resp := runResponse{
-		Key:           rj.key,
+		Key:           j.Key,
 		Topology:      mr.Config.Topology.String(),
 		Policy:        string(mr.Config.Policy),
-		Mix:           rj.cfg.Benchmarks,
+		Mix:           j.cfg.Benchmarks,
 		STP:           mr.STP,
 		EnergyPJ:      mr.EnergyPJ,
 		AreaMM2:       mr.AreaMM2,

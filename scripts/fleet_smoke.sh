@@ -2,7 +2,8 @@
 # Fleet smoke: boot a coordinator over three real miraged workers (each with
 # its own persistent store) plus one standalone reference node, then assert
 # the fleet contract from the outside —
-#   * every sharded response is byte-identical to the single node's,
+#   * every sharded response is byte-identical to the single node's, and so
+#     are a figure and the 400 for a run body with an unknown field,
 #   * killing a worker mid-run costs no request: the coordinator fails over
 #     on the transport error and the prober logs a "ring re-shard",
 #   * the restarted worker re-enters the ring warm: it serves the keys it
@@ -125,6 +126,27 @@ done
   exit 1
 }
 echo "   ${#SEEDS[@]} seeds byte-identical; $KILLED_URL owns $KILLED_SEED"
+
+# The coordinator parses job requests as the workers do: a figure routes
+# like any job, and a body no worker accepts routes unkeyed to a worker
+# whose canonical 400 comes back untouched.
+echo "== a figure and a rejected run pass through byte-identical"
+curl -sf -o "$WORKDIR/ref-figure.json" "http://$REF/v1/figures/table-2?scale=tiny"
+curl -sf -o "$WORKDIR/fleet-figure.json" "http://$COORD/v1/figures/table-2?scale=tiny"
+cmp -s "$WORKDIR/ref-figure.json" "$WORKDIR/fleet-figure.json" || {
+  echo "figure table-2: fleet bytes diverge from single node" >&2; exit 1
+}
+BAD_BODY='{"mix": ["bzip2"], "bogus": 1}'
+for node in ref fleet; do
+  addr="$REF"
+  [ "$node" = fleet ] && addr="$COORD"
+  CODE="$(curl -s -o "$WORKDIR/$node-bad.json" -w '%{http_code}' \
+    -H 'Content-Type: application/json' -d "$BAD_BODY" "http://$addr/v1/run")"
+  [ "$CODE" = "400" ] || { echo "$node: unknown-field run got status $CODE, want 400" >&2; exit 1; }
+done
+cmp -s "$WORKDIR/ref-bad.json" "$WORKDIR/fleet-bad.json" || {
+  echo "unknown-field run: fleet 400 body diverges from single node" >&2; exit 1
+}
 
 # The store write-through is asynchronous with respect to the response;
 # make sure the worker persisted its keys before the kill, or the warm
