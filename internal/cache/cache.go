@@ -83,9 +83,6 @@ func (c *Cache) set(i int) []line { return c.lines[i*c.cfg.Assoc : (i+1)*c.cfg.A
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// Stats returns a copy of the current counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
 // PublishTelemetry adds this cache's counters to the registry's counters
 // under prefix (e.g. "core0.mem.l1d"). Call it once, after the run's last
 // access and on the goroutine that made them, so a concurrent registry

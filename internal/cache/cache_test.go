@@ -21,7 +21,7 @@ func TestMissThenHit(t *testing.T) {
 	if !c.Access(0x1030) {
 		t.Error("same-line access should hit")
 	}
-	s := c.Stats()
+	s := c.stats
 	if s.Accesses != 3 || s.Misses != 1 {
 		t.Errorf("stats %+v, want 3 accesses 1 miss", s)
 	}
@@ -49,10 +49,10 @@ func TestLRUEviction(t *testing.T) {
 func TestProbeDoesNotDisturb(t *testing.T) {
 	c := smallCache()
 	c.Access(0)
-	before := c.Stats()
+	before := c.stats
 	c.Probe(0)
 	c.Probe(4096)
-	if c.Stats() != before {
+	if c.stats != before {
 		t.Error("Probe changed statistics")
 	}
 }
@@ -96,13 +96,13 @@ func TestPrefetchMarksLines(t *testing.T) {
 	if !c.Access(0x2000) {
 		t.Error("access to prefetched line should hit")
 	}
-	s := c.Stats()
+	s := c.stats
 	if s.Prefetches != 1 || s.PrefetchHits != 1 {
 		t.Errorf("prefetch stats %+v", s)
 	}
 	// Prefetching a resident line is a no-op.
 	c.Prefetch(0x2000)
-	if c.Stats().Prefetches != 1 {
+	if c.stats.Prefetches != 1 {
 		t.Error("duplicate prefetch counted")
 	}
 }
@@ -155,7 +155,7 @@ func TestStridePrefetcherIgnoresRandom(t *testing.T) {
 	for _, a := range addrs {
 		p.Observe(5, a)
 	}
-	if n := target.Stats().Prefetches; n > 2 {
+	if n := target.stats.Prefetches; n > 2 {
 		t.Errorf("random stream triggered %d prefetches", n)
 	}
 }
@@ -167,9 +167,9 @@ func TestStridePrefetcherReset(t *testing.T) {
 		p.Observe(1, uint64(i*64))
 	}
 	p.Reset()
-	before := target.Stats().Prefetches
+	before := target.stats.Prefetches
 	p.Observe(1, 0x8000) // first observation after reset: no stride known
-	if target.Stats().Prefetches != before {
+	if target.stats.Prefetches != before {
 		t.Error("reset prefetcher still prefetching")
 	}
 }

@@ -239,7 +239,6 @@ type app struct {
 	// but must not distort per-app comparisons.
 	done          *appSnapshot
 	timeline      []IntervalStat
-	lastDeltaMPKI float64
 	lastSCMPKIInO float64
 }
 
@@ -413,7 +412,7 @@ func (c *Cluster) allDone() bool {
 
 // runInterval advances every application by one interval.
 func (c *Cluster) runInterval(interval int, res *Result) {
-	for i, a := range c.apps {
+	for _, a := range c.apps {
 		onOoO := c.cfg.AllOoO || (a.onOoO && c.cfg.HasOoO)
 		budget := c.cfg.IntervalCycles - a.penalty
 		a.penalty = 0
@@ -437,7 +436,6 @@ func (c *Cluster) runInterval(interval int, res *Result) {
 			a.completedAt = a.cycles
 			a.snapshotDone()
 		}
-		_ = i
 	}
 }
 
@@ -569,14 +567,14 @@ func (c *Cluster) runApp(a *app, onOoO bool, budget int64) IntervalStat {
 		den = 0.05
 	}
 	st.DeltaSCMPKI = (st.SCMPKI - den) / den
-	a.lastDeltaMPKI = st.DeltaSCMPKI
 	return st
 }
 
-// lookupSC consults the app's SC for a trace (hit statistics are kept by
-// the caller in batch form; this checks contents only).
+// lookupSC consults the app's SC for a trace, once per trace execution
+// (the SC's hit/miss totals count these lookups; the SC-MPKI the
+// arbitrator reads is kept by the caller in batch form).
 func (a *app) lookupSC(t *trace.Trace) (*trace.Schedule, bool) {
-	if s, ok := a.sc.Lookup(t.ID, 0); ok && s.Replayable() {
+	if s, ok := a.sc.Lookup(t.ID); ok && s.Replayable() {
 		return s, true
 	}
 	return nil, false

@@ -52,9 +52,9 @@ type appTel struct {
 	prevSquashed int64
 }
 
-// attachTelemetry resolves every instrument and hooks the component layers
-// (cores, Schedule Caches) into the registry. Memory hierarchies publish
-// their counters once, in finalizeTelemetry.
+// attachTelemetry resolves the cluster's own instruments. The component
+// layers (cores, Schedule Caches, memory hierarchies) count in plain fields
+// and publish their run totals once, in finalizeTelemetry.
 func (c *Cluster) attachTelemetry() {
 	tel := c.cfg.Telemetry
 	if !tel.Enabled() {
@@ -88,16 +88,8 @@ func (c *Cluster) attachTelemetry() {
 		at.memoizedInsts = reg.Counter(prefix + ".memoized_insts")
 		at.squashedIters = reg.Counter(prefix + ".squashed_iters")
 		at.oooIntervals = reg.Counter(prefix + ".ooo_intervals")
-		a.inoC.AttachTelemetry(reg, prefix+".ino")
-		a.oooC.AttachTelemetry(reg, prefix+".ooo")
-		if a.sc != nil {
-			a.sc.AttachTelemetry(reg, prefix+".sc")
-		}
 		ct.grantedAt[i] = -1
 		sink.NameThread(i, fmt.Sprintf("core%d:%s", i, a.bench.Name))
-	}
-	if c.producerSC != nil {
-		c.producerSC.AttachTelemetry(reg, "producer.sc")
 	}
 	if c.cfg.HasOoO && !c.cfg.AllOoO {
 		sink.NameThread(ct.oooTid, "OoO producer")
@@ -245,7 +237,7 @@ func (ct *clusterTel) onMigrationCost(drain, scXfer int64) {
 }
 
 // finalizeTelemetry closes still-open tenures and publishes end-of-run
-// result gauges and the memory hierarchies' counters.
+// result gauges and the component layers' run-total counters.
 func (c *Cluster) finalizeTelemetry(res *Result) {
 	ct := c.tel
 	if ct == nil {
@@ -264,6 +256,15 @@ func (c *Cluster) finalizeTelemetry(res *Result) {
 		reg.Gauge(fmt.Sprintf("core%d.ipc", i)).Set(ar.IPC)
 	}
 	for i, a := range c.apps {
-		a.mem.PublishTelemetry(reg, fmt.Sprintf("core%d.mem", i))
+		prefix := fmt.Sprintf("core%d", i)
+		a.inoC.PublishTelemetry(reg, prefix+".ino")
+		a.oooC.PublishTelemetry(reg, prefix+".ooo")
+		if a.sc != nil {
+			a.sc.PublishTelemetry(reg, prefix+".sc")
+		}
+		a.mem.PublishTelemetry(reg, prefix+".mem")
+	}
+	if c.producerSC != nil {
+		c.producerSC.PublishTelemetry(reg, "producer.sc")
 	}
 }

@@ -16,13 +16,7 @@ import (
 // spikes in their immediate locus, which is exactly the signal the SC-MPKI
 // arbitrator keys on.
 func Figure5(ctx context.Context, s Scale) (*Report, error) {
-	cfg := s.baseConfig("fig5")
-	cfg.Topology = core.TopologyMirage
-	cfg.Policy = core.PolicySCMPKI
-	cfg.Benchmarks = []string{"bzip2", "namd", "gamess"}
-	cfg.TargetInsts = s.TargetInsts * 4 // long enough to cross several phases
-	cfg.IntervalCycles = s.IntervalCycles / 2
-	mr, err := core.RunMix(ctx, cfg)
+	mr, err := figure5Run(ctx, s)
 	if err != nil {
 		return nil, err
 	}
@@ -45,13 +39,7 @@ func Figure5(ctx context.Context, s Scale) (*Report, error) {
 // right after a large ΔSC-MPKI spike are more likely to be scheduled on the
 // OoO than average intervals.
 func Figure5Correlation(ctx context.Context, s Scale) (spikeMigrations, baseMigrations float64, err error) {
-	cfg := s.baseConfig("fig5")
-	cfg.Topology = core.TopologyMirage
-	cfg.Policy = core.PolicySCMPKI
-	cfg.Benchmarks = []string{"bzip2", "namd", "gamess"}
-	cfg.TargetInsts = s.TargetInsts * 4
-	cfg.IntervalCycles = s.IntervalCycles / 2
-	mr, err := core.RunMix(ctx, cfg)
+	mr, err := figure5Run(ctx, s)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -77,6 +65,19 @@ func Figure5Correlation(ctx context.Context, s Scale) (spikeMigrations, baseMigr
 		return 0, 0, fmt.Errorf("figure5: no spikes observed (spikeN=%v baseN=%v)", spikeN, baseN)
 	}
 	return spikeHit / spikeN, baseHit / baseN, nil
+}
+
+// figure5Run is the run Figure 5 and Figure5Correlation both read: the
+// bzip2/namd/gamess mix on Mirage under SC-MPKI, long enough to cross
+// several of bzip2's phases.
+func figure5Run(ctx context.Context, s Scale) (*core.MixResult, error) {
+	cfg := s.baseConfig("fig5")
+	cfg.Topology = core.TopologyMirage
+	cfg.Policy = core.PolicySCMPKI
+	cfg.Benchmarks = []string{"bzip2", "namd", "gamess"}
+	cfg.TargetInsts = s.TargetInsts * 4
+	cfg.IntervalCycles = s.IntervalCycles / 2
+	return core.RunMix(ctx, cfg)
 }
 
 func onOoO(b bool) string {

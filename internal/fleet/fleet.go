@@ -281,7 +281,13 @@ func retryable(res attemptResult) bool {
 // deterministically by method+path+body hash with failover but no hedging,
 // so the owner-of-record worker produces the canonical response (typically
 // a validation error body).
+//
+// The request ID follows the workers' rule (server.RequestID), applied once
+// here: every attempt carries it, the reply echoes it and the proxy log line
+// records it, so coordinator and worker log lines join on it.
 func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, route, key string, body []byte) {
+	id := server.RequestID(r)
+	w.Header().Set("X-Request-ID", id)
 	c.reg.Counter("fleet.requests").Inc()
 	c.reg.Counter("fleet.requests." + route).Inc()
 	hedge := key != ""
@@ -297,7 +303,7 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, route, key s
 		return
 	}
 	start := time.Now()
-	res, hedged := c.race(r, replicas, key, body, hedge)
+	res, hedged := c.race(r, id, replicas, body, hedge)
 	dur := time.Since(start)
 	if res.resp == nil {
 		// The client going away (or its deadline firing) is not a worker
@@ -306,24 +312,25 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, route, key s
 		// polluting the unreachable counter the fleet alerts on.
 		if r.Context().Err() != nil {
 			c.reg.Counter("fleet.requests.client_cancelled").Inc()
-			c.logProxy(r, route, key, res.worker, res.attempt, hedged, server.StatusClientClosedRequest, dur)
+			c.logProxy(r, id, route, key, res.worker, res.attempt, hedged, server.StatusClientClosedRequest, dur)
 			return
 		}
 		// Every replica failed at the transport layer.
 		c.reg.Counter("fleet.requests.unreachable").Inc()
 		c.writeError(w, http.StatusBadGateway, "all workers unreachable: "+res.err.Error())
-		c.logProxy(r, route, key, res.worker, res.attempt, hedged, http.StatusBadGateway, dur)
+		c.logProxy(r, id, route, key, res.worker, res.attempt, hedged, http.StatusBadGateway, dur)
 		return
 	}
 	c.lat.Observe(dur.Microseconds())
 	copyHeaders(w.Header(), res.resp.header)
+	w.Header().Set("X-Request-ID", id) // replaces the worker's echo of it
 	w.Header().Set("X-Mirage-Shard", res.worker)
 	if res.attempt > 0 {
 		w.Header().Set("X-Mirage-Hedged", strconv.Itoa(res.attempt))
 	}
 	w.WriteHeader(res.resp.status)
 	_, _ = w.Write(res.resp.body)
-	c.logProxy(r, route, key, res.worker, res.attempt, hedged, res.resp.status, dur)
+	c.logProxy(r, id, route, key, res.worker, res.attempt, hedged, res.resp.status, dur)
 }
 
 // race runs the hedged attempt loop: attempt 0 goes to the owner; each
@@ -333,13 +340,13 @@ func (c *Coordinator) proxy(w http.ResponseWriter, r *http.Request, route, key s
 // When all replicas fail, the last worker-shaped failure (502/503) is
 // returned so the client sees the worker's own body; with only transport
 // errors, resp is nil.
-func (c *Coordinator) race(r *http.Request, replicas []string, key string, body []byte, hedge bool) (res attemptResult, hedges int) {
+func (c *Coordinator) race(r *http.Request, id string, replicas []string, body []byte, hedge bool) (res attemptResult, hedges int) {
 	ctx, cancelAll := context.WithCancel(r.Context())
 	defer cancelAll()
 	results := make(chan attemptResult, len(replicas))
 	launch := func(i int) {
 		go func() {
-			resp, err := c.attempt(ctx, r, replicas[i], replicas[0], i, body)
+			resp, err := c.attempt(ctx, r, id, replicas[i], replicas[0], i, body)
 			results <- attemptResult{worker: replicas[i], attempt: i, resp: resp, err: err}
 		}()
 	}
@@ -402,15 +409,16 @@ func (c *Coordinator) race(r *http.Request, replicas []string, key string, body 
 	}
 }
 
-// attempt issues one worker request and buffers the reply. Non-owner
-// attempts (i > 0) carry X-Mirage-Owner naming the key's owner — the
-// worker's peering hook asks the owner for the bytes before simulating —
-// and X-Mirage-Hedge with the attempt number for the worker's access log.
+// attempt issues one worker request under the request's ID and buffers
+// the reply. Non-owner attempts (i > 0) carry X-Mirage-Owner naming the
+// key's owner — the worker's peering hook asks the owner for the bytes
+// before simulating — and X-Mirage-Hedge with the attempt number for the
+// worker's access log.
 // Client-supplied X-Mirage-* headers are stripped before forwarding: they
 // are fleet-internal routing metadata, and a forged X-Mirage-Owner would
 // point the worker's peer fetch at an attacker-chosen URL whose reply gets
 // cached and persisted as the canonical result for the key.
-func (c *Coordinator) attempt(ctx context.Context, r *http.Request, worker, owner string, i int, body []byte) (*workerResponse, error) {
+func (c *Coordinator) attempt(ctx context.Context, r *http.Request, id, worker, owner string, i int, body []byte) (*workerResponse, error) {
 	var rd io.Reader
 	if body != nil {
 		rd = bytes.NewReader(body)
@@ -421,6 +429,7 @@ func (c *Coordinator) attempt(ctx context.Context, r *http.Request, worker, owne
 	}
 	copyHeaders(req.Header, r.Header)
 	stripMirageHeaders(req.Header)
+	req.Header.Set("X-Request-ID", id)
 	if i > 0 {
 		req.Header.Set("X-Mirage-Owner", owner)
 		req.Header.Set("X-Mirage-Hedge", strconv.Itoa(i))
@@ -470,11 +479,12 @@ func stripMirageHeaders(h http.Header) {
 }
 
 // logProxy emits the coordinator's one access-log line per request.
-func (c *Coordinator) logProxy(r *http.Request, route, key, worker string, attempt, hedges, status int, dur time.Duration) {
+func (c *Coordinator) logProxy(r *http.Request, id, route, key, worker string, attempt, hedges, status int, dur time.Duration) {
 	if c.logger == nil {
 		return
 	}
 	attrs := []slog.Attr{
+		slog.String("request_id", id),
 		slog.String("route", route),
 		slog.String("method", r.Method),
 		slog.String("path", r.URL.Path),
@@ -486,9 +496,6 @@ func (c *Coordinator) logProxy(r *http.Request, route, key, worker string, attem
 	}
 	if key != "" {
 		attrs = append(attrs, slog.String("key", key))
-	}
-	if id := r.Header.Get("X-Request-ID"); id != "" {
-		attrs = append(attrs, slog.String("request_id", id))
 	}
 	c.logger.LogAttrs(context.Background(), slog.LevelInfo, "proxy", attrs...)
 }

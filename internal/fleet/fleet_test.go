@@ -487,6 +487,103 @@ func TestCoordinatorStripsClientMirageHeaders(t *testing.T) {
 	}
 }
 
+// TestCoordinatorRequestIDJoinsLogs: the coordinator settles a request's
+// ID once, with the workers' own rule, so its proxy log line, its reply and
+// every worker attempt — owner and hedge alike — carry the same ID. That
+// holds when the client sends none (the coordinator mints it) and when the
+// client's is unusable (the coordinator replaces it, as a worker would).
+func TestCoordinatorRequestIDJoinsLogs(t *testing.T) {
+	for _, tc := range []struct {
+		name, clientID string
+		hedged         bool
+	}{
+		{"no client ID", "", false},
+		{"invalid client ID", `has"quote`, false},
+		{"hedged pair", "", true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ws := []*fakeWorker{newFakeWorker(t, "w1"), newFakeWorker(t, "w2")}
+			if tc.hedged {
+				// The owner answers only once the hedge has reached the other
+				// worker, so both attempts are on record.
+				var arrived atomic.Int64
+				both := make(chan struct{})
+				wait := http.HandlerFunc(func(rw http.ResponseWriter, r *http.Request) {
+					if arrived.Add(1) == 2 {
+						close(both)
+					}
+					select {
+					case <-both:
+					case <-r.Context().Done():
+						return
+					}
+					fmt.Fprint(rw, `{"worker": "either"}`)
+				})
+				for _, w := range ws {
+					w.handle.Store(&wait)
+				}
+			}
+			var logBuf bytes.Buffer
+			logMu := &sync.Mutex{}
+			logger := slog.New(slog.NewJSONHandler(&lockedWriter{mu: logMu, w: &logBuf}, nil))
+			c := newTestFleet(t, ws, func(cfg *Config) {
+				cfg.Logger = logger
+				if tc.hedged {
+					cfg.HedgeMin = 20 * time.Millisecond
+					cfg.HedgeMax = 20 * time.Millisecond
+				}
+			})
+			req := httptest.NewRequest("POST", "/v1/run", strings.NewReader(`{"mix": ["hmmer"], "seed": "join-logs"}`))
+			if tc.clientID != "" {
+				req.Header.Set("X-Request-ID", tc.clientID)
+			}
+			rec := httptest.NewRecorder()
+			c.ServeHTTP(rec, req)
+			if rec.Code != 200 {
+				t.Fatalf("status %d: %s", rec.Code, rec.Body.Bytes())
+			}
+			id := rec.Header().Get("X-Request-ID")
+			if id == "" || id == tc.clientID || len(rec.Header().Values("X-Request-ID")) != 1 {
+				t.Fatalf("reply X-Request-ID %q, want one ID minted in place of %q", rec.Header().Values("X-Request-ID"), tc.clientID)
+			}
+			attempts := 0
+			for _, w := range ws {
+				w.mu.Lock()
+				for _, r := range w.reqs {
+					attempts++
+					if got := r.Header.Values("X-Request-ID"); len(got) != 1 || got[0] != id {
+						t.Errorf("worker %s attempt carried X-Request-ID %q, want %q", w.name, got, id)
+					}
+				}
+				w.mu.Unlock()
+			}
+			if want := map[bool]int{false: 1, true: 2}[tc.hedged]; attempts != want {
+				t.Fatalf("%d worker attempts, want %d", attempts, want)
+			}
+			logMu.Lock()
+			logged := logBuf.String()
+			logMu.Unlock()
+			proxied := 0
+			for _, line := range strings.Split(strings.TrimSpace(logged), "\n") {
+				var entry map[string]any
+				if err := json.Unmarshal([]byte(line), &entry); err != nil {
+					t.Fatal(err)
+				}
+				if entry["msg"] != "proxy" {
+					continue
+				}
+				proxied++
+				if entry["request_id"] != id {
+					t.Errorf("proxy line request_id = %v, want %q", entry["request_id"], id)
+				}
+			}
+			if proxied != 1 {
+				t.Fatalf("%d proxy log lines, want 1:\n%s", proxied, logged)
+			}
+		})
+	}
+}
+
 // TestCoordinatorRefusesInternalPaths: /internal/* is the workers' peering
 // surface; the coordinator must not hand clients a proxy into it.
 func TestCoordinatorRefusesInternalPaths(t *testing.T) {

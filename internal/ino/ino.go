@@ -37,12 +37,14 @@ type Result struct {
 type Core struct {
 	Mem *mem.Hierarchy
 	rng *xrand.Rand
-	tel *telemetry.CoreMetrics
 	// eng is this core's private pipeline engine: its measurement scratch
 	// is reused across measure/replay calls, and cores are built per
 	// worker, so ownership composes with -parallel. The result memo behind
 	// it is the process's, shared with every other core.
 	eng *pipeline.Engine
+	// replays counts OinO schedule-replay iterations, squashedIters the
+	// replay iterations that misspeculated and re-ran in program order.
+	replays, squashedIters int64
 
 	aud      *invariant.Auditor
 	audLabel string
@@ -53,11 +55,15 @@ func New(h *mem.Hierarchy, rng *xrand.Rand) *Core {
 	return &Core{Mem: h, rng: rng, eng: pipeline.NewEngine()}
 }
 
-// AttachTelemetry resolves this core's counters in reg under prefix (e.g.
-// "core0.ino"). A nil registry detaches instrumentation; detached is the
-// default and costs nothing on the measurement path.
-func (c *Core) AttachTelemetry(reg *telemetry.Registry, prefix string) {
-	c.tel = telemetry.NewCoreMetrics(reg, prefix)
+// PublishTelemetry adds this core's run totals to the registry's counters
+// under prefix (e.g. "core0.ino"): its engine's measurement counts (see
+// pipeline.Engine.PublishTelemetry) plus replay_iters and squashed_iters.
+// Call it once, after the run's last measurement and on the goroutine that
+// made it. A nil registry is a no-op.
+func (c *Core) PublishTelemetry(reg *telemetry.Registry, prefix string) {
+	c.eng.PublishTelemetry(reg, prefix)
+	reg.Counter(prefix + ".replay_iters").Add(c.replays)
+	reg.Counter(prefix + ".squashed_iters").Add(c.squashedIters)
 }
 
 // AttachAudit threads the invariant auditor (DESIGN.md §11) into every
@@ -66,21 +72,6 @@ func (c *Core) AttachTelemetry(reg *telemetry.Registry, prefix string) {
 func (c *Core) AttachAudit(a *invariant.Auditor, label string) {
 	c.aud = a
 	c.audLabel = label
-}
-
-// record feeds a finished pipeline measurement into the attached counters.
-func (c *Core) record(res *pipeline.Result) {
-	if c.tel == nil {
-		return
-	}
-	c.tel.Measures.Inc()
-	if c.eng.MemoHit() {
-		c.tel.MemoHits.Inc()
-	}
-	c.tel.MeasuredCycles.Add(int64(res.Cycles))
-	c.tel.StallData.Add(int64(res.StallDataCycles))
-	c.tel.StallFU.Add(int64(res.StallFUCycles))
-	c.tel.StallFetch.Add(int64(res.StallFetchCycles))
 }
 
 // MeasureIters is the default iteration count per measurement.
@@ -116,7 +107,6 @@ func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem
 		AuditLabel:        c.audLabel,
 	}
 	res := c.eng.Run(req)
-	c.record(&res)
 	cpi := res.SteadyCyclesPerIter()
 	r := Result{
 		CyclesPerIter: cpi,
@@ -168,7 +158,6 @@ func (c *Core) MeasureReplay(t *trace.Trace, deps *trace.DepGraph, sched *trace.
 		AuditLabel:  c.audLabel,
 	}
 	res := c.eng.Run(req)
-	c.record(&res)
 	replayCPI := res.SteadyCyclesPerIter() + CommitOverheadCycles
 
 	// Alias-squashing iterations pay: the wasted partial replay (half an
@@ -185,10 +174,8 @@ func (c *Core) MeasureReplay(t *trace.Trace, deps *trace.DepGraph, sched *trace.
 
 	ev := c.countEvents(t, &res, iters, nLoads, nStores, true)
 	ev.Squashes = uint64(float64(iters)*squashP + 0.5)
-	if c.tel != nil {
-		c.tel.Replays.Add(int64(iters))
-		c.tel.SquashedIters.Add(int64(ev.Squashes))
-	}
+	c.replays += int64(iters)
+	c.squashedIters += int64(ev.Squashes)
 	r := Result{
 		CyclesPerIter: cpi,
 		SquashRate:    squashP,

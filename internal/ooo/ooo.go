@@ -34,7 +34,6 @@ type Result struct {
 type Core struct {
 	Mem *mem.Hierarchy
 	rng *xrand.Rand
-	tel *telemetry.CoreMetrics
 	// eng is this core's private pipeline engine: its measurement scratch
 	// is reused across the MeasureTrace calls of one cluster run, and cores
 	// are built per worker, so ownership composes with -parallel. The
@@ -51,11 +50,12 @@ func New(h *mem.Hierarchy, rng *xrand.Rand) *Core {
 	return &Core{Mem: h, rng: rng, eng: pipeline.NewEngine()}
 }
 
-// AttachTelemetry resolves this core's counters in reg under prefix (e.g.
-// "core0.ooo"). A nil registry detaches instrumentation; detached is the
-// default and costs nothing on the measurement path.
-func (c *Core) AttachTelemetry(reg *telemetry.Registry, prefix string) {
-	c.tel = telemetry.NewCoreMetrics(reg, prefix)
+// PublishTelemetry adds this core's measurement run totals to the
+// registry's counters under prefix (e.g. "core0.ooo"); see
+// pipeline.Engine.PublishTelemetry. Call it once, after the run's last
+// measurement and on the goroutine that made it. A nil registry is a no-op.
+func (c *Core) PublishTelemetry(reg *telemetry.Registry, prefix string) {
+	c.eng.PublishTelemetry(reg, prefix)
 }
 
 // AttachAudit threads the invariant auditor (DESIGN.md §11) into every
@@ -103,16 +103,6 @@ func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem
 		AuditLabel:        c.audLabel,
 	}
 	res := c.eng.Run(req)
-	if c.tel != nil {
-		c.tel.Measures.Inc()
-		if c.eng.MemoHit() {
-			c.tel.MemoHits.Inc()
-		}
-		c.tel.MeasuredCycles.Add(int64(res.Cycles))
-		c.tel.StallData.Add(int64(res.StallDataCycles))
-		c.tel.StallFU.Add(int64(res.StallFUCycles))
-		c.tel.StallFetch.Add(int64(res.StallFetchCycles))
-	}
 
 	cpi := res.SteadyCyclesPerIter()
 	sched := extractSchedule(t, &res)

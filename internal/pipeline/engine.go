@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"repro/internal/isa"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -134,6 +135,12 @@ type Engine struct {
 	keyBuf  []byte
 	entBuf  []byte
 	memoHit bool
+
+	// Run totals of Engine.Run (the pooled package-level Run counts
+	// nothing), published once by PublishTelemetry.
+	measures, memoHits             int64
+	measuredCycles                 int64
+	stallData, stallFU, stallFetch int64
 }
 
 // NewEngine returns an engine with empty scratch; buffers grow to fit the
@@ -161,7 +168,32 @@ func Run(req Request) Result {
 // whose resolved inputs exactly repeat an earlier one on any engine of the
 // process is answered from the shared memo (memo.go) without simulating.
 func (e *Engine) Run(req Request) Result {
-	return e.run(req, true)
+	res := e.run(req, true)
+	e.measures++
+	if e.memoHit {
+		e.memoHits++
+	}
+	e.measuredCycles += int64(res.Cycles)
+	e.stallData += int64(res.StallDataCycles)
+	e.stallFU += int64(res.StallFUCycles)
+	e.stallFetch += int64(res.StallFetchCycles)
+	return res
+}
+
+// PublishTelemetry adds this engine's Run totals to the registry's
+// counters under prefix (e.g. "core0.ooo"): measures counts Run calls,
+// memo_hits those answered from the process-wide memo without simulating,
+// measured_cycles their cycles, and the stall_*_cycles counters break
+// their issue stalls down by cause (operand not ready, functional unit
+// busy, front end gated). Call it once, after the last Run and on the
+// goroutine that made it. A nil registry is a no-op.
+func (e *Engine) PublishTelemetry(reg *telemetry.Registry, prefix string) {
+	reg.Counter(prefix + ".measures").Add(e.measures)
+	reg.Counter(prefix + ".memo_hits").Add(e.memoHits)
+	reg.Counter(prefix + ".measured_cycles").Add(e.measuredCycles)
+	reg.Counter(prefix + ".stall_data_cycles").Add(e.stallData)
+	reg.Counter(prefix + ".stall_fu_cycles").Add(e.stallFU)
+	reg.Counter(prefix + ".stall_fetch_cycles").Add(e.stallFetch)
 }
 
 // MemoHit reports whether the last Run was answered from the memo.

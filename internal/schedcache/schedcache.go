@@ -1,7 +1,7 @@
 // Package schedcache implements the 8 KB Schedule Cache (SC) of Section
 // 3.3.2: trace-cache-style storage for memoized schedules with End-of-Trace
-// markers, an eviction policy that throws out traces deemed unmemoizable
-// before falling back to LRU, and the SC-MPKI counters the arbitrator polls.
+// markers, and an eviction policy that throws out traces deemed
+// unmemoizable before falling back to LRU.
 // Writes are expensive (traces are compacted to avoid fragmentation), so
 // producers insert conservatively; the cost shows up in the energy model.
 package schedcache
@@ -23,13 +23,8 @@ type Cache struct {
 	entries   map[trace.ID]*entry
 	tick      uint64
 
-	stats Stats
-	tel   *telCounters
-}
-
-// telCounters mirrors Stats into a telemetry registry when attached.
-type telCounters struct {
-	hits, misses, inserts, evictions, bytesWritten *telemetry.Counter
+	// Run totals, published once by PublishTelemetry.
+	hits, misses, inserts, evictions, bytesWritten int64
 }
 
 type entry struct {
@@ -37,26 +32,6 @@ type entry struct {
 	size         int
 	lastUse      uint64
 	unmemoizable bool
-}
-
-// Stats holds the counters behind the SC-MPKI metric: fetch hits/misses are
-// counted per trace execution, instructions per instruction executed while
-// the SC was consulted.
-type Stats struct {
-	Hits         uint64
-	Misses       uint64
-	Instructions uint64
-	Inserts      uint64
-	Evictions    uint64
-	BytesWritten uint64
-}
-
-// MPKI returns Schedule-Cache misses per kilo-instruction.
-func (s Stats) MPKI() float64 {
-	if s.Instructions == 0 {
-		return 0
-	}
-	return float64(s.Misses) * 1000 / float64(s.Instructions)
 }
 
 // New builds an SC with the given capacity (DefaultCapacityBytes if <= 0).
@@ -79,44 +54,30 @@ func (c *Cache) UsedBytes() int { return c.usedBytes }
 // Len returns the number of resident schedules.
 func (c *Cache) Len() int { return len(c.entries) }
 
-// Stats returns a copy of the run-total counters.
-func (c *Cache) Stats() Stats { return c.stats }
-
-// AttachTelemetry resolves run-total hit/miss/insert/evict counters in reg
-// under prefix (e.g. "core0.sc"). A nil registry detaches.
-func (c *Cache) AttachTelemetry(reg *telemetry.Registry, prefix string) {
-	if reg == nil {
-		c.tel = nil
-		return
-	}
-	c.tel = &telCounters{
-		hits:         reg.Counter(prefix + ".hits"),
-		misses:       reg.Counter(prefix + ".misses"),
-		inserts:      reg.Counter(prefix + ".inserts"),
-		evictions:    reg.Counter(prefix + ".evictions"),
-		bytesWritten: reg.Counter(prefix + ".bytes_written"),
-	}
+// PublishTelemetry adds this SC's run totals to the registry's counters
+// under prefix (e.g. "core0.sc"): lookup hits and misses, inserts,
+// evictions and bytes written. Call it once, after the run's last access
+// and on the goroutine that made it. A nil registry is a no-op.
+func (c *Cache) PublishTelemetry(reg *telemetry.Registry, prefix string) {
+	reg.Counter(prefix + ".hits").Add(c.hits)
+	reg.Counter(prefix + ".misses").Add(c.misses)
+	reg.Counter(prefix + ".inserts").Add(c.inserts)
+	reg.Counter(prefix + ".evictions").Add(c.evictions)
+	reg.Counter(prefix + ".bytes_written").Add(c.bytesWritten)
 }
 
-// Lookup consults the SC for a trace about to execute `insts` instructions.
-// On a hit it returns the memoized schedule; on a miss the core falls back
-// to fetching program-order instructions from its L1I.
-func (c *Cache) Lookup(id trace.ID, insts int) (*trace.Schedule, bool) {
+// Lookup consults the SC for a trace about to execute. On a hit it returns
+// the memoized schedule; on a miss the core falls back to fetching
+// program-order instructions from its L1I.
+func (c *Cache) Lookup(id trace.ID) (*trace.Schedule, bool) {
 	c.tick++
-	c.stats.Instructions += uint64(insts)
 	e, ok := c.entries[id]
 	if !ok || e.unmemoizable {
-		c.stats.Misses++
-		if c.tel != nil {
-			c.tel.misses.Inc()
-		}
+		c.misses++
 		return nil, false
 	}
 	e.lastUse = c.tick
-	c.stats.Hits++
-	if c.tel != nil {
-		c.tel.hits.Inc()
-	}
+	c.hits++
 	return e.sched, true
 }
 
@@ -144,12 +105,8 @@ func (c *Cache) Insert(s *trace.Schedule) error {
 	c.tick++
 	c.entries[s.TraceID] = &entry{sched: s, size: size, lastUse: c.tick}
 	c.usedBytes += size
-	c.stats.Inserts++
-	c.stats.BytesWritten += uint64(size)
-	if c.tel != nil {
-		c.tel.inserts.Inc()
-		c.tel.bytesWritten.Add(int64(size))
-	}
+	c.inserts++
+	c.bytesWritten += int64(size)
 	return nil
 }
 
@@ -178,10 +135,7 @@ func (c *Cache) evictOne() {
 	}
 	c.usedBytes -= ve.size
 	delete(c.entries, victim)
-	c.stats.Evictions++
-	if c.tel != nil {
-		c.tel.evictions.Inc()
-	}
+	c.evictions++
 }
 
 // Flush empties the SC (application migrated away; its successor gets a

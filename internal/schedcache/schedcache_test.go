@@ -4,6 +4,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
 
@@ -20,34 +21,48 @@ func TestInsertLookup(t *testing.T) {
 	if err := c.Insert(s); err != nil {
 		t.Fatal(err)
 	}
-	got, ok := c.Lookup(1, 50)
+	got, ok := c.Lookup(1)
 	if !ok || got != s {
 		t.Error("inserted schedule not found")
 	}
-	if _, ok := c.Lookup(2, 50); ok {
+	if _, ok := c.Lookup(2); ok {
 		t.Error("phantom schedule found")
 	}
-	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Instructions != 100 {
-		t.Errorf("stats %+v", st)
+	if c.hits != 1 || c.misses != 1 {
+		t.Errorf("hits %d misses %d, want 1 and 1", c.hits, c.misses)
 	}
 }
 
-func TestMPKI(t *testing.T) {
-	c := New(0)
-	c.Insert(sched(1, 50))
+// TestPublishTelemetry: the run totals reach the registry once, under the
+// given prefix, as one counter per total.
+func TestPublishTelemetry(t *testing.T) {
+	c := New(700) // fits three 220-byte schedules
+	for id := trace.ID(1); id <= 4; id++ {
+		c.Insert(sched(id, 50)) // the fourth evicts one
+	}
 	for i := 0; i < 9; i++ {
-		c.Lookup(1, 50) // hits
+		c.Lookup(4) // hits
 	}
-	c.Lookup(99, 50) // miss
-	mpki := c.Stats().MPKI()
-	want := 1.0 * 1000 / 500
-	if mpki != want {
-		t.Errorf("MPKI %v, want %v", mpki, want)
+	c.Lookup(99) // miss
+	reg := telemetry.NewRegistry()
+	c.PublishTelemetry(reg, "core0.sc")
+	got := reg.Snapshot().Counters
+	want := map[string]int64{
+		"core0.sc.hits":          9,
+		"core0.sc.misses":        1,
+		"core0.sc.inserts":       4,
+		"core0.sc.evictions":     1,
+		"core0.sc.bytes_written": 4 * 220,
 	}
-	if (Stats{}).MPKI() != 0 {
-		t.Error("empty stats MPKI should be 0")
+	for name, v := range want {
+		if got[name] != v {
+			t.Errorf("%s = %d, want %d", name, got[name], v)
+		}
 	}
+	if len(got) != len(want) {
+		t.Errorf("published %v, want exactly %v", got, want)
+	}
+	c.PublishTelemetry(nil, "core0.sc") // a nil registry is a no-op
 }
 
 func TestCapacityEviction(t *testing.T) {
@@ -61,7 +76,7 @@ func TestCapacityEviction(t *testing.T) {
 			t.Fatalf("over capacity: %d > %d", c.UsedBytes(), c.Capacity())
 		}
 	}
-	if c.Stats().Evictions == 0 {
+	if c.evictions == 0 {
 		t.Error("no evictions despite overflow")
 	}
 }
@@ -71,7 +86,7 @@ func TestLRUVictimSelection(t *testing.T) {
 	c.Insert(sched(1, 50))
 	c.Insert(sched(2, 50))
 	c.Insert(sched(3, 50))
-	c.Lookup(1, 50) // touch 1; 2 is now LRU
+	c.Lookup(1) // touch 1; 2 is now LRU
 	c.Insert(sched(4, 50))
 	if c.Contains(2) {
 		t.Error("LRU entry 2 should have been evicted")
@@ -86,8 +101,8 @@ func TestUnmemoizableEvictedFirst(t *testing.T) {
 	c.Insert(sched(1, 50))
 	c.Insert(sched(2, 50))
 	c.Insert(sched(3, 50))
-	c.Lookup(2, 50)
-	c.Lookup(3, 50)
+	c.Lookup(2)
+	c.Lookup(3)
 	c.MarkUnmemoizable(3) // newest use, but flagged
 	c.Insert(sched(4, 50))
 	if c.Contains(3) {
@@ -102,7 +117,7 @@ func TestUnmemoizableLookupMisses(t *testing.T) {
 	c := New(0)
 	c.Insert(sched(7, 50))
 	c.MarkUnmemoizable(7)
-	if _, ok := c.Lookup(7, 50); ok {
+	if _, ok := c.Lookup(7); ok {
 		t.Error("unmemoizable schedule served")
 	}
 }
@@ -178,7 +193,7 @@ func TestUsedBytesInvariant(t *testing.T) {
 		}
 		sum := 0
 		for _, id := range c.IDs() {
-			s, ok := c.Lookup(id, 0)
+			s, ok := c.Lookup(id)
 			if !ok {
 				return false
 			}

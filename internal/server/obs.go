@@ -1,13 +1,15 @@
-// Serving observability (DESIGN.md §12): request IDs, per-request span
+// Serving observability (DESIGN.md §12): request IDs, per-request step
 // timelines exported as a Chrome trace, the structured JSON access log, and
 // the live /debug/statusz page.
 //
 // Every request gets an ID (X-Request-ID honored when sane, generated
 // otherwise) and a reqTrace that rides its context — including into the
-// singleflight flight context, which keeps the leader's values — so spans
+// singleflight flight context, which keeps the leader's values — so steps
 // recorded on the flight goroutine (admission wait, simulate, encode)
-// attach to the leading request. Completed traces are flattened into a
-// bounded telemetry.TraceSink ring buffer served at /debug/requests/trace.
+// attach to the leading request. Each step lands on the bounded
+// telemetry.TraceSink ring served at /debug/requests/trace the moment it
+// ends; the enclosing "request" event lands when the request does, with
+// the access-log line's fields as its args.
 
 package server
 
@@ -26,6 +28,7 @@ import (
 	"log/slog"
 
 	"repro/internal/runner"
+	"repro/internal/telemetry"
 )
 
 // maxRequestIDLen bounds client-supplied X-Request-ID values; longer or
@@ -33,18 +36,10 @@ import (
 // trace exports stay parseable.
 const maxRequestIDLen = 64
 
-// span is one timed step of a request: admission queue wait, cache lookup,
-// singleflight wait, simulate, encode, write.
-type span struct {
-	name  string
-	start time.Time
-	dur   time.Duration
-	args  map[string]any
-}
-
 // reqTrace is the per-request observability record. The handler goroutine
-// and the flight goroutine both append to it (the flight context carries
-// the leader's trace), so mutable state sits behind a mutex. All methods
+// and the flight goroutine both write to it (the flight context carries
+// the leader's trace), so mutable state sits behind a mutex; steps go
+// straight to the ring, which has its own. All methods
 // are safe on a nil receiver: internal callers that construct requests
 // without the instrument middleware (tests hitting handlers directly)
 // simply record nothing.
@@ -58,6 +53,10 @@ type reqTrace struct {
 	// hedge is the X-Mirage-Hedge attempt number on a re-issued request.
 	owner string
 	hedge string
+	// sink is the server's bounded trace ring (nil: tracing off); epoch is
+	// the server's start, the zero of every event timestamp.
+	sink  *telemetry.TraceSink
+	epoch time.Time
 
 	mu        sync.Mutex
 	key       string
@@ -68,7 +67,6 @@ type reqTrace struct {
 	peer      string // owner URL the bytes were peer-fetched from, if any
 	deadline  time.Duration
 	queueWait time.Duration
-	spans     []span
 }
 
 // requestID is the nil-safe accessor for rt.id (immutable after creation).
@@ -79,13 +77,19 @@ func (rt *reqTrace) requestID() string {
 	return rt.id
 }
 
-func (rt *reqTrace) addSpan(name string, start time.Time, dur time.Duration, args map[string]any) {
-	if rt == nil {
+// step records one finished request step — admission, cache_lookup,
+// singleflight_wait, peer_fetch, simulate, encode or write — on the trace
+// ring as it ends: lane = request seq, microseconds since server start,
+// args (owned by the ring from here on) plus the request ID.
+func (rt *reqTrace) step(name string, start time.Time, dur time.Duration, args map[string]any) {
+	if rt == nil || rt.sink == nil {
 		return
 	}
-	rt.mu.Lock()
-	rt.spans = append(rt.spans, span{name: name, start: start, dur: dur, args: args})
-	rt.mu.Unlock()
+	if args == nil {
+		args = make(map[string]any, 1)
+	}
+	args["request_id"] = rt.id
+	rt.sink.Complete(name, "server", start.Sub(rt.epoch).Microseconds(), dur.Microseconds(), int(rt.seq), args)
 }
 
 func (rt *reqTrace) setKey(key string) {
@@ -174,12 +178,12 @@ func traceFrom(ctx context.Context) *reqTrace {
 	return rt
 }
 
-// withSpan times f and records it as a span on the request trace carried by
-// ctx (the leader's trace, when called on a flight goroutine).
-func withSpan(ctx context.Context, name string, f func() error) error {
+// withStep times f and records it as a step of the request trace carried
+// by ctx (the leader's trace, when called on a flight goroutine).
+func withStep(ctx context.Context, name string, f func() error) error {
 	start := time.Now()
 	err := f()
-	traceFrom(ctx).addSpan(name, start, time.Since(start), nil)
+	traceFrom(ctx).step(name, start, time.Since(start), nil)
 	return err
 }
 
@@ -207,10 +211,13 @@ func newRequestID() string {
 	return hex.EncodeToString(b[:])
 }
 
-// incomingRequestID honors a sane client-supplied X-Request-ID (printable
-// ASCII, at most maxRequestIDLen, no '"' so log lines stay unambiguous) and
-// generates one otherwise.
-func incomingRequestID(r *http.Request) string {
+// RequestID is the request ID a request is logged and traced under: a
+// sane client-supplied X-Request-ID (printable ASCII, at most
+// maxRequestIDLen, no '"' so log lines stay unambiguous), or a generated
+// one otherwise. The fleet coordinator applies the same rule once per
+// request and forwards the result, so its log line and every worker
+// attempt's share one ID.
+func RequestID(r *http.Request) string {
 	id := r.Header.Get("X-Request-ID")
 	if id == "" || len(id) > maxRequestIDLen {
 		return newRequestID()
@@ -254,29 +261,32 @@ func (w *statusWriter) status() int {
 }
 
 // instrument is the outermost middleware on every route: it assigns the
-// request ID, installs the trace into the context, echoes X-Request-ID,
-// captures status/bytes, records the per-route latency histogram, flattens
-// the span timeline into the bounded trace ring, and emits one structured
-// access-log line.
+// request ID, names the request's trace lane, installs the trace into the
+// context, echoes X-Request-ID, captures status/bytes, records the
+// per-route latency histogram, and at the end emits the enclosing
+// "request" trace event and the structured access-log line from one field
+// list.
 func (s *Server) instrument(route string, h http.HandlerFunc) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		rt := &reqTrace{
 			seq:   s.reqSeq.Add(1),
-			id:    incomingRequestID(r),
+			id:    RequestID(r),
 			route: route,
 			start: time.Now(),
 			owner: r.Header.Get("X-Mirage-Owner"),
 			hedge: r.Header.Get("X-Mirage-Hedge"),
+			sink:  s.reqSink,
+			epoch: s.started,
 		}
 		w.Header().Set("X-Request-ID", rt.id)
+		s.reqSink.NameThread(int(rt.seq), rt.id+" "+route)
 		sw := &statusWriter{ResponseWriter: w}
 		s.setInflight(rt, true)
 		defer func() {
 			s.setInflight(rt, false)
 			dur := time.Since(rt.start)
 			s.reg.Histogram("server.http.latency_us." + route).Observe(dur.Microseconds())
-			s.exportTrace(rt, sw.status(), dur)
-			s.logRequest(rt, sw, dur)
+			s.finishRequest(rt, sw, dur)
 		}()
 		h(sw, r.WithContext(withTrace(r.Context(), rt)))
 	}
@@ -295,58 +305,32 @@ func (s *Server) setInflight(rt *reqTrace, in bool) {
 	s.inflightMu.Unlock()
 }
 
-// exportTrace flattens a finished request into Chrome trace events on the
-// bounded ring: one thread-name metadata event, one enclosing "request"
-// span, and one event per recorded step. Timestamps are microseconds since
-// server start, so traces from one process line up on a shared timeline.
-func (s *Server) exportTrace(rt *reqTrace, status int, dur time.Duration) {
-	sink := s.reqSink
-	if sink == nil {
+// finishRequest records the finished request once: its access-log fields
+// become both the "request" trace event's args and the access-log line, so
+// the two carry the same facts.
+func (s *Server) finishRequest(rt *reqTrace, sw *statusWriter, dur time.Duration) {
+	if s.reqSink == nil && s.logger == nil {
 		return
 	}
-	ts := func(at time.Time) int64 { return at.Sub(s.started).Microseconds() }
-	tid := int(rt.seq)
-	sink.NameThread(tid, fmt.Sprintf("%s %s", rt.id, rt.route))
-	rt.mu.Lock()
-	args := map[string]any{
-		"request_id": rt.id,
-		"route":      rt.route,
-		"status":     status,
-	}
-	if rt.cache != "" {
-		args["cache"] = rt.cache
-	}
-	if rt.role != "" {
-		args["role"] = rt.role
-	}
-	if rt.fault != "" {
-		args["fault"] = rt.fault
-	}
-	if rt.peer != "" {
-		args["peer"] = rt.peer
-	}
-	if rt.hedge != "" {
-		args["hedge"] = rt.hedge
-	}
-	spans := append([]span(nil), rt.spans...)
-	rt.mu.Unlock()
-	sink.Complete("request", "server", ts(rt.start), dur.Microseconds(), tid, args)
-	for _, sp := range spans {
-		sa := map[string]any{"request_id": rt.id}
-		for k, v := range sp.args {
-			sa[k] = v
+	fields := rt.fields(sw, dur)
+	if s.reqSink != nil {
+		args := make(map[string]any, len(fields))
+		for _, f := range fields {
+			args[f.Key] = f.Value.Any()
 		}
-		sink.Complete(sp.name, "server", ts(sp.start), sp.dur.Microseconds(), tid, sa)
+		s.reqSink.Complete("request", "server", rt.start.Sub(rt.epoch).Microseconds(), dur.Microseconds(), int(rt.seq), args)
+	}
+	if s.logger != nil {
+		s.logger.LogAttrs(context.Background(), slog.LevelInfo, "request", fields...)
 	}
 }
 
-// logRequest emits the structured access-log line: request ID, route,
-// status, cache outcome, queue wait, deadline budget, bytes, and the chaos
-// fault kind when one was injected into the serving flight.
-func (s *Server) logRequest(rt *reqTrace, sw *statusWriter, dur time.Duration) {
-	if s.logger == nil {
-		return
-	}
+// fields is the access-log field list: request ID, route, status, bytes,
+// duration, job key, cache outcome, flight role, the leader a waiter or
+// hit was served from, deadline budget, a leader's queue wait, the chaos
+// fault kind injected into the serving flight, the peer the bytes were
+// fetched from, and the coordinator's hedge attempt number.
+func (rt *reqTrace) fields(sw *statusWriter, dur time.Duration) []slog.Attr {
 	attrs := []slog.Attr{
 		slog.String("request_id", rt.id),
 		slog.String("route", rt.route),
@@ -355,6 +339,7 @@ func (s *Server) logRequest(rt *reqTrace, sw *statusWriter, dur time.Duration) {
 		slog.Int64("dur_us", dur.Microseconds()),
 	}
 	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	if rt.key != "" {
 		attrs = append(attrs, slog.String("key", rt.key))
 	}
@@ -382,11 +367,10 @@ func (s *Server) logRequest(rt *reqTrace, sw *statusWriter, dur time.Duration) {
 	if rt.hedge != "" {
 		attrs = append(attrs, slog.String("hedge", rt.hedge))
 	}
-	rt.mu.Unlock()
-	s.logger.LogAttrs(context.Background(), slog.LevelInfo, "request", attrs...)
+	return attrs
 }
 
-// handleRequestTrace serves the bounded ring of recent request span
+// handleRequestTrace serves the bounded ring of recent request step
 // timelines as a Chrome trace_event JSON array (chrome://tracing, Perfetto).
 func (s *Server) handleRequestTrace(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "application/json")

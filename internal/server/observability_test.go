@@ -12,6 +12,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -291,6 +292,99 @@ func TestAccessLogWaiterOutcome(t *testing.T) {
 	}
 	if waiter["leader"] != "leader-req" {
 		t.Errorf("waiter leader = %v, want leader-req", waiter["leader"])
+	}
+}
+
+// TestRequestEventMatchesAccessLog: for a cold leader, a waiter on its
+// flight and a later memory hit, the "request" trace event's args carry
+// exactly the fields of that request's access-log line, and the request's
+// steps sit on its own lane of the ring.
+func TestRequestEventMatchesAccessLog(t *testing.T) {
+	var buf syncBuffer
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	srv := obsTestServer(t, &buf, func(cfg *Config) {
+		cfg.Backend = fakeBackend{
+			run: func(ctx context.Context, cfg core.Config) (*core.MixResult, error) {
+				close(entered)
+				<-release
+				return fakeMixResult(cfg), nil
+			},
+		}
+	})
+	body := `{"mix":["bzip2"],"seed":"one-field-list"}`
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		postWithID(t, srv, "/v1/run", body, "cold-leader")
+	}()
+	<-entered
+	go func() {
+		defer wg.Done()
+		postWithID(t, srv, "/v1/run", body, "flight-waiter")
+	}()
+	waitFor(t, "both requests in flight", func() bool {
+		srv.inflightMu.Lock()
+		defer srv.inflightMu.Unlock()
+		return len(srv.inflight) == 2
+	})
+	time.Sleep(50 * time.Millisecond) // let the waiter join the flight
+	close(release)
+	wg.Wait()
+	postWithID(t, srv, "/v1/run", body, "memory-hit")
+
+	var events []map[string]any
+	if err := json.Unmarshal(get(t, srv, "/debug/requests/trace").Body.Bytes(), &events); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		id, cache, role string
+		steps           []string
+	}{
+		{"cold-leader", "miss", "leader", []string{"cache_lookup", "singleflight_wait", "admission", "simulate", "encode", "write"}},
+		{"flight-waiter", "miss", "waiter", []string{"cache_lookup", "singleflight_wait", "write"}},
+		{"memory-hit", "hit", "", []string{"cache_lookup", "write"}},
+	} {
+		t.Run(tc.id, func(t *testing.T) {
+			line := requestLine(t, &buf, tc.id)
+			if line["cache"] != tc.cache || (tc.role != "" && line["role"] != tc.role) {
+				t.Fatalf("access log = %v, want cache=%s role=%s", line, tc.cache, tc.role)
+			}
+			for _, k := range []string{"time", "level", "msg"} {
+				delete(line, k) // the log record's own envelope
+			}
+			var request map[string]any
+			lane := -1.0
+			steps := map[string]bool{}
+			for _, ev := range events {
+				args, _ := ev["args"].(map[string]any)
+				if args["request_id"] != tc.id {
+					continue
+				}
+				if ev["name"] == "request" {
+					request, lane = args, ev["tid"].(float64)
+				} else {
+					steps[ev["name"].(string)] = true
+				}
+			}
+			if request == nil {
+				t.Fatalf("no request event for %s", tc.id)
+			}
+			if !reflect.DeepEqual(request, line) {
+				t.Errorf("request event args differ from the access-log line:\n args %v\n line %v", request, line)
+			}
+			for _, ev := range events {
+				if args, _ := ev["args"].(map[string]any); args["request_id"] == tc.id && ev["tid"] != lane {
+					t.Errorf("%s event on lane %v, want the request's lane %v", ev["name"], ev["tid"], lane)
+				}
+			}
+			for _, want := range tc.steps {
+				if !steps[want] {
+					t.Errorf("step %q missing (have %v)", want, steps)
+				}
+			}
+		})
 	}
 }
 

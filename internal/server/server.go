@@ -72,7 +72,7 @@ type Config struct {
 	// Logger receives the structured JSON access log (one line per
 	// request) and server-side error events. nil disables logging.
 	Logger *slog.Logger
-	// TraceEvents bounds the ring buffer of recent request span timelines
+	// TraceEvents bounds the ring buffer of recent request step timelines
 	// served at /debug/requests/trace (default 4096; negative disables
 	// trace retention entirely).
 	TraceEvents int
@@ -147,7 +147,7 @@ type Server struct {
 	idle     chan struct{} // closed when draining and active hits 0
 
 	// Observability state (obs.go): the access logger, request sequence
-	// numbers, the bounded ring of recent span timelines and the in-flight
+	// numbers, the bounded ring of recent step timelines and the in-flight
 	// request table behind /debug/statusz.
 	logger  *slog.Logger
 	started time.Time
@@ -417,7 +417,7 @@ func (s *Server) requestContext(r *http.Request, timeout time.Duration) (context
 // flight (admission slot, then fn), everyone else shares it. The returned
 // Outcome is what the access log and singleflight counters are built on;
 // execute also records the cache_lookup / singleflight_wait / admission
-// spans and links waiters and cache hits back to the leading request via
+// steps and links waiters and cache hits back to the leading request via
 // the leader and fault carried on the cached value.
 func (s *Server) execute(ctx context.Context, key string, fn func(context.Context) ([]byte, error)) ([]byte, runner.Outcome, error) {
 	rt := traceFrom(ctx)
@@ -425,7 +425,7 @@ func (s *Server) execute(ctx context.Context, key string, fn func(context.Contex
 	start := time.Now()
 	v, out, err := s.cache.DoContext(ctx, key, func(fctx context.Context) (cached, error) {
 		// Only the flight leader's fn runs, and fctx kept the leader's
-		// context values, so this trace is the leading request's: spans
+		// context values, so this trace is the leading request's: steps
 		// recorded here (admission wait) land on the leader's timeline
 		// even though they run on the flight goroutine.
 		lrt := traceFrom(fctx)
@@ -443,7 +443,7 @@ func (s *Server) execute(ctx context.Context, key string, fn func(context.Contex
 		if owner := lrt.ownerHint(); owner != "" && s.cfg.PeerFetch != nil {
 			var b []byte
 			var ok bool
-			_ = withSpan(fctx, "peer_fetch", func() error {
+			_ = withStep(fctx, "peer_fetch", func() error {
 				b, ok = s.cfg.PeerFetch(fctx, owner, key)
 				return nil
 			})
@@ -459,7 +459,7 @@ func (s *Server) execute(ctx context.Context, key string, fn func(context.Contex
 		release, aerr := s.admit(fctx)
 		wait := time.Since(admitStart)
 		lrt.setQueueWait(wait)
-		lrt.addSpan("admission", admitStart, wait, nil)
+		lrt.step("admission", admitStart, wait, nil)
 		s.reg.Histogram("server.admit.queue_wait_us").Observe(wait.Microseconds())
 		if aerr != nil {
 			return settle(nil, aerr)
@@ -472,22 +472,22 @@ func (s *Server) execute(ctx context.Context, key string, fn func(context.Contex
 	switch out {
 	case runner.OutcomeLeader:
 		rt.setOutcome("miss", "leader", rt.requestID())
-		rt.addSpan("cache_lookup", start, 0, map[string]any{"outcome": "miss"})
-		rt.addSpan("singleflight_wait", start, wait, map[string]any{"role": "leader"})
+		rt.step("cache_lookup", start, 0, map[string]any{"outcome": "miss"})
+		rt.step("singleflight_wait", start, wait, map[string]any{"role": "leader"})
 	case runner.OutcomeWaiter:
 		rt.setOutcome("miss", "waiter", v.leader)
 		rt.setFault(v.fault)
-		rt.addSpan("cache_lookup", start, 0, map[string]any{"outcome": "miss"})
-		rt.addSpan("singleflight_wait", start, wait, map[string]any{"role": "waiter", "leader": v.leader})
+		rt.step("cache_lookup", start, 0, map[string]any{"outcome": "miss"})
+		rt.step("singleflight_wait", start, wait, map[string]any{"role": "waiter", "leader": v.leader})
 	case runner.OutcomeHit:
 		rt.setOutcome("hit", "", v.leader)
 		rt.setFault(v.fault)
-		rt.addSpan("cache_lookup", start, wait, map[string]any{"outcome": "hit"})
+		rt.step("cache_lookup", start, wait, map[string]any{"outcome": "hit"})
 	case runner.OutcomeDisk:
 		// Served from the persistent store: no leader in this process
 		// computed the bytes (they survived a restart).
 		rt.setOutcome("disk", "", rt.requestID())
-		rt.addSpan("cache_lookup", start, wait, map[string]any{"outcome": "disk"})
+		rt.step("cache_lookup", start, wait, map[string]any{"outcome": "disk"})
 	}
 	return v.body, out, err
 }
@@ -526,7 +526,7 @@ func (s *Server) handleJob(route string) http.HandlerFunc {
 		body, out, err := s.execute(ctx, j.Key, func(fctx context.Context) ([]byte, error) {
 			var mr *core.MixResult
 			var reports []*experiments.Report
-			if err := withSpan(fctx, "simulate", func() (err error) {
+			if err := withStep(fctx, "simulate", func() (err error) {
 				if j.Route == "run" {
 					mr, err = s.backend.Run(fctx, j.cfg)
 				} else {
@@ -537,7 +537,7 @@ func (s *Server) handleJob(route string) http.HandlerFunc {
 				return nil, err
 			}
 			var body []byte
-			err := withSpan(fctx, "encode", func() (err error) {
+			err := withStep(fctx, "encode", func() (err error) {
 				body, err = encodeJob(j, mr, reports)
 				return err
 			})
@@ -704,7 +704,7 @@ func (s *Server) finish(w http.ResponseWriter, ctx context.Context, body []byte,
 		s.reg.Counter("server.requests.ok").Inc()
 		w.Header().Set("Content-Type", "application/json")
 		w.Header().Set("X-Cache", cacheLabel(out))
-		_ = withSpan(ctx, "write", func() error {
+		_ = withStep(ctx, "write", func() error {
 			_, werr := w.Write(body)
 			return werr
 		})

@@ -208,9 +208,11 @@ func (h *Histogram) Quantile(q float64) float64 {
 	return h.Snapshot().Quantile(q)
 }
 
-// Registry is a typed, named metric store. Component packages resolve their
-// instruments once at construction (Counter/Gauge/Histogram return the same
-// instrument for the same name), keeping hot paths free of map lookups.
+// Registry is a typed, named metric store. Counter/Gauge/Histogram return
+// the same instrument for the same name, so a caller that records as it
+// goes resolves its instruments once, keeping hot paths free of map
+// lookups; simulator components instead count in plain fields and add
+// their run totals once, at the end of a run.
 type Registry struct {
 	mu       sync.Mutex
 	counters map[string]*Counter

@@ -4,6 +4,8 @@
 # the fleet contract from the outside —
 #   * every sharded response is byte-identical to the single node's, and so
 #     are a figure and the 400 for a run body with an unknown field,
+#   * a request sent without an ID gets one from the coordinator, and its
+#     proxy log line and the serving worker's request line share it,
 #   * killing a worker mid-run costs no request: the coordinator fails over
 #     on the transport error and the prober logs a "ring re-shard",
 #   * the restarted worker re-enters the ring warm: it serves the keys it
@@ -126,6 +128,45 @@ done
   exit 1
 }
 echo "   ${#SEEDS[@]} seeds byte-identical; $KILLED_URL owns $KILLED_SEED"
+
+# One ID per request fleet-wide: curl sends none, so the coordinator mints
+# it, forwards it to the worker, and both log lines carry it.
+echo "== the coordinator's and the worker's log lines share a request ID"
+JOIN_SEED="${SEEDS[0]}"
+JOIN_ID="$(tr -d '\r' <"$WORKDIR/h-$JOIN_SEED" | awk 'tolower($1) == "x-request-id:" {print $2}')"
+[ -n "$JOIN_ID" ] || { echo "seed $JOIN_SEED: coordinator reply has no X-Request-ID" >&2; exit 1; }
+JOIN_SHARD="$(shard_of "$WORKDIR/h-$JOIN_SEED")"
+JOIN_LOG=""
+for i in 0 1 2; do
+  if [ "http://$HOST:${WORKER_PORTS[$i]}" = "$JOIN_SHARD" ]; then JOIN_LOG="fleet-worker-$i.log"; fi
+done
+[ -n "$JOIN_LOG" ] || { echo "seed $JOIN_SEED: shard $JOIN_SHARD is no known worker" >&2; exit 1; }
+has_line() { # log msg request_id
+  python3 - "$@" <<'PY'
+import json, sys
+path, msg, rid = sys.argv[1:]
+with open(path) as f:
+    for line in f:
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError:
+            continue
+        if rec.get("msg") == msg and rec.get("request_id") == rid:
+            sys.exit(0)
+sys.exit(1)
+PY
+}
+# Each process logs after its reply is on the wire: give the lines a moment.
+for _ in $(seq 1 25); do
+  if has_line fleet.log proxy "$JOIN_ID" && has_line "$JOIN_LOG" request "$JOIN_ID"; then break; fi
+  sleep 0.2
+done
+has_line fleet.log proxy "$JOIN_ID" || {
+  echo "no coordinator proxy line with request_id $JOIN_ID" >&2; cat fleet.log >&2; exit 1
+}
+has_line "$JOIN_LOG" request "$JOIN_ID" || {
+  echo "$JOIN_LOG has no request line with request_id $JOIN_ID" >&2; cat "$JOIN_LOG" >&2; exit 1
+}
 
 # The coordinator parses job requests as the workers do: a figure routes
 # like any job, and a body no worker accepts routes unkeyed to a worker

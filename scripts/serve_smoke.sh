@@ -7,6 +7,8 @@
 #   * /v1/metrics?format=prometheus parses as text exposition 0.0.4 with
 #     well-formed `# TYPE` lines and no duplicate series,
 #   * /debug/requests/trace is a Chrome-trace JSON array with simulate spans,
+#     and the run's `request` event agrees with its access-log line on
+#     request_id, route, status, cache and role,
 #   * /debug/statusz renders,
 #   * /v1/metrics JSON counts the request (server.requests >= 1) and
 #     /debug/pprof/cmdline answers 200: the live replacements for a metrics
@@ -81,7 +83,7 @@ python3 - <<'PY'
 import json, re, sys
 
 # 1. Every log line is valid JSON; the smoke request shows up as a leader miss.
-saw_run = False
+run_line = None
 with open("serve.log") as f:
     for n, line in enumerate(f, 1):
         line = line.strip()
@@ -92,11 +94,11 @@ with open("serve.log") as f:
         except json.JSONDecodeError as e:
             sys.exit(f"serve.log:{n} is not JSON: {line!r} ({e})")
         if rec.get("msg") == "request" and rec.get("request_id") == "smoke-run-1":
-            saw_run = True
+            run_line = rec
             for field, want in [("route", "run"), ("cache", "miss"), ("role", "leader"), ("status", 200)]:
                 if rec.get(field) != want:
                     sys.exit(f"access log line {field}={rec.get(field)!r}, want {want!r}: {rec}")
-if not saw_run:
+if run_line is None:
     sys.exit("no access-log line for smoke-run-1")
 
 # 2. Prometheus exposition: well-formed TYPE lines, every sample declared,
@@ -148,6 +150,15 @@ names = {ev.get("name") for ev in events if isinstance(ev, dict)
 for want in ("request", "admission", "simulate", "encode"):
     if want not in names:
         sys.exit(f"trace.json missing span {want!r} for smoke-run-1 (have {sorted(n for n in names if n)})")
+
+# 4. The run's "request" trace event carries its access-log line's fields.
+request_args = [ev["args"] for ev in events if isinstance(ev, dict) and ev.get("name") == "request"
+                and isinstance(ev.get("args"), dict) and ev["args"].get("request_id") == "smoke-run-1"]
+if len(request_args) != 1:
+    sys.exit(f"trace.json has {len(request_args)} request events for smoke-run-1, want 1")
+for field in ("request_id", "route", "status", "cache", "role"):
+    if request_args[0].get(field) != run_line.get(field):
+        sys.exit(f"request event {field}={request_args[0].get(field)!r}, access log has {run_line.get(field)!r}")
 
 # 4. The JSON metrics counted the request.
 with open("metrics.json") as f:
