@@ -162,38 +162,10 @@ func main() {
 		scfg.PeerFetch = fleet.NewPeerFetch(nil, peerURLs, *peerAuth)
 	}
 	srv := server.New(scfg)
-	hs := &http.Server{Addr: *addr, Handler: srv}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	logger.Info("serving", "addr", *addr, "inflight", *maxInFlight,
-		"queue", *queue, "parallel", *parallel)
-
-	select {
-	case err := <-errc:
-		logger.Error("serve failed", "error", err)
-		os.Exit(1)
-	case <-ctx.Done():
-	}
-	stop()
-	logger.Info("draining", "drain_timeout", drainTimeout.String())
-
-	dctx, cancel := context.WithTimeout(context.Background(), *drainTimeout)
-	defer cancel()
 	// Drain the simulation layer first so queued flights observe the 503
-	// path, then close listeners and idle connections.
-	drainErr := srv.Shutdown(dctx)
-	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
-		logger.Error("http shutdown failed", "error", err)
-	}
-	if drainErr != nil {
-		logger.Error("drain incomplete", "error", drainErr)
-		os.Exit(1)
-	}
-	logger.Info("exited cleanly")
+	// path; serveAndDrain then closes listeners and idle connections.
+	serveAndDrain(logger, &http.Server{Addr: *addr, Handler: srv}, *drainTimeout, srv.Shutdown,
+		"serving", "addr", *addr, "inflight", *maxInFlight, "queue", *queue, "parallel", *parallel)
 }
 
 // runCoordinator is the -coordinator main loop: build the fleet front end
@@ -217,15 +189,20 @@ func runCoordinator(logger *slog.Logger, addr, workers string, probeInterval, he
 	// Converge worker health before accepting traffic, then keep probing.
 	coord.ProbeOnce(context.Background())
 	coord.Start()
-	defer coord.Close()
+	stopProbing := func(context.Context) error { coord.Close(); return nil }
+	serveAndDrain(logger, &http.Server{Addr: addr, Handler: coord}, drainTimeout, stopProbing,
+		"coordinating", "addr", addr, "workers", urls, "probe_interval", probeInterval.String())
+}
 
-	hs := &http.Server{Addr: addr, Handler: coord}
+// serveAndDrain serves hs and logs msg with attrs until SIGINT or SIGTERM,
+// then drains within drainTimeout: the mode's own drain step first, then
+// the HTTP layer. A serve error or an incomplete drain exits 1.
+func serveAndDrain(logger *slog.Logger, hs *http.Server, drainTimeout time.Duration, drain func(context.Context) error, msg string, attrs ...any) {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	logger.Info("coordinating", "addr", addr, "workers", urls,
-		"probe_interval", probeInterval.String())
+	logger.Info(msg, attrs...)
 
 	select {
 	case err := <-errc:
@@ -237,9 +214,13 @@ func runCoordinator(logger *slog.Logger, addr, workers string, probeInterval, he
 	logger.Info("draining", "drain_timeout", drainTimeout.String())
 	dctx, cancel := context.WithTimeout(context.Background(), drainTimeout)
 	defer cancel()
-	coord.Close()
+	drainErr := drain(dctx)
 	if err := hs.Shutdown(dctx); err != nil && !errors.Is(err, context.DeadlineExceeded) {
 		logger.Error("http shutdown failed", "error", err)
+	}
+	if drainErr != nil {
+		logger.Error("drain incomplete", "error", drainErr)
+		os.Exit(1)
 	}
 	logger.Info("exited cleanly")
 }

@@ -38,7 +38,7 @@ func main() {
 	onlyFlag := flag.String("only", "", "comma-separated experiment IDs to run (default all)")
 	auditFlag := flag.Bool("audit", false, "run the invariant audit inside every simulation; any violation fails the experiment")
 	jsonOut := flag.String("json-out", "", "write the selected reports as a JSON array to this file")
-	metricsOut := flag.String("metrics-out", "", "write telemetry counters and interval time-series as JSON to this file")
+	metricsOut := flag.String("metrics-out", "", "write the telemetry registry (counters, gauges, histograms) as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write Chrome trace_event JSON to this file (chrome://tracing, Perfetto)")
 	pprofOut := flag.String("pprof", "", "write a CPU profile of the run to this file")
 	flag.Parse()

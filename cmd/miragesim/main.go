@@ -35,7 +35,7 @@ func main() {
 	parallel := flag.Int("parallel", 0, "max concurrent simulations (0 = GOMAXPROCS, 1 = serial); output is identical at any setting")
 	audit := flag.Bool("audit", false, "run the invariant audit alongside the simulation; any violation is a fatal error")
 	list := flag.Bool("list", false, "list available benchmarks and exit")
-	metricsOut := flag.String("metrics-out", "", "write telemetry counters and interval time-series as JSON to this file")
+	metricsOut := flag.String("metrics-out", "", "write the telemetry registry (counters, gauges, histograms) as JSON to this file")
 	traceOut := flag.String("trace-out", "", "write Chrome trace_event JSON to this file (chrome://tracing, Perfetto)")
 	pprofOut := flag.String("pprof", "", "write a CPU profile of the run to this file")
 	flag.Parse()

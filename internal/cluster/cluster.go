@@ -96,9 +96,11 @@ type Config struct {
 	Seed string
 
 	// Telemetry, when non-nil, receives the run's metrics (per-core stall,
-	// SC and migration counters), the per-interval arbitration time-series
-	// and schedule-handoff/replay/squash trace events. Nil (the default)
-	// disables all instrumentation at near-zero cost.
+	// SC and migration counters) and trace events: a measure event as each
+	// measurement is made, and when the run ends, the per-interval counter
+	// tracks, squashes, schedule handoffs and OoO tenures its timeline
+	// records. Nil (the default) disables all instrumentation at near-zero
+	// cost.
 	Telemetry *telemetry.Telemetry
 
 	// Audit, when non-nil, threads invariant checks through the whole run
@@ -138,13 +140,18 @@ func (c Config) withDefaults() Config {
 }
 
 // IntervalStat is one application's record of one interval (timelines for
-// Figures 5 and 10).
+// Figures 5 and 10, and everything the run's telemetry publishes per
+// interval).
 type IntervalStat struct {
 	OnOoO       bool
 	IPC         float64
 	SCMPKI      float64
 	DeltaSCMPKI float64
 	Insts       int64
+	// MemoizedInsts and SquashedIters are the interval's OinO replay
+	// instructions and misspeculated replay iterations.
+	MemoizedInsts int64
+	SquashedIters int64
 }
 
 // AppResult is the per-application outcome of a run.
@@ -237,7 +244,9 @@ type app struct {
 	// done freezes the app's counters when it first reaches its instruction
 	// target; restarted execution (Section 4.1) keeps the cluster contended
 	// but must not distort per-app comparisons.
-	done          *appSnapshot
+	done *appSnapshot
+	// timeline records every interval, the warmup intervals at its head
+	// included.
 	timeline      []IntervalStat
 	lastSCMPKIInO float64
 }
@@ -286,10 +295,21 @@ type Cluster struct {
 	oooOwners  []int // app indexes occupying the OoO cores (empty: gated)
 	rng        *xrand.Rand
 
-	// tel holds the resolved telemetry instruments (nil when disabled);
-	// wallNow is the simulated wall clock fed to trace-event timestamps.
-	tel     *clusterTel
-	wallNow int64
+	// warm is the number of warmup intervals at the head of every app's
+	// timeline.
+	warm int
+	// Arbitration totals, published by finalizeTelemetry: picks granted and
+	// decisions that power the OoO down, migration drain and SC-transfer
+	// bus cycles, and the last decision's first pick (-1: power-gated).
+	grants, powerDowns        int64
+	drainCycles, scXferCycles int64
+	lastOwner                 int
+
+	// sink receives a measure event per genuine pipeline measurement (nil
+	// when tracing is off), stamped with intervalStart, the wall cycle the
+	// current interval began at.
+	sink          *telemetry.TraceSink
+	intervalStart int64
 }
 
 // New builds a cluster. It returns an error for unusable configurations.
@@ -307,7 +327,7 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, fmt.Errorf("cluster: Mirage uses a single schedule producer (NumOoO=%d with Memoize)", cfg.NumOoO)
 	}
 	root := xrand.NewString("cluster:" + cfg.Seed)
-	c := &Cluster{cfg: cfg, rng: root.Fork("arb")}
+	c := &Cluster{cfg: cfg, rng: root.Fork("arb"), lastOwner: -1, sink: cfg.Telemetry.Sink()}
 	if cfg.HasOoO && !cfg.AllOoO {
 		c.producerSC = schedcache.New(cfg.SCCapacityBytes)
 		c.recorder = ooo.NewRecorder(root.Fork("rec"))
@@ -334,7 +354,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.apps = append(c.apps, a)
 	}
-	c.attachTelemetry()
 	return c, nil
 }
 
@@ -350,12 +369,11 @@ func (c *Cluster) Run() (*Result, error) {
 		// Long enough for the arbitration rotation to visit everyone.
 		warm = 3 * len(c.apps)
 	}
+	c.warm = warm
 	interval := 0
 	for ; interval < maxIntervals+warm; interval++ {
-		c.wallNow = int64(interval) * c.cfg.IntervalCycles
-		c.runInterval(interval, res)
-		c.wallNow += c.cfg.IntervalCycles
-		c.flushInterval(interval, interval < warm)
+		c.intervalStart = int64(interval) * c.cfg.IntervalCycles
+		c.runInterval(res)
 		if interval == warm-1 {
 			c.resetCounters(res)
 			continue
@@ -395,9 +413,7 @@ func (c *Cluster) resetCounters(res *Result) {
 		a.scXferCycles = 0
 		a.l1Refills = 0
 		a.energyPJ = energy.Breakdown{}
-		a.timeline = nil
 	}
-	c.tel.resetAppDeltas()
 	*res = Result{}
 }
 
@@ -411,7 +427,7 @@ func (c *Cluster) allDone() bool {
 }
 
 // runInterval advances every application by one interval.
-func (c *Cluster) runInterval(interval int, res *Result) {
+func (c *Cluster) runInterval(res *Result) {
 	for _, a := range c.apps {
 		onOoO := c.cfg.AllOoO || (a.onOoO && c.cfg.HasOoO)
 		budget := c.cfg.IntervalCycles - a.penalty
@@ -524,9 +540,12 @@ func (c *Cluster) runApp(a *app, onOoO bool, budget int64) IntervalStat {
 
 		switch m {
 		case modeOinO:
+			squashed := int64(float64(iters)*ms.squashRate + 0.5)
 			a.memoizedInsts += n
+			a.squashedIters += squashed
+			st.MemoizedInsts += n
+			st.SquashedIters += squashed
 			a.memoCreditCyc += float64(iters) * ms.cyclesPerIter * c.replaySpeedup(a, ms)
-			a.squashedIters += int64(float64(iters)*ms.squashRate + 0.5)
 			scExecs += int64(iters)
 			scInsts += n
 		case modeInO:
@@ -688,8 +707,10 @@ func (c *Cluster) measure(a *app, l *program.Loop, m mode, sched *trace.Schedule
 	// keep it for a warmup window, then re-measure warm.
 	ms.coldIters = 48
 	a.costs[key] = ms
-	if c.tel != nil {
-		c.tel.measureEvent(a, m, ms, c.wallNow)
+	if c.sink != nil {
+		c.sink.Instant("measure:"+modeName(m), "measure", c.intervalStart, a.idx, map[string]any{
+			"cycles_per_iter": ms.cyclesPerIter,
+		})
 	}
 	return ms
 }
@@ -765,7 +786,13 @@ func (c *Cluster) arbitrate(interval int, res *Result) {
 		remaining = filtered
 	}
 
-	c.tel.onDecision(picks)
+	if len(picks) == 0 {
+		c.powerDowns++
+		c.lastOwner = -1
+	} else {
+		c.grants += int64(len(picks))
+		c.lastOwner = picks[0]
+	}
 	picked := make(map[int]bool, len(picks))
 	for _, p := range picks {
 		picked[p] = true
@@ -852,8 +879,8 @@ func (c *Cluster) evictFromOoO(a *app, res *Result) {
 	res.SCTransferCyclesTotal += scCost
 	res.L1RefillCyclesEst += refill
 	c.chargeBusContention(a, c.cfg.DrainCycles+scCost)
-	c.tel.onEvict(a, c.wallNow, c.cfg.IntervalCycles)
-	c.tel.onMigrationCost(c.cfg.DrainCycles, scCost)
+	c.drainCycles += c.cfg.DrainCycles
+	c.scXferCycles += scCost
 	a.migrate()
 }
 
@@ -882,8 +909,7 @@ func (c *Cluster) moveToOoO(a *app, res *Result) {
 	res.BusTransferCycles += c.cfg.DrainCycles
 	res.L1RefillCyclesEst += refill
 	c.chargeBusContention(a, c.cfg.DrainCycles)
-	c.tel.onGrant(a, c.wallNow)
-	c.tel.onMigrationCost(c.cfg.DrainCycles, 0)
+	c.drainCycles += c.cfg.DrainCycles
 	if c.cfg.Memoize && c.producerSC != nil {
 		// The producer starts fresh for the new application.
 		c.producerSC.Flush()
@@ -932,7 +958,7 @@ func (c *Cluster) finalize(res *Result) {
 			SCTransferCycles: a.scXferCycles,
 			L1RefillCycles:   a.l1Refills,
 			EnergyPJ:         a.energyPJ,
-			Timeline:         a.timeline,
+			Timeline:         a.timeline[c.warm:],
 			SquashedIters:    a.squashedIters,
 		}
 		oooCyc := a.oooCycles

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -31,7 +32,7 @@ func runInstrumented(t *testing.T) (*telemetry.Telemetry, *Result) {
 func TestTelemetryEndToEnd(t *testing.T) {
 	tel, res := runInstrumented(t)
 
-	m := tel.Export()
+	m := tel.Reg().Snapshot()
 	// Per-core pipeline stall and measurement counters exist and moved.
 	var sawStall, sawMeasure bool
 	for name, v := range m.Counters {
@@ -90,51 +91,39 @@ func TestTelemetryEndToEnd(t *testing.T) {
 		t.Error("missing end-of-run gauges")
 	}
 
-	// Interval time-series: one sample per interval, per-app entries, and
-	// at least one post-warmup sample with an OoO owner.
-	samples := m.Intervals
-	if len(samples) == 0 {
-		t.Fatal("no interval samples recorded")
-	}
-	var sawOwner, sawWarm, sawMeasured bool
-	for _, s := range samples {
-		if len(s.Apps) != 3 {
-			t.Fatalf("sample %d has %d apps", s.Interval, len(s.Apps))
-		}
-		if s.Warmup {
-			sawWarm = true
-		} else {
-			sawMeasured = true
-		}
-		if len(s.OoOOwners) > 0 {
-			sawOwner = true
-		}
-	}
-	if !sawWarm || !sawMeasured {
-		t.Errorf("samples should span warmup and measurement (warm=%v measured=%v)", sawWarm, sawMeasured)
-	}
-	if !sawOwner {
-		t.Error("no interval recorded an OoO owner")
-	}
-	if res.Migrations > 0 && tel.Reg().Counter("cluster.migrations").Value() == 0 {
+	// Trace sink: thread metadata, per-core counter tracks on every
+	// interval, warmup included, and one handoff and one tenure per
+	// migration.
+	migrations := m.Counters["cluster.migrations"]
+	if res.Migrations > 0 && migrations == 0 {
 		t.Error("migrations counter did not move")
 	}
-
-	// Trace sink: thread metadata, handoffs, tenures and per-core counters.
 	phases := map[string]int{}
 	names := map[string]int{}
+	var tenures int64
 	for _, ev := range tel.Sink().Events() {
 		phases[ev.Ph]++
 		names[ev.Name]++
+		if strings.HasPrefix(ev.Name, "tenure:") && ev.Ph == "X" {
+			tenures++
+		}
 	}
 	if phases["M"] < 4 { // 3 core lanes + producer lane
 		t.Errorf("thread metadata events = %d", phases["M"])
 	}
-	if names["handoff"] == 0 || phases["X"] == 0 {
-		t.Errorf("missing handoff/tenure events: %v", names)
+	if handoffs := int64(names["handoff"]); handoffs != migrations || tenures != migrations {
+		t.Errorf("handoffs = %d, tenures = %d, cluster.migrations = %d; want all equal", handoffs, tenures, migrations)
 	}
-	if phases["C"] == 0 {
-		t.Error("missing per-core counter track events")
+	if tenures == 0 {
+		t.Error("no OoO tenure recorded")
+	}
+	// The Mirage cluster warms up for three intervals per app.
+	warm := 3 * len(res.Apps)
+	for i := range res.Apps {
+		track := fmt.Sprintf("core%d", i)
+		if got, want := names[track], warm+len(res.Apps[i].Timeline); got != want {
+			t.Errorf("%s: %d counter track events, want one per interval, %d", track, got, want)
+		}
 	}
 }
 
@@ -147,8 +136,8 @@ func TestTelemetryDisabledIsInert(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cl.tel != nil {
-		t.Fatal("telemetry attached without config")
+	if cl.sink != nil {
+		t.Fatal("trace sink attached without config")
 	}
 	if _, err := cl.Run(); err != nil {
 		t.Fatal(err)
@@ -190,7 +179,8 @@ func TestTelemetryDoesNotPerturbSimulation(t *testing.T) {
 
 // TestWarmupIntervals pins the warmup length: three intervals per app when
 // an arbitrator rotates apps through the OoO core, four for a homogeneous
-// CMP, each flushed as one sample marked Warmup.
+// CMP. They head every app's timeline, and Result.Timeline starts after
+// them.
 func TestWarmupIntervals(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
@@ -200,29 +190,28 @@ func TestWarmupIntervals(t *testing.T) {
 		{"Mirage", true, 6},
 		{"Homo-InO", false, 4},
 	} {
-		tel := telemetry.New()
 		cfg := small(apps("bzip2", "hmmer"))
 		if tc.mirage {
 			cfg.HasOoO = true
 			cfg.Memoize = true
 			cfg.Arbiter = arbiter.NewSCMPKI()
 		}
-		cfg.Telemetry = tel
 		cl, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, err := cl.Run(); err != nil {
+		res, err := cl.Run()
+		if err != nil {
 			t.Fatal(err)
 		}
-		warm := 0
-		for _, s := range tel.Export().Intervals {
-			if s.Warmup {
-				warm++
+		for i, a := range cl.apps {
+			measured := res.Apps[i].Timeline
+			if warm := len(a.timeline) - len(measured); warm != tc.want {
+				t.Errorf("%s app %d: %d warmup intervals, want %d", tc.name, i, warm, tc.want)
 			}
-		}
-		if warm != tc.want {
-			t.Errorf("%s: %d warmup samples, want %d", tc.name, warm, tc.want)
+			if len(measured) != res.Intervals || &measured[0] != &a.timeline[len(a.timeline)-len(measured)] {
+				t.Errorf("%s app %d: Result.Timeline is not the timeline's measured tail", tc.name, i)
+			}
 		}
 	}
 }

@@ -147,9 +147,9 @@ type Config struct {
 	// itself is always a single simulation regardless. Results are identical
 	// at any setting; only wall-clock time changes.
 	Parallel int
-	// Telemetry, when non-nil, receives the run's metrics, per-interval
-	// arbitration time-series and trace events (see internal/telemetry).
-	// It applies to this configuration's own run only — baseline/reference
+	// Telemetry, when non-nil, receives the run's metrics, published once
+	// when the run ends, and its trace events (see internal/telemetry). It
+	// applies to this configuration's own run only — baseline/reference
 	// runs stay uninstrumented. A Telemetry may be shared by concurrent
 	// runs: counters and histograms accumulate totals race-free; see
 	// DESIGN.md §8 for the gauge/trace-ordering caveats.

@@ -42,10 +42,11 @@ type Scale struct {
 	// time changes.
 	Parallel int
 	// Telemetry, when non-nil, instruments every simulation the experiments
-	// launch. All runs share the registry, so counters are harness totals.
-	// With Parallel > 1 counters still accumulate race-free, but snapshot
-	// gauges and trace-event interleaving reflect whichever run touched
-	// them last — see DESIGN.md §8.
+	// launch; each run publishes into it once, when it ends. All runs share
+	// the registry, so counters are harness totals. With Parallel > 1
+	// counters still accumulate race-free, but snapshot gauges and the
+	// order of trace events reflect whichever run finished last — see
+	// DESIGN.md §8.
 	Telemetry *telemetry.Telemetry
 	// Audit threads the invariant audit (DESIGN.md §11) through every
 	// simulation the experiments launch; a violation fails the experiment.

@@ -44,8 +44,9 @@ type Config struct {
 	// HedgeMin and HedgeMax clamp the hedge budget — the time the
 	// coordinator waits on the owner before re-issuing to the next replica.
 	// The budget itself is the coordinator's own observed p99 proxy
-	// latency; before any history exists it sits at HedgeMax. Defaults
-	// 100ms and 10s.
+	// latency; before any history exists it sits at HedgeMax. Zero or
+	// negative means the default, 100ms and 10s; New rejects a HedgeMax
+	// below HedgeMin.
 	HedgeMin time.Duration
 	HedgeMax time.Duration
 	// Client performs worker requests and health probes; nil uses a
@@ -93,11 +94,11 @@ func New(cfg Config) (*Coordinator, error) {
 	if cfg.HedgeMin <= 0 {
 		cfg.HedgeMin = 100 * time.Millisecond
 	}
-	if cfg.HedgeMax < cfg.HedgeMin {
+	if cfg.HedgeMax <= 0 {
 		cfg.HedgeMax = 10 * time.Second
-		if cfg.HedgeMax < cfg.HedgeMin {
-			cfg.HedgeMax = cfg.HedgeMin
-		}
+	}
+	if cfg.HedgeMax < cfg.HedgeMin {
+		return nil, fmt.Errorf("hedge max %v is below hedge min %v", cfg.HedgeMax, cfg.HedgeMin)
 	}
 	if cfg.Client == nil {
 		cfg.Client = &http.Client{Transport: &http.Transport{

@@ -168,6 +168,35 @@ func TestCoordinatorFailsOverOn503AndTransportError(t *testing.T) {
 	}
 }
 
+// TestHedgeBounds is the -hedge-max regression: New read a HedgeMax below
+// HedgeMin as unset and replaced it with the 10s default, so a coordinator
+// asked to hedge after at most 50ms waited 200 times longer. Only an unset
+// HedgeMax takes the default; one below HedgeMin is an error.
+func TestHedgeBounds(t *testing.T) {
+	workers := []string{"http://127.0.0.1:1"}
+	if c, err := New(Config{Workers: workers, HedgeMin: 100 * time.Millisecond, HedgeMax: 50 * time.Millisecond}); err == nil {
+		c.Close()
+		t.Fatalf("HedgeMax 50ms below HedgeMin 100ms accepted; hedge budget %v", c.hedgeBudget())
+	}
+	for _, tc := range []struct {
+		min, max, want time.Duration
+	}{
+		{0, 0, 10 * time.Second},
+		{0, 5 * time.Second, 5 * time.Second},
+		{20 * time.Millisecond, 20 * time.Millisecond, 20 * time.Millisecond},
+	} {
+		c, err := New(Config{Workers: workers, HedgeMin: tc.min, HedgeMax: tc.max})
+		if err != nil {
+			t.Fatalf("HedgeMin %v HedgeMax %v: %v", tc.min, tc.max, err)
+		}
+		// With no latency history the budget sits at HedgeMax.
+		if got := c.hedgeBudget(); got != tc.want {
+			t.Errorf("HedgeMin %v HedgeMax %v: hedge budget %v, want %v", tc.min, tc.max, got, tc.want)
+		}
+		c.Close()
+	}
+}
+
 func TestCoordinatorHedgesSlowOwner(t *testing.T) {
 	ws := []*fakeWorker{newFakeWorker(t, "w1"), newFakeWorker(t, "w2"), newFakeWorker(t, "w3")}
 	release := make(chan struct{})

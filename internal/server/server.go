@@ -65,9 +65,9 @@ type Config struct {
 	// means DefaultScales.
 	Scales map[string]experiments.Scale
 	// Telemetry instruments the server; nil allocates a fresh one. Every
-	// simulation it launches counts into its Registry only, never its
-	// Sampler or Trace sink. Counters are safe under concurrent requests;
-	// /v1/metrics exports them.
+	// simulation it launches counts into its Registry only, never its Trace
+	// sink, and publishes its counts once, when it ends. Counters are safe
+	// under concurrent requests; /v1/metrics exports them.
 	Telemetry *telemetry.Telemetry
 	// Logger receives the structured JSON access log (one line per
 	// request) and server-side error events. nil disables logging.
@@ -128,8 +128,8 @@ type Server struct {
 	cache runner.Cache[string, cached]
 
 	// simTel is what every simulation reports into: the server registry
-	// alone. The sampler and trace sink of cfg.Telemetry would retain every
-	// interval and event of every simulation for the life of the process.
+	// alone. The trace sink of cfg.Telemetry would retain every event of
+	// every simulation for the life of the process.
 	simTel *telemetry.Telemetry
 
 	// slots is the admission semaphore (capacity MaxInFlight); queued

@@ -110,8 +110,8 @@ func sortedKeys[V any](m map[string]V) []string {
 }
 
 // WritePrometheus renders the registry's current snapshot in the Prometheus
-// text exposition format. Safe on a nil receiver (writes nothing). The
-// interval time-series is JSON-only — Prometheus scrapes are point-in-time.
+// text exposition format, the same snapshot WriteMetrics encodes as JSON.
+// Safe on a nil receiver (writes nothing).
 func (t *Telemetry) WritePrometheus(w io.Writer) error {
 	if t == nil {
 		return nil

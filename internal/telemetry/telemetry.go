@@ -1,18 +1,19 @@
-// Package telemetry is the simulator's observability layer: a typed metrics
-// registry (counters, gauges, log-scale histograms), a per-interval sampler
-// that records the arbitration time-series behind Figure 9's timeline, and a
-// trace sink that exports Chrome trace_event JSON loadable in chrome://tracing
-// or Perfetto.
+// Package telemetry is the simulator's observability layer, in two facets:
+// a typed metrics registry (counters, gauges, log-scale histograms) and a
+// trace sink that exports Chrome trace_event JSON loadable in
+// chrome://tracing or Perfetto. The per-interval arbitration record lives
+// in the cluster's timeline, which a run publishes into both facets once,
+// when it ends.
 //
 // The layer is zero-dependency and allocation-conscious. It is off by
-// default: a nil *Telemetry (or nil *Registry/*Sampler/*TraceSink) disables
+// default: a nil *Telemetry (or nil *Registry/*TraceSink) disables
 // everything, and every instrument method is safe to call on a nil receiver,
 // so hot paths carry only a predictable nil-check when telemetry is disabled
 // (verified by BenchmarkClusterTelemetryOff/On at the repo root).
 //
 // All instruments are safe for concurrent use: counters and gauges are
-// atomics, the registry, sampler and sink serialize structural mutation
-// behind mutexes, so clusters running in parallel goroutines may share one
+// atomics, the registry and sink serialize structural mutation behind
+// mutexes, so clusters running in parallel goroutines may share one
 // Telemetry.
 package telemetry
 
@@ -330,17 +331,16 @@ func (r *Registry) CounterNames() []string {
 	return names
 }
 
-// Telemetry bundles the three sinks a simulation can feed. Any field may be
-// nil to disable that facet; a nil *Telemetry disables all three.
+// Telemetry bundles the two facets a simulation can feed. Either field may
+// be nil to disable that facet; a nil *Telemetry disables both.
 type Telemetry struct {
 	Registry *Registry
-	Sampler  *Sampler
 	Trace    *TraceSink
 }
 
-// New returns a Telemetry with all three sinks enabled.
+// New returns a Telemetry with both facets enabled.
 func New() *Telemetry {
-	return &Telemetry{Registry: NewRegistry(), Sampler: NewSampler(), Trace: NewTraceSink()}
+	return &Telemetry{Registry: NewRegistry(), Trace: NewTraceSink()}
 }
 
 // Reg returns the registry (nil when disabled). Safe on a nil receiver.
@@ -349,14 +349,6 @@ func (t *Telemetry) Reg() *Registry {
 		return nil
 	}
 	return t.Registry
-}
-
-// Samp returns the sampler (nil when disabled). Safe on a nil receiver.
-func (t *Telemetry) Samp() *Sampler {
-	if t == nil {
-		return nil
-	}
-	return t.Sampler
 }
 
 // Sink returns the trace sink (nil when disabled). Safe on a nil receiver.
@@ -369,35 +361,18 @@ func (t *Telemetry) Sink() *TraceSink {
 
 // Enabled reports whether any facet is live. Safe on a nil receiver.
 func (t *Telemetry) Enabled() bool {
-	return t != nil && (t.Registry != nil || t.Sampler != nil || t.Trace != nil)
+	return t != nil && (t.Registry != nil || t.Trace != nil)
 }
 
-// Metrics is the combined metrics artifact the -metrics-out flag writes: the
-// registry snapshot plus the interval time-series.
-type Metrics struct {
-	Snapshot
-	Intervals []IntervalSample `json:"intervals,omitempty"`
-}
-
-// Export assembles the Metrics artifact. Safe on a nil receiver.
-func (t *Telemetry) Export() Metrics {
-	var m Metrics
-	if t == nil {
-		return m
-	}
-	m.Snapshot = t.Registry.Snapshot()
-	m.Intervals = t.Sampler.Samples()
-	return m
-}
-
-// WriteMetrics JSON-encodes the Metrics artifact to w.
+// WriteMetrics JSON-encodes the registry snapshot to w. Safe on a nil
+// receiver (an empty snapshot).
 func (t *Telemetry) WriteMetrics(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", " ")
-	return enc.Encode(t.Export())
+	return enc.Encode(t.Reg().Snapshot())
 }
 
-// WriteMetricsFile writes the Metrics artifact to path (the -metrics-out
+// WriteMetricsFile writes the registry snapshot to path (the -metrics-out
 // flag of both command binaries).
 func (t *Telemetry) WriteMetricsFile(path string) error {
 	f, err := os.Create(path)

@@ -15,13 +15,12 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	tel.Reg().Counter("x").Add(5)
 	tel.Reg().Gauge("g").Set(1)
 	tel.Reg().Histogram("h").Observe(3)
-	tel.Samp().Record(IntervalSample{})
 	tel.Sink().Emit(TraceEvent{})
 	tel.Sink().Complete("a", "b", 0, 1, 0, nil)
 	tel.Sink().Instant("a", "b", 0, 0, nil)
 	tel.Sink().Count("a", 0, 0, nil)
 	tel.Sink().NameThread(0, "x")
-	if tel.Samp().Len() != 0 || tel.Sink().Len() != 0 {
+	if tel.Sink().Len() != 0 {
 		t.Error("nil sinks recorded something")
 	}
 	var c *Counter
@@ -33,13 +32,12 @@ func TestNilReceiversAreNoOps(t *testing.T) {
 	if c.Value() != 0 || g.Value() != 0 || h.Count() != 0 || h.Sum() != 0 {
 		t.Error("nil instruments hold values")
 	}
-	m := tel.Export()
-	if m.Counters != nil || m.Intervals != nil {
-		t.Error("nil telemetry exported data")
-	}
 	var buf bytes.Buffer
 	if err := tel.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
+	}
+	if got := buf.String(); got != "{}\n" {
+		t.Errorf("nil telemetry exported %q", got)
 	}
 }
 
@@ -110,25 +108,6 @@ func TestHistogramBuckets(t *testing.T) {
 	}
 }
 
-func TestSamplerRoundTrip(t *testing.T) {
-	s := NewSampler()
-	s.Record(IntervalSample{Run: "r", Interval: 0, OoOOwners: []int{1},
-		Apps: []AppSample{{App: 0, IPC: 1.5}, {App: 1, IPC: 2.0, OnOoO: true}}})
-	s.Record(IntervalSample{Run: "r", Interval: 1})
-	if s.Len() != 2 {
-		t.Fatalf("len = %d", s.Len())
-	}
-	got := s.Samples()
-	if got[0].Apps[1].IPC != 2.0 || !got[0].Apps[1].OnOoO {
-		t.Errorf("sample = %+v", got[0])
-	}
-	// The copy is independent of subsequent resets.
-	s.Reset()
-	if s.Len() != 0 || len(got) != 2 {
-		t.Error("reset broke the copy")
-	}
-}
-
 func TestTraceSinkChromeFormat(t *testing.T) {
 	ts := NewTraceSink()
 	ts.NameThread(0, "hmmer")
@@ -186,7 +165,6 @@ func TestConcurrentUse(t *testing.T) {
 				c.Inc()
 				h.Observe(int64(i))
 				tel.Reg().Gauge("g").Set(float64(i))
-				tel.Samp().Record(IntervalSample{Run: "c", Interval: i})
 				tel.Sink().Instant("e", "t", int64(i), w, nil)
 			}
 		}(w)
@@ -195,29 +173,34 @@ func TestConcurrentUse(t *testing.T) {
 	if c.Value() != 8000 || h.Count() != 8000 {
 		t.Errorf("counter=%d hist=%d", c.Value(), h.Count())
 	}
-	if tel.Samp().Len() != 8000 || tel.Sink().Len() != 8000 {
-		t.Errorf("sampler=%d sink=%d", tel.Samp().Len(), tel.Sink().Len())
+	if tel.Sink().Len() != 8000 {
+		t.Errorf("sink=%d", tel.Sink().Len())
 	}
 }
 
+// TestExportMetricsJSON pins the -metrics-out shape: the registry
+// snapshot's three maps and nothing else.
 func TestExportMetricsJSON(t *testing.T) {
 	tel := New()
 	tel.Reg().Counter("a").Add(1)
-	tel.Samp().Record(IntervalSample{Interval: 3, Apps: []AppSample{{App: 0, IPC: 1}}})
+	tel.Reg().Gauge("g").Set(2)
+	tel.Reg().Histogram("h").Observe(3)
 	var buf bytes.Buffer
 	if err := tel.WriteMetrics(&buf); err != nil {
 		t.Fatal(err)
 	}
-	var m struct {
-		Counters  map[string]int64 `json:"counters"`
-		Intervals []struct {
-			Interval int `json:"interval"`
-		} `json:"intervals"`
-	}
+	var m map[string]json.RawMessage
 	if err := json.Unmarshal(buf.Bytes(), &m); err != nil {
 		t.Fatal(err)
 	}
-	if m.Counters["a"] != 1 || len(m.Intervals) != 1 || m.Intervals[0].Interval != 3 {
+	if len(m) != 3 || m["counters"] == nil || m["gauges"] == nil || m["histograms"] == nil {
+		t.Errorf("metrics keys: %s", buf.String())
+	}
+	var back Snapshot
+	if err := json.Unmarshal(buf.Bytes(), &back); err != nil {
+		t.Fatal(err)
+	}
+	if back.Counters["a"] != 1 || back.Gauges["g"] != 2 || back.Histograms["h"].Sum != 3 {
 		t.Errorf("metrics round-trip: %s", buf.String())
 	}
 }

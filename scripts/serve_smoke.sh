@@ -10,9 +10,10 @@
 #     and the run's `request` event agrees with its access-log line on
 #     request_id, route, status, cache and role,
 #   * /debug/statusz renders,
-#   * /v1/metrics JSON counts the request (server.requests >= 1) and
-#     /debug/pprof/cmdline answers 200: the live replacements for a metrics
-#     file and a CPU-profile file.
+#   * /v1/metrics JSON counts the request (server.requests >= 1) and holds
+#     the simulation's run totals (core0.insts > 0, a cluster.wall_cycles
+#     gauge), and /debug/pprof/cmdline answers 200: the live replacements
+#     for a metrics file and a CPU-profile file.
 # miraged boots with every worker flag the request path reads set to a
 # non-default value, so a flag that stops parsing fails here.
 # CI runs this in the serve-smoke job and uploads serve.log/metrics.prom on
@@ -160,11 +161,18 @@ for field in ("request_id", "route", "status", "cache", "role"):
     if request_args[0].get(field) != run_line.get(field):
         sys.exit(f"request event {field}={request_args[0].get(field)!r}, access log has {run_line.get(field)!r}")
 
-# 4. The JSON metrics counted the request.
+# 5. The JSON metrics counted the request, and the simulation published its
+#    run totals into the server registry when it ended.
 with open("metrics.json") as f:
-    requests = json.load(f)["counters"].get("server.requests", 0)
+    metrics = json.load(f)
+requests = metrics["counters"].get("server.requests", 0)
 if requests < 1:
     sys.exit(f"metrics.json server.requests = {requests}, want >= 1")
+insts = metrics["counters"].get("core0.insts", 0)
+if insts <= 0:
+    sys.exit(f"metrics.json core0.insts = {insts}, want > 0")
+if "cluster.wall_cycles" not in metrics.get("gauges", {}):
+    sys.exit("metrics.json has no cluster.wall_cycles gauge")
 
 print("serve smoke OK:", len(series), "series,", len(events), "trace events")
 PY
