@@ -59,9 +59,9 @@ type Arbiter interface {
 	Decide(apps []AppState, interval int) int
 }
 
-// deltaSCMPKI computes Eq 1 with a floor on the denominator so perfectly
+// DeltaSCMPKI computes Eq 1 with a floor on the denominator so perfectly
 // memoized phases (SC-MPKI_OoO == 0) don't divide by zero.
-func deltaSCMPKI(a AppState) float64 {
+func DeltaSCMPKI(a AppState) float64 {
 	const eps = 0.05
 	den := a.SCMPKIOoO
 	if !a.HaveOoOStats {
@@ -96,7 +96,7 @@ func (s *SCMPKI) Name() string { return "SC-MPKI" }
 func (s *SCMPKI) Decide(apps []AppState, interval int) int {
 	best, bestVal := None, s.Threshold
 	for _, a := range apps {
-		d := deltaSCMPKI(a)
+		d := DeltaSCMPKI(a)
 		if s.DecayLag > 0 {
 			since := float64(a.IntervalsSinceOoO)
 			d *= since / (since + s.DecayLag)
@@ -245,7 +245,7 @@ func (f *SCMPKIFair) Decide(apps []AppState, interval int) int {
 	a := apps[at]
 	// The candidate takes its turn unless it already meets its share and
 	// its Schedule Cache is still fresh — then conserve energy instead.
-	if a.Util < share || deltaSCMPKI(a) > f.Threshold {
+	if a.Util < share || DeltaSCMPKI(a) > f.Threshold {
 		return a.Index
 	}
 	return None

@@ -311,7 +311,7 @@ func TestDeltaSCMPKIDenominatorFloor(t *testing.T) {
 	a := mkState(0)
 	a.SCMPKIOoO = 0 // perfectly memoizable phase
 	a.SCMPKIInO = 1
-	d := deltaSCMPKI(a)
+	d := DeltaSCMPKI(a)
 	if d <= 0 || d > 1000 {
 		t.Errorf("Δ with zero denominator = %v, want positive and finite", d)
 	}

@@ -43,10 +43,12 @@ type Config struct {
 	// schedule producer per cluster.
 	NumOoO int
 	// AllOoO runs every application on a private OoO core (the Homo-OoO
-	// baseline); HasOoO/Memoize are ignored.
+	// baseline). There is no producer OoO to share, so New clears HasOoO
+	// and Memoize.
 	AllOoO bool
 	// Memoize enables the Mirage machinery (OinO mode + Schedule Caches);
-	// false models a traditional Het-CMP.
+	// false models a traditional Het-CMP. It needs HasOoO: the producer OoO
+	// fills the Schedule Caches.
 	Memoize bool
 
 	// Arbiter decides OoO occupancy each interval (nil: OoO stays idle).
@@ -175,8 +177,6 @@ type AppResult struct {
 	EnergyPJ energy.Breakdown
 	// Timeline holds per-interval stats.
 	Timeline []IntervalStat
-	// SquashedIters counts OinO replay misspeculations.
-	SquashedIters int64
 }
 
 // Result is the outcome of a cluster run.
@@ -195,10 +195,8 @@ type Result struct {
 	TotalEnergyPJ float64
 	// BusTransferCycles accumulates migration traffic (SC + state).
 	BusTransferCycles int64
-	// SCTransferCyclesTotal and L1RefillCyclesEst split migration cost for
-	// Figure 15.
+	// SCTransferCyclesTotal is the SC share of migration cost (Figure 15).
 	SCTransferCyclesTotal int64
-	L1RefillCyclesEst     int64
 	Migrations            int
 	Intervals             int
 }
@@ -219,47 +217,47 @@ type app struct {
 	cycles       int64 // local cycles consumed (== wall, apps run in lockstep intervals)
 	completedAt  int64
 
+	// onOoO is the one record of who occupies the OoO cores.
 	onOoO   bool
 	penalty int64 // cycles charged at the start of the next interval
 
 	// Cost cache: steady per-iteration measurements per trace and mode.
 	costs map[costKey]*measurement
 
-	// Arbitration stats.
-	ipcOoO            float64
-	scMPKIOoO         float64
-	haveOoOStats      bool
-	intervalsSinceOoO int
-	lastIPCInO        float64
-
-	// Fairness accounting (Eq 3).
-	oooCycles     int64
+	// arb holds the counters the arbitrator polls (Eqs 1 and 2); arbitrate
+	// fills in OnOoO and Util when it offers them.
+	arb arbiter.AppState
+	// memoCreditCyc is the memoized share of Eq 3's utilization.
 	memoCreditCyc float64
-	migrations    int
-	memoizedInsts int64
-	squashedIters int64
-	scXferCycles  int64
-	l1Refills     int64
-	energyPJ      energy.Breakdown
-	// done freezes the app's counters when it first reaches its instruction
-	// target; restarted execution (Section 4.1) keeps the cluster contended
-	// but must not distort per-app comparisons.
-	done *appSnapshot
+
+	// ledger counts the measured window; done freezes a copy of it when the
+	// app first reaches its instruction target: restarted execution
+	// (Section 4.1) keeps the cluster contended but must not distort
+	// per-app comparisons.
+	ledger ledger
+	done   *ledger
 	// timeline records every interval, the warmup intervals at its head
 	// included.
-	timeline      []IntervalStat
-	lastSCMPKIInO float64
+	timeline []IntervalStat
 }
 
-// appSnapshot captures an app's counters at target completion.
-type appSnapshot struct {
+// ledger is an app's accumulated run cost.
+type ledger struct {
 	energy        energy.Breakdown
 	oooCycles     int64
 	memoizedInsts int64
-	squashedIters int64
 	migrations    int
 	scXferCycles  int64
 	l1Refills     int64
+}
+
+// final is the ledger the app reports: frozen at completion, live if the
+// app never completed.
+func (a *app) final() ledger {
+	if a.done != nil {
+		return *a.done
+	}
+	return a.ledger
 }
 
 type mode uint8
@@ -292,7 +290,6 @@ type Cluster struct {
 
 	producerSC *schedcache.Cache
 	recorder   *ooo.Recorder
-	oooOwners  []int // app indexes occupying the OoO cores (empty: gated)
 	rng        *xrand.Rand
 
 	// warm is the number of warmup intervals at the head of every app's
@@ -323,12 +320,19 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, fmt.Errorf("cluster: nil benchmark at %d", i)
 		}
 	}
+	if cfg.AllOoO {
+		cfg.HasOoO = false
+		cfg.Memoize = false
+	}
+	if cfg.Memoize && !cfg.HasOoO {
+		return nil, fmt.Errorf("cluster: Memoize needs the producer OoO (HasOoO)")
+	}
 	if cfg.NumOoO > 1 && cfg.Memoize {
 		return nil, fmt.Errorf("cluster: Mirage uses a single schedule producer (NumOoO=%d with Memoize)", cfg.NumOoO)
 	}
 	root := xrand.NewString("cluster:" + cfg.Seed)
 	c := &Cluster{cfg: cfg, rng: root.Fork("arb"), lastOwner: -1, sink: cfg.Telemetry.Sink()}
-	if cfg.HasOoO && !cfg.AllOoO {
+	if cfg.HasOoO {
 		c.producerSC = schedcache.New(cfg.SCCapacityBytes)
 		c.recorder = ooo.NewRecorder(root.Fork("rec"))
 	}
@@ -337,6 +341,7 @@ func New(cfg Config) (*Cluster, error) {
 		ar := root.Fork(fmt.Sprintf("app%d:%s", i, b.Name))
 		a := &app{
 			idx:     i,
+			arb:     arbiter.AppState{Index: i},
 			bench:   b,
 			mem:     h,
 			inoC:    ino.New(h, ar.Fork("ino")),
@@ -365,7 +370,7 @@ func (c *Cluster) Run() (*Result, error) {
 	// counters reset. They stand in for the billions of instructions that
 	// amortize cold-start in the paper's runs.
 	warm := 4 // homogeneous CMPs only need cache warmup
-	if c.cfg.HasOoO && !c.cfg.AllOoO {
+	if c.cfg.HasOoO {
 		// Long enough for the arbitration rotation to visit everyone.
 		warm = 3 * len(c.apps)
 	}
@@ -381,7 +386,7 @@ func (c *Cluster) Run() (*Result, error) {
 		if interval >= warm && c.allDone() {
 			break
 		}
-		if c.cfg.HasOoO && !c.cfg.AllOoO && c.cfg.Arbiter != nil {
+		if c.cfg.HasOoO && c.cfg.Arbiter != nil {
 			c.arbitrate(interval, res)
 		}
 		if p := c.cfg.PingPongEvery; p > 0 && (interval+1)%p == 0 {
@@ -404,15 +409,9 @@ func (c *Cluster) resetCounters(res *Result) {
 		a.instsRetired = 0
 		a.cycles = 0
 		a.completedAt = 0
-		a.done = nil
-		a.oooCycles = 0
 		a.memoCreditCyc = 0
-		a.migrations = 0
-		a.memoizedInsts = 0
-		a.squashedIters = 0
-		a.scXferCycles = 0
-		a.l1Refills = 0
-		a.energyPJ = energy.Breakdown{}
+		a.ledger = ledger{}
+		a.done = nil
 	}
 	*res = Result{}
 }
@@ -429,7 +428,7 @@ func (c *Cluster) allDone() bool {
 // runInterval advances every application by one interval.
 func (c *Cluster) runInterval(res *Result) {
 	for _, a := range c.apps {
-		onOoO := c.cfg.AllOoO || (a.onOoO && c.cfg.HasOoO)
+		onOoO := c.cfg.AllOoO || a.onOoO
 		budget := c.cfg.IntervalCycles - a.penalty
 		a.penalty = 0
 		if budget < 0 {
@@ -439,32 +438,26 @@ func (c *Cluster) runInterval(res *Result) {
 		st.OnOoO = onOoO
 		a.timeline = append(a.timeline, st)
 		a.cycles += c.cfg.IntervalCycles
-		if onOoO && !c.cfg.AllOoO {
-			a.oooCycles += c.cfg.IntervalCycles
+		if a.onOoO {
+			a.ledger.oooCycles += c.cfg.IntervalCycles
 			res.OoOActiveCycles += c.cfg.IntervalCycles / int64(c.cfg.NumOoO)
-			a.intervalsSinceOoO = 0
+			a.arb.IntervalsSinceOoO = 0
 		} else {
-			a.intervalsSinceOoO++
+			a.arb.IntervalsSinceOoO++
 		}
 		if a.completedAt == 0 && a.instsRetired >= c.cfg.TargetInsts {
 			// runApp records the exact crossing cycle in completedAt when it
 			// happens mid-interval; fall back to the interval boundary.
 			a.completedAt = a.cycles
-			a.snapshotDone()
+			a.freeze()
 		}
 	}
 }
 
-func (a *app) snapshotDone() {
-	a.done = &appSnapshot{
-		energy:        a.energyPJ,
-		oooCycles:     a.oooCycles,
-		memoizedInsts: a.memoizedInsts,
-		squashedIters: a.squashedIters,
-		migrations:    a.migrations,
-		scXferCycles:  a.scXferCycles,
-		l1Refills:     a.l1Refills,
-	}
+// freeze records the ledger at target completion.
+func (a *app) freeze() {
+	done := a.ledger
+	a.done = &done
 }
 
 // runApp executes one application for `budget` cycles on its current core.
@@ -475,7 +468,7 @@ func (c *Cluster) runApp(a *app, onOoO bool, budget int64) IntervalStat {
 	}
 	var cycles float64
 	var insts int64
-	var scMisses, scExecs, scInsts int64
+	var scMisses, scInsts int64
 
 	phaseIdx := a.bench.PhaseAt(a.instsRetired)
 	phase := &a.bench.Phases[phaseIdx]
@@ -496,7 +489,7 @@ func (c *Cluster) runApp(a *app, onOoO bool, budget int64) IntervalStat {
 		switch {
 		case onOoO:
 			m = modeOoO
-		case c.cfg.Memoize && a.sc != nil:
+		case c.cfg.Memoize:
 			if s, ok := a.lookupSC(t); ok {
 				m = modeOinO
 				sched = s
@@ -532,25 +525,21 @@ func (c *Cluster) runApp(a *app, onOoO bool, budget int64) IntervalStat {
 			// Exact completion point within the interval (a.cycles still
 			// holds the interval-start wall time here).
 			a.completedAt = a.cycles + int64(cycles) + (c.cfg.IntervalCycles - budget)
-			a.snapshotDone()
+			a.freeze()
 		}
 		for s := energy.Structure(0); s < energy.NumStructures; s++ {
-			a.energyPJ[s] += ms.perIterEnergy[s] * float64(iters)
+			a.ledger.energy[s] += ms.perIterEnergy[s] * float64(iters)
 		}
 
 		switch m {
 		case modeOinO:
-			squashed := int64(float64(iters)*ms.squashRate + 0.5)
-			a.memoizedInsts += n
-			a.squashedIters += squashed
+			a.ledger.memoizedInsts += n
 			st.MemoizedInsts += n
-			st.SquashedIters += squashed
-			a.memoCreditCyc += float64(iters) * ms.cyclesPerIter * c.replaySpeedup(a, ms)
-			scExecs += int64(iters)
+			st.SquashedIters += int64(float64(iters)*ms.squashRate + 0.5)
+			a.memoCreditCyc += float64(iters) * ms.cyclesPerIter * c.replaySpeedup(a)
 			scInsts += n
 		case modeInO:
-			if c.cfg.Memoize && a.sc != nil {
-				scExecs += int64(iters)
+			if c.cfg.Memoize {
 				scInsts += n
 				scMisses += int64(iters)
 			}
@@ -569,23 +558,19 @@ func (c *Cluster) runApp(a *app, onOoO bool, budget int64) IntervalStat {
 
 	// Update arbitration state.
 	if onOoO {
-		a.ipcOoO = st.IPC
-		a.haveOoOStats = true
+		a.arb.IPCOoO = st.IPC
+		a.arb.HaveOoOStats = true
 		if c.cfg.Memoize {
-			a.scMPKIOoO = c.memoizabilityMPKI(a, phase)
+			a.arb.SCMPKIOoO = c.memoizabilityMPKI(a, phase)
 		}
 	} else {
-		a.lastIPCInO = st.IPC
-		a.lastSCMPKIInO = st.SCMPKI
+		a.arb.IPCInO = st.IPC
+		a.arb.SCMPKIInO = st.SCMPKI
 	}
-	den := a.scMPKIOoO
-	if !a.haveOoOStats {
-		den = 1
-	}
-	if den < 0.05 {
-		den = 0.05
-	}
-	st.DeltaSCMPKI = (st.SCMPKI - den) / den
+	// The timeline's Eq 1 reads this interval's SC-MPKI, on either core.
+	now := a.arb
+	now.SCMPKIInO = st.SCMPKI
+	st.DeltaSCMPKI = arbiter.DeltaSCMPKI(now)
 	return st
 }
 
@@ -600,13 +585,13 @@ func (a *app) lookupSC(t *trace.Trace) (*trace.Schedule, bool) {
 }
 
 // replaySpeedup estimates the Eq 3 speedup credit of memoized execution.
-func (c *Cluster) replaySpeedup(a *app, ms *measurement) float64 {
-	if a.ipcOoO <= 0 || ms.cyclesPerIter <= 0 {
+func (c *Cluster) replaySpeedup(a *app) float64 {
+	if a.arb.IPCOoO <= 0 {
 		return 1
 	}
 	// The credit is the app's last in-order IPC over its OoO IPC, capped
 	// at 1.
-	sp := a.lastIPCInO / a.ipcOoO
+	sp := a.arb.IPCInO / a.arb.IPCOoO
 	if sp > 1 {
 		sp = 1
 	}
@@ -620,7 +605,7 @@ func (c *Cluster) replaySpeedup(a *app, ms *measurement) float64 {
 // the recorder observes executions and inserts confident schedules into the
 // producer SC.
 func (c *Cluster) produce(a *app, l *program.Loop, ms *measurement, iters int) {
-	if !c.cfg.Memoize || c.recorder == nil || ms.sched == nil {
+	if !c.cfg.Memoize || ms.sched == nil {
 		return
 	}
 	if c.producerSC.Contains(l.Trace.ID) {
@@ -748,21 +733,12 @@ func loopWeights(p *program.Phase) []float64 {
 func (c *Cluster) arbitrate(interval int, res *Result) {
 	states := make([]arbiter.AppState, len(c.apps))
 	for i, a := range c.apps {
-		util := 0.0
+		a.arb.OnOoO = a.onOoO
+		a.arb.Util = 0
 		if a.cycles > 0 {
-			util = (float64(a.oooCycles) + a.memoCreditCyc) / float64(a.cycles)
+			a.arb.Util = (float64(a.ledger.oooCycles) + a.memoCreditCyc) / float64(a.cycles)
 		}
-		states[i] = arbiter.AppState{
-			Index:             i,
-			OnOoO:             a.onOoO,
-			IPCInO:            a.lastIPCInO,
-			IPCOoO:            a.ipcOoO,
-			SCMPKIInO:         a.lastSCMPKIInO,
-			SCMPKIOoO:         a.scMPKIOoO,
-			HaveOoOStats:      a.haveOoOStats,
-			IntervalsSinceOoO: a.intervalsSinceOoO,
-			Util:              util,
-		}
+		states[i] = a.arb
 	}
 	// Fill up to NumOoO slots by repeatedly asking the policy, excluding
 	// apps already granted a slot this boundary.
@@ -797,21 +773,18 @@ func (c *Cluster) arbitrate(interval int, res *Result) {
 	for _, p := range picks {
 		picked[p] = true
 	}
-	// Evict owners that lost their slot.
-	var kept []int
-	for _, owner := range c.oooOwners {
-		if picked[owner] {
-			kept = append(kept, owner)
-			delete(picked, owner) // already seated; no move needed
-		} else {
-			c.evictFromOoO(c.apps[owner], res)
+	// Evict the seated apps that lost their slot, then seat the new picks.
+	// An eviction changes only the evicted app plus additive penalties on
+	// its peers, so the order of evictions does not matter. (A broadcast
+	// also fills peer SCs, but Mirage seats a single app.)
+	for i, a := range c.apps {
+		if a.onOoO && !picked[i] {
+			c.evictFromOoO(a, res)
 		}
 	}
-	c.oooOwners = kept
 	for _, p := range picks {
-		if picked[p] {
-			c.moveToOoO(c.apps[p], res)
-			c.oooOwners = append(c.oooOwners, p)
+		if a := c.apps[p]; !a.onOoO {
+			c.moveToOoO(a, res)
 		}
 	}
 	if c.cfg.Audit != nil {
@@ -819,27 +792,17 @@ func (c *Cluster) arbitrate(interval int, res *Result) {
 	}
 }
 
-// auditOccupancy checks the post-arbitration seating invariants: at most
-// NumOoO distinct occupants, and the owner list consistent with every app's
-// onOoO flag — a divergence here double-bills OoO cycles and Eq 3 credit.
+// auditOccupancy checks the post-arbitration seating invariant: at most
+// NumOoO seated apps — more double-bills OoO cycles and Eq 3 credit.
 func (c *Cluster) auditOccupancy(interval int) {
-	aud := c.cfg.Audit
-	aud.Checkf(len(c.oooOwners) <= c.cfg.NumOoO, "cluster.ooo_occupancy", c.cfg.Seed,
-		"interval %d: %d OoO occupants, capacity %d", interval, len(c.oooOwners), c.cfg.NumOoO)
-	seen := make(map[int]bool, len(c.oooOwners))
-	for _, o := range c.oooOwners {
-		if !aud.Checkf(o >= 0 && o < len(c.apps), "cluster.ooo_occupancy", c.cfg.Seed,
-			"interval %d: owner index %d out of range", interval, o) {
-			continue
+	seated := 0
+	for _, a := range c.apps {
+		if a.onOoO {
+			seated++
 		}
-		aud.Checkf(!seen[o], "cluster.ooo_occupancy", c.cfg.Seed,
-			"interval %d: app %d seated on two OoO slots", interval, o)
-		seen[o] = true
 	}
-	for i, a := range c.apps {
-		aud.Checkf(a.onOoO == seen[i], "cluster.ooo_occupancy", c.cfg.Seed,
-			"interval %d: app %d onOoO=%v but owner=%v", interval, i, a.onOoO, seen[i])
-	}
+	c.cfg.Audit.Checkf(seated <= c.cfg.NumOoO, "cluster.ooo_occupancy", c.cfg.Seed,
+		"interval %d: %d OoO occupants, capacity %d", interval, seated, c.cfg.NumOoO)
 }
 
 // evictFromOoO returns an app to its InO core, shipping the producer SC
@@ -847,7 +810,7 @@ func (c *Cluster) auditOccupancy(interval int) {
 func (c *Cluster) evictFromOoO(a *app, res *Result) {
 	a.onOoO = false
 	var scCost int64
-	if c.cfg.Memoize && a.sc != nil {
+	if c.cfg.Memoize {
 		moved := a.sc.CopyFrom(c.producerSC)
 		if moved > 0 {
 			scCost = c.cfg.SCTransferCycles
@@ -857,12 +820,12 @@ func (c *Cluster) evictFromOoO(a *app, res *Result) {
 			// schedules over the unidirectional broadcast path. Receivers
 			// pay the transfer latency; the departing app already does.
 			for _, peer := range c.apps {
-				if peer == a || peer.sc == nil {
+				if peer == a {
 					continue
 				}
 				if peer.sc.CopyFrom(c.producerSC) > 0 {
 					peer.penalty += c.cfg.SCTransferCycles
-					peer.scXferCycles += c.cfg.SCTransferCycles
+					peer.ledger.scXferCycles += c.cfg.SCTransferCycles
 					res.SCTransferCyclesTotal += c.cfg.SCTransferCycles
 					res.BusTransferCycles += c.cfg.SCTransferCycles
 					// Stale per-trace measurements: new schedules available.
@@ -871,13 +834,11 @@ func (c *Cluster) evictFromOoO(a *app, res *Result) {
 			}
 		}
 	}
-	refill := c.estimateL1Refill(a)
 	a.penalty += c.cfg.DrainCycles + scCost
-	a.scXferCycles += scCost
-	a.l1Refills += refill
+	a.ledger.scXferCycles += scCost
+	a.ledger.l1Refills += c.estimateL1Refill(a)
 	res.BusTransferCycles += c.cfg.DrainCycles + scCost
 	res.SCTransferCyclesTotal += scCost
-	res.L1RefillCyclesEst += refill
 	c.chargeBusContention(a, c.cfg.DrainCycles+scCost)
 	c.drainCycles += c.cfg.DrainCycles
 	c.scXferCycles += scCost
@@ -901,16 +862,14 @@ func (c *Cluster) chargeBusContention(mover *app, transfer int64) {
 // moveToOoO moves an app onto the producer core.
 func (c *Cluster) moveToOoO(a *app, res *Result) {
 	a.onOoO = true
-	a.migrations++
+	a.ledger.migrations++
 	res.Migrations++
-	refill := c.estimateL1Refill(a)
 	a.penalty += c.cfg.DrainCycles
-	a.l1Refills += refill
+	a.ledger.l1Refills += c.estimateL1Refill(a)
 	res.BusTransferCycles += c.cfg.DrainCycles
-	res.L1RefillCyclesEst += refill
 	c.chargeBusContention(a, c.cfg.DrainCycles)
 	c.drainCycles += c.cfg.DrainCycles
-	if c.cfg.Memoize && c.producerSC != nil {
+	if c.cfg.Memoize {
 		// The producer starts fresh for the new application.
 		c.producerSC.Flush()
 		c.recorder.Reset()
@@ -948,38 +907,27 @@ func (c *Cluster) finalize(res *Result) {
 
 	var total float64
 	for _, a := range c.apps {
+		// Energy, IPC and the migration counts are reported over the app's
+		// completion window: TargetInsts instructions, however long they
+		// took. OoOCycles keeps the full-run value: OoO time *share* is a
+		// property of the whole run (Figure 12).
+		l := a.final()
 		ar := AppResult{
 			Name:             a.bench.Name,
 			Insts:            a.instsRetired,
 			Cycles:           a.cycles,
-			OoOCycles:        a.oooCycles,
-			MemoizedInsts:    a.memoizedInsts,
-			Migrations:       a.migrations,
-			SCTransferCycles: a.scXferCycles,
-			L1RefillCycles:   a.l1Refills,
-			EnergyPJ:         a.energyPJ,
+			OoOCycles:        a.ledger.oooCycles,
+			MemoizedInsts:    l.memoizedInsts,
+			Migrations:       l.migrations,
+			SCTransferCycles: l.scXferCycles,
+			L1RefillCycles:   l.l1Refills,
+			EnergyPJ:         l.energy,
 			Timeline:         a.timeline[c.warm:],
-			SquashedIters:    a.squashedIters,
 		}
-		oooCyc := a.oooCycles
-		// Energy and IPC are reported over the app's completion window:
-		// TargetInsts instructions, however long they took.
 		if a.completedAt > 0 {
 			ar.Insts = c.cfg.TargetInsts
 			ar.Cycles = a.completedAt
 			ar.IPC = float64(c.cfg.TargetInsts) / float64(a.completedAt)
-			if a.done != nil {
-				ar.EnergyPJ = a.done.energy
-				ar.MemoizedInsts = a.done.memoizedInsts
-				ar.SquashedIters = a.done.squashedIters
-				ar.Migrations = a.done.migrations
-				ar.SCTransferCycles = a.done.scXferCycles
-				ar.L1RefillCycles = a.done.l1Refills
-				oooCyc = a.done.oooCycles
-				// ar.OoOCycles keeps the full-run value: OoO time *share*
-				// is a property of the whole run (Figure 12), while energy
-				// freezes at completion.
-			}
 		} else if a.cycles > 0 {
 			ar.IPC = float64(a.instsRetired) / float64(a.cycles)
 		}
@@ -987,8 +935,8 @@ func (c *Cluster) finalize(res *Result) {
 		total += ar.EnergyPJ.Total()
 		// Idle InO leakage while the app occupied the OoO (its home core
 		// waits powered on).
-		if !c.cfg.AllOoO && c.cfg.HasOoO {
-			total += energy.IdleLeakagePJ(energy.KindInO, uint64(oooCyc)) * 0.3
+		if c.cfg.HasOoO {
+			total += energy.IdleLeakagePJ(energy.KindInO, uint64(l.oooCycles)) * 0.3
 		}
 	}
 	// The OoO's idle time is power-gated: zero cost (Section 4.2).
@@ -1012,13 +960,8 @@ func (c *Cluster) auditFinalize(res *Result) {
 		aud.Checkf(ar.EnergyPJ.Valid(), "energy.breakdown", ar.Name,
 			"non-finite or negative component in final breakdown")
 		want += ar.EnergyPJ.Total()
-		if !c.cfg.AllOoO && c.cfg.HasOoO {
-			a := c.apps[i]
-			oooCyc := a.oooCycles
-			if a.completedAt > 0 && a.done != nil {
-				oooCyc = a.done.oooCycles
-			}
-			want += energy.IdleLeakagePJ(energy.KindInO, uint64(oooCyc)) * 0.3
+		if c.cfg.HasOoO {
+			want += energy.IdleLeakagePJ(energy.KindInO, uint64(c.apps[i].final().oooCycles)) * 0.3
 		}
 	}
 	diff := res.TotalEnergyPJ - want

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/arbiter"
@@ -38,6 +39,33 @@ func TestConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Apps: apps("bzip2"), NumOoO: 2, Memoize: true, HasOoO: true}); err == nil {
 		t.Error("multi-OoO Mirage accepted (single producer only)")
+	}
+	if _, err := New(Config{Apps: apps("bzip2"), Memoize: true}); err == nil {
+		t.Error("Memoize without HasOoO accepted (no producer fills the SCs)")
+	}
+}
+
+// TestAllOoOIgnoresMemoize: a Homo-OoO cluster has no producer to memoize
+// with, so AllOoO overrides HasOoO and Memoize and the run equals AllOoO
+// alone.
+func TestAllOoOIgnoresMemoize(t *testing.T) {
+	run := func(mirage bool) *Result {
+		cfg := small(apps("hmmer", "mcf"))
+		cfg.AllOoO = true
+		cfg.HasOoO = mirage
+		cfg.Memoize = mirage
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := cl.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	if plain, mirage := run(false), run(true); !reflect.DeepEqual(plain, mirage) {
+		t.Errorf("AllOoO with Memoize gave %+v, want AllOoO alone's %+v", mirage, plain)
 	}
 }
 
@@ -274,7 +302,7 @@ func TestCompletionSnapshotFreezesEnergy(t *testing.T) {
 		if a.Insts != cfg.TargetInsts {
 			t.Errorf("app %d reported %d insts, want the target %d", i, a.Insts, cfg.TargetInsts)
 		}
-		live := cl.apps[i].energyPJ.Total()
+		live := cl.apps[i].ledger.energy.Total()
 		if a.EnergyPJ.Total() > live {
 			t.Errorf("snapshot energy %v exceeds live accumulator %v", a.EnergyPJ.Total(), live)
 		}

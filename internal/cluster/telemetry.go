@@ -44,7 +44,7 @@ func (c *Cluster) finalizeTelemetry(res *Result) {
 	reg.Counter("cluster.sc_transfer_cycles").Add(c.scXferCycles)
 	squashHist := reg.Histogram("cluster.squash_penalty_cycles")
 	tenureHist := reg.Histogram("arbiter.tenure_intervals")
-	arbitrated := c.cfg.HasOoO && !c.cfg.AllOoO
+	arbitrated := c.cfg.HasOoO
 	oooTid := len(c.apps)
 	if arbitrated {
 		sink.NameThread(oooTid, "OoO producer")

@@ -59,7 +59,6 @@ type Events struct {
 	BPredLookups uint64
 	Fetches      uint64 // instructions fetched from the L1I path
 	SCFetches    uint64 // instructions fetched from the Schedule Cache
-	SCWrites     uint64 // schedule bytes written into the SC
 	Decodes      uint64
 
 	RenameOps uint64 // OoO register renames
@@ -71,34 +70,8 @@ type Events struct {
 	SQOps     uint64
 	L1DAccess uint64
 	L1IAccess uint64
-	L2Access  uint64
 	CDBBcasts uint64 // result broadcasts
 	Squashes  uint64 // pipeline / trace squashes
-}
-
-// Add accumulates o into e.
-func (e *Events) Add(o Events) {
-	e.Cycles += o.Cycles
-	e.IntOps += o.IntOps
-	e.MulDivOps += o.MulDivOps
-	e.FPOps += o.FPOps
-	e.BPredLookups += o.BPredLookups
-	e.Fetches += o.Fetches
-	e.SCFetches += o.SCFetches
-	e.SCWrites += o.SCWrites
-	e.Decodes += o.Decodes
-	e.RenameOps += o.RenameOps
-	e.ROBWrites += o.ROBWrites
-	e.SchedOps += o.SchedOps
-	e.PRFReads += o.PRFReads
-	e.PRFWrites += o.PRFWrites
-	e.LQOps += o.LQOps
-	e.SQOps += o.SQOps
-	e.L1DAccess += o.L1DAccess
-	e.L1IAccess += o.L1IAccess
-	e.L2Access += o.L2Access
-	e.CDBBcasts += o.CDBBcasts
-	e.Squashes += o.Squashes
 }
 
 // CoreKind selects which structure set and coefficients apply.
@@ -251,7 +224,7 @@ func Compute(kind CoreKind, ev Events) Breakdown {
 	act(Rename, ev.RenameOps)
 	act(ROB, ev.ROBWrites*2) // write at dispatch, read at commit
 	act(Scheduler, ev.SchedOps)
-	act(SchedCache, ev.SCFetches+ev.SCWrites)
+	act(SchedCache, ev.SCFetches)
 
 	for s := Structure(0); s < NumStructures; s++ {
 		b[s] += c.leakage[s] * float64(ev.Cycles)

@@ -142,14 +142,6 @@ func TestComputeLinearInEvents(t *testing.T) {
 	}
 }
 
-func TestEventsAdd(t *testing.T) {
-	a := Events{Cycles: 5, IntOps: 2, SCFetches: 1, Squashes: 3}
-	a.Add(Events{Cycles: 7, IntOps: 4, SCFetches: 9, Squashes: 1})
-	if a.Cycles != 12 || a.IntOps != 6 || a.SCFetches != 10 || a.Squashes != 4 {
-		t.Errorf("Add result %+v", a)
-	}
-}
-
 func TestIdleLeakageOrdering(t *testing.T) {
 	const cyc = 1000
 	lO := IdleLeakagePJ(KindOoO, cyc)

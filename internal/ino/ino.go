@@ -74,9 +74,6 @@ func (c *Core) AttachAudit(a *invariant.Auditor, label string) {
 	c.audLabel = label
 }
 
-// MeasureIters is the default iteration count per measurement.
-const MeasureIters = 8
-
 // SquashRefillCycles is the pipeline flush-and-refill cost when an OinO
 // trace misspeculates and restarts in program order.
 const SquashRefillCycles = isa.InOPipelineDepth
@@ -88,9 +85,6 @@ const CommitOverheadCycles = 1.0
 
 // MeasureTrace simulates iters iterations of t in plain in-order mode.
 func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walker, iters int) Result {
-	if iters <= 0 {
-		iters = MeasureIters
-	}
 	loadLats, nLoads, nStores := c.Mem.LoadLatencies(t, walkers, iters)
 	fetchGates := c.Mem.FetchGates(t, iters)
 	req := pipeline.Request{
@@ -124,9 +118,6 @@ func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem
 // is discarded, the pipeline refills, and the iteration re-executes in
 // program order. The returned CyclesPerIter folds that penalty in.
 func (c *Core) MeasureReplay(t *trace.Trace, deps *trace.DepGraph, sched *trace.Schedule, walkers []*mem.Walker, iters int) Result {
-	if iters <= 0 {
-		iters = MeasureIters
-	}
 	if !sched.Replayable() {
 		// Hardware could not replay this schedule; fall back to plain InO.
 		return c.MeasureTrace(t, deps, walkers, iters)

@@ -28,13 +28,6 @@ var (
 	L2Config  = cache.Config{Name: "L2", SizeBytes: 2 << 20, LineBytes: 64, Assoc: 8}
 )
 
-// Traffic counts L1<->L2 and L2<->memory line transfers; the cluster's bus
-// model and the energy model both consume it.
-type Traffic struct {
-	L1ToL2Lines  uint64
-	L2ToMemLines uint64
-}
-
 // Hierarchy is one application's view of the memory system: private L1s and
 // a private 2 MB L2 slice ("2 MB per benchmark" per Section 4.2).
 type Hierarchy struct {
@@ -45,7 +38,8 @@ type Hierarchy struct {
 	DTLB *TLB
 	pf   *cache.StridePrefetcher
 
-	traffic Traffic
+	// Bus line transfers, L1<->L2 and L2<->memory.
+	l1ToL2Lines, l2ToMemLines uint64
 
 	// Scratch that LoadLatencies and FetchGates return slices of.
 	ops   []memOp
@@ -66,9 +60,6 @@ func NewHierarchy() *Hierarchy {
 	return h
 }
 
-// Traffic returns accumulated line-transfer counts.
-func (h *Hierarchy) Traffic() Traffic { return h.traffic }
-
 // PublishTelemetry adds the hierarchy's cache, TLB and bus counters to the
 // registry's counters under prefix (e.g. "core0.mem"), once per run on the
 // simulating goroutine (see cache.PublishTelemetry). A nil registry is a
@@ -81,8 +72,8 @@ func (h *Hierarchy) PublishTelemetry(reg *telemetry.Registry, prefix string) {
 	_, dtlbMisses := h.DTLB.Stats()
 	reg.Counter(prefix + ".itlb.misses").Add(int64(itlbMisses))
 	reg.Counter(prefix + ".dtlb.misses").Add(int64(dtlbMisses))
-	reg.Counter(prefix + ".bus.l1_l2_lines").Add(int64(h.traffic.L1ToL2Lines))
-	reg.Counter(prefix + ".bus.l2_mem_lines").Add(int64(h.traffic.L2ToMemLines))
+	reg.Counter(prefix + ".bus.l1_l2_lines").Add(int64(h.l1ToL2Lines))
+	reg.Counter(prefix + ".bus.l2_mem_lines").Add(int64(h.l2ToMemLines))
 }
 
 // LoadLatency performs a data load at addr on behalf of streamID and returns
@@ -92,12 +83,12 @@ func (h *Hierarchy) LoadLatency(streamID uint8, addr uint64) int {
 	if h.L1D.Access(addr) {
 		return walk + L1Latency
 	}
-	h.traffic.L1ToL2Lines++
+	h.l1ToL2Lines++
 	h.pf.Observe(streamID, addr)
 	if h.L2.Access(addr) {
 		return walk + L1Latency + L2Latency
 	}
-	h.traffic.L2ToMemLines++
+	h.l2ToMemLines++
 	return walk + L1Latency + L2Latency + MemLatency
 }
 
@@ -107,10 +98,10 @@ func (h *Hierarchy) LoadLatency(streamID uint8, addr uint64) int {
 func (h *Hierarchy) StoreAccess(streamID uint8, addr uint64) int {
 	h.DTLB.Access(addr) // translation happens even though the buffer hides it
 	if !h.L1D.Access(addr) {
-		h.traffic.L1ToL2Lines++
+		h.l1ToL2Lines++
 		h.pf.Observe(streamID, addr)
 		if !h.L2.Access(addr) {
-			h.traffic.L2ToMemLines++
+			h.l2ToMemLines++
 		}
 	}
 	return 1
@@ -123,11 +114,11 @@ func (h *Hierarchy) FetchLatency(addr uint64) int {
 	if h.L1I.Access(addr) {
 		return walk + L1Latency
 	}
-	h.traffic.L1ToL2Lines++
+	h.l1ToL2Lines++
 	if h.L2.Access(addr) {
 		return walk + L1Latency + L2Latency
 	}
-	h.traffic.L2ToMemLines++
+	h.l2ToMemLines++
 	return walk + L1Latency + L2Latency + MemLatency
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -64,13 +65,14 @@ func TestFlushL1sKeepsL2(t *testing.T) {
 func TestTrafficCounters(t *testing.T) {
 	h := NewHierarchy()
 	h.LoadLatency(0, 0xA000) // miss both: 1 L1->L2 line, 1 L2->mem line
-	tr := h.Traffic()
-	if tr.L1ToL2Lines != 1 || tr.L2ToMemLines != 1 {
-		t.Errorf("traffic %+v", tr)
-	}
 	h.LoadLatency(0, 0xA000) // L1 hit: no traffic
-	if h.Traffic() != tr {
-		t.Error("hit generated traffic")
+	reg := telemetry.NewRegistry()
+	h.PublishTelemetry(reg, "core0.mem")
+	got := reg.Snapshot().Counters
+	for _, name := range []string{"core0.mem.bus.l1_l2_lines", "core0.mem.bus.l2_mem_lines"} {
+		if got[name] != 1 {
+			t.Errorf("%s = %d, want 1 (one miss, then a hit that moves no line)", name, got[name])
+		}
 	}
 }
 

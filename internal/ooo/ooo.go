@@ -66,11 +66,6 @@ func (c *Core) AttachAudit(a *invariant.Auditor, label string) {
 	c.audLabel = label
 }
 
-// MeasureIters is the default number of back-to-back iterations simulated
-// per measurement; enough for the ROB to reach steady overlap and caches to
-// settle, small enough to keep measurement cheap.
-const MeasureIters = 8
-
 // ScheduleSpan is how many consecutive iterations one memoized schedule
 // covers. The OoO overlaps iterations inside its ROB; recording the issue
 // order across a two-iteration block preserves that overlap so in-order
@@ -81,9 +76,6 @@ const ScheduleSpan = 4
 // returns steady-state performance plus the schedule it would memoize.
 // walkers supply the trace's memory address streams (one per stream spec).
 func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walker, iters int) Result {
-	if iters <= 0 {
-		iters = MeasureIters
-	}
 	loadLats, nLoads, nStores := c.Mem.LoadLatencies(t, walkers, iters)
 	fetchGates := c.Mem.FetchGates(t, iters)
 
