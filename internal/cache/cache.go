@@ -27,25 +27,22 @@ type Stats struct {
 	PrefetchHits uint64
 }
 
-// line is one cache block's state, ordered so it packs into 24 bytes.
-type line struct {
-	tag        uint64
-	lastUse    uint64
-	valid      bool
-	prefetched bool
-}
-
 // Cache is a set-associative, write-allocate, LRU cache model. It tracks
 // presence only (no data), which is all the timing model needs.
+//
+// Every set's ways sit back to back in three parallel arrays: set i is
+// ways [i*Assoc, (i+1)*Assoc). A way's tag is its block number plus one,
+// and zero when the way is invalid, so a lookup reads only the tags: an
+// 8-way set's tags fill one 64-byte host cache line.
 type Cache struct {
-	cfg Config
-	// lines holds every set's ways back to back: set i is
-	// lines[i*Assoc : (i+1)*Assoc].
-	lines    []line
-	setShift uint
-	setMask  uint64
-	tick     uint64
-	stats    Stats
+	cfg        Config
+	tags       []uint64
+	lastUse    []uint64
+	prefetched []bool
+	setShift   uint
+	setMask    uint64
+	tick       uint64
+	stats      Stats
 }
 
 // New builds a cache from cfg. It panics on non-power-of-two geometry since
@@ -69,16 +66,16 @@ func New(cfg Config) *Cache {
 	for 1<<shift < cfg.LineBytes {
 		shift++
 	}
+	n := nSets * cfg.Assoc
 	return &Cache{
-		cfg:      cfg,
-		lines:    make([]line, nSets*cfg.Assoc),
-		setShift: shift,
-		setMask:  uint64(nSets - 1),
+		cfg:        cfg,
+		tags:       make([]uint64, n),
+		lastUse:    make([]uint64, n),
+		prefetched: make([]bool, n),
+		setShift:   shift,
+		setMask:    uint64(nSets - 1),
 	}
 }
-
-// set returns the ways of set i.
-func (c *Cache) set(i int) []line { return c.lines[i*c.cfg.Assoc : (i+1)*c.cfg.Assoc] }
 
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
@@ -95,9 +92,18 @@ func (c *Cache) PublishTelemetry(reg *telemetry.Registry, prefix string) {
 	reg.Counter(prefix + ".prefetch_hits").Add(int64(c.stats.PrefetchHits))
 }
 
-func (c *Cache) index(addr uint64) (set int, tag uint64) {
+// lookup returns the first way of addr's set and addr's tag, and the way
+// holding addr, or -1 when it is not resident.
+func (c *Cache) lookup(addr uint64) (base int, tag uint64, way int) {
 	blk := addr >> c.setShift
-	return int(blk & c.setMask), blk >> 0
+	base = int(blk&c.setMask) * c.cfg.Assoc
+	tag = blk + 1
+	for i, t := range c.tags[base : base+c.cfg.Assoc] {
+		if t == tag {
+			return base, tag, base + i
+		}
+	}
+	return base, tag, -1
 }
 
 // Access touches addr. It returns true on a hit. On a miss the line is
@@ -105,75 +111,74 @@ func (c *Cache) index(addr uint64) (set int, tag uint64) {
 func (c *Cache) Access(addr uint64) bool {
 	c.tick++
 	c.stats.Accesses++
-	set, tag := c.index(addr)
-	lines := c.set(set)
-	for i := range lines {
-		if lines[i].valid && lines[i].tag == tag {
-			lines[i].lastUse = c.tick
-			if lines[i].prefetched {
-				c.stats.PrefetchHits++
-				lines[i].prefetched = false
-			}
-			return true
+	base, tag, w := c.lookup(addr)
+	if w >= 0 {
+		c.lastUse[w] = c.tick
+		if c.prefetched[w] {
+			c.stats.PrefetchHits++
+			c.prefetched[w] = false
 		}
+		return true
 	}
 	c.stats.Misses++
-	c.fill(set, tag, false)
+	c.fill(base, tag, false)
 	return false
 }
 
 // Probe reports whether addr is resident without updating state.
 func (c *Cache) Probe(addr uint64) bool {
-	set, tag := c.index(addr)
-	for _, ln := range c.set(set) {
-		if ln.valid && ln.tag == tag {
-			return true
-		}
-	}
-	return false
+	_, _, w := c.lookup(addr)
+	return w >= 0
 }
 
 // Prefetch inserts addr if absent, marking it as prefetched.
 func (c *Cache) Prefetch(addr uint64) {
-	set, tag := c.index(addr)
-	for _, ln := range c.set(set) {
-		if ln.valid && ln.tag == tag {
-			return
-		}
+	base, tag, w := c.lookup(addr)
+	if w >= 0 {
+		return
 	}
 	c.tick++
 	c.stats.Prefetches++
-	c.fill(set, tag, true)
+	c.fill(base, tag, true)
 }
 
-func (c *Cache) fill(set int, tag uint64, prefetched bool) {
-	lines := c.set(set)
-	victim := 0
-	for i := range lines {
-		if !lines[i].valid {
-			victim = i
-			goto place
-		}
-		if lines[i].lastUse < lines[victim].lastUse {
-			victim = i
+// fill places tag in the set starting at way base: in its first invalid
+// way, else over its least recently used one.
+func (c *Cache) fill(base int, tag uint64, prefetched bool) {
+	victim := -1
+	for i, t := range c.tags[base : base+c.cfg.Assoc] {
+		if t == 0 {
+			victim = base + i
+			break
 		}
 	}
-	c.stats.Evictions++
-place:
-	lines[victim] = line{tag: tag, valid: true, lastUse: c.tick, prefetched: prefetched}
+	if victim < 0 {
+		victim = base
+		for w := base + 1; w < base+c.cfg.Assoc; w++ {
+			if c.lastUse[w] < c.lastUse[victim] {
+				victim = w
+			}
+		}
+		c.stats.Evictions++
+	}
+	c.tags[victim] = tag
+	c.lastUse[victim] = c.tick
+	c.prefetched[victim] = prefetched
 }
 
 // Flush invalidates all contents (used when an application migrates away
 // from a core: the paper models cold L1s on arrival at the new core).
 func (c *Cache) Flush() {
-	clear(c.lines)
+	clear(c.tags)
+	clear(c.lastUse)
+	clear(c.prefetched)
 }
 
 // Occupancy returns the number of valid lines (for warmup-cost modeling).
 func (c *Cache) Occupancy() int {
 	n := 0
-	for _, ln := range c.lines {
-		if ln.valid {
+	for _, t := range c.tags {
+		if t != 0 {
 			n++
 		}
 	}

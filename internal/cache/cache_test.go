@@ -107,11 +107,21 @@ func TestPrefetchMarksLines(t *testing.T) {
 	}
 }
 
-// TestLineSize pins the line layout: 24 bytes, so an L2's 32k lines take
-// 768 KiB rather than 1 MiB.
-func TestLineSize(t *testing.T) {
-	if n := unsafe.Sizeof(line{}); n != 24 {
-		t.Errorf("line is %d bytes, want 24", n)
+// TestLineBytes pins the per-line cost: an 8-byte tag, an 8-byte last-use
+// tick and a prefetched flag, 17 bytes, so an L2's 32k lines take 544 KiB;
+// and an 8-way set's tags fill exactly one 64-byte host cache line.
+func TestLineBytes(t *testing.T) {
+	c := New(Config{Name: "l2", SizeBytes: 2 << 20, LineBytes: 64, Assoc: 8})
+	lines := len(c.tags)
+	if lines != 32<<10 || len(c.lastUse) != lines || len(c.prefetched) != lines {
+		t.Fatalf("%d tags, %d ticks, %d flags for 32768 lines", lines, len(c.lastUse), len(c.prefetched))
+	}
+	per := unsafe.Sizeof(c.tags[0]) + unsafe.Sizeof(c.lastUse[0]) + unsafe.Sizeof(c.prefetched[0])
+	if per != 17 {
+		t.Errorf("a line costs %d bytes, want 17", per)
+	}
+	if set := uintptr(c.cfg.Assoc) * unsafe.Sizeof(c.tags[0]); set != 64 {
+		t.Errorf("an 8-way set's tags take %d bytes, want 64", set)
 	}
 }
 

@@ -10,8 +10,10 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math"
+	"runtime/pprof"
 
 	"repro/internal/arbiter"
 	"repro/internal/energy"
@@ -276,11 +278,23 @@ type costKey struct {
 type measurement struct {
 	cyclesPerIter float64
 	perIterEnergy energy.Breakdown
-	sched         *trace.Schedule
-	squashRate    float64
+	// rec is an OoO measurement's recording, and sched the schedule built
+	// from it the first time the producer judges it (see schedule).
+	rec        ooo.Recording
+	sched      *trace.Schedule
+	squashRate float64
 	// coldIters counts down iterations executed under the initial (cold
 	// cache) measurement before a warm re-measurement replaces it.
 	coldIters int
+}
+
+// schedule returns the schedule recorded by an OoO measurement, building
+// it on first use.
+func (ms *measurement) schedule() *trace.Schedule {
+	if ms.sched == nil {
+		ms.sched = ms.rec.Schedule()
+	}
+	return ms.sched
 }
 
 // Cluster is a configured simulation ready to run.
@@ -603,14 +617,13 @@ func (c *Cluster) replaySpeedup(a *app) float64 {
 
 // produce runs the memoization hardware while the app occupies the OoO:
 // the recorder observes executions and inserts confident schedules into the
-// producer SC.
+// producer SC. A measurement's schedule is built here, once, and only while
+// the producer SC does not hold the trace yet.
 func (c *Cluster) produce(a *app, l *program.Loop, ms *measurement, iters int) {
-	if !c.cfg.Memoize || ms.sched == nil {
+	if !c.cfg.Memoize || c.producerSC.Contains(l.Trace.ID) {
 		return
 	}
-	if c.producerSC.Contains(l.Trace.ID) {
-		return
-	}
+	sched := ms.schedule()
 	// The recorder needs a few consecutive matching executions; model up to
 	// `iters` observations (bounded — confidence saturates quickly).
 	obs := iters
@@ -618,8 +631,8 @@ func (c *Cluster) produce(a *app, l *program.Loop, ms *measurement, iters int) {
 		obs = 8
 	}
 	for k := 0; k < obs; k++ {
-		if c.recorder.Observe(l.Trace, ms.sched, ms.sched.RecordedCycles) {
-			if err := c.producerSC.Insert(ms.sched); err == nil {
+		if c.recorder.Observe(l.Trace, sched, sched.RecordedCycles) {
+			if err := c.producerSC.Insert(sched); err == nil {
 				break
 			}
 		}
@@ -644,6 +657,16 @@ func (c *Cluster) memoizabilityMPKI(a *app, phase *program.Phase) float64 {
 	return missW * 1000 / instW
 }
 
+// modeLabels are the CPU-profile labels ("mode": ooo, ino or oino) measure
+// puts on its simulation, built once so that labelling allocates nothing.
+// A CPU profile (mirageexp -pprof, /debug/pprof/profile) then splits the
+// simulator's time by measurement mode.
+var modeLabels = [...]context.Context{
+	modeInO:  pprof.WithLabels(context.Background(), pprof.Labels("mode", "ino")),
+	modeOinO: pprof.WithLabels(context.Background(), pprof.Labels("mode", "oino")),
+	modeOoO:  pprof.WithLabels(context.Background(), pprof.Labels("mode", "ooo")),
+}
+
 // measure returns (computing if needed) the steady per-iteration cost of a
 // trace in the given mode, using genuine pipeline simulation.
 func (c *Cluster) measure(a *app, l *program.Loop, m mode, sched *trace.Schedule) *measurement {
@@ -654,11 +677,12 @@ func (c *Cluster) measure(a *app, l *program.Loop, m mode, sched *trace.Schedule
 	ws := a.walkersFor(l.Trace)
 	ms := &measurement{}
 	const iters = 10
+	pprof.SetGoroutineLabels(modeLabels[m])
 	switch m {
 	case modeOoO:
-		r := a.oooC.MeasureTrace(l.Trace, l.Deps, ws, iters)
+		r := a.oooC.Measure(l.Trace, l.Deps, ws, iters)
 		ms.cyclesPerIter = r.CyclesPerIter
-		ms.sched = r.Schedule
+		ms.rec = r.Recording
 		ms.perIterEnergy = scaleBreakdown(energy.Compute(energy.KindOoO, r.Events), iters)
 	case modeOinO:
 		r := a.inoC.MeasureReplay(l.Trace, l.Deps, sched, ws, iters)
@@ -681,6 +705,7 @@ func (c *Cluster) measure(a *app, l *program.Loop, m mode, sched *trace.Schedule
 		ms.cyclesPerIter = r.CyclesPerIter
 		ms.perIterEnergy = scaleBreakdown(energy.Compute(energy.KindInO, r.Events), iters)
 	}
+	pprof.SetGoroutineLabels(context.Background())
 	if aud := c.cfg.Audit; aud != nil {
 		aud.Checkf(!math.IsNaN(ms.cyclesPerIter) && !math.IsInf(ms.cyclesPerIter, 0) && ms.cyclesPerIter >= 0,
 			"cluster.measure", c.cfg.Seed,
@@ -827,6 +852,7 @@ func (c *Cluster) evictFromOoO(a *app, res *Result) {
 					peer.penalty += c.cfg.SCTransferCycles
 					peer.ledger.scXferCycles += c.cfg.SCTransferCycles
 					res.SCTransferCyclesTotal += c.cfg.SCTransferCycles
+					c.scXferCycles += c.cfg.SCTransferCycles
 					res.BusTransferCycles += c.cfg.SCTransferCycles
 					// Stale per-trace measurements: new schedules available.
 					peer.costs = make(map[costKey]*measurement)

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
+	"runtime/pprof"
 	"strings"
 	"testing"
 
@@ -213,5 +215,51 @@ func TestWarmupIntervals(t *testing.T) {
 				t.Errorf("%s app %d: Result.Timeline is not the timeline's measured tail", tc.name, i)
 			}
 		}
+	}
+}
+
+// TestBroadcastSCTransferCounter checks that the published SC-transfer
+// counter includes the cycles broadcast receivers pay, as the Result does.
+// The counter also covers the warm-up intervals, which the Result's window
+// leaves out (ROADMAP item 13), so it may exceed the Result but never fall
+// short of it; counting only the departing app's transfers fell short.
+func TestBroadcastSCTransferCounter(t *testing.T) {
+	tel := telemetry.New()
+	cfg := small(apps("bzip2", "bzip2", "bzip2", "bzip2"))
+	cfg.HasOoO = true
+	cfg.Memoize = true
+	cfg.BroadcastSC = true
+	cfg.Arbiter = arbiter.NewSCMPKI()
+	cfg.TargetInsts = 500_000
+	cfg.Telemetry = tel
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := tel.Reg().Snapshot().Counters["cluster.sc_transfer_cycles"]
+	if res.SCTransferCyclesTotal == 0 || got < res.SCTransferCyclesTotal {
+		t.Errorf("cluster.sc_transfer_cycles = %d, below Result.SCTransferCyclesTotal = %d", got, res.SCTransferCyclesTotal)
+	}
+}
+
+// TestMeasureModeLabels checks measure's CPU-profile labels: each mode's
+// context carries its name, and setting one on the goroutine and clearing
+// it again allocates nothing.
+func TestMeasureModeLabels(t *testing.T) {
+	for m, want := range map[mode]string{modeInO: "ino", modeOinO: "oino", modeOoO: "ooo"} {
+		if got, ok := pprof.Label(modeLabels[m], "mode"); !ok || got != want {
+			t.Errorf("mode %d labelled %q (set %v), want %q", m, got, ok, want)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		pprof.SetGoroutineLabels(modeLabels[modeOoO])
+		pprof.SetGoroutineLabels(context.Background())
+	})
+	if allocs != 0 {
+		t.Errorf("labelling a measurement allocates %v times", allocs)
 	}
 }

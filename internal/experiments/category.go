@@ -28,7 +28,7 @@ func Figure9a() (*Report, error) {
 	co := ooo.New(h, xrand.NewString("f9a-ooo"))
 	ci := ino.New(h, xrand.NewString("f9a-ino"))
 	ws := walkersFor(l.Trace, "f9a")
-	co.MeasureTrace(l.Trace, l.Deps, ws, 120)
+	co.Measure(l.Trace, l.Deps, ws, 120)
 	ro := co.MeasureTrace(l.Trace, l.Deps, ws, 24)
 	ri := ci.MeasureTrace(l.Trace, l.Deps, ws, 24)
 	rr := ci.MeasureReplay(l.Trace, l.Deps, ro.Schedule, ws, 24)

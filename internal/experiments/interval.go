@@ -136,8 +136,8 @@ func approxCPI(bench string, l *program.Loop) float64 {
 		h := mem.NewHierarchy()
 		co := ooo.New(h, xrand.NewString("f3b:"+bench))
 		ws := walkersFor(l.Trace, "f3b:"+bench)
-		co.MeasureTrace(l.Trace, l.Deps, ws, 60)
-		v := co.MeasureTrace(l.Trace, l.Deps, ws, 8).CyclesPerIter
+		co.Measure(l.Trace, l.Deps, ws, 60)
+		v := co.Measure(l.Trace, l.Deps, ws, 8).CyclesPerIter
 		if v <= 0 {
 			v = float64(l.Trace.Len())
 		}

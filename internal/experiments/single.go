@@ -95,21 +95,26 @@ func oracleMemoization(b *program.Benchmark) (frac, perfRel float64) {
 			co := ooo.New(h, xrand.NewString("oracle-o:"+b.Name))
 			ci := ino.New(h, xrand.NewString("oracle-i:"+b.Name))
 			ws := walkersFor(l.Trace, "oracle:"+b.Name)
-			co.MeasureTrace(l.Trace, l.Deps, ws, 120) // warm caches
-			ro := co.MeasureTrace(l.Trace, l.Deps, ws, 12)
+			co.Measure(l.Trace, l.Deps, ws, 120) // warm caches
+			ro := co.Measure(l.Trace, l.Deps, ws, 12)
 
 			w := l.Weight * float64(l.Trace.Len())
 			wAll += w
 			// Memoizable: the schedule repeats (stability) and the OinO
-			// hardware can replay it.
-			memoizable := l.Trace.Stability > 0.5 && ro.Schedule.Replayable() &&
-				l.Trace.AliasRate <= 0.05
+			// hardware can replay it; the schedule is built only for a
+			// trace that passes the first test.
+			memoizable := l.Trace.Stability > 0.5 && l.Trace.AliasRate <= 0.05
+			var sched *trace.Schedule
+			if memoizable {
+				sched = ro.Recording.Schedule()
+				memoizable = sched.Replayable()
+			}
 			var cpi float64
 			if memoizable {
 				// With perfect control flow (the oracle assumption), every
 				// execution of a stable trace replays its schedule.
 				wMemo += w
-				cpi = ci.MeasureReplay(l.Trace, l.Deps, ro.Schedule, ws, 12).CyclesPerIter
+				cpi = ci.MeasureReplay(l.Trace, l.Deps, sched, ws, 12).CyclesPerIter
 			} else {
 				cpi = ci.MeasureTrace(l.Trace, l.Deps, ws, 12).CyclesPerIter
 			}

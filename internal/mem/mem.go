@@ -166,17 +166,15 @@ type memOp struct {
 // nothing. The latency slice is the hierarchy's scratch, valid until the
 // next LoadLatencies call on h.
 func (h *Hierarchy) LoadLatencies(t *trace.Trace, walkers []*Walker, iters int) (lats []int, nLoads, nStores int) {
-	loads, stores := t.NumMemOps()
-	nLoads = loads * iters
-	nStores = stores * iters
-	if loads == 0 && stores == 0 {
-		return nil, 0, 0
-	}
 	ops := h.ops[:0]
+	loads := 0
 	for _, in := range t.Insts {
 		switch in.Op {
 		case isa.Load, isa.Store:
 			op := memOp{load: in.Op == isa.Load, stream: in.MemStream}
+			if op.load {
+				loads++
+			}
 			if int(in.MemStream) < len(walkers) {
 				op.w = walkers[in.MemStream]
 			}
@@ -184,7 +182,12 @@ func (h *Hierarchy) LoadLatencies(t *trace.Trace, walkers []*Walker, iters int) 
 		}
 	}
 	h.ops = ops
-	lats = h.lats[:0]
+	if len(ops) == 0 {
+		return nil, 0, 0
+	}
+	nLoads = loads * iters
+	nStores = (len(ops) - loads) * iters
+	lats = slices.Grow(h.lats[:0], nLoads)
 	for it := 0; it < iters; it++ {
 		for _, op := range ops {
 			switch {

@@ -15,12 +15,27 @@ const (
 	pageShift    = 12
 )
 
+// hintEntries sizes the TLB's page-to-slot hint.
+const hintEntries = 256
+
+// hintIndex hashes a page to its hint entry (Fibonacci hashing: the top
+// eight bits of the page times 2^64/φ). A page's low bits alone would not
+// do: a benchmark's address streams sit 4 GiB apart, so their pages at the
+// same offset share every low bit.
+func hintIndex(page uint64) int { return int(page * 0x9e3779b97f4a7c15 >> 56) }
+
 // TLB is a fully-associative, LRU translation buffer. Slots [0, n) hold
 // resident pages with the tick of their last use; every access takes a
 // fresh tick, so the least-recently-used slot is the unique minimum.
+//
+// A lookup checks the most recently used slot, then the slot the page's
+// hint names, then scans. A hint is the slot where a page with that hint
+// index last hit or was filled; pages that share an index overwrite each
+// other's hints, so a hint is trusted only when its slot holds the page.
 type TLB struct {
 	pages  [TLBEntries]uint64
 	ticks  [TLBEntries]uint64
+	hint   [hintEntries]uint8
 	n      int
 	mru    int // slot of the most recent access; checked first
 	tick   uint64
@@ -43,16 +58,26 @@ func (t *TLB) Access(addr uint64) int {
 		t.hits++
 		return 0
 	}
-	for i := 0; i < t.n; i++ {
-		if t.pages[i] == page {
-			t.ticks[i] = t.tick
-			t.mru = i
-			t.hits++
-			return 0
+	hint := &t.hint[hintIndex(page)]
+	slot := int(*hint)
+	if slot >= t.n || t.pages[slot] != page {
+		slot = -1
+		for i := 0; i < t.n; i++ {
+			if t.pages[i] == page {
+				slot = i
+				break
+			}
 		}
 	}
+	if slot >= 0 {
+		t.ticks[slot] = t.tick
+		t.mru = slot
+		*hint = uint8(slot)
+		t.hits++
+		return 0
+	}
 	t.misses++
-	slot := t.n
+	slot = t.n
 	if t.n < TLBEntries {
 		t.n++
 	} else {
@@ -66,6 +91,7 @@ func (t *TLB) Access(addr uint64) int {
 	t.pages[slot] = page
 	t.ticks[slot] = t.tick
 	t.mru = slot
+	*hint = uint8(slot)
 	return PageWalkCost
 }
 

@@ -42,14 +42,41 @@ func (t *mapTLB) Access(addr uint64) int {
 
 func (t *mapTLB) Flush() { t.pages = make(map[uint64]uint64, TLBEntries) }
 
-// tlbOp decodes one fuzz byte: 255 flushes, anything else touches one of 97
-// pages (more than TLBEntries, so the LRU victim choice is exercised) at an
-// in-page offset that varies with the position.
+// tlbPages are the 97 pages the fuzz bytes name: more than TLBEntries, so
+// the LRU victim choice is exercised, in eight groups of twelve or thirteen
+// distinct pages that share a hint index, so hints collide. Page k is the
+// (k/8)-th page found with the (k%8)-th index met.
+var tlbPages = func() (pages [97]uint64) {
+	var groups [][]uint64
+	at := map[int]int{}
+	short := 8 // groups not yet holding 13 pages
+	for p := uint64(0); short > 0; p++ {
+		g, ok := at[hintIndex(p)]
+		if !ok {
+			if len(groups) == 8 {
+				continue
+			}
+			g = len(groups)
+			at[hintIndex(p)] = g
+			groups = append(groups, nil)
+		}
+		if groups[g] = append(groups[g], p); len(groups[g]) == 13 {
+			short--
+		}
+	}
+	for k := range pages {
+		pages[k] = groups[k%8][k/8]
+	}
+	return pages
+}()
+
+// tlbOp decodes one fuzz byte: 255 flushes, anything else touches page
+// tlbPages[b%97] at an in-page offset that varies with the position.
 func tlbOp(i int, b byte) (addr uint64, flush bool) {
 	if b == 255 {
 		return 0, true
 	}
-	return uint64(b%97)*PageBytes + uint64(i*61)%PageBytes, false
+	return tlbPages[b%97]*PageBytes + uint64(i*61)%PageBytes, false
 }
 
 // diffTLB replays ops through both TLBs and reports the first divergence in
@@ -105,7 +132,43 @@ func FuzzTLB(f *testing.F) {
 		seq = append(seq, byte(i%70))
 	}
 	f.Add(seq)
+	// Fill the TLB, then thrash one hint index: bytes 0, 8, ..., 96 are
+	// thirteen distinct pages with the same hint index, resident and
+	// evicted in turn as more pages stream through.
+	full := make([]byte, 0, 400)
+	for k := 0; k < TLBEntries; k++ {
+		full = append(full, byte(k))
+	}
+	for r := 0; r < 20; r++ {
+		for k := 0; k <= 96; k += 8 {
+			full = append(full, byte(k))
+		}
+		full = append(full, byte(64+r%33))
+	}
+	f.Add(full)
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		diffTLB(t, ops)
 	})
+}
+
+// TestTLBPagesCollide checks that the fuzz pages are distinct and share
+// hint indexes eight ways, so the fuzz reaches hint collisions.
+func TestTLBPagesCollide(t *testing.T) {
+	seen := map[uint64]bool{}
+	byIndex := map[int]int{}
+	for _, p := range tlbPages {
+		if seen[p] {
+			t.Fatalf("page %d repeats", p)
+		}
+		seen[p] = true
+		byIndex[hintIndex(p)]++
+	}
+	if len(byIndex) != 8 {
+		t.Errorf("fuzz pages use %d hint indexes, want 8", len(byIndex))
+	}
+	for h, n := range byIndex {
+		if n < 12 {
+			t.Errorf("hint index %d has %d pages, want at least 12", h, n)
+		}
+	}
 }

@@ -17,17 +17,67 @@ import (
 	"repro/internal/xrand"
 )
 
-// Result summarizes one measured trace execution on the OoO.
-type Result struct {
+// Measurement summarizes one measured trace execution on the OoO.
+type Measurement struct {
 	// CyclesPerIter is the steady-state marginal cycles per trace iteration
 	// (iterations overlap inside the ROB window).
 	CyclesPerIter float64
 	// IPC is instructions per cycle at steady state.
 	IPC float64
-	// Schedule is the issue schedule extracted from a steady iteration.
-	Schedule *trace.Schedule
+	// Recording is the issue order of a steady block; its Schedule method
+	// builds the schedule the memoization hardware would store.
+	Recording Recording
 	// Events are the energy-model activity counts for the simulated span.
 	Events energy.Events
+}
+
+// Result is a Measurement with its schedule built.
+type Result struct {
+	Measurement
+	// Schedule is the issue schedule extracted from a steady block.
+	Schedule *trace.Schedule
+}
+
+// Recording is what one OoO measurement records of a trace's issue
+// schedule: the issue order of a ScheduleSpan-iteration block, how many of
+// its instructions issued out of program order, and the steady cycles per
+// iteration. It is cheap to keep. The replay metadata (live register
+// versions and memory order) is derived only by Schedule, as the paper's
+// OoO writes a schedule out only once its repeatability tables decide to
+// memoize the trace.
+type Recording struct {
+	t         *trace.Trace
+	order     []uint16
+	reordered int
+	cycles    int
+}
+
+// Schedule builds the recorded schedule with its replay metadata. Each
+// call builds and returns a new schedule, which shares the recording's
+// issue order; callers that judge one recording repeatedly keep the first.
+func (r Recording) Schedule() *trace.Schedule {
+	t, order := r.t, r.order
+	s := &trace.Schedule{
+		TraceID:        t.ID,
+		Span:           len(order) / len(t.Insts),
+		Order:          order,
+		RecordedCycles: r.cycles,
+		ReorderedInsts: r.reordered,
+		MaxVersions:    pipeline.MaxLiveVersions(t, order),
+	}
+	// MemOrder: schedule positions of the block's memory ops listed in
+	// program order — the metadata block the OinO LSQ uses to rebuild
+	// original sequence.
+	pos := make([]uint16, len(order))
+	for k, bp := range order {
+		pos[bp] = uint16(k)
+	}
+	for bp := 0; bp < len(order); bp++ {
+		if t.Insts[bp%len(t.Insts)].Op.IsMem() {
+			s.MemOrder = append(s.MemOrder, pos[bp])
+		}
+	}
+	return s
 }
 
 // Core is one OoO core instance with its private memory hierarchy.
@@ -35,7 +85,7 @@ type Core struct {
 	Mem *mem.Hierarchy
 	rng *xrand.Rand
 	// eng is this core's private pipeline engine: its measurement scratch
-	// is reused across the MeasureTrace calls of one cluster run, and cores
+	// is reused across the Measure calls of one cluster run, and cores
 	// are built per worker, so ownership composes with -parallel. The
 	// result memo behind it is the process's, shared with every other core.
 	eng *pipeline.Engine
@@ -72,10 +122,29 @@ func (c *Core) AttachAudit(a *invariant.Auditor, label string) {
 // replay can reproduce it (the trace remains one atomic replay unit).
 const ScheduleSpan = 4
 
-// MeasureTrace simulates iters consecutive iterations of t on the OoO and
-// returns steady-state performance plus the schedule it would memoize.
-// walkers supply the trace's memory address streams (one per stream spec).
-func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walker, iters int) Result {
+// Measure simulates iters consecutive iterations of t on the OoO and
+// returns steady-state performance plus the recording of its issue
+// schedule. walkers supply the trace's memory address streams (one per
+// stream spec).
+func (c *Core) Measure(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walker, iters int) Measurement {
+	res, nLoads, nStores := c.simulate(t, deps, walkers, iters)
+	cpi := res.SteadyCyclesPerIter()
+	m := Measurement{
+		CyclesPerIter: cpi,
+		// The Result's IssueOrder is its own allocation, so the recording
+		// keeps it without a copy.
+		Recording: Recording{t: t, order: res.IssueOrder, reordered: res.Reordered, cycles: int(cpi + 0.5)},
+		Events:    c.countEvents(t, &res, iters, nLoads, nStores),
+	}
+	if cpi > 0 {
+		m.IPC = float64(len(t.Insts)) / cpi
+	}
+	return m
+}
+
+// simulate walks the trace's memory streams and runs the pipeline engine,
+// returning its result with the dynamic load and store counts.
+func (c *Core) simulate(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walker, iters int) (res pipeline.Result, nLoads, nStores int) {
 	loadLats, nLoads, nStores := c.Mem.LoadLatencies(t, walkers, iters)
 	fetchGates := c.Mem.FetchGates(t, iters)
 
@@ -94,46 +163,14 @@ func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem
 		Audit:             c.aud,
 		AuditLabel:        c.audLabel,
 	}
-	res := c.eng.Run(req)
-
-	cpi := res.SteadyCyclesPerIter()
-	sched := extractSchedule(t, &res)
-	sched.RecordedCycles = int(cpi + 0.5)
-
-	r := Result{
-		CyclesPerIter: cpi,
-		Schedule:      sched,
-		Events:        c.countEvents(t, &res, iters, nLoads, nStores),
-	}
-	if cpi > 0 {
-		r.IPC = float64(len(t.Insts)) / cpi
-	}
-	return r
+	return c.eng.Run(req), nLoads, nStores
 }
 
-func extractSchedule(t *trace.Trace, res *pipeline.Result) *trace.Schedule {
-	order := make([]uint16, len(res.IssueOrder))
-	copy(order, res.IssueOrder)
-	s := &trace.Schedule{
-		TraceID:        t.ID,
-		Span:           len(order) / len(t.Insts),
-		Order:          order,
-		ReorderedInsts: res.Reordered,
-		MaxVersions:    pipeline.MaxLiveVersions(t, order),
-	}
-	// MemOrder: schedule positions of the block's memory ops listed in
-	// program order — the metadata block the OinO LSQ uses to rebuild
-	// original sequence.
-	pos := make([]uint16, len(order))
-	for k, bp := range order {
-		pos[bp] = uint16(k)
-	}
-	for bp := 0; bp < len(order); bp++ {
-		if t.Insts[bp%len(t.Insts)].Op.IsMem() {
-			s.MemOrder = append(s.MemOrder, pos[bp])
-		}
-	}
-	return s
+// MeasureTrace is Measure with the schedule built, for callers that replay
+// the schedule of every trace they measure.
+func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walker, iters int) Result {
+	m := c.Measure(t, deps, walkers, iters)
+	return Result{Measurement: m, Schedule: m.Recording.Schedule()}
 }
 
 func (c *Core) countEvents(t *trace.Trace, res *pipeline.Result, iters, nLoads, nStores int) energy.Events {

@@ -1,10 +1,14 @@
 package ooo
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
 	"repro/internal/mem"
+	"repro/internal/pipeline"
+	"repro/internal/program"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
@@ -44,8 +48,7 @@ func TestMeasureTraceBasics(t *testing.T) {
 func TestScheduleValidAndSpanned(t *testing.T) {
 	tr := parallelTrace(101)
 	c := newCore("sched")
-	r := c.MeasureTrace(tr, trace.BuildDepGraph(tr), nil, 12)
-	s := r.Schedule
+	s := c.Measure(tr, trace.BuildDepGraph(tr), nil, 12).Recording.Schedule()
 	if s.Span != ScheduleSpan {
 		t.Errorf("schedule span %d, want %d", s.Span, ScheduleSpan)
 	}
@@ -73,9 +76,89 @@ func TestMemOrderCoversBlockMemOps(t *testing.T) {
 		}}
 	c := newCore("memorder")
 	ws := []*mem.Walker{mem.NewWalker(tr.Streams[0], xrand.New(5))}
-	r := c.MeasureTrace(tr, trace.BuildDepGraph(tr), ws, 12)
-	if want := 2 * ScheduleSpan; len(r.Schedule.MemOrder) != want {
-		t.Errorf("MemOrder has %d entries, want %d (2 mem ops x span)", len(r.Schedule.MemOrder), want)
+	s := c.Measure(tr, trace.BuildDepGraph(tr), ws, 12).Recording.Schedule()
+	if want := 2 * ScheduleSpan; len(s.MemOrder) != want {
+		t.Errorf("MemOrder has %d entries, want %d (2 mem ops x span)", len(s.MemOrder), want)
+	}
+}
+
+// extractSchedule is the eager schedule builder Measure replaced, kept as
+// the oracle for Recording.Schedule: every OoO measurement used to build
+// the whole schedule, replay metadata included, from the pipeline result.
+func extractSchedule(t *trace.Trace, res *pipeline.Result) *trace.Schedule {
+	order := make([]uint16, len(res.IssueOrder))
+	copy(order, res.IssueOrder)
+	s := &trace.Schedule{
+		TraceID:        t.ID,
+		Span:           len(order) / len(t.Insts),
+		Order:          order,
+		ReorderedInsts: res.Reordered,
+		MaxVersions:    pipeline.MaxLiveVersions(t, order),
+	}
+	pos := make([]uint16, len(order))
+	for k, bp := range order {
+		pos[bp] = uint16(k)
+	}
+	for bp := 0; bp < len(order); bp++ {
+		if t.Insts[bp%len(t.Insts)].Op.IsMem() {
+			s.MemOrder = append(s.MemOrder, pos[bp])
+		}
+	}
+	return s
+}
+
+func suiteWalkers(tr *trace.Trace, seed string) []*mem.Walker {
+	ws := make([]*mem.Walker, len(tr.Streams))
+	for i, st := range tr.Streams {
+		ws[i] = mem.NewWalker(st, xrand.NewString(fmt.Sprintf("%s:%d", seed, i)))
+	}
+	return ws
+}
+
+// TestScheduleOnDemandMatchesEager builds each suite loop trace's schedule
+// from a Measure recording and checks it field by field against the eager
+// oracle run on a twin core: same seeds, same walkers, same pipeline
+// request, after a warm-up measurement on each.
+func TestScheduleOnDemandMatchesEager(t *testing.T) {
+	n := 0
+	for _, b := range program.Suite() {
+		for pi, ph := range b.Phases {
+			for li, l := range ph.Loops {
+				seed := fmt.Sprintf("%s/%d/%d", b.Name, pi, li)
+				lazy, eager := newCore(seed), newCore(seed)
+				lws, ews := suiteWalkers(l.Trace, seed), suiteWalkers(l.Trace, seed)
+				lazy.Measure(l.Trace, l.Deps, lws, 20)
+				eager.simulate(l.Trace, l.Deps, ews, 20)
+				m := lazy.Measure(l.Trace, l.Deps, lws, 10)
+				res, _, _ := eager.simulate(l.Trace, l.Deps, ews, 10)
+				want := extractSchedule(l.Trace, &res)
+				want.RecordedCycles = int(res.SteadyCyclesPerIter() + 0.5)
+				got := m.Recording.Schedule()
+				where := fmt.Sprintf("%s phase %d loop %d (trace %d)", b.Name, pi, li, l.Trace.ID)
+				switch {
+				case got.TraceID != want.TraceID:
+					t.Errorf("%s: TraceID %d, oracle %d", where, got.TraceID, want.TraceID)
+				case got.Span != want.Span:
+					t.Errorf("%s: Span %d, oracle %d", where, got.Span, want.Span)
+				case !slices.Equal(got.Order, want.Order):
+					t.Errorf("%s: Order differs from the oracle's", where)
+				case !slices.Equal(got.MemOrder, want.MemOrder):
+					t.Errorf("%s: MemOrder %v, oracle %v", where, got.MemOrder, want.MemOrder)
+				case got.RecordedCycles != want.RecordedCycles:
+					t.Errorf("%s: RecordedCycles %d, oracle %d", where, got.RecordedCycles, want.RecordedCycles)
+				case got.ReorderedInsts != want.ReorderedInsts:
+					t.Errorf("%s: ReorderedInsts %d, oracle %d", where, got.ReorderedInsts, want.ReorderedInsts)
+				case got.MaxVersions != want.MaxVersions:
+					t.Errorf("%s: MaxVersions %d, oracle %d", where, got.MaxVersions, want.MaxVersions)
+				case got.Replayable() != want.Replayable():
+					t.Errorf("%s: Replayable %v, oracle %v", where, got.Replayable(), want.Replayable())
+				}
+				n++
+			}
+		}
+	}
+	if n == 0 {
+		t.Fatal("the suite has no loop traces")
 	}
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/isa"
@@ -122,7 +123,7 @@ type Engine struct {
 	ready    readySet
 	cal      calendar
 	fus      fuState
-	orderBuf []int32
+	orderBuf []int32 // extractProbe's per-cycle counts
 
 	// The request's callbacks, resolved once by resolve: per-dynamic-load
 	// latencies in load order, terminating-branch outcomes in draw order
@@ -740,37 +741,38 @@ func (e *Engine) finishRun(n int, res *Result) {
 
 // extractProbe derives the issue order and reorder count of one probe block
 // (ProbeSpan iterations, dyns[lo:hi]). Block positions are it*n+j for
-// instruction j of the block's it-th iteration.
+// instruction j of the block's it-th iteration. The order is by (issue
+// cycle, block position): a counting sort over the block's issue cycles,
+// placing positions in increasing order within each cycle.
 func (e *Engine) extractProbe(lo, hi int, res *Result) {
-	n := hi - lo
-	if cap(e.orderBuf) < n {
-		e.orderBuf = make([]int32, n)
-	}
-	order := e.orderBuf[:n]
-	for i := range order {
-		order[i] = int32(i)
-	}
 	block := e.dyns[lo:hi]
-	// Insertion sort by (issue cycle, block position) — stable, tiny n.
-	for i := 1; i < n; i++ {
-		for k := i; k > 0; k-- {
-			a, b := &block[order[k-1]], &block[order[k]]
-			if a.issued > b.issued || (a.issued == b.issued && order[k-1] > order[k]) {
-				order[k-1], order[k] = order[k], order[k-1]
-			} else {
-				break
-			}
-		}
+	first, last := block[0].issued, block[0].issued
+	for i := range block {
+		first = min(first, block[i].issued)
+		last = max(last, block[i].issued)
 	}
-	res.IssueOrder = make([]uint16, n)
-	maxSeen := int32(-1)
-	for k, idx := range order {
-		res.IssueOrder[k] = uint16(idx)
-		if idx < maxSeen {
+	// next[c] is where the next position issued in cycle first+c goes:
+	// count each cycle's positions one slot up, then sum the counts.
+	next := slices.Grow(e.orderBuf[:0], last-first+2)[:last-first+2]
+	clear(next)
+	for i := range block {
+		next[block[i].issued-first+1]++
+	}
+	for c := 1; c < len(next); c++ {
+		next[c] += next[c-1]
+	}
+	e.orderBuf = next
+	res.IssueOrder = make([]uint16, len(block))
+	for i := range block {
+		c := block[i].issued - first
+		res.IssueOrder[next[c]] = uint16(i)
+		next[c]++
+	}
+	maxSeen := -1
+	for _, idx := range res.IssueOrder {
+		if int(idx) < maxSeen {
 			res.Reordered++
 		}
-		if idx > maxSeen {
-			maxSeen = idx
-		}
+		maxSeen = max(maxSeen, int(idx))
 	}
 }

@@ -157,8 +157,9 @@ var livePool = sync.Pool{New: func() any { return new([]int) }}
 // by register in schedule order, so each bucket's starts come out sorted,
 // and the maximum overlap per register is a two-pointer sweep over the
 // bucket's sorted ends — O(n log n) against the original all-pairs
-// stabbing count. The 5n ints of scratch come from a pool: the OoO core
-// calls this on every measurement, memo hits included.
+// stabbing count. The 5n ints of scratch come from a pool: it runs once
+// for each OoO schedule the cluster's producer judges or stores, and once
+// per schedule some experiments replay.
 func MaxLiveVersions(t *trace.Trace, order []uint16) int {
 	n := len(order) // block length (span * trace length)
 	tn := len(t.Insts)
