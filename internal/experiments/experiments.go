@@ -14,6 +14,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/core"
@@ -368,9 +369,21 @@ func Figure9b(ctx context.Context, s Scale) (*Report, error) {
 	return r, nil
 }
 
+// headlineCheck rejects a scale whose sweep has no 8:1 point, the one the
+// headline reports, before anything is simulated.
+func headlineCheck(s Scale) error {
+	if !slices.Contains(s.NValues, 8) {
+		return fmt.Errorf("headline: scale %q does not sweep n=8", s.Name)
+	}
+	return nil
+}
+
 // Headline reports the abstract's numbers for the 8:1 configuration plus
 // the scaling knee where OoO starvation saturates.
 func Headline(ctx context.Context, s Scale) (*Report, error) {
+	if err := headlineCheck(s); err != nil {
+		return nil, err
+	}
 	sw, err := runSweep(ctx, s)
 	if err != nil {
 		return nil, err
@@ -379,16 +392,7 @@ func Headline(ctx context.Context, s Scale) (*Report, error) {
 		Notes: "paper: 84% of 8-OoO performance, ~55% energy saving, ~25% area saving; knee near 12:1"}
 	r.Table.Title = "Headline: Mirage 8:1 vs Homo-OoO (paper: 84% perf, 45% energy, 74% area)"
 	r.Table.Headers = []string{"metric", "Mirage(SC-MPKI)", "paper"}
-	idx8 := -1
-	for i, n := range s.NValues {
-		if n == 8 {
-			idx8 = i
-		}
-	}
-	if idx8 < 0 {
-		return nil, fmt.Errorf("headline: scale does not sweep n=8")
-	}
-	p8 := sw[idx8].arms[core.PolicySCMPKI]
+	p8 := sw[slices.Index(s.NValues, 8)].arms[core.PolicySCMPKI]
 	area := core.Area(core.TopologyMirage, 8) / core.Area(core.TopologyHomoOoO, 8)
 	r.Table.AddRow("performance", stats.Pct(p8.stp), "84%")
 	r.Table.AddRow("energy", stats.Pct(p8.energy), "45%")

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/telemetry"
 )
 
 // tinyScale keeps shape tests fast; the quick/full scales are exercised by
@@ -248,6 +249,20 @@ func TestMaxSTPStarves(t *testing.T) {
 	}
 	if max < 3*(min+0.01) {
 		t.Errorf("maxSTP shares suspiciously even: max %.2f min %.2f", max, min)
+	}
+}
+
+// TestHeadlineChecksScaleFirst: a scale without the n = 8 point fails
+// before any simulation runs, not after the whole sweep.
+func TestHeadlineChecksScaleFirst(t *testing.T) {
+	s := TinyScale
+	s.Name = "headline-no-n8"
+	s.Telemetry = &telemetry.Telemetry{Registry: telemetry.NewRegistry()}
+	if _, err := Headline(context.Background(), s); err == nil || !strings.Contains(err.Error(), "does not sweep n=8") {
+		t.Fatalf("Headline at n=%v: err %v, want a missing n=8 error", s.NValues, err)
+	}
+	if names := s.Telemetry.Registry.CounterNames(); len(names) != 0 {
+		t.Fatalf("Headline simulated before rejecting its scale: %d counters published", len(names))
 	}
 }
 

@@ -17,6 +17,10 @@ type Experiment struct {
 	// Run produces the report at the given scale. Implementations honour
 	// ctx by not scheduling further simulations once it ends.
 	Run func(ctx context.Context, s Scale) (*Report, error)
+	// Check, when set, rejects a scale the experiment cannot report on.
+	// It simulates nothing, so callers can refuse such a request before
+	// admitting it; Run applies the same check first.
+	Check func(s Scale) error
 }
 
 // All returns every experiment in the canonical presentation order used by
@@ -42,7 +46,7 @@ func All() []Experiment {
 		{ID: "Figure 14", Slug: "figure-14", Run: Figure14},
 		{ID: "Figure 15", Slug: "figure-15", Run: Figure15},
 		{ID: "SC size", Slug: "sc-size", Run: SCSize},
-		{ID: "Headline", Slug: "headline", Run: Headline},
+		{ID: "Headline", Slug: "headline", Run: Headline, Check: headlineCheck},
 	}
 }
 

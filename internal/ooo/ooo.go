@@ -118,7 +118,7 @@ func (c *Core) AttachAudit(a *invariant.Auditor, label string) {
 
 // ScheduleSpan is how many consecutive iterations one memoized schedule
 // covers. The OoO overlaps iterations inside its ROB; recording the issue
-// order across a two-iteration block preserves that overlap so in-order
+// order across a four-iteration block preserves that overlap so in-order
 // replay can reproduce it (the trace remains one atomic replay unit).
 const ScheduleSpan = 4
 

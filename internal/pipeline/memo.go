@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"reflect"
 	"sync"
 	"sync/atomic"
@@ -30,8 +31,11 @@ import (
 // An entry is one string: the length of the encoded inputs, the inputs, and
 // the encoded Result. Load latencies and fetch gates are run-length coded,
 // the recorded order is stored as offsets from position, and IssueOrder as
-// run-length-coded offsets from the identity (from the recorded order under
-// RecordedOrder): at bench scale an entry averages 150–220 bytes.
+// offsets from the identity (from the recorded order under RecordedOrder),
+// bit-packed under Dataflow and run-length coded otherwise. At bench scale
+// an entry averages about 250, 70 and 320 bytes under Dataflow,
+// ProgramOrder and RecordedOrder, and a Figure 7/8/9b sweep's entries are
+// charged about 3.6 MiB in all, inside memoBudget.
 
 const (
 	// memoShards spreads the memo over independently locked shards, chosen
@@ -231,8 +235,11 @@ func orderBase(req *Request, k int) int64 {
 }
 
 // appendResult encodes res: the scalar fields as varints, IterEnd's length
-// and deltas, and IssueOrder's length and run-length-coded offsets from
-// orderBase.
+// and deltas, and IssueOrder's length and then its offsets from orderBase,
+// bit-packed under Dataflow and run-length coded otherwise. An OoO order
+// moves almost every instruction, by a few places, so its runs are about
+// one long; an in-order one is the identity or its recorded order save a
+// few places, moved far.
 func appendResult(b []byte, req *Request, res *Result) []byte {
 	for _, v := range [...]int{res.Cycles, res.Reordered, res.Issued, res.LoadStallCycles,
 		res.StallDataCycles, res.StallFUCycles, res.StallFetchCycles} {
@@ -248,6 +255,9 @@ func appendResult(b []byte, req *Request, res *Result) []byte {
 		prev = v
 	}
 	b = binary.AppendUvarint(b, uint64(len(res.IssueOrder)))
+	if req.Policy == Dataflow {
+		return appendPackedOrder(b, res.IssueOrder)
+	}
 	for k := 0; k < len(res.IssueOrder); {
 		off := int64(res.IssueOrder[k]) - orderBase(req, k)
 		j := k + 1
@@ -261,9 +271,39 @@ func appendResult(b []byte, req *Request, res *Result) []byte {
 	return b
 }
 
-// memoReader reads the varints of an entry. Entries come only from the
-// encoders above, so a malformed one is a bug, and reading past its end
-// panics.
+// appendPackedOrder codes order as one byte w, the bit width of its widest
+// zig-zag offset order[k] − k, and then every zig-zag offset in w bits,
+// least significant bit first. An offset of a uint16 position needs at
+// most 17 bits.
+func appendPackedOrder(b []byte, order []uint16) []byte {
+	var all uint64
+	for k, p := range order {
+		all |= zigzag(int64(p) - int64(k))
+	}
+	w := uint(bits.Len64(all))
+	b = append(b, byte(w))
+	var acc uint64 // pending bits, fewer than 8 between offsets
+	var n uint
+	for k, p := range order {
+		acc |= zigzag(int64(p)-int64(k)) << n
+		for n += w; n >= 8; n -= 8 {
+			b = append(b, byte(acc))
+			acc >>= 8
+		}
+	}
+	if n > 0 {
+		b = append(b, byte(acc))
+	}
+	return b
+}
+
+// zigzag maps small offsets of either sign to small codes, as
+// binary.AppendVarint does.
+func zigzag(v int64) uint64 { return uint64(v<<1) ^ uint64(v>>63) }
+
+// memoReader reads an entry's varints and packed order. Entries come only
+// from the encoders above, so a malformed one is a bug, and reading past
+// its end panics.
 type memoReader string
 
 func (r *memoReader) uvarint() uint64 {
@@ -278,10 +318,28 @@ func (r *memoReader) uvarint() uint64 {
 	}
 }
 
-// varint undoes binary.AppendVarint's zig-zag coding.
-func (r *memoReader) varint() int64 {
-	u := r.uvarint()
-	return int64(u>>1) ^ -int64(u&1)
+func (r *memoReader) varint() int64 { return unzigzag(r.uvarint()) }
+
+// unzigzag undoes zigzag.
+func unzigzag(u uint64) int64 { return int64(u>>1) ^ -int64(u&1) }
+
+// packedOrder fills order from the code appendPackedOrder wrote.
+func (r *memoReader) packedOrder(order []uint16) {
+	w := uint((*r)[0])
+	*r = (*r)[1:]
+	mask := uint64(1)<<w - 1
+	var acc uint64
+	var n uint
+	for k := range order {
+		for ; n < w; n += 8 {
+			acc |= uint64((*r)[0]) << n
+			*r = (*r)[1:]
+		}
+		u := acc & mask
+		acc >>= w
+		n -= w
+		order[k] = uint16(int64(k) + unzigzag(u))
+	}
 }
 
 // decodeResult decodes a result appended by appendResult for req, into
@@ -303,6 +361,10 @@ func decodeResult(ent string, req *Request) Result {
 		res.IterEnd[i] = prev
 	}
 	res.IssueOrder = make([]uint16, r.uvarint())
+	if req.Policy == Dataflow {
+		r.packedOrder(res.IssueOrder)
+		return res
+	}
 	for k := 0; k < len(res.IssueOrder); {
 		off := r.varint()
 		for run := r.uvarint(); run > 0; run-- {

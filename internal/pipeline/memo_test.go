@@ -2,7 +2,9 @@ package pipeline
 
 import (
 	"encoding/binary"
+	"fmt"
 	"reflect"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -335,15 +337,36 @@ func TestMemoIdleRelease(t *testing.T) {
 	}
 }
 
+// The shapes of a random Result's IssueOrder in FuzzMemoEntry, chosen by
+// its shape byte. Under RecordedOrder the order always covers the recorded
+// probe block, perturbed.
+const (
+	orderPerturbed = iota // the identity, 30% of positions random
+	orderPermuted         // a true permutation
+	orderIdentity         // packs in width 0 under Dataflow
+	orderReversed         // a reversed block: wide offsets of both signs
+	orderWide             // position 65535 at index 0: a 17-bit offset
+	orderEmpty
+	orderShapes
+)
+
 // FuzzMemoEntry checks the entry format round trip: decoding an encoded
 // Result for a random request — a real simulation's and a random one,
-// IssueOrder coded against the request's recorded order or the identity —
-// gives back the same Result.
+// IssueOrder bit-packed under Dataflow and run-length coded against the
+// request's recorded order or the identity otherwise — gives back the same
+// Result.
 func FuzzMemoEntry(f *testing.F) {
 	for _, s := range []uint64{1, 7, 42, 1 << 40} {
-		f.Add(s, s^0x9e3779b9)
+		f.Add(s, s^0x9e3779b9, byte(s))
 	}
-	f.Fuzz(func(t *testing.T, reqSeed, resSeed uint64) {
+	dataflow := uint64(1)
+	for randomRequest(dataflow)().Policy != Dataflow {
+		dataflow++
+	}
+	for shape := byte(0); shape < orderShapes; shape++ {
+		f.Add(dataflow, uint64(shape), shape)
+	}
+	f.Fuzz(func(t *testing.T, reqSeed, resSeed uint64, shape byte) {
 		req := randomRequest(reqSeed)()
 		check := func(what string, res Result) {
 			b := appendResult(nil, &req, &res)
@@ -364,19 +387,42 @@ func FuzzMemoEntry(f *testing.F) {
 		for i := range res.IterEnd {
 			res.IterEnd[i] = num()
 		}
-		n := rng.Intn(200)
-		if req.Policy == RecordedOrder {
-			n = len(req.Order) // the probe block the order covers
-		}
-		res.IssueOrder = make([]uint16, n)
-		for k := range res.IssueOrder {
-			res.IssueOrder[k] = uint16(orderBase(&req, k))
+		res.IssueOrder = randomOrder(rng, &req, shape%orderShapes)
+		check(fmt.Sprintf("random, shape %d", shape%orderShapes), res)
+	})
+}
+
+// randomOrder draws an IssueOrder of the given shape for req.
+func randomOrder(rng *xrand.Rand, req *Request, shape byte) []uint16 {
+	n := 1 + rng.Intn(200)
+	switch {
+	case req.Policy == RecordedOrder:
+		n, shape = len(req.Order), orderPerturbed // the probe block the order covers
+	case shape == orderEmpty:
+		n = 0
+	}
+	order := make([]uint16, n)
+	for k := range order {
+		order[k] = uint16(orderBase(req, k))
+	}
+	switch shape {
+	case orderPerturbed:
+		for k := range order {
 			if rng.Bool(0.3) {
-				res.IssueOrder[k] = uint16(rng.Intn(1 << 16))
+				order[k] = uint16(rng.Intn(1 << 16))
 			}
 		}
-		check("random", res)
-	})
+	case orderPermuted:
+		for k := n - 1; k > 0; k-- {
+			j := rng.Intn(k + 1)
+			order[k], order[j] = order[j], order[k]
+		}
+	case orderReversed:
+		slices.Reverse(order)
+	case orderWide:
+		order[0] = 65535
+	}
+	return order
 }
 
 // TestMemoHashFixed pins the input hash to fixed values: a per-process

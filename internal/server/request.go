@@ -264,7 +264,8 @@ func parseSweep(req *SweepRequest, scales map[string]experiments.Scale) (*Job, e
 }
 
 // parseFigure validates a /v1/figures/{id} request: the experiment id, the
-// timeout_ms and scale query parameters.
+// timeout_ms and scale query parameters, and that the experiment can
+// report at that scale.
 func parseFigure(id, timeoutMS, scale string, scales map[string]experiments.Scale) (*Job, error) {
 	exp, ok := experiments.ByName(id)
 	if !ok {
@@ -281,6 +282,11 @@ func parseFigure(id, timeoutMS, scale string, scales map[string]experiments.Scal
 	sc, err := resolveScale(scale, scales)
 	if err != nil {
 		return nil, err
+	}
+	if exp.Check != nil {
+		if err := exp.Check(sc); err != nil {
+			return nil, badRequest("%v", err)
+		}
 	}
 	return &Job{Route: "figure", Key: figureKey(exp.Slug, sc), Timeout: ms(n), scale: sc, ids: []string{exp.ID}}, nil
 }

@@ -298,6 +298,30 @@ func TestFigureEndpoint(t *testing.T) {
 	}
 }
 
+// TestFigureScaleCheckedBeforeAdmission: a figure that cannot report at the
+// requested scale is a 400 from the request parse. The Headline reads the
+// sweep's n = 8 point, which the tiny scale lacks; it used to be admitted,
+// simulate the whole Figure 7 sweep, and fail with a 500.
+func TestFigureScaleCheckedBeforeAdmission(t *testing.T) {
+	srv := newTestServer(t, nil)
+	rec := get(t, srv, "/v1/figures/headline?scale=tiny")
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("status %d, want 400; body %s", rec.Code, rec.Body.Bytes())
+	}
+	if !strings.Contains(rec.Body.String(), "does not sweep n=8") {
+		t.Errorf("error body %s does not name the missing n=8 point", rec.Body.Bytes())
+	}
+	for name, want := range map[string]int64{
+		"server.jobs.executed":    0,
+		"server.requests.failed":  0,
+		"server.requests.invalid": 1,
+	} {
+		if got := srv.reg.Counter(name).Value(); got != want {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+}
+
 // TestSweepMatchesCLI is the byte-identity contract: /v1/sweep must return
 // exactly the bytes cmd/mirageexp -json-out writes for the same scale —
 // at any parallelism. The CLI path is reproduced here (registry Reports +
