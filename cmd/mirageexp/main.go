@@ -10,6 +10,10 @@
 // numbers. -json-out additionally writes the reports as a diffable JSON
 // array, and -metrics-out/-trace-out instrument every simulation the
 // selected experiments launch (counters accumulate across experiments).
+// An experiment that cannot report at the chosen scale (the Headline needs
+// an 8:1 point, which the tiny scale lacks) is skipped with a note on
+// stderr; named in -only, it fails the run instead. Any failed experiment
+// makes mirageexp exit 1.
 package main
 
 import (
@@ -83,8 +87,17 @@ func main() {
 	failed := 0
 	var reports []*experiments.Report
 	for _, e := range experiments.All() {
-		if len(only) > 0 && !only[e.ID] && !only[e.Slug] {
+		named := only[e.ID] || only[e.Slug]
+		if len(only) > 0 && !named {
 			continue
+		}
+		// An experiment that cannot report at this scale is skipped, not
+		// failed, unless -only asked for it by name.
+		if e.Check != nil && !named {
+			if err := e.Check(scale); err != nil {
+				fmt.Fprintf(os.Stderr, "mirageexp: skipping %s: %v\n", e.ID, err)
+				continue
+			}
 		}
 		start := time.Now()
 		rep, err := e.Run(ctx, scale)

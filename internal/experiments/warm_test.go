@@ -13,10 +13,13 @@ import (
 // process at the benchmark's scale and checks that the warm sweeps are
 // answered from the process-wide pipeline memo. Each pass uses a distinct
 // scale name, so the sweep cache misses and every pass simulates; only the
-// memo carries over. If the sweep's working set overflows the memo's
+// memo carries over. Every run that repeats one of an earlier sweep must
+// be a hit by the third sweep, which then answers all but a handful of its
+// runs from the memo. If the sweep's working set overflows the memo's
 // budget, shards are cleared mid-sweep and the warm hit share falls to
-// about 0.8; with room to spare it is about 0.95. The logged shares make
-// the test a probe of the memo's fit.
+// about 0.8; if keys that share an admission slot keep displacing each
+// other's first sighting, it is about 0.95. The logged shares make the
+// test a probe of the memo's admission and fit.
 func TestWarmSweepFitsMemo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three bench-scale sweeps")
@@ -55,7 +58,7 @@ func TestWarmSweepFitsMemo(t *testing.T) {
 		share = float64(hits) / float64(measures)
 		t.Logf("sweep %d: %d of %d measurements from the memo (%.3f)", pass, hits, measures, share)
 	}
-	if share < 0.93 {
-		t.Errorf("third sweep's memo hit share is %.3f, want >= 0.93: its working set overflows the memo", share)
+	if share < 0.99 {
+		t.Errorf("third sweep's memo hit share is %.3f, want >= 0.99: its repeats are not all admitted, or its working set overflows the memo", share)
 	}
 }

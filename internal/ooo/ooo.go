@@ -7,6 +7,8 @@
 package ooo
 
 import (
+	"slices"
+
 	"repro/internal/energy"
 	"repro/internal/invariant"
 	"repro/internal/isa"
@@ -131,9 +133,9 @@ func (c *Core) Measure(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walk
 	cpi := res.SteadyCyclesPerIter()
 	m := Measurement{
 		CyclesPerIter: cpi,
-		// The Result's IssueOrder is its own allocation, so the recording
-		// keeps it without a copy.
-		Recording: Recording{t: t, order: res.IssueOrder, reordered: res.Reordered, cycles: int(cpi + 0.5)},
+		// The Result's IssueOrder is the engine's buffer, refilled by its
+		// next Run; the recording outlives that, so it keeps a copy.
+		Recording: Recording{t: t, order: slices.Clone(res.IssueOrder), reordered: res.Reordered, cycles: int(cpi + 0.5)},
 		Events:    c.countEvents(t, &res, iters, nLoads, nStores),
 	}
 	if cpi > 0 {

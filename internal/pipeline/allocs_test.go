@@ -51,12 +51,11 @@ func allocsRequest(pol Policy, tr *trace.Trace) Request {
 
 // TestPipelineRunAllocs pins the hot path's allocation budget: a steady-state
 // run on an owned Engine (the path every core takes) may allocate only the
-// slices the Result carries out (IterEnd and IssueOrder) and the result
-// memo's entries, not per-run scratch. The pooled Run isn't asserted on — a
-// GC between runs may empty the pool and re-allocate engines, which is
-// noise, not a leak. The bound is deliberately a little loose so unrelated
-// runtime changes don't flake it; the pre-rewrite engine sat near 1180
-// allocs/op.
+// result memo's entries, not per-run scratch, and a memo hit allocates
+// nothing. The pooled Run isn't asserted on — a GC between runs may empty
+// the pool and re-allocate engines, which is noise, not a leak. The
+// simulating bound is deliberately a little loose so unrelated runtime
+// changes don't flake it; the pre-rewrite engine sat near 1180 allocs/op.
 func TestPipelineRunAllocs(t *testing.T) {
 	tr := allocsTrace()
 	for _, pol := range []Policy{Dataflow, ProgramOrder} {
@@ -66,6 +65,20 @@ func TestPipelineRunAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(100, func() { eng.Run(req) })
 		if allocs > 8 {
 			t.Errorf("policy %d: Engine.Run allocates %.0f/op, want <= 8", pol, allocs)
+		}
+
+		// The same inputs every time: stored on the second sighting, hits after.
+		lats := [8]int{2, 2, 2, 2, 2, 17, 17, 137}
+		req.LoadLatency = func(k int) int { return lats[k%len(lats)] }
+		eng.Run(req)
+		eng.Run(req)
+		allocs = testing.AllocsPerRun(100, func() {
+			if eng.Run(req); !eng.MemoHit() {
+				t.Fatalf("policy %d: a repeated request missed the memo", pol)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("policy %d: a memo hit allocates %.0f/op, want 0", pol, allocs)
 		}
 	}
 }

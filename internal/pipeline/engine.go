@@ -109,12 +109,11 @@ func buildFlatDeps(g *trace.DepGraph) *flatDeps {
 
 // Engine holds the reusable simulation scratch: dynamic-instruction state,
 // the ready bitmap, the wakeup calendar, functional-unit occupancy, the
-// issue-order sort buffer, the request's resolved inputs, and the key and
-// entry encoding buffers of the process-wide result memo (memo.go). A
-// steady-state Run allocates only the two slices the Result carries out
-// (IterEnd and IssueOrder) plus the memo's entry when it stores one. An
-// Engine is not safe for concurrent use; each worker owns one (the
-// package-level Run draws from a pool).
+// issue-order sort buffer, the request's resolved inputs, the key and entry
+// encoding buffers of the process-wide result memo (memo.go), and the last
+// Result. A steady-state Run allocates only the memo's entry when it stores
+// one; a memo hit allocates nothing. An Engine is not safe for concurrent
+// use; each worker owns one (the package-level Run draws from a pool).
 type Engine struct {
 	dyns     []edyn
 	iterGate []int
@@ -137,6 +136,10 @@ type Engine struct {
 	entBuf  []byte
 	memoHit bool
 
+	// res is the last Run's Result; its IterEnd and IssueOrder are the
+	// buffers the next Run fills.
+	res Result
+
 	// Run totals of Engine.Run (the pooled package-level Run counts
 	// nothing), published once by PublishTelemetry.
 	measures, memoHits             int64
@@ -154,13 +157,15 @@ func NewEngine() *Engine {
 
 var enginePool = sync.Pool{New: func() any { return NewEngine() }}
 
-// Run simulates the request and returns the result. It panics on malformed
-// requests (simulator-internal misuse, not user input). The simulation runs
-// on a pooled engine and bypasses the result memo; callers that measure in
-// a loop should hold their own Engine instead.
+// Run simulates the request and returns the result, whose slices the
+// caller owns. It panics on malformed requests (simulator-internal misuse,
+// not user input). The simulation runs on a pooled engine and bypasses the
+// result memo; callers that measure in a loop should hold their own Engine
+// instead.
 func Run(req Request) Result {
 	e := enginePool.Get().(*Engine)
 	res := e.run(req, false)
+	res.IterEnd, res.IssueOrder = slices.Clone(res.IterEnd), slices.Clone(res.IssueOrder)
 	enginePool.Put(e)
 	return res
 }
@@ -168,6 +173,9 @@ func Run(req Request) Result {
 // Run simulates the request on this engine's scratch storage. A request
 // whose resolved inputs exactly repeat an earlier one on any engine of the
 // process is answered from the shared memo (memo.go) without simulating.
+// The Result's IterEnd and IssueOrder are the engine's buffers: they are
+// valid until the engine's next Run, and a caller that keeps them longer
+// clones them.
 func (e *Engine) Run(req Request) Result {
 	res := e.run(req, true)
 	e.measures++
@@ -229,47 +237,57 @@ func (e *Engine) run(req Request, memoize bool) Result {
 	}
 
 	e.resolve(&req)
+	res := &e.res
 	var key memoKey
 	if memoize {
 		key = e.memoKeyOf(&req)
-		if req.Audit == nil {
-			if res, ok := e.recall(key, &req); ok {
-				e.memoHit = true
-				touchMemo()
-				return res
-			}
+		if req.Audit == nil && e.recall(key, &req, res) {
+			e.memoHit = true
+			touchMemo()
+			return *res
 		}
 	}
 
 	fd := flatDepsOf(req.Deps)
 	e.prepare(&req, fd)
 
-	res := Result{IterEnd: make([]int, req.Iterations)}
+	*res = Result{IterEnd: resize(res.IterEnd, req.Iterations), IssueOrder: res.IssueOrder}
 	switch req.Policy {
 	case Dataflow:
-		e.runDataflow(&req, fd, &res)
+		e.runDataflow(&req, fd, res)
 	default:
-		e.runInOrder(&req, fd, &res)
+		e.runInOrder(&req, fd, res)
 	}
 	span := req.ProbeSpan
 	probe := (req.Iterations / 2 / span) * span
 	if probe+span > req.Iterations {
 		probe = req.Iterations - span
 	}
-	e.extractProbe(probe*n, (probe+span)*n, &res)
+	e.extractProbe(probe*n, (probe+span)*n, res)
 	if req.Audit != nil {
-		e.audit(&req, fd, &res)
+		e.audit(&req, fd, res)
 	}
 	if memoize {
 		if req.Audit != nil {
-			if prior, ok := e.recall(key, &req); ok {
-				e.auditMemo(&req, &prior, &res)
+			var prior Result
+			if e.recall(key, &req, &prior) {
+				e.auditMemo(&req, &prior, res)
 			}
 		}
-		e.remember(key, &req, &res)
+		e.remember(key, &req, res)
 		touchMemo()
 	}
-	return res
+	return *res
+}
+
+// resize returns s with length n, reusing its backing array when it fits
+// and allocating exactly n otherwise. The elements' values are left
+// unspecified.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return make([]T, n)
+	}
+	return s[:n]
 }
 
 // resolve calls the request's callbacks into the engine's scratch, once per
@@ -319,21 +337,10 @@ func (e *Engine) prepare(req *Request, fd *flatDeps) {
 	iters := req.Iterations
 	total := n * iters
 
-	if cap(e.dyns) < total {
-		e.dyns = make([]edyn, total)
-	}
-	e.dyns = e.dyns[:total]
-	if cap(e.iterGate) < iters {
-		e.iterGate = make([]int, iters)
-	}
-	e.iterGate = e.iterGate[:iters]
-	for i := range e.iterGate {
-		e.iterGate[i] = 0
-	}
-	if cap(e.cls) < n {
-		e.cls = make([]isa.Class, n)
-	}
-	e.cls = e.cls[:n]
+	e.dyns = resize(e.dyns, total)
+	e.iterGate = resize(e.iterGate, iters)
+	clear(e.iterGate)
+	e.cls = resize(e.cls, n)
 	for j := 0; j < n; j++ {
 		e.cls[j] = t.Insts[j].Op
 	}
@@ -753,7 +760,7 @@ func (e *Engine) extractProbe(lo, hi int, res *Result) {
 	}
 	// next[c] is where the next position issued in cycle first+c goes:
 	// count each cycle's positions one slot up, then sum the counts.
-	next := slices.Grow(e.orderBuf[:0], last-first+2)[:last-first+2]
+	next := resize(e.orderBuf, last-first+2)
 	clear(next)
 	for i := range block {
 		next[block[i].issued-first+1]++
@@ -762,7 +769,7 @@ func (e *Engine) extractProbe(lo, hi int, res *Result) {
 		next[c] += next[c-1]
 	}
 	e.orderBuf = next
-	res.IssueOrder = make([]uint16, len(block))
+	res.IssueOrder = resize(res.IssueOrder, len(block))
 	for i := range block {
 		c := block[i].issued - first
 		res.IssueOrder[next[c]] = uint16(i)

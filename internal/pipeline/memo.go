@@ -24,9 +24,12 @@ import (
 //
 // Most requests never repeat, so a key's first sighting stores nothing but
 // a 32-bit fingerprint in its shard's fixed admission array; the second
-// sighting simulates again and stores the result; later ones hit. Two keys
-// sharing a fingerprint slot can only make a key's admission early or late,
-// never serve a wrong result.
+// sighting simulates again and stores the result; later ones hit. The array
+// is set-associative: a fingerprint not in its 8-way bucket goes in at the
+// front, pushing the bucket's oldest out, so up to eight keys that share a
+// bucket are all admitted on their second sighting instead of overwriting
+// each other's fingerprint every time. A fingerprint shared by two keys can
+// only admit a key early, never serve a wrong result.
 //
 // An entry is one string: the length of the encoded inputs, the inputs, and
 // the encoded Result. Load latencies and fetch gates are run-length coded,
@@ -34,24 +37,27 @@ import (
 // offsets from the identity (from the recorded order under RecordedOrder),
 // bit-packed under Dataflow and run-length coded otherwise. At bench scale
 // an entry averages about 250, 70 and 320 bytes under Dataflow,
-// ProgramOrder and RecordedOrder, and a Figure 7/8/9b sweep's entries are
-// charged about 3.6 MiB in all, inside memoBudget.
+// ProgramOrder and RecordedOrder. A hit decodes into the engine's result
+// buffers, so on an owned Engine it allocates nothing.
 
 const (
 	// memoShards spreads the memo over independently locked shards, chosen
 	// by input hash.
 	memoShards = 64
-	// memoSeenSlots is the size of each shard's first-sighting array: 64 ×
-	// 1024 × 4 bytes = 256 KiB of fingerprints for the whole process.
-	memoSeenSlots = 1024
+	// memoSeenBuckets and memoSeenWays shape each shard's first-sighting
+	// array: 64 × 128 × 8 × 4 bytes = 256 KiB of fingerprints for the
+	// whole process.
+	memoSeenBuckets = 128
+	memoSeenWays    = 8
 	// memoBudget bounds the memo's bytes: each entry is charged its length
 	// plus memoEntryCharge for its map slot and allocation rounding, and a
-	// shard is cleared when a new entry would overflow its share. Measured
-	// with miragebench on a 2-vCPU VM: at 4 MiB every workload's maxrss_mb
-	// fell or held within noise against per-engine memos; at 8 MiB
-	// sweep-cold ran faster (376 against 525 ms p50) but run-cold's
-	// maxrss_mb rose 11%.
-	memoBudget      = 4 << 20
+	// shard is cleared when a new entry would overflow its share. It is the
+	// smallest whole quarter MiB whose share holds a bench-scale Figure
+	// 7/8/9b sweep: with every repeat admitted, its 18,570 entries are
+	// charged 4.08 MiB, 76.4 KiB in the largest shard, and the share is
+	// 80 KiB. At 4 MiB (a 64 KiB share) warm sweeps kept clearing shards
+	// and answered only 79% of their runs from the memo.
+	memoBudget      = 5 << 20
 	memoEntryCharge = 64
 	// memoIdleDelay is how long the memo outlives the last memoized Run.
 	// Warm servers fill it during set-up and then serve without
@@ -61,10 +67,11 @@ const (
 )
 
 // memoHash hashes the encoded inputs: a word-at-a-time mix through
-// splitmix64's finalizer. The hash only picks shards, slots and
-// fingerprints, so it cannot change any result; it is fixed rather than
-// seeded per process so that which keys share a fingerprint slot, and with
-// it a serial run's <core>.memo_hits counts, are the same in every run.
+// splitmix64's finalizer. The hash only picks shards, buckets, map slots
+// and fingerprints, so it cannot change any result; it is fixed rather
+// than seeded per process so that which keys share a fingerprint bucket,
+// and with it a serial run's <core>.memo_hits counts, are the same in
+// every run.
 func memoHash(b []byte) uint64 {
 	h := 0x9e3779b97f4a7c15 ^ uint64(len(b))
 	for ; len(b) >= 8; b = b[8:] {
@@ -96,16 +103,16 @@ type memoKey struct {
 type memoShard struct {
 	mu    sync.Mutex
 	m     map[memoKey]string
-	bytes int                   // charged bytes of m's entries
-	seen  [memoSeenSlots]uint32 // first-sighting fingerprints
+	bytes int                                   // charged bytes of m's entries
+	seen  [memoSeenBuckets][memoSeenWays]uint32 // first-sighting fingerprints, newest first
 }
 
 var memo [memoShards]memoShard
 
-// shard returns the key's shard, the slot of its first-sighting
-// fingerprint there, and the fingerprint (never zero, the empty slot).
-func (k memoKey) shard() (sh *memoShard, slot int, fp uint32) {
-	return &memo[k.sum%memoShards], int(k.sum/memoShards) % memoSeenSlots, uint32(k.sum>>32) | 1
+// shard returns the key's shard, the bucket of its first-sighting
+// fingerprint there, and the fingerprint (never zero, the empty way).
+func (k memoKey) shard() (sh *memoShard, bucket int, fp uint32) {
+	return &memo[k.sum%memoShards], int(k.sum/memoShards) % memoSeenBuckets, uint32(k.sum>>32) | 1
 }
 
 // ResetMemo empties the process-wide memo, first sightings included, so
@@ -156,21 +163,22 @@ func (e *Engine) memoKeyOf(req *Request) memoKey {
 	return memoKey{trace: req.Trace, deps: req.Deps, sum: memoHash(b)}
 }
 
-// recall returns the stored result for key if its inputs equal e.keyBuf,
-// decoded into slices the caller owns.
-func (e *Engine) recall(key memoKey, req *Request) (Result, bool) {
+// recall decodes into res the result stored for key, if its inputs equal
+// e.keyBuf, reusing res's slices.
+func (e *Engine) recall(key memoKey, req *Request, res *Result) bool {
 	sh, _, _ := key.shard()
 	sh.mu.Lock()
 	ent, ok := sh.m[key]
 	sh.mu.Unlock()
 	if !ok {
-		return Result{}, false
+		return false
 	}
 	r := memoReader(ent)
 	if n := r.uvarint(); n != uint64(len(e.keyBuf)) || string(r[:n]) != string(e.keyBuf) {
-		return Result{}, false
+		return false
 	}
-	return decodeResult(string(r[len(e.keyBuf):]), req), true
+	decodeResult(string(r[len(e.keyBuf):]), req, res)
+	return true
 }
 
 // remember records a simulated request: a fingerprint on the key's first
@@ -179,12 +187,11 @@ func (e *Engine) recall(key memoKey, req *Request) (Result, bool) {
 // shard that the entry would push over its share of memoBudget is cleared
 // first; an entry larger than a whole share is not stored.
 func (e *Engine) remember(key memoKey, req *Request, res *Result) {
-	sh, slot, fp := key.shard()
+	sh, bucket, fp := key.shard()
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	old, stored := sh.m[key]
-	if !stored && sh.seen[slot] != fp {
-		sh.seen[slot] = fp
+	if !stored && !sh.sighted(bucket, fp) {
 		return
 	}
 	b := binary.AppendUvarint(e.entBuf[:0], uint64(len(e.keyBuf)))
@@ -207,6 +214,20 @@ func (e *Engine) remember(key memoKey, req *Request, res *Result) {
 	}
 	sh.m[key] = string(b)
 	sh.bytes += cost
+}
+
+// sighted reports whether fp is in its bucket, and puts it in at the front
+// if not.
+func (sh *memoShard) sighted(bucket int, fp uint32) bool {
+	ways := &sh.seen[bucket]
+	for _, w := range ways {
+		if w == fp {
+			return true
+		}
+	}
+	copy(ways[1:], ways[:])
+	ways[0] = fp
+	return false
 }
 
 // appendIntRuns run-length codes vs as (value, run length) varint pairs.
@@ -342,11 +363,11 @@ func (r *memoReader) packedOrder(order []uint16) {
 	}
 }
 
-// decodeResult decodes a result appended by appendResult for req, into
-// slices the caller owns.
-func decodeResult(ent string, req *Request) Result {
+// decodeResult decodes into res a result appended by appendResult for req,
+// reusing res's slices as buffers.
+func decodeResult(ent string, req *Request, res *Result) {
 	r := memoReader(ent)
-	var res Result
+	*res = Result{IterEnd: res.IterEnd, IssueOrder: res.IssueOrder}
 	for _, p := range [...]*int{&res.Cycles, &res.Reordered, &res.Issued, &res.LoadStallCycles,
 		&res.StallDataCycles, &res.StallFUCycles, &res.StallFetchCycles} {
 		*p = int(r.varint())
@@ -354,16 +375,16 @@ func decodeResult(ent string, req *Request) Result {
 	for f := range res.FUBusy {
 		res.FUBusy[f] = r.uvarint()
 	}
-	res.IterEnd = make([]int, r.uvarint())
+	res.IterEnd = resize(res.IterEnd, int(r.uvarint()))
 	prev := 0
 	for i := range res.IterEnd {
 		prev += int(r.varint())
 		res.IterEnd[i] = prev
 	}
-	res.IssueOrder = make([]uint16, r.uvarint())
+	res.IssueOrder = resize(res.IssueOrder, int(r.uvarint()))
 	if req.Policy == Dataflow {
 		r.packedOrder(res.IssueOrder)
-		return res
+		return
 	}
 	for k := 0; k < len(res.IssueOrder); {
 		off := r.varint()
@@ -372,7 +393,6 @@ func decodeResult(ent string, req *Request) Result {
 			k++
 		}
 	}
-	return res
 }
 
 // auditMemo checks, under -audit, that a memoized result equals a fresh
