@@ -3,11 +3,7 @@
 // prefetcher, matching Table 2 of the paper.
 package cache
 
-import (
-	"fmt"
-
-	"repro/internal/telemetry"
-)
+import "fmt"
 
 // Config describes one cache level.
 type Config struct {
@@ -33,7 +29,8 @@ type Stats struct {
 // Every set's ways sit back to back in three parallel arrays: set i is
 // ways [i*Assoc, (i+1)*Assoc). A way's tag is its block number plus one,
 // and zero when the way is invalid, so a lookup reads only the tags: an
-// 8-way set's tags fill one 64-byte host cache line.
+// 8-way set's tags fill one 64-byte host cache line. valid counts the
+// ways with a nonzero tag.
 type Cache struct {
 	cfg        Config
 	tags       []uint64
@@ -42,6 +39,7 @@ type Cache struct {
 	setShift   uint
 	setMask    uint64
 	tick       uint64
+	valid      int
 	stats      Stats
 }
 
@@ -80,17 +78,8 @@ func New(cfg Config) *Cache {
 // Config returns the cache's configuration.
 func (c *Cache) Config() Config { return c.cfg }
 
-// PublishTelemetry adds this cache's counters to the registry's counters
-// under prefix (e.g. "core0.mem.l1d"). Call it once, after the run's last
-// access and on the goroutine that made them, so a concurrent registry
-// snapshot never reads live cache state. A nil registry is a no-op.
-func (c *Cache) PublishTelemetry(reg *telemetry.Registry, prefix string) {
-	reg.Counter(prefix + ".accesses").Add(int64(c.stats.Accesses))
-	reg.Counter(prefix + ".misses").Add(int64(c.stats.Misses))
-	reg.Counter(prefix + ".evictions").Add(int64(c.stats.Evictions))
-	reg.Counter(prefix + ".prefetches").Add(int64(c.stats.Prefetches))
-	reg.Counter(prefix + ".prefetch_hits").Add(int64(c.stats.PrefetchHits))
-}
+// Stats returns the access counters.
+func (c *Cache) Stats() Stats { return c.stats }
 
 // lookup returns the first way of addr's set and addr's tag, and the way
 // holding addr, or -1 when it is not resident.
@@ -152,7 +141,9 @@ func (c *Cache) fill(base int, tag uint64, prefetched bool) {
 			break
 		}
 	}
-	if victim < 0 {
+	if victim >= 0 {
+		c.valid++
+	} else {
 		victim = base
 		for w := base + 1; w < base+c.cfg.Assoc; w++ {
 			if c.lastUse[w] < c.lastUse[victim] {
@@ -172,18 +163,19 @@ func (c *Cache) Flush() {
 	clear(c.tags)
 	clear(c.lastUse)
 	clear(c.prefetched)
+	c.valid = 0
+}
+
+// Reset returns the cache to its state when New built it: empty, with zero
+// counters.
+func (c *Cache) Reset() {
+	c.Flush()
+	c.tick = 0
+	c.stats = Stats{}
 }
 
 // Occupancy returns the number of valid lines (for warmup-cost modeling).
-func (c *Cache) Occupancy() int {
-	n := 0
-	for _, t := range c.tags {
-		if t != 0 {
-			n++
-		}
-	}
-	return n
-}
+func (c *Cache) Occupancy() int { return c.valid }
 
 // LineBytes returns the block size.
 func (c *Cache) LineBytes() int { return c.cfg.LineBytes }

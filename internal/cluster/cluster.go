@@ -370,13 +370,16 @@ func New(cfg Config) (*Cluster, error) {
 		if cfg.Audit != nil {
 			a.inoC.AttachAudit(cfg.Audit, fmt.Sprintf("%s/app%d.ino", cfg.Seed, i))
 			a.oooC.AttachAudit(cfg.Audit, fmt.Sprintf("%s/app%d.ooo", cfg.Seed, i))
+			h.AttachAudit(cfg.Audit, fmt.Sprintf("%s/app%d.mem", cfg.Seed, i))
 		}
 		c.apps = append(c.apps, a)
 	}
 	return c, nil
 }
 
-// Run executes the simulation to completion and returns the result.
+// Run executes the simulation to completion and returns the result. A
+// cluster runs once: Run hands its apps' cache models on to later clusters
+// (mem.Hierarchy.Release).
 func (c *Cluster) Run() (*Result, error) {
 	res := &Result{}
 	// Warmup intervals run before measurement starts: caches and Schedule
@@ -413,6 +416,9 @@ func (c *Cluster) Run() (*Result, error) {
 	res.Intervals = interval + 1 - warm
 	res.RunCycles = int64(res.Intervals) * c.cfg.IntervalCycles
 	c.finalize(res)
+	for _, a := range c.apps {
+		a.mem.Release()
+	}
 	return res, nil
 }
 
@@ -914,7 +920,7 @@ func (a *app) migrate() {
 // (reported for Figure 15; the real cost is paid implicitly through cold
 // cache re-measurement).
 func (c *Cluster) estimateL1Refill(a *app) int64 {
-	occ := int64(a.mem.L1D.Occupancy() + a.mem.L1I.Occupancy())
+	occ := int64(a.mem.L1Occupancy())
 	return occ * mem.L2Latency / 4 // overlapping refills
 }
 

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mem"
 	"repro/internal/telemetry"
 )
 
@@ -18,8 +19,14 @@ import (
 // runs from the memo. If the sweep's working set overflows the memo's
 // budget, shards are cleared mid-sweep and the warm hit share falls to
 // about 0.8; if keys that share an admission slot keep displacing each
-// other's first sighting, it is about 0.95. The logged shares make the
-// test a probe of the memo's admission and fit.
+// other's first sighting, it is about 0.95.
+//
+// The third sweep's walks must likewise come from the memory hierarchy's
+// walk memo (mem.WalkMemoStats), at least 0.99 of them, so no hierarchy
+// builds its cache model. A sweep whose entries overflow the walk memo's
+// budget clears it mid-sweep, and the hierarchies then tracked walk for
+// real from there on. The logged shares and sizes make the test a probe of
+// both memos' admission and fit.
 func TestWarmSweepFitsMemo(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three bench-scale sweeps")
@@ -35,11 +42,13 @@ func TestWarmSweepFitsMemo(t *testing.T) {
 	}
 	ResetCaches()
 	defer ResetCaches()
-	var share float64
+	var share, walkShare float64
+	var models int64
 	for pass := 1; pass <= 3; pass++ {
 		s := benchScale
 		s.Name = fmt.Sprintf("bench-%d", pass)
 		s.Telemetry = &telemetry.Telemetry{Registry: telemetry.NewRegistry()}
+		before := mem.WalkMemoStats()
 		if _, err := Reports(context.Background(), s, SweepIDs); err != nil {
 			t.Fatal(err)
 		}
@@ -57,8 +66,16 @@ func TestWarmSweepFitsMemo(t *testing.T) {
 		}
 		share = float64(hits) / float64(measures)
 		t.Logf("sweep %d: %d of %d measurements from the memo (%.3f)", pass, hits, measures, share)
+		after := mem.WalkMemoStats()
+		walks, walkHits := after.Walks-before.Walks, after.Hits-before.Hits
+		walkShare, models = float64(walkHits)/float64(walks), after.Models-before.Models
+		t.Logf("sweep %d: %d of %d walks from the walk memo (%.3f), %d cache models built; the walk memo holds %d entries in %d bytes",
+			pass, walkHits, walks, walkShare, models, after.Entries, after.Bytes)
 	}
 	if share < 0.99 {
 		t.Errorf("third sweep's memo hit share is %.3f, want >= 0.99: its repeats are not all admitted, or its working set overflows the memo", share)
+	}
+	if walkShare < 0.99 || models != 0 {
+		t.Errorf("third sweep's walk memo hit share is %.3f with %d cache models built, want >= 0.99 and none: its hierarchies are not tracked, or its entries overflow the walk memo", walkShare, models)
 	}
 }

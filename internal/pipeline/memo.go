@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -115,9 +116,11 @@ func (k memoKey) shard() (sh *memoShard, bucket int, fp uint32) {
 	return &memo[k.sum%memoShards], int(k.sum/memoShards) % memoSeenBuckets, uint32(k.sum>>32) | 1
 }
 
-// ResetMemo empties the process-wide memo, first sightings included, so
-// every request simulates again as in a fresh process.
+// ResetMemo empties the process-wide memo, first sightings included, and
+// the memory hierarchy's walk memo (mem.ResetWalkMemo), so every request
+// simulates again as in a fresh process.
 func ResetMemo() {
+	mem.ResetWalkMemo()
 	for i := range memo {
 		sh := &memo[i]
 		sh.mu.Lock()

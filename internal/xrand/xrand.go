@@ -35,6 +35,10 @@ func NewString(name string) *Rand {
 	return New(h)
 }
 
+// State returns the generator's internal state: two generators with equal
+// states produce equal streams.
+func (r *Rand) State() [4]uint64 { return r.s }
+
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }
 
 // Uint64 returns the next 64 random bits.
