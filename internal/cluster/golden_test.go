@@ -12,7 +12,7 @@ import (
 	"testing"
 
 	"repro/internal/arbiter"
-	"repro/internal/pipeline"
+	"repro/internal/memo"
 	"repro/internal/telemetry"
 )
 
@@ -28,11 +28,11 @@ type telemetryGolden struct {
 	TraceSHA256 string             `json:"trace_sha256"`
 }
 
-// goldenTelemetryRun runs cfg on a fresh Telemetry and pipeline memo, so the
+// goldenTelemetryRun runs cfg on a fresh Telemetry and fresh memos, so the
 // memo_hits counters do not depend on what the package ran before.
 func goldenTelemetryRun(t *testing.T, cfg Config) telemetryGolden {
 	t.Helper()
-	pipeline.ResetMemo()
+	memo.Reset()
 	tel := telemetry.New()
 	cfg.Telemetry = tel
 	cl, err := New(cfg)

@@ -7,7 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/arbiter"
-	"repro/internal/pipeline"
+	"repro/internal/memo"
 )
 
 // TestConcurrentRunsIdentical runs one Mirage configuration twice at once,
@@ -39,10 +39,10 @@ func TestConcurrentRunsIdentical(t *testing.T) {
 		}
 		return b
 	}
-	pipeline.ResetMemo()
-	defer pipeline.ResetMemo()
+	memo.Reset()
+	defer memo.Reset()
 	want := run()
-	pipeline.ResetMemo()
+	memo.Reset()
 	for round := 1; round <= 3; round++ {
 		var got [2][]byte
 		var wg sync.WaitGroup

@@ -12,6 +12,9 @@ package energy
 import (
 	"fmt"
 	"math"
+
+	"repro/internal/isa"
+	"repro/internal/trace"
 )
 
 // Structure identifies a hardware block for the Figure 9a breakdown.
@@ -72,6 +75,29 @@ type Events struct {
 	L1IAccess uint64
 	CDBBcasts uint64 // result broadcasts
 	Squashes  uint64 // pipeline / trace squashes
+}
+
+// ClassEvents returns the per-class events of iters iterations of t: its
+// integer, multiply/divide and FP operations and its branch-predictor
+// lookups. Every core engine counts these alike; the rest of Events is
+// theirs to fill.
+func ClassEvents(t *trace.Trace, iters int) Events {
+	var ev Events
+	n := uint64(iters)
+	for _, in := range t.Insts {
+		switch in.Op {
+		case isa.IntALU:
+			ev.IntOps += n
+		case isa.Branch:
+			ev.IntOps += n
+			ev.BPredLookups += n
+		case isa.IntMul, isa.IntDiv:
+			ev.MulDivOps += n
+		case isa.FPAdd, isa.FPMul, isa.FPDiv:
+			ev.FPOps += n
+		}
+	}
+	return ev
 }
 
 // CoreKind selects which structure set and coefficients apply.

@@ -18,7 +18,7 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/pipeline"
+	"repro/internal/memo"
 	"repro/internal/runner"
 	"repro/internal/stats"
 	"repro/internal/telemetry"
@@ -271,7 +271,7 @@ var sweepCache = runner.Cache[string, sweepResult]{AbandonGrace: 40 * time.Milli
 
 // ResetCaches drops every memoized simulation result the experiment layer
 // holds (the sweep, per-benchmark profile and CPI caches) and the
-// process-wide pipeline memo beneath it. The determinism tests call it
+// process-wide memos beneath it (memo.Reset). The determinism tests call it
 // between serial and parallel passes so the second pass recomputes instead
 // of trivially replaying the first; long-lived harnesses can call it to
 // bound memory.
@@ -279,7 +279,7 @@ func ResetCaches() {
 	sweepCache.Reset()
 	profileCache.Reset()
 	cpiCache.Reset()
-	pipeline.ResetMemo()
+	memo.Reset()
 }
 
 // runSweep simulates the arbitrator line-up across cluster sizes: one

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/mem"
+	"repro/internal/pipeline"
 	"repro/internal/telemetry"
 )
 
@@ -65,7 +66,8 @@ func TestWarmSweepFitsMemo(t *testing.T) {
 			t.Fatalf("sweep %d published no measures", pass)
 		}
 		share = float64(hits) / float64(measures)
-		t.Logf("sweep %d: %d of %d measurements from the memo (%.3f)", pass, hits, measures, share)
+		entries, bytes := pipeline.MemoStats()
+		t.Logf("sweep %d: %d of %d measurements from the memo (%.3f); it holds %d entries in %d bytes", pass, hits, measures, share, entries, bytes)
 		after := mem.WalkMemoStats()
 		walks, walkHits := after.Walks-before.Walks, after.Hits-before.Hits
 		walkShare, models = float64(walkHits)/float64(walks), after.Models-before.Models

@@ -301,8 +301,9 @@ func (h *Hierarchy) FetchGates(t *trace.Trace, iters int) []int {
 }
 
 // traceSlot is what a hierarchy keeps of a recent trace: its load and
-// store counts, and its index in the walk memo, valid while the memo's
-// generation is tiGen-1. Traces are immutable, as for the pipeline memo.
+// store counts, and its owner index in the walk memo, valid while the
+// memo's generation is tiGen-1. Traces are immutable, as for the pipeline
+// memo.
 type traceSlot struct {
 	t             *trace.Trace
 	loads, stores int
@@ -315,14 +316,7 @@ func (h *Hierarchy) slot(t *trace.Trace) *traceSlot {
 	s := &h.traces[uint64(t.ID)%uint64(len(h.traces))]
 	if s.t != t {
 		*s = traceSlot{t: t}
-		for _, in := range t.Insts {
-			switch in.Op {
-			case isa.Load:
-				s.loads++
-			case isa.Store:
-				s.stores++
-			}
-		}
+		s.loads, s.stores = t.NumMemOps()
 	}
 	return s
 }

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"repro/internal/memo"
 	"repro/internal/trace"
 )
 
@@ -33,16 +34,13 @@ import (
 // to walk for real: on a miss, under Audit, or when a walker it adopted is
 // used elsewhere. A run answered wholly from the memo never builds a model.
 //
-// The pipeline memo's rules apply. Most hierarchies never repeat (each
-// run-cold request is a new seed), so a hierarchy is tracked only if the
-// key of its first operation was sighted before, in a set-associative
-// array of fingerprints; an untracked one pays that one check. Entries are
-// appended, run-length coded, to an arena of fixed chunks whose keys and
-// outputs are never rewritten, so a hit decodes outside the lock. The memo
-// is cleared when an entry would overflow walkMemoBudget: tracked
-// hierarchies notice the new generation at their next operation and go on
-// untracked. pipeline.ResetMemo, and with it the pipeline memo's idle
-// release, clears it too.
+// The memo is a memo.Table, which owns admission, the arena, the budget and
+// the reset: an entry's owner is the operation's trace, its key the rest of
+// the operation. Most hierarchies never repeat (each run-cold request is a
+// new seed), so a hierarchy is tracked only if the key of its first
+// operation was sighted before; an untracked one pays that one check. When
+// the table clears, tracked hierarchies notice the new generation at their
+// next operation and go on untracked.
 
 // opKind is an operation on a hierarchy.
 type opKind byte
@@ -79,38 +77,16 @@ type pendList struct {
 }
 
 const (
-	// walkMemoBudget bounds the memo's bytes, and the memo is cleared when
-	// an entry would overflow it.
+	// walkMemoBudget bounds the memo's charged bytes: the smallest quarter
+	// MiB that holds a bench-scale Figure 7/8/9b sweep's entries, 110,250
+	// of them charged 2,788,352 bytes (2.66 MiB).
 	walkMemoBudget = 11 << 18
-	// walkChunk is the arena's chunk size, and bounds an entry's length.
-	walkChunk = 16 << 10
-	// walkSeenBuckets and walkSeenWays shape the first-sighting array:
-	// 1024 × 8 fingerprints, 32 KiB.
+	// walkSeenBuckets shapes the first-sighting filter: 1024 × 8
+	// fingerprints, 32 KiB.
 	walkSeenBuckets = 1024
-	walkSeenWays    = 8
-	// walkRootCharge is the charge for a slot of the root map.
-	walkRootCharge = 32
 )
 
-// walkMemoState is the memo: a trie of histories. An entry is laid out in
-// the arena as its first child's id (4 bytes, rewritten when a child is
-// added), its next sibling's id (a varint), then its key and its output,
-// each after its length; id 0 is none. A child's key is the operation
-// alone: the parent is where the lookup starts. The children of the root,
-// the first operations of every history, hang off roots by the hash of
-// their key instead, siblings sharing a hash.
-type walkMemoState struct {
-	mu      sync.Mutex
-	gen     uint64
-	roots   map[uint64]uint32 // key hash -> first root child of that hash
-	chunks  [][]byte          // entry id i is at byte i-1 of the chunks laid end to end
-	traces  map[*trace.Trace]uint64
-	entries int
-	bytes   int // charged bytes: the chunks in use, and a slot per root
-	seen    [walkSeenBuckets][walkSeenWays]uint32
-}
-
-var walkMemo walkMemoState
+var walkMemo = memo.New[*trace.Trace](walkMemoBudget, walkSeenBuckets)
 
 var walkCounts struct{ walks, hits, models atomic.Int64 }
 
@@ -128,21 +104,9 @@ type MemoStats struct {
 
 // WalkMemoStats returns the walk memo's totals since the process started.
 func WalkMemoStats() MemoStats {
-	wm := &walkMemo
-	wm.mu.Lock()
-	defer wm.mu.Unlock()
+	entries, bytes := walkMemo.Stats()
 	return MemoStats{Walks: walkCounts.walks.Load(), Hits: walkCounts.hits.Load(), Models: walkCounts.models.Load(),
-		Bytes: wm.bytes, Entries: wm.entries}
-}
-
-// ResetWalkMemo empties the walk memo, first sightings included.
-func ResetWalkMemo() {
-	wm := &walkMemo
-	wm.mu.Lock()
-	defer wm.mu.Unlock()
-	wm.clear()
-	wm.traces = nil
-	clear(wm.seen[:])
+		Bytes: bytes, Entries: entries}
 }
 
 // apply applies one operation to h: from the walk memo when h's history
@@ -156,6 +120,7 @@ func (h *Hierarchy) apply(kind opKind, t *trace.Trace, walkers []*Walker, iters 
 	if kind != opFlush {
 		walkCounts.walks.Add(1)
 	}
+	var sum uint64 // the hash of a first operation, which the memo finds it by
 	if h.node != untracked {
 		h.encodeKey(kind, walkers, iters)
 	}
@@ -167,11 +132,17 @@ func (h *Hierarchy) apply(kind opKind, t *trace.Trace, walkers []*Walker, iters 
 			w.used = true
 		}
 	}
-	if h.node == rootNode && !sighted(h.key, t) {
-		h.node = untracked
+	if h.node == rootNode {
+		sum = firstSum(h.key, t)
+		walkMemo.Lock()
+		seen := walkMemo.Sighted(sum)
+		walkMemo.Unlock()
+		if !seen {
+			h.node = untracked
+		}
 	}
 	if h.node != untracked && h.aud == nil {
-		if id, out := h.lookup(t); id > 0 {
+		if id, out := h.lookup(t, sum); id > 0 {
 			h.answer(kind, out)
 			h.node = id
 			if h.pending == nil {
@@ -200,7 +171,7 @@ func (h *Hierarchy) apply(kind opKind, t *trace.Trace, walkers []*Walker, iters 
 		return 0
 	})
 	if h.node != untracked {
-		h.record(kind, t)
+		h.record(kind, t, sum)
 	}
 }
 
@@ -283,109 +254,34 @@ func (h *Hierarchy) encodeKey(kind opKind, walkers []*Walker, iters int) {
 	h.key = b
 }
 
-// sighted reports whether the fingerprint of a first operation's key is in
-// its bucket of the first-sighting array, and puts it in at the front if
-// not. A fingerprint shared by two keys can only track a hierarchy that
-// will not repeat.
-func sighted(key []byte, t *trace.Trace) bool {
-	sum := keyHash(key) ^ uint64(traceID(t))*0x9e3779b97f4a7c15
-	bucket, fp := int(sum%walkSeenBuckets), uint32(sum>>32)|1
-	wm := &walkMemo
-	wm.mu.Lock()
-	defer wm.mu.Unlock()
-	ways := &wm.seen[bucket]
-	for _, w := range ways {
-		if w == fp {
-			return true
-		}
-	}
-	copy(ways[1:], ways[:])
-	ways[0] = fp
-	return false
+// firstSum is the hash of a first operation with key on t, which its
+// sighting and its root slot go by. It uses the trace's ID, as the trace's
+// owner index lasts only until the memo clears.
+func firstSum(key []byte, t *trace.Trace) uint64 {
+	return memo.Hash(key) ^ uint64(traceID(t))*0x9e3779b97f4a7c15
 }
 
-// keyHash is FNV-1a. It only picks root slots and fingerprints.
-func keyHash(b []byte) uint64 {
-	h := uint64(0xcbf29ce484222325)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= 0x100000001b3
-	}
-	return h
-}
-
-// entry returns the bytes of entry id onwards. Call with the memo locked;
-// the key and output bytes stay valid after unlocking, as they are never
-// rewritten.
-func (wm *walkMemoState) entry(id uint32) []byte {
-	return wm.chunks[(id-1)/walkChunk][(id-1)%walkChunk:]
-}
-
-// parts splits an entry into its next sibling, key and output.
-func parts(e []byte) (sibling uint32, key, out []byte) {
-	sib, w := binary.Uvarint(e[4:])
-	e = e[4+w:]
-	n, w := binary.Uvarint(e)
-	key, e = e[w:w+int(n)], e[w+int(n):]
-	n, w = binary.Uvarint(e)
-	return uint32(sib), key, e[w : w+int(n) : w+int(n)]
-}
-
-// find returns the child of parent whose key is key, or 0. Call with the
-// memo locked.
-func (wm *walkMemoState) find(parent int64, key []byte) uint32 {
-	var id uint32
-	if parent == rootNode {
-		id = wm.roots[keyHash(key)]
-	} else {
-		id = binary.LittleEndian.Uint32(wm.entry(uint32(parent)))
-	}
-	for id != 0 {
-		sibling, k, _ := parts(wm.entry(id))
-		if string(k) == string(key) {
-			return id
-		}
-		id = sibling
-	}
-	return 0
-}
-
-// key returns h.key with the trace's index appended, interning the trace
-// if intern is set; ok is false for a trace the memo does not hold. Call
-// with the memo locked.
-func (wm *walkMemoState) key(h *Hierarchy, t *trace.Trace, intern bool) (key []byte, ok bool) {
+// owner returns t's index among the memo's owners, interning it if intern
+// is set; ok is false for a trace the memo does not hold. h's trace slots
+// cache the index for the generation. Call with the memo locked.
+func (h *Hierarchy) owner(t *trace.Trace, intern bool) (idx uint64, ok bool) {
+	gen := walkMemo.Gen()
 	var s *traceSlot
-	var ti uint64
 	if t != nil {
-		s = h.slot(t)
-		ti, ok = s.ti, s.tiGen == wm.gen+1
-	}
-	if !ok {
-		if ti, ok = wm.traces[t]; !ok {
-			if !intern {
-				return nil, false
-			}
-			if wm.traces == nil {
-				wm.traces = make(map[*trace.Trace]uint64)
-			}
-			ti = uint64(len(wm.traces))
-			wm.traces[t] = ti
-		}
-		if s != nil {
-			s.ti, s.tiGen = ti, wm.gen+1
+		if s = h.slot(t); s.tiGen == gen+1 {
+			return s.ti, true
 		}
 	}
-	n := len(h.key)
-	h.key = binary.AppendUvarint(h.key, ti)
-	key = h.key
-	h.key = h.key[:n]
-	return key, true
+	if idx, ok = walkMemo.Owner(t, intern); ok && s != nil {
+		s.ti, s.tiGen = idx, gen+1
+	}
+	return idx, ok
 }
 
 // current reports whether h's history is in the memo's current
 // generation, and stops h tracking if not. Call with the memo locked.
-func (wm *walkMemoState) current(h *Hierarchy) bool {
-	if h.node != rootNode && h.gen != wm.gen {
+func (h *Hierarchy) current() bool {
+	if h.node != rootNode && h.gen != walkMemo.Gen() {
 		h.node = untracked
 		return false
 	}
@@ -394,110 +290,62 @@ func (wm *walkMemoState) current(h *Hierarchy) bool {
 
 // lookup returns the entry that follows h's history with the operation in
 // h.key on t, and the entry's recorded output, or id 0 if there is none.
-func (h *Hierarchy) lookup(t *trace.Trace) (id int64, out []byte) {
-	wm := &walkMemo
-	wm.mu.Lock()
-	defer wm.mu.Unlock()
-	if !wm.current(h) {
+// sum is the hash of a first operation.
+func (h *Hierarchy) lookup(t *trace.Trace, sum uint64) (id int64, out []byte) {
+	walkMemo.Lock()
+	defer walkMemo.Unlock()
+	if !h.current() {
 		return 0, nil
 	}
-	key, ok := wm.key(h, t, false)
+	ti, ok := h.owner(t, false)
 	if !ok {
 		return 0, nil
 	}
-	child := wm.find(h.node, key)
+	child, out := walkMemo.Find(uint32(h.node), ti, sum, h.key)
 	if child == 0 {
 		return 0, nil
 	}
-	_, _, out = parts(wm.entry(child))
-	h.gen = wm.gen
+	h.gen = walkMemo.Gen()
 	return int64(child), out
-}
-
-// clear drops every entry and starts a new generation. Call with the memo
-// locked.
-func (wm *walkMemoState) clear() {
-	wm.gen++
-	wm.roots, wm.chunks, wm.entries, wm.bytes = nil, nil, 0, 0
-	clear(wm.traces)
 }
 
 // record stores the output of a real operation as the entry that follows
 // h's history and moves h there. Under Audit, an entry recorded already
 // must hold the same output.
-func (h *Hierarchy) record(kind opKind, t *trace.Trace) {
+func (h *Hierarchy) record(kind opKind, t *trace.Trace, sum uint64) {
 	out := h.out[:0]
 	switch kind {
 	case opWalk:
 		out = appendLatRuns(out, h.lats)
 	case opGates:
-		out = appendIntRuns(out, h.gates)
+		out = memo.AppendIntRuns(out, h.gates)
 	}
 	out = appendCounts(out, &h.delta)
 	out = binary.AppendUvarint(out, uint64(h.occ))
 	h.out = out
 
-	wm := &walkMemo
-	wm.mu.Lock()
-	defer wm.mu.Unlock()
-	if !wm.current(h) {
+	walkMemo.Lock()
+	defer walkMemo.Unlock()
+	if !h.current() {
 		return
 	}
-	key, _ := wm.key(h, t, true)
-	if id := wm.find(h.node, key); id != 0 {
-		if _, _, old := parts(wm.entry(id)); string(old) != string(out) {
-			where := h.audLabel
-			if where == "" {
-				where = "mem"
-			}
-			h.aud.Violatef("mem.walk_memo", where,
-				"recorded output of op %d on trace %d differs from the cache model's", kind, traceID(t))
+	ti, _ := h.owner(t, true)
+	id, old := walkMemo.Find(uint32(h.node), ti, sum, h.key)
+	if id != 0 && string(old) != string(out) {
+		where := h.audLabel
+		if where == "" {
+			where = "mem"
 		}
-		h.node, h.gen = int64(id), wm.gen
-		return
+		h.aud.Violatef("mem.walk_memo", where,
+			"recorded output of op %d on trace %d differs from the cache model's", kind, traceID(t))
 	}
-	n := 4 + 3*binary.MaxVarintLen32 + len(key) + len(out)
-	if n > walkChunk {
-		h.node = untracked
-		return
-	}
-	last := len(wm.chunks) - 1
-	if last < 0 || len(wm.chunks[last])+n > walkChunk {
-		if wm.bytes+walkChunk > walkMemoBudget {
-			wm.clear()
+	if id == 0 {
+		if id = walkMemo.Add(uint32(h.node), ti, sum, h.key, out); id == 0 {
 			h.node = untracked
 			return
 		}
-		wm.chunks = append(wm.chunks, make([]byte, 0, walkChunk))
-		wm.bytes += walkChunk
-		last++
 	}
-	c := wm.chunks[last]
-	id := uint32(last*walkChunk+len(c)) + 1
-	var sibling uint32
-	if h.node == rootNode {
-		sum := keyHash(key)
-		sibling = wm.roots[sum]
-		if wm.roots == nil {
-			wm.roots = make(map[uint64]uint32)
-		}
-		if sibling == 0 {
-			wm.bytes += walkRootCharge
-		}
-		wm.roots[sum] = id
-	} else {
-		head := wm.entry(uint32(h.node))[:4]
-		sibling = binary.LittleEndian.Uint32(head)
-		binary.LittleEndian.PutUint32(head, id)
-	}
-	c = binary.LittleEndian.AppendUint32(c, 0)
-	c = binary.AppendUvarint(c, uint64(sibling))
-	c = binary.AppendUvarint(c, uint64(len(key)))
-	c = append(c, key...)
-	c = binary.AppendUvarint(c, uint64(len(out)))
-	wm.chunks[last] = append(c, out...)
-	wm.entries++
-	h.node, h.gen = int64(id), wm.gen
+	h.node, h.gen = int64(id), walkMemo.Gen()
 }
 
 func traceID(t *trace.Trace) trace.ID {
@@ -510,23 +358,20 @@ func traceID(t *trace.Trace) trace.ID {
 // answer applies a recorded output: the latencies or gates into h's
 // scratch, the counts to h's, and the L1 occupancy.
 func (h *Hierarchy) answer(kind opKind, out []byte) {
+	r := memo.Reader(out)
 	switch kind {
 	case opWalk:
-		out = decodeLatRuns(out, h.lats)
+		decodeLatRuns(&r, h.lats)
 	case opGates:
-		out = decodeIntRuns(out, h.gates)
+		r.IntRuns(h.gates)
 	}
-	mask, w := binary.Uvarint(out)
-	out = out[w:]
+	mask := r.Uvarint()
 	for i := range h.cnt {
 		if mask&(1<<i) != 0 {
-			v, w := binary.Uvarint(out)
-			out = out[w:]
-			h.cnt[i] += v
+			h.cnt[i] += r.Uvarint()
 		}
 	}
-	occ, _ := binary.Uvarint(out)
-	h.occ = int(occ)
+	h.occ = int(r.Uvarint())
 }
 
 // latValues are the load latencies a walk can resolve: an L1, L2 or
@@ -555,8 +400,9 @@ func appendLatRuns(b []byte, lats []int) []byte {
 	return b
 }
 
-// decodeLatRuns fills lats from appendLatRuns' code and returns the rest.
-func decodeLatRuns(b []byte, lats []int) []byte {
+// decodeLatRuns fills lats from appendLatRuns' code.
+func decodeLatRuns(r *memo.Reader, lats []int) {
+	b := *r
 	k := 0
 	for ; len(lats) > 0; k++ {
 		run := lats[:b[k]&31+1]
@@ -566,36 +412,7 @@ func decodeLatRuns(b []byte, lats []int) []byte {
 		}
 		lats = lats[len(run):]
 	}
-	return b[k:]
-}
-
-// appendIntRuns run-length codes vs as (value, run length) varint pairs.
-// The decoder knows len(vs) from elsewhere.
-func appendIntRuns(b []byte, vs []int) []byte {
-	for i := 0; i < len(vs); {
-		j := i + 1
-		for j < len(vs) && vs[j] == vs[i] {
-			j++
-		}
-		b = binary.AppendVarint(b, int64(vs[i]))
-		b = binary.AppendUvarint(b, uint64(j-i))
-		i = j
-	}
-	return b
-}
-
-// decodeIntRuns fills vs from appendIntRuns' code and returns the rest.
-func decodeIntRuns(b []byte, vs []int) []byte {
-	for i := 0; i < len(vs); {
-		v, w := binary.Varint(b)
-		b = b[w:]
-		run, w := binary.Uvarint(b)
-		b = b[w:]
-		for end := i + int(run); i < end; i++ {
-			vs[i] = int(v)
-		}
-	}
-	return b
+	*r = b[k:]
 }
 
 // appendCounts codes c as a bit mask of its nonzero counts and then each

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/internal/invariant"
+	"repro/internal/memo"
 	"repro/internal/program"
 	"repro/internal/trace"
 	"repro/internal/xrand"
@@ -28,7 +29,7 @@ const (
 	stepFlush            // FlushL1s
 	stepShared           // LoadLatencies with the other hierarchy's walkers
 	stepNext             // Walker.Next on the hierarchy's first walker of the trace
-	stepClear            // ResetWalkMemo (memo runs only)
+	stepClear            // memo.Reset (memo runs only)
 	numStepKinds
 )
 
@@ -81,7 +82,7 @@ func runSteps(traces []*trace.Trace, steps []walkStep, plain bool) []walkObs {
 	obs := make([]walkObs, len(steps))
 	for i, st := range steps {
 		if plain {
-			ResetWalkMemo()
+			memo.Reset()
 		}
 		h, t, o := hs[st.h], traces[st.tr], &obs[i]
 		switch st.kind {
@@ -106,7 +107,7 @@ func runSteps(traces []*trace.Trace, steps []walkStep, plain bool) []walkObs {
 			}
 		case stepClear:
 			if !plain {
-				ResetWalkMemo()
+				memo.Reset()
 			}
 		}
 		o.cnt, o.occ = h.cnt, h.L1Occupancy()
@@ -135,7 +136,7 @@ func checkWalkMemo(t *testing.T, traces []*trace.Trace, seqs ...[]walkStep) {
 	for i, steps := range seqs {
 		want[i] = runSteps(traces, steps, true)
 	}
-	ResetWalkMemo()
+	memo.Reset()
 	for i, steps := range seqs {
 		for pass := 1; pass <= 3; pass++ {
 			diffWalks(t, fmt.Sprintf("sequence %d pass %d", i, pass), steps, runSteps(traces, steps, false), want[i])
@@ -162,8 +163,8 @@ func randomSteps(rng *xrand.Rand, n, ntr int, rare bool) []walkStep {
 // trace, four traces to a sequence, and checks every step of every memo
 // run against the plain walk.
 func TestWalkMemoMatchesPlain(t *testing.T) {
-	ResetWalkMemo()
-	defer ResetWalkMemo()
+	memo.Reset()
+	defer memo.Reset()
 	before := WalkMemoStats()
 	traces := suiteLoopTraces()
 	for g := 0; g < len(traces); g += 4 {
@@ -185,7 +186,7 @@ func TestWalkMemoMatchesPlain(t *testing.T) {
 // generator imply, so the memo must not answer for it with the walks of a
 // fresh one, nor the other way round.
 func TestWalkMemoAdoptsOnlyFreshWalkers(t *testing.T) {
-	defer ResetWalkMemo()
+	defer memo.Reset()
 	traces := walkFuzzTraces
 	walk := []walkStep{{stepWalkGates, 0, 0, 4}, {stepWalk, 0, 1, 3}, {stepWalkGates, 0, 0, 4}}
 	advanced := append([]walkStep{{stepNext, 0, 0, 0}, {stepNext, 0, 1, 0}}, walk...)
@@ -237,7 +238,7 @@ func FuzzWalkMemo(f *testing.F) {
 		}
 		branch := slices.Clone(steps)
 		branch[len(branch)/2].iters++
-		defer ResetWalkMemo()
+		defer memo.Reset()
 		checkWalkMemo(t, walkFuzzTraces, steps, branch)
 	})
 }
@@ -246,26 +247,29 @@ func FuzzWalkMemo(f *testing.F) {
 // recorded latency, and replays the path under an auditor: the audited
 // hierarchy walks for real and must report the entry.
 func TestAuditCatchesCorruptWalkMemo(t *testing.T) {
-	ResetWalkMemo()
-	defer ResetWalkMemo()
+	memo.Reset()
+	defer memo.Reset()
 	traces := walkFuzzTraces[:2]
 	steps := []walkStep{{stepWalkGates, 0, 0, 4}, {stepWalk, 0, 1, 6}, {stepFlush, 0, 0, 0}, {stepWalkGates, 0, 0, 4}}
 	for pass := 0; pass < 2; pass++ { // a first sighting, then the recording
 		runSteps(traces, steps, false)
 	}
-	// The first walk's entry is the root child with the most latencies;
-	// its first latency byte is its output's first byte.
-	wm := &walkMemo
-	wm.mu.Lock()
-	var out []byte
-	for _, id := range wm.roots {
-		for ; id != 0; id, _, _ = parts(wm.entry(id)) {
-			if _, k, o := parts(wm.entry(id)); opKind(k[0]) == opWalk {
-				out = o
-			}
+	// The first walk's entry is the root child whose key a fresh hierarchy's
+	// first walk encodes; its first latency byte is its output's first byte.
+	t0 := traces[0]
+	fresh := func() []*Walker {
+		ws := make([]*Walker, len(t0.Streams))
+		for s, spec := range t0.Streams {
+			ws[s] = NewWalker(spec, xrand.NewString(fmt.Sprintf("oracle:%d:%d", t0.ID, s)))
 		}
+		return ws
 	}
-	wm.mu.Unlock()
+	probe := NewHierarchy()
+	probe.encodeKey(opWalk, fresh(), 4)
+	walkMemo.Lock()
+	ti, _ := walkMemo.Owner(t0, false)
+	_, out := walkMemo.Find(0, ti, firstSum(probe.key, t0), probe.key)
+	walkMemo.Unlock()
 	if out == nil {
 		t.Fatal("no recorded walk at the root")
 	}
@@ -274,12 +278,7 @@ func TestAuditCatchesCorruptWalkMemo(t *testing.T) {
 	aud := invariant.New(nil)
 	h := NewHierarchy()
 	h.AttachAudit(aud, "app0.mem")
-	t0 := traces[0]
-	ws := make([]*Walker, len(t0.Streams))
-	for s, spec := range t0.Streams {
-		ws[s] = NewWalker(spec, xrand.NewString(fmt.Sprintf("oracle:%d:%d", t0.ID, s)))
-	}
-	h.LoadLatencies(t0, ws, 4)
+	h.LoadLatencies(t0, fresh(), 4)
 	if aud.Total() == 0 {
 		t.Fatal("audit passed a tampered walk entry")
 	}

@@ -177,25 +177,8 @@ func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem
 
 func (c *Core) countEvents(t *trace.Trace, res *pipeline.Result, iters, nLoads, nStores int) energy.Events {
 	n := uint64(len(t.Insts)) * uint64(iters)
-	var ev energy.Events
+	ev := energy.ClassEvents(t, iters)
 	ev.Cycles = uint64(res.Cycles)
-	for _, in := range t.Insts {
-		var cnt *uint64
-		switch in.Op {
-		case isa.IntALU, isa.Branch:
-			cnt = &ev.IntOps
-		case isa.IntMul, isa.IntDiv:
-			cnt = &ev.MulDivOps
-		case isa.FPAdd, isa.FPMul, isa.FPDiv:
-			cnt = &ev.FPOps
-		}
-		if cnt != nil {
-			*cnt += uint64(iters)
-		}
-		if in.Op == isa.Branch {
-			ev.BPredLookups += uint64(iters)
-		}
-	}
 	ev.Fetches = n
 	ev.Decodes = n
 	ev.RenameOps = n

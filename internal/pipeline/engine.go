@@ -5,6 +5,7 @@ import (
 	"sync"
 
 	"repro/internal/isa"
+	"repro/internal/memo"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -111,9 +112,10 @@ func buildFlatDeps(g *trace.DepGraph) *flatDeps {
 // the ready bitmap, the wakeup calendar, functional-unit occupancy, the
 // issue-order sort buffer, the request's resolved inputs, the key and entry
 // encoding buffers of the process-wide result memo (memo.go), and the last
-// Result. A steady-state Run allocates only the memo's entry when it stores
-// one; a memo hit allocates nothing. An Engine is not safe for concurrent
-// use; each worker owns one (the package-level Run draws from a pool).
+// Result. A steady-state Run allocates only when the memo's arena or index
+// grows to store an entry; a memo hit allocates nothing. An Engine is not
+// safe for concurrent use; each worker owns one (the package-level Run
+// draws from a pool).
 type Engine struct {
 	dyns     []edyn
 	iterGate []int
@@ -238,12 +240,12 @@ func (e *Engine) run(req Request, memoize bool) Result {
 
 	e.resolve(&req)
 	res := &e.res
-	var key memoKey
+	var sum uint64
 	if memoize {
-		key = e.memoKeyOf(&req)
-		if req.Audit == nil && e.recall(key, &req, res) {
+		sum = e.memoKeyOf(&req)
+		if req.Audit == nil && e.recall(&req, sum, res) {
 			e.memoHit = true
-			touchMemo()
+			memo.Touch()
 			return *res
 		}
 	}
@@ -268,14 +270,14 @@ func (e *Engine) run(req Request, memoize bool) Result {
 		e.audit(&req, fd, res)
 	}
 	if memoize {
-		if req.Audit != nil {
-			var prior Result
-			if e.recall(key, &req, &prior) {
-				e.auditMemo(&req, &prior, res)
-			}
+		var prior Result
+		switch {
+		case req.Audit == nil || !e.recall(&req, sum, &prior):
+			e.remember(&req, sum, res, false)
+		case !e.auditMemo(&req, &prior, res):
+			e.remember(&req, sum, res, true)
 		}
-		e.remember(key, &req, res)
-		touchMemo()
+		memo.Touch()
 	}
 	return *res
 }

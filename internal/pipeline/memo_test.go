@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"encoding/binary"
 	"fmt"
 	"reflect"
 	"slices"
@@ -11,54 +10,38 @@ import (
 
 	"repro/internal/invariant"
 	"repro/internal/isa"
+	"repro/internal/memo"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
-// memoEntries counts the memo's stored entries for tr.
-func memoEntries(tr *trace.Trace) int {
-	n := 0
-	for i := range memo {
-		sh := &memo[i]
-		sh.mu.Lock()
-		for k := range sh.m {
-			if k.trace == tr {
-				n++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return n
+// plantEntry stores under req's owner, hash sum and the encoded inputs in
+// the memo the Result res, as a corrupted or colliding entry would be
+// stored; as the newest entry for its key, it is the one found.
+func plantEntry(req *Request, sum uint64, in []byte, res Result) {
+	results.Lock()
+	defer results.Unlock()
+	owner, _ := results.Owner(memoOwner{req.Trace, req.Deps}, true)
+	results.Add(0, owner, sum, in, appendResult(nil, req, &res))
 }
 
-// rewriteMemo is the test hook that corrupts stored entries: it decodes
-// every entry stored for req's trace, lets f change its encoded inputs and
-// result, and stores the re-encoded entry under the same key.
-func rewriteMemo(t *testing.T, req Request, f func(in []byte, res *Result)) {
+// memoInputs returns req's encoded inputs and their hash, as Engine.Run
+// computes them for a request it needs to fill in no defaults for.
+func memoInputs(e *Engine, req Request) ([]byte, uint64) {
+	e.resolve(&req)
+	sum := e.memoKeyOf(&req)
+	return slices.Clone(e.keyBuf), sum
+}
+
+// storedEntry returns req's encoded inputs, their hash and the Result the
+// memo holds for them.
+func storedEntry(t *testing.T, e *Engine, req Request) (in []byte, sum uint64, res Result) {
 	t.Helper()
-	stored := 0
-	for i := range memo {
-		sh := &memo[i]
-		sh.mu.Lock()
-		for k, ent := range sh.m {
-			if k.trace != req.Trace {
-				continue
-			}
-			r := memoReader(ent)
-			n := r.uvarint()
-			in := []byte(r[:n])
-			var res Result
-			decodeResult(string(r[n:]), &req, &res)
-			f(in, &res)
-			b := appendResult(append(binary.AppendUvarint(nil, n), in...), &req, &res)
-			sh.m[k] = string(b)
-			stored++
-		}
-		sh.mu.Unlock()
-	}
-	if stored == 0 {
+	in, sum = memoInputs(e, req)
+	if !e.recall(&req, sum, &res) {
 		t.Fatalf("no memo entry stored for trace %d", req.Trace.ID)
 	}
+	return in, sum, res
 }
 
 // cloneResult copies an Engine.Run result out of the engine's buffers, so
@@ -75,7 +58,7 @@ func cloneResult(r Result) Result {
 // reference engine's result; writing into a hit's slices, the engine's
 // buffers, must not change the memo.
 func TestMemoHitMatchesReference(t *testing.T) {
-	ResetMemo()
+	memo.Reset()
 	e := NewEngine()
 	for seed := uint64(1); seed <= 60; seed++ {
 		mk := randomRequest(seed*7919 + 5)
@@ -105,7 +88,7 @@ func TestMemoHitMatchesReference(t *testing.T) {
 // variant is run until its result is stored; a key that missed an input
 // would serve an earlier variant's entry instead of simulating.
 func TestMemoKeyCoversEveryInput(t *testing.T) {
-	ResetMemo()
+	memo.Reset()
 	tr := randomTrace(4242)
 	deps := trace.BuildDepGraph(tr)
 	order := recordedOrderFor(tr, 2)
@@ -153,68 +136,63 @@ func TestMemoKeyCoversEveryInput(t *testing.T) {
 			}
 		}
 	}
-	if n := memoEntries(tr); n != len(variants) {
+	if n, _ := MemoStats(); n != len(variants) {
 		t.Errorf("memo holds %d entries for %d distinct requests", n, len(variants))
 	}
 }
 
 // TestMemoComparesInputs plants an entry whose stored inputs differ from
-// the request's under the same key, as a hash collision would: the engine
-// must simulate rather than serve it.
+// the request's under the same owner and hash, as a hash collision would:
+// the engine must simulate rather than serve it.
 func TestMemoComparesInputs(t *testing.T) {
-	ResetMemo()
+	memo.Reset()
 	tr := blockedChains(2, 5)
 	req := Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 4,
-		Policy: ProgramOrder, Width: isa.IssueWidth,
+		Policy: ProgramOrder, Width: isa.IssueWidth, ProbeSpan: 1,
 		LoadLatency: func(int) int { return 3 }, FetchGate: func(int) int { return 1 }}
 	e := NewEngine()
-	want := cloneResult(e.Run(req))
-	e.Run(req)
-	rewriteMemo(t, req, func(in []byte, res *Result) {
-		in[len(in)-1]++
-		res.Cycles++
-	})
+	want := cloneResult(e.Run(req)) // the first sighting stores nothing
+	in, sum := memoInputs(e, req)
+	in[len(in)-1]++
+	wrong := cloneResult(want)
+	wrong.Cycles++
+	plantEntry(&req, sum, in, wrong)
 	if got := e.Run(req); e.MemoHit() || !reflect.DeepEqual(got, want) {
 		t.Fatalf("entry with different inputs served: hit=%v %+v", e.MemoHit(), got)
 	}
 }
 
-// TestMemoBounded pins the memo's byte budget: every shard's charged bytes
-// stay within its share of memoBudget and match its entries, and storing
-// more distinct results than the budget holds clears shards instead of
-// growing. The pinned 5 MiB was measured with miragebench (2 vCPUs,
-// Go 1.24.0, alternated pairs against 4 MiB with one-slot admission):
-// run-cold maxrss_mb 43.5 → 43.8 MiB (6 pairs), sweep-cold 58.7 → 55.9 MiB
-// (12 pairs), serve-warm 63.1 → 63.1 MiB (5 pairs).
+// TestMemoBounded pins the memo's byte budget and checks that storing more
+// distinct results than it holds clears the memo instead of growing it
+// (the table's own tests check the charge against any budget). 3.75 MiB
+// was re-derived when the memo moved from 64 separately budgeted shards to
+// one table: a bench-scale Figure 7/8/9b sweep stores 18,570 entries,
+// charged 3,871,040 bytes (TestWarmSweepFitsMemo logs it), and 3.75 MiB is
+// the smallest quarter MiB that holds them. The 5 MiB it replaced was the
+// smallest whose 80 KiB per-shard share held the sweep's largest shard.
 func TestMemoBounded(t *testing.T) {
-	if memoBudget != 5<<20 || memoEntryCharge != 64 {
-		t.Fatalf("memoBudget %d, memoEntryCharge %d: the measured memory bound assumes 5 MiB and 64", memoBudget, memoEntryCharge)
+	if memoBudget != 15<<18 {
+		t.Fatalf("memoBudget %d: the measured memory bound assumes 3.75 MiB", memoBudget)
 	}
-	ResetMemo()
+	memo.Reset()
 	tr := serialChain(3)
 	deps := trace.BuildDepGraph(tr)
 	e := NewEngine()
-	const keys = 75_000 // ~100 charged bytes each: more than 5 MiB holds
+	const keys = 100_000 // more than 3.75 MiB holds
+	peak := 0
 	for i := 0; i < keys; i++ {
 		req := Request{Trace: tr, Deps: deps, Iterations: 2, Policy: ProgramOrder,
 			Width: isa.IssueWidth, MispredictPenalty: i}
 		e.Run(req)
 		e.Run(req)
-	}
-	total := 0
-	for i := range memo {
-		sh := &memo[i]
-		charged := 0
-		for _, ent := range sh.m {
-			charged += len(ent) + memoEntryCharge
+		n, bytes := results.Stats()
+		if bytes > memoBudget {
+			t.Fatalf("after %d keys the memo is charged %d bytes, over its %d budget", i+1, bytes, memoBudget)
 		}
-		if charged != sh.bytes || sh.bytes > memoBudget/memoShards {
-			t.Fatalf("shard %d: charged %d bytes, accounts %d, share %d", i, charged, sh.bytes, memoBudget/memoShards)
-		}
-		total += len(sh.m)
+		peak = max(peak, n)
 	}
-	if total == 0 || total >= keys {
-		t.Fatalf("memo holds %d entries after %d stored: want some, and shards cleared", total, keys)
+	if n, _ := MemoStats(); n == 0 || n >= peak {
+		t.Fatalf("memo holds %d entries after %d stored, %d at most: want some, and a clear", n, keys, peak)
 	}
 }
 
@@ -222,10 +200,10 @@ func TestMemoBounded(t *testing.T) {
 // audited repeat to simulate afresh, flag the entry and return the fresh
 // result; an uncorrupted memo audits clean.
 func TestAuditCatchesCorruptMemo(t *testing.T) {
-	ResetMemo()
+	memo.Reset()
 	tr := blockedChains(3, 6)
 	req := Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 6,
-		Policy: Dataflow, Width: isa.IssueWidth, Window: isa.ROBSize}
+		Policy: Dataflow, Width: isa.IssueWidth, Window: isa.ROBSize, ProbeSpan: 1}
 	e := NewEngine()
 	want := cloneResult(e.Run(req))
 	e.Run(req) // the second sighting stores the result
@@ -237,10 +215,10 @@ func TestAuditCatchesCorruptMemo(t *testing.T) {
 		t.Fatalf("audited repeat: hit=%v, violations %v", e.MemoHit(), clean.Err())
 	}
 
-	rewriteMemo(t, req, func(_ []byte, res *Result) {
-		res.Cycles++
-		res.IterEnd[len(res.IterEnd)-1]++
-	})
+	in, sum, bad := storedEntry(t, e, req)
+	bad.Cycles++
+	bad.IterEnd[len(bad.IterEnd)-1]++
+	plantEntry(&req, sum, in, bad)
 	aud := invariant.New(nil)
 	audited.Audit = aud
 	got := e.Run(audited)
@@ -255,8 +233,8 @@ func TestAuditCatchesCorruptMemo(t *testing.T) {
 	}
 }
 
-// TestMemoAdmitsCollidingKeys searches for two requests whose keys share a
-// shard and a first-sighting bucket, and alternates them: the second
+// TestMemoAdmitsCollidingKeys searches for two requests whose input
+// hashes share a first-sighting bucket, and alternates them: the second
 // sighting of each must store it despite the other's sighting in between,
 // so from the third round on both are memo hits.
 func TestMemoAdmitsCollidingKeys(t *testing.T) {
@@ -266,24 +244,21 @@ func TestMemoAdmitsCollidingKeys(t *testing.T) {
 		return Request{Trace: tr, Deps: deps, Iterations: 2, Policy: ProgramOrder,
 			Width: isa.IssueWidth, ProbeSpan: 1, MispredictPenalty: penalty}
 	}
-	type slot struct {
-		sh     *memoShard
-		bucket int
-	}
 	e := NewEngine()
-	first := map[slot]int{}
+	first := map[uint64]int{}
 	fps := map[int]uint32{}
 	a, b := -1, -1
 	for p := 0; a < 0; p++ {
 		req := mk(p)
 		e.resolve(&req)
-		sh, bucket, fp := e.memoKeyOf(&req).shard()
-		if q, ok := first[slot{sh, bucket}]; ok && fps[q] != fp {
+		sum := e.memoKeyOf(&req)
+		bucket, fp := sum%memoSeenBuckets, uint32(sum>>32)|1
+		if q, ok := first[bucket]; ok && fps[q] != fp {
 			a, b = q, p
 		}
-		first[slot{sh, bucket}], fps[p] = p, fp
+		first[bucket], fps[p] = p, fp
 	}
-	ResetMemo()
+	memo.Reset()
 	for round := 1; round <= 4; round++ {
 		for _, p := range []int{a, b} {
 			want := Run(mk(p))
@@ -314,7 +289,7 @@ func TestPooledRunOwnsResult(t *testing.T) {
 // TestMemoSharedAcrossEngines: what one engine stores, another hits — the
 // memo belongs to the process, not to an engine.
 func TestMemoSharedAcrossEngines(t *testing.T) {
-	ResetMemo()
+	memo.Reset()
 	mk := randomRequest(99)
 	want := referenceRun(mk())
 	a, b := NewEngine(), NewEngine()
@@ -336,7 +311,7 @@ func TestMemoSharedAcrossEngines(t *testing.T) {
 // its own engine, and requires every result to equal the reference
 // engine's; under -race it is the memo's locking test.
 func TestMemoConcurrent(t *testing.T) {
-	ResetMemo()
+	memo.Reset()
 	const reqs, workers, rounds = 12, 8, 3
 	mks := make([]func() Request, reqs)
 	wants := make([]Result, reqs)
@@ -368,40 +343,6 @@ func TestMemoConcurrent(t *testing.T) {
 	wg.Wait()
 	if hits.Load() == 0 {
 		t.Error("no run hit the shared memo")
-	}
-}
-
-// TestMemoIdleRelease advances the idle clock instead of sleeping: a hit
-// counts as use, the memo survives less than memoIdleDelay without a
-// memoized Run, is dropped after it, and the next Run re-arms the timer.
-func TestMemoIdleRelease(t *testing.T) {
-	ResetMemo()
-	tr := blockedChains(2, 4)
-	req := Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 4, Policy: ProgramOrder}
-	e := NewEngine()
-	e.Run(req)
-	e.Run(req)
-	if !memoIdle.armed.Load() {
-		t.Fatal("a memoized Run left the idle timer unarmed")
-	}
-
-	memoSkew.Add(int64(memoIdleDelay * 3 / 5))
-	if e.Run(req); !e.MemoHit() {
-		t.Fatal("the third sighting missed the memo")
-	}
-	memoSkew.Add(int64(memoIdleDelay * 3 / 5))
-	releaseIdleMemo()
-	if memoEntries(tr) != 1 {
-		t.Fatalf("the memo was released %v after its last hit", memoIdleDelay*3/5)
-	}
-
-	memoSkew.Add(int64(memoIdleDelay))
-	releaseIdleMemo()
-	if n := memoEntries(tr); n != 0 || memoIdle.armed.Load() {
-		t.Fatalf("after the idle delay: %d entries, armed=%v; want released and disarmed", n, memoIdle.armed.Load())
-	}
-	if e.Run(req); e.MemoHit() || !memoIdle.armed.Load() {
-		t.Fatalf("first Run after the release: hit=%v armed=%v; want a miss that re-arms", e.MemoHit(), memoIdle.armed.Load())
 	}
 }
 
@@ -441,7 +382,7 @@ func FuzzMemoEntry(f *testing.F) {
 			// Decode into buffers holding stale values, as an engine's do.
 			got := Result{Cycles: 1, Reordered: 1, IterEnd: []int{7, 7, 7}, IssueOrder: []uint16{7, 7, 7, 7}}
 			got.FUBusy[0] = 1
-			if decodeResult(string(b), &req, &got); !reflect.DeepEqual(got, res) {
+			if decodeResult(b, &req, &got); !reflect.DeepEqual(got, res) {
 				t.Fatalf("%s: round trip of %+v gave %+v", what, res, got)
 			}
 		}
@@ -494,19 +435,4 @@ func randomOrder(rng *xrand.Rand, req *Request, shape byte) []uint16 {
 		order[0] = 65535
 	}
 	return order
-}
-
-// TestMemoHashFixed pins the input hash to fixed values: a per-process
-// seed would make fingerprint clashes, and so the memo_hits counters of
-// identical serial runs, differ from process to process.
-func TestMemoHashFixed(t *testing.T) {
-	for in, want := range map[string]uint64{
-		"":                             0xe220a8397b1dcdaf,
-		"mirage":                       0xaf4152d4688ca3db,
-		"an exact repeat of a request": 0x57e69d32b208c472,
-	} {
-		if got := memoHash([]byte(in)); got != want {
-			t.Errorf("memoHash(%q) = %#x, want %#x", in, got, want)
-		}
-	}
 }
