@@ -188,7 +188,7 @@ type Result struct {
 	WallCycles int64
 	// RunCycles is the total simulated (post-warmup) time: measured
 	// intervals times the interval length. The denominator for OoO
-	// utilization.
+	// utilization, and the window of the run totals below.
 	RunCycles int64
 	// OoOActiveCycles counts intervals (in cycles) the OoO was occupied.
 	OoOActiveCycles int64
@@ -199,8 +199,9 @@ type Result struct {
 	BusTransferCycles int64
 	// SCTransferCyclesTotal is the SC share of migration cost (Figure 15).
 	SCTransferCyclesTotal int64
-	Migrations            int
-	Intervals             int
+	// Migrations counts moves onto the OoO and forced ping-pong switches.
+	Migrations int
+	Intervals  int
 }
 
 // app is the runtime state of one application.
@@ -232,10 +233,10 @@ type app struct {
 	// memoCreditCyc is the memoized share of Eq 3's utilization.
 	memoCreditCyc float64
 
-	// ledger counts the measured window; done freezes a copy of it when the
-	// app first reaches its instruction target: restarted execution
-	// (Section 4.1) keeps the cluster contended but must not distort
-	// per-app comparisons.
+	// ledger counts the measured window, the one record of each run total;
+	// done freezes a copy of it when the app first reaches its instruction
+	// target: restarted execution (Section 4.1) keeps the cluster contended
+	// but must not distort per-app comparisons.
 	ledger ledger
 	done   *ledger
 	// timeline records every interval, the warmup intervals at its head
@@ -243,14 +244,15 @@ type app struct {
 	timeline []IntervalStat
 }
 
-// ledger is an app's accumulated run cost.
+// ledger is an app's accumulated run cost. Evictions drain like
+// migrations; ping-pong switches stay off the bus.
 type ledger struct {
-	energy        energy.Breakdown
-	oooCycles     int64
-	memoizedInsts int64
-	migrations    int
-	scXferCycles  int64
-	l1Refills     int64
+	energy                          energy.Breakdown
+	oooCycles                       int64
+	memoizedInsts                   int64
+	migrations, evictions, switches int
+	scXferCycles                    int64
+	l1Refills                       int64
 }
 
 // final is the ledger the app reports: frozen at completion, live if the
@@ -309,12 +311,11 @@ type Cluster struct {
 	// warm is the number of warmup intervals at the head of every app's
 	// timeline.
 	warm int
-	// Arbitration totals, published by finalizeTelemetry: picks granted and
-	// decisions that power the OoO down, migration drain and SC-transfer
-	// bus cycles, and the last decision's first pick (-1: power-gated).
-	grants, powerDowns        int64
-	drainCycles, scXferCycles int64
-	lastOwner                 int
+	// Arbitration totals over the measured window, published by
+	// finalizeTelemetry: picks granted and decisions that power the OoO
+	// down, and the last decision's first pick (-1: power-gated).
+	grants, powerDowns int64
+	lastOwner          int
 
 	// sink receives a measure event per genuine pipeline measurement (nil
 	// when tracing is off), stamped with intervalStart, the wall cycle the
@@ -381,7 +382,6 @@ func New(cfg Config) (*Cluster, error) {
 // cluster runs once: Run hands its apps' cache models on to later clusters
 // (mem.Hierarchy.Release).
 func (c *Cluster) Run() (*Result, error) {
-	res := &Result{}
 	// Warmup intervals run before measurement starts: caches and Schedule
 	// Caches fill and the arbitrator reaches steady rotation, then all
 	// counters reset. They stand in for the billions of instructions that
@@ -395,25 +395,25 @@ func (c *Cluster) Run() (*Result, error) {
 	interval := 0
 	for ; interval < maxIntervals+warm; interval++ {
 		c.intervalStart = int64(interval) * c.cfg.IntervalCycles
-		c.runInterval(res)
+		c.runInterval()
 		if interval == warm-1 {
-			c.resetCounters(res)
+			c.resetCounters()
 			continue
 		}
 		if interval >= warm && c.allDone() {
 			break
 		}
 		if c.cfg.HasOoO && c.cfg.Arbiter != nil {
-			c.arbitrate(interval, res)
+			c.arbitrate(interval)
 		}
 		if p := c.cfg.PingPongEvery; p > 0 && (interval+1)%p == 0 {
 			for _, a := range c.apps {
 				a.penalty += c.cfg.DrainCycles
-				res.Migrations++
+				a.ledger.switches++
 			}
 		}
 	}
-	res.Intervals = interval + 1 - warm
+	res := &Result{Intervals: interval + 1 - warm}
 	res.RunCycles = int64(res.Intervals) * c.cfg.IntervalCycles
 	c.finalize(res)
 	for _, a := range c.apps {
@@ -424,7 +424,7 @@ func (c *Cluster) Run() (*Result, error) {
 
 // resetCounters zeroes measurement state after warmup while preserving
 // microarchitectural state (caches, Schedule Caches, arbitration history).
-func (c *Cluster) resetCounters(res *Result) {
+func (c *Cluster) resetCounters() {
 	for _, a := range c.apps {
 		a.instsRetired = 0
 		a.cycles = 0
@@ -433,7 +433,7 @@ func (c *Cluster) resetCounters(res *Result) {
 		a.ledger = ledger{}
 		a.done = nil
 	}
-	*res = Result{}
+	c.grants, c.powerDowns = 0, 0
 }
 
 func (c *Cluster) allDone() bool {
@@ -446,7 +446,7 @@ func (c *Cluster) allDone() bool {
 }
 
 // runInterval advances every application by one interval.
-func (c *Cluster) runInterval(res *Result) {
+func (c *Cluster) runInterval() {
 	for _, a := range c.apps {
 		onOoO := c.cfg.AllOoO || a.onOoO
 		budget := c.cfg.IntervalCycles - a.penalty
@@ -460,7 +460,6 @@ func (c *Cluster) runInterval(res *Result) {
 		a.cycles += c.cfg.IntervalCycles
 		if a.onOoO {
 			a.ledger.oooCycles += c.cfg.IntervalCycles
-			res.OoOActiveCycles += c.cfg.IntervalCycles / int64(c.cfg.NumOoO)
 			a.arb.IntervalsSinceOoO = 0
 		} else {
 			a.arb.IntervalsSinceOoO++
@@ -761,7 +760,7 @@ func loopWeights(p *program.Phase) []float64 {
 
 // arbitrate applies the policy at an interval boundary and performs the
 // resulting migration.
-func (c *Cluster) arbitrate(interval int, res *Result) {
+func (c *Cluster) arbitrate(interval int) {
 	states := make([]arbiter.AppState, len(c.apps))
 	for i, a := range c.apps {
 		a.arb.OnOoO = a.onOoO
@@ -810,12 +809,12 @@ func (c *Cluster) arbitrate(interval int, res *Result) {
 	// also fills peer SCs, but Mirage seats a single app.)
 	for i, a := range c.apps {
 		if a.onOoO && !picked[i] {
-			c.evictFromOoO(a, res)
+			c.evictFromOoO(a)
 		}
 	}
 	for _, p := range picks {
 		if a := c.apps[p]; !a.onOoO {
-			c.moveToOoO(a, res)
+			c.moveToOoO(a)
 		}
 	}
 	if c.cfg.Audit != nil {
@@ -838,7 +837,7 @@ func (c *Cluster) auditOccupancy(interval int) {
 
 // evictFromOoO returns an app to its InO core, shipping the producer SC
 // contents with it over the bus.
-func (c *Cluster) evictFromOoO(a *app, res *Result) {
+func (c *Cluster) evictFromOoO(a *app) {
 	a.onOoO = false
 	var scCost int64
 	if c.cfg.Memoize {
@@ -857,9 +856,6 @@ func (c *Cluster) evictFromOoO(a *app, res *Result) {
 				if peer.sc.CopyFrom(c.producerSC) > 0 {
 					peer.penalty += c.cfg.SCTransferCycles
 					peer.ledger.scXferCycles += c.cfg.SCTransferCycles
-					res.SCTransferCyclesTotal += c.cfg.SCTransferCycles
-					c.scXferCycles += c.cfg.SCTransferCycles
-					res.BusTransferCycles += c.cfg.SCTransferCycles
 					// Stale per-trace measurements: new schedules available.
 					peer.costs = make(map[costKey]*measurement)
 				}
@@ -867,13 +863,10 @@ func (c *Cluster) evictFromOoO(a *app, res *Result) {
 		}
 	}
 	a.penalty += c.cfg.DrainCycles + scCost
+	a.ledger.evictions++
 	a.ledger.scXferCycles += scCost
 	a.ledger.l1Refills += c.estimateL1Refill(a)
-	res.BusTransferCycles += c.cfg.DrainCycles + scCost
-	res.SCTransferCyclesTotal += scCost
 	c.chargeBusContention(a, c.cfg.DrainCycles+scCost)
-	c.drainCycles += c.cfg.DrainCycles
-	c.scXferCycles += scCost
 	a.migrate()
 }
 
@@ -892,15 +885,12 @@ func (c *Cluster) chargeBusContention(mover *app, transfer int64) {
 }
 
 // moveToOoO moves an app onto the producer core.
-func (c *Cluster) moveToOoO(a *app, res *Result) {
+func (c *Cluster) moveToOoO(a *app) {
 	a.onOoO = true
 	a.ledger.migrations++
-	res.Migrations++
 	a.penalty += c.cfg.DrainCycles
 	a.ledger.l1Refills += c.estimateL1Refill(a)
-	res.BusTransferCycles += c.cfg.DrainCycles
 	c.chargeBusContention(a, c.cfg.DrainCycles)
-	c.drainCycles += c.cfg.DrainCycles
 	if c.cfg.Memoize {
 		// The producer starts fresh for the new application.
 		c.producerSC.Flush()
@@ -924,21 +914,24 @@ func (c *Cluster) estimateL1Refill(a *app) int64 {
 	return occ * mem.L2Latency / 4 // overlapping refills
 }
 
-// finalize computes aggregate energy and per-app results.
+// finalize computes aggregate energy, per-app results and the run totals,
+// which sum the live ledgers: they keep counting after an app completes.
 func (c *Cluster) finalize(res *Result) {
-	var wall int64
-	for _, a := range c.apps {
-		if a.completedAt > wall {
-			wall = a.completedAt
-		}
-		if a.completedAt == 0 && a.cycles > wall {
-			wall = a.cycles
-		}
-	}
-	res.WallCycles = wall
-
 	var total float64
+	var seated int64 // app-intervals on an OoO core
 	for _, a := range c.apps {
+		if a.completedAt > res.WallCycles {
+			res.WallCycles = a.completedAt
+		}
+		if a.completedAt == 0 && a.cycles > res.WallCycles {
+			res.WallCycles = a.cycles
+		}
+		live := a.ledger
+		res.Migrations += live.migrations + live.switches
+		res.SCTransferCyclesTotal += live.scXferCycles
+		res.BusTransferCycles += live.scXferCycles + int64(live.migrations+live.evictions)*c.cfg.DrainCycles
+		seated += live.oooCycles / c.cfg.IntervalCycles
+
 		// Energy, IPC and the migration counts are reported over the app's
 		// completion window: TargetInsts instructions, however long they
 		// took. OoOCycles keeps the full-run value: OoO time *share* is a
@@ -971,8 +964,10 @@ func (c *Cluster) finalize(res *Result) {
 			total += energy.IdleLeakagePJ(energy.KindInO, uint64(l.oooCycles)) * 0.3
 		}
 	}
-	// The OoO's idle time is power-gated: zero cost (Section 4.2).
+	// The OoO's idle time is power-gated: zero cost (Section 4.2). Each
+	// seated interval's OoO time divides among the OoO cores.
 	res.TotalEnergyPJ = total
+	res.OoOActiveCycles = seated * (c.cfg.IntervalCycles / int64(c.cfg.NumOoO))
 	if c.cfg.Audit != nil {
 		c.auditFinalize(res)
 	}

@@ -19,9 +19,9 @@ func modeName(m mode) string {
 
 // finalizeTelemetry publishes the run once, at its end: result gauges, the
 // component layers' run totals, the arbitration totals, and everything the
-// apps' timelines record. Interval k spans wall cycles [k, k+1) times the
-// interval length, warmup included; its trace events carry the wall cycle
-// of its end.
+// apps' timelines record, each over its window (DESIGN.md §6). Interval k
+// spans wall cycles [k, k+1) times the interval length, warmup included; its
+// trace events carry the wall cycle of its end.
 func (c *Cluster) finalizeTelemetry(res *Result) {
 	tel := c.cfg.Telemetry
 	if !tel.Enabled() {
@@ -40,8 +40,9 @@ func (c *Cluster) finalizeTelemetry(res *Result) {
 	}
 	reg.Counter("arbiter." + pol + ".grants").Add(c.grants)
 	reg.Counter("arbiter." + pol + ".power_downs").Add(c.powerDowns)
-	reg.Counter("cluster.drain_cycles").Add(c.drainCycles)
-	reg.Counter("cluster.sc_transfer_cycles").Add(c.scXferCycles)
+	reg.Counter("cluster.migrations").Add(int64(res.Migrations))
+	reg.Counter("cluster.drain_cycles").Add(res.BusTransferCycles - res.SCTransferCyclesTotal)
+	reg.Counter("cluster.sc_transfer_cycles").Add(res.SCTransferCyclesTotal)
 	squashHist := reg.Histogram("cluster.squash_penalty_cycles")
 	tenureHist := reg.Histogram("arbiter.tenure_intervals")
 	arbitrated := c.cfg.HasOoO
@@ -50,8 +51,9 @@ func (c *Cluster) finalizeTelemetry(res *Result) {
 		sink.NameThread(oooTid, "OoO producer")
 	}
 	ic := c.cfg.IntervalCycles
-	var tenures int64
+	var evictions int64
 	for i, a := range c.apps {
+		evictions += int64(a.ledger.evictions)
 		prefix := fmt.Sprintf("core%d", i)
 		sink.NameThread(i, prefix+":"+a.bench.Name)
 		var insts, memoized, squashed, oooIntervals int64
@@ -62,7 +64,9 @@ func (c *Cluster) finalizeTelemetry(res *Result) {
 			memoized += st.MemoizedInsts
 			if st.SquashedIters > 0 {
 				squashed += st.SquashedIters
-				squashHist.Observe(st.SquashedIters * int64(ino.SquashRefillCycles))
+				if k >= c.warm {
+					squashHist.Observe(st.SquashedIters * int64(ino.SquashRefillCycles))
+				}
 				if sink != nil {
 					sink.Instant("squash", "replay", end, i, map[string]any{"iters": st.SquashedIters})
 				}
@@ -86,15 +90,17 @@ func (c *Cluster) finalizeTelemetry(res *Result) {
 			}
 			if !st.OnOoO && seated {
 				granted = k + 1
-				tenures++
 				if sink != nil {
 					sink.Instant("handoff", "arbitration", end, oooTid, map[string]any{"app": i, "name": a.bench.Name})
 				}
 			}
-			// A tenure ends at an eviction, or at the end of the run.
+			// A tenure ends at an eviction, or at the end of the run. The
+			// histogram counts those granted after warmup.
 			if granted >= 0 && (!seated || k+1 == len(a.timeline)) {
 				n := int64(k + 1 - granted)
-				tenureHist.Observe(n)
+				if granted > c.warm {
+					tenureHist.Observe(n)
+				}
 				if sink != nil {
 					sink.Complete("tenure:"+a.bench.Name, "arbitration", int64(granted)*ic, n*ic, oooTid, map[string]any{"app": i})
 				}
@@ -113,10 +119,7 @@ func (c *Cluster) finalizeTelemetry(res *Result) {
 		}
 		a.mem.PublishTelemetry(reg, prefix+".mem")
 	}
-	// Every tenure opens with a migration onto the OoO and closes with an
-	// eviction, counting the run's end as one.
-	reg.Counter("cluster.migrations").Add(tenures)
-	reg.Counter("arbiter." + pol + ".evictions").Add(tenures)
+	reg.Counter("arbiter." + pol + ".evictions").Add(evictions)
 	if c.producerSC != nil {
 		c.producerSC.PublishTelemetry(reg, "producer.sc")
 	}

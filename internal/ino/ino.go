@@ -42,9 +42,6 @@ type Core struct {
 	// worker, so ownership composes with -parallel. The result memo behind
 	// it is the process's, shared with every other core.
 	eng *pipeline.Engine
-	// replays counts OinO schedule-replay iterations, squashedIters the
-	// replay iterations that misspeculated and re-ran in program order.
-	replays, squashedIters int64
 
 	aud      *invariant.Auditor
 	audLabel string
@@ -55,15 +52,12 @@ func New(h *mem.Hierarchy, rng *xrand.Rand) *Core {
 	return &Core{Mem: h, rng: rng, eng: pipeline.NewEngine()}
 }
 
-// PublishTelemetry adds this core's run totals to the registry's counters
-// under prefix (e.g. "core0.ino"): its engine's measurement counts (see
-// pipeline.Engine.PublishTelemetry) plus replay_iters and squashed_iters.
-// Call it once, after the run's last measurement and on the goroutine that
-// made it. A nil registry is a no-op.
+// PublishTelemetry adds this core's measurement run totals to the
+// registry's counters under prefix (e.g. "core0.ino"); see
+// pipeline.Engine.PublishTelemetry. Call it once, after the run's last
+// measurement and on the goroutine that made it. A nil registry is a no-op.
 func (c *Core) PublishTelemetry(reg *telemetry.Registry, prefix string) {
 	c.eng.PublishTelemetry(reg, prefix)
-	reg.Counter(prefix + ".replay_iters").Add(c.replays)
-	reg.Counter(prefix + ".squashed_iters").Add(c.squashedIters)
 }
 
 // AttachAudit threads the invariant auditor (DESIGN.md §11) into every
@@ -165,8 +159,6 @@ func (c *Core) MeasureReplay(t *trace.Trace, deps *trace.DepGraph, sched *trace.
 
 	ev := c.countEvents(t, &res, iters, nLoads, nStores, true)
 	ev.Squashes = uint64(float64(iters)*squashP + 0.5)
-	c.replays += int64(iters)
-	c.squashedIters += int64(ev.Squashes)
 	r := Result{
 		CyclesPerIter: cpi,
 		SquashRate:    squashP,
