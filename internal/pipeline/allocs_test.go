@@ -52,19 +52,32 @@ func allocsRequest(pol Policy, tr *trace.Trace) Request {
 // TestPipelineRunAllocs pins the hot path's allocation budget: a steady-state
 // run on an owned Engine (the path every core takes) may allocate only the
 // result memo's entries, not per-run scratch, and a memo hit allocates
-// nothing. The pooled Run isn't asserted on — a GC between runs may empty
-// the pool and re-allocate engines, which is noise, not a leak. The
-// simulating bound is deliberately a little loose so unrelated runtime
+// nothing. Both issue loops are covered, the in-order one on program order
+// and on a recorded order, and the dataflow one also behind fetch gates.
+// The simulating bound is deliberately a little loose so unrelated runtime
 // changes don't flake it; the pre-rewrite engine sat near 1180 allocs/op.
 func TestPipelineRunAllocs(t *testing.T) {
 	tr := allocsTrace()
-	for _, pol := range []Policy{Dataflow, ProgramOrder} {
+	recorded := allocsRequest(RecordedOrder, tr)
+	recorded.ProbeSpan = 4
+	recorded.Order = recordedOrderFor(tr, recorded.ProbeSpan)
+	gated := allocsRequest(Dataflow, tr)
+	gated.FetchGate = fetchGatePattern(3, 7)
+	for _, c := range []struct {
+		name string
+		req  Request
+	}{
+		{"dataflow", allocsRequest(Dataflow, tr)},
+		{"program order", allocsRequest(ProgramOrder, tr)},
+		{"recorded order", recorded},
+		{"fetch-gated dataflow", gated},
+	} {
 		eng := NewEngine()
-		req := allocsRequest(pol, tr)
+		req := c.req
 		eng.Run(req) // size the scratch and build the memoized dep CSR
 		allocs := testing.AllocsPerRun(100, func() { eng.Run(req) })
 		if allocs > 8 {
-			t.Errorf("policy %d: Engine.Run allocates %.0f/op, want <= 8", pol, allocs)
+			t.Errorf("%s: Engine.Run allocates %.0f/op, want <= 8", c.name, allocs)
 		}
 
 		// The same inputs every time: stored on the second sighting, hits after.
@@ -74,11 +87,11 @@ func TestPipelineRunAllocs(t *testing.T) {
 		eng.Run(req)
 		allocs = testing.AllocsPerRun(100, func() {
 			if eng.Run(req); !eng.MemoHit() {
-				t.Fatalf("policy %d: a repeated request missed the memo", pol)
+				t.Fatalf("%s: a repeated request missed the memo", c.name)
 			}
 		})
 		if allocs != 0 {
-			t.Errorf("policy %d: a memo hit allocates %.0f/op, want 0", pol, allocs)
+			t.Errorf("%s: a memo hit allocates %.0f/op, want 0", c.name, allocs)
 		}
 	}
 }

@@ -56,12 +56,8 @@ func (e *Engine) audit(req *Request, fd *flatDeps, res *Result) {
 	// decreasing cycles — the stall-on-use contract. Dataflow has no such
 	// order (that is its point).
 	if req.Policy != Dataflow {
-		prev := 0
-		for i := 0; i < total; i++ {
-			k := i
-			if req.Policy == RecordedOrder {
-				k = int(e.seq[i])
-			}
+		prev := int32(0)
+		for i, k := range e.seq {
 			d := &e.dyns[k]
 			if d.issued < 0 {
 				continue // already reported above
@@ -78,10 +74,10 @@ func (e *Engine) audit(req *Request, fd *flatDeps, res *Result) {
 	// by the superscalar width, and per-pool unit claims bounded by the pool
 	// size — an unpipelined op (divide) holds its unit for its full latency,
 	// a pipelined op for the issue cycle only.
-	issuesAt := make(map[int]int, total)
+	issuesAt := make(map[int32]int, total)
 	type poolCycle struct {
 		u isa.FU
-		c int
+		c int32
 	}
 	claims := make(map[poolCycle]int, total)
 	for idx := 0; idx < total; idx++ {
@@ -90,7 +86,7 @@ func (e *Engine) audit(req *Request, fd *flatDeps, res *Result) {
 			continue
 		}
 		issuesAt[d.issued]++
-		op := e.cls[d.static]
+		op := e.statics[d.static].op
 		u := isa.UnitFor(op)
 		claims[poolCycle{u, d.issued}]++
 		if !isa.Pipelined[op] {

@@ -11,7 +11,7 @@ import (
 // auditRun runs tr under pol with an auditor attached and returns it.
 func auditRun(tr *trace.Trace, pol Policy, iters int) *invariant.Auditor {
 	aud := invariant.New(nil)
-	Run(Request{
+	simulate(Request{
 		Trace:      tr,
 		Deps:       trace.BuildDepGraph(tr),
 		Iterations: iters,
@@ -37,12 +37,12 @@ func TestAuditCleanOnEveryPolicy(t *testing.T) {
 func TestAuditCleanOnRecordedOrder(t *testing.T) {
 	tr := blockedChains(3, 8)
 	deps := trace.BuildDepGraph(tr)
-	probe := Run(Request{
+	probe := simulate(Request{
 		Trace: tr, Deps: deps, Iterations: 8,
 		Policy: Dataflow, Width: isa.IssueWidth, Window: isa.ROBSize, ProbeSpan: 2,
 	})
 	aud := invariant.New(nil)
-	Run(Request{
+	simulate(Request{
 		Trace: tr, Deps: deps, Iterations: 8,
 		Policy: RecordedOrder, Order: probe.IssueOrder, ProbeSpan: 2,
 		Width: isa.IssueWidth,

@@ -1,8 +1,7 @@
 package pipeline
 
 import (
-	"slices"
-	"sync"
+	"math/bits"
 
 	"repro/internal/isa"
 	"repro/internal/memo"
@@ -19,16 +18,40 @@ import (
 // cycle-by-cycle loop would have. Results are bit-identical to the original
 // engine (see reference_test.go and DESIGN.md §9 for the argument).
 
-// edyn is the per-dynamic-instruction state. Stored flat and reused across
+// maxCycle is the convergence guard: both loops panic once the cycle they
+// are about to issue in passes it. maxInput bounds every resolved latency,
+// fetch gate and mispredict penalty (resolve rejects larger ones), so no
+// cycle the loops compute exceeds maxCycle + 2*maxInput < 1<<31, which is
+// what lets the per-dynamic state hold cycles in 32 bits, and no wakeup
+// lies more than maxInput cycles ahead, which bounds the calendar's ring.
+// The memory hierarchy's latencies and gates are a few hundred cycles.
+const (
+	maxCycle = 1 << 26
+	maxInput = 1 << 17
+)
+
+// edyn is the per-dynamic-instruction state, in 32-bit fields so a run's
+// state packs 28 bytes per instruction. Stored flat and reused across
 // runs; every field is (re)initialized by prepare.
 type edyn struct {
-	lat      int
-	issued   int // cycle issued, -1 before
-	complete int
-	readyAt  int   // running max of completes over *issued* predecessors
+	lat      int32
+	issued   int32 // cycle issued, -1 before
+	complete int32
+	readyAt  int32 // running max of completes over *issued* predecessors
 	npred    int32 // predecessors not yet issued (counted with multiplicity)
 	static   int32 // index within the trace
 	iter     int32
+}
+
+// estatic is the per-static-instruction table prepare builds once per run,
+// so neither it nor the issue loops map a class to its pool or latency.
+type estatic struct {
+	op      isa.Class
+	unit    isa.FU
+	hold    int32 // cycles an unpipelined op holds its unit; 0 when pipelined
+	lat     int32 // the class latency; each dynamic load takes its resolved one
+	npred   int32 // intra-iteration predecessors
+	carried int32 // loop-carried predecessors, from iteration 1 on
 }
 
 // flatDeps is the CSR (compressed sparse row) flattening of a DepGraph:
@@ -109,18 +132,18 @@ func buildFlatDeps(g *trace.DepGraph) *flatDeps {
 }
 
 // Engine holds the reusable simulation scratch: dynamic-instruction state,
-// the ready bitmap, the wakeup calendar, functional-unit occupancy, the
-// issue-order sort buffer, the request's resolved inputs, the key and entry
-// encoding buffers of the process-wide result memo (memo.go), and the last
-// Result. A steady-state Run allocates only when the memo's arena or index
-// grows to store an entry; a memo hit allocates nothing. An Engine is not
-// safe for concurrent use; each worker owns one (the package-level Run
-// draws from a pool).
+// the per-static table, the in-order issue sequence, the ready bitmap, the
+// wakeup calendar, functional-unit occupancy, the issue-order sort buffer,
+// the request's resolved inputs, the key and entry encoding buffers of the
+// process-wide result memo (memo.go), and the last Result. A steady-state
+// Run allocates only when the memo's arena or index grows to store an
+// entry; a memo hit allocates nothing. An Engine is not safe for concurrent
+// use; each worker owns one.
 type Engine struct {
 	dyns     []edyn
-	iterGate []int
-	seq      []int32
-	cls      []isa.Class
+	statics  []estatic
+	iterGate []int32
+	seq      []int32 // the in-order loop's issue sequence of dyns indexes
 	ready    readySet
 	cal      calendar
 	fus      fuState
@@ -142,8 +165,7 @@ type Engine struct {
 	// buffers the next Run fills.
 	res Result
 
-	// Run totals of Engine.Run (the pooled package-level Run counts
-	// nothing), published once by PublishTelemetry.
+	// Run totals, published once by PublishTelemetry.
 	measures, memoHits             int64
 	measuredCycles                 int64
 	stallData, stallFU, stallFetch int64
@@ -151,28 +173,10 @@ type Engine struct {
 
 // NewEngine returns an engine with empty scratch; buffers grow to fit the
 // largest request seen and are retained.
-func NewEngine() *Engine {
-	e := &Engine{}
-	e.fus.init()
-	return e
-}
+func NewEngine() *Engine { return &Engine{} }
 
-var enginePool = sync.Pool{New: func() any { return NewEngine() }}
-
-// Run simulates the request and returns the result, whose slices the
-// caller owns. It panics on malformed requests (simulator-internal misuse,
-// not user input). The simulation runs on a pooled engine and bypasses the
-// result memo; callers that measure in a loop should hold their own Engine
-// instead.
-func Run(req Request) Result {
-	e := enginePool.Get().(*Engine)
-	res := e.run(req, false)
-	res.IterEnd, res.IssueOrder = slices.Clone(res.IterEnd), slices.Clone(res.IssueOrder)
-	enginePool.Put(e)
-	return res
-}
-
-// Run simulates the request on this engine's scratch storage. A request
+// Run simulates the request on this engine's scratch storage. It panics on
+// malformed requests (simulator-internal misuse, not user input). A request
 // whose resolved inputs exactly repeat an earlier one on any engine of the
 // process is answered from the shared memo (memo.go) without simulating.
 // The Result's IterEnd and IssueOrder are the engine's buffers: they are
@@ -296,8 +300,13 @@ func resize[T any](s []T, n int) []T {
 // input in index order: LoadLatency for every dynamic load in program order
 // (the order the lazy engine drew them in), Mispredicts for iterations
 // 0..Iterations-2, FetchGate for every iteration. The simulation reads only
-// the resolved inputs, so they are all a memo key must capture.
+// the resolved inputs, so they are all a memo key must capture. A latency
+// outside [1, maxInput], or a fetch gate or mispredict penalty outside
+// [0, maxInput], is a malformed request.
 func (e *Engine) resolve(req *Request) {
+	if req.MispredictPenalty < 0 || req.MispredictPenalty > maxInput {
+		panic("pipeline: mispredict penalty out of range")
+	}
 	iters := req.Iterations
 	loads, _ := req.Trace.NumMemOps()
 	e.lats = e.lats[:0]
@@ -305,6 +314,9 @@ func (e *Engine) resolve(req *Request) {
 		lat := isa.Latency[isa.Load]
 		if req.LoadLatency != nil {
 			lat = req.LoadLatency(k)
+		}
+		if lat < 1 || lat > maxInput {
+			panic("pipeline: load latency out of range")
 		}
 		e.lats = append(e.lats, lat)
 	}
@@ -316,129 +328,114 @@ func (e *Engine) resolve(req *Request) {
 	e.gates = e.gates[:0]
 	if req.FetchGate != nil {
 		for it := 0; it < iters; it++ {
-			e.gates = append(e.gates, req.FetchGate(it))
+			g := req.FetchGate(it)
+			if g < 0 || g > maxInput {
+				panic("pipeline: fetch gate out of range")
+			}
+			e.gates = append(e.gates, g)
 		}
 	}
 }
 
-// mispredicted hands out the next resolved branch outcome: the k-th
-// terminating branch to resolve takes the k-th draw, just as the lazy
-// engine's k-th Mispredicts call drew the k-th value from the callback.
-func (e *Engine) mispredicted() bool {
-	m := e.miss[e.missNext]
+// redirect returns the cycle from which the front end may fetch iteration
+// it+1, once iteration it's terminating branch issues at now and completes
+// at complete: the mispredict penalty after completion when the branch
+// mispredicts, and no earlier than the next iteration's fetch gate past
+// now. The k-th terminating branch to resolve takes the k-th resolved
+// outcome, just as the lazy engine's k-th Mispredicts call drew the k-th
+// value from the callback.
+func (e *Engine) redirect(req *Request, it int, now, complete int32) int32 {
+	gate := int32(0)
+	if e.miss[e.missNext] {
+		gate = complete + int32(req.MispredictPenalty)
+	}
 	e.missNext++
-	return m
+	if len(e.gates) > 0 {
+		gate = max(gate, now+int32(e.gates[it+1]))
+	}
+	return gate
 }
 
-// prepare sizes the scratch for the request and initializes per-dynamic
-// state: latencies (the resolved per-load latencies in program order),
-// predecessor counts, and issue state.
+// prepare sizes the scratch for the request and initializes the per-static
+// table and per-dynamic state: latencies (the resolved per-load latencies
+// in program order), predecessor counts, and issue state.
 func (e *Engine) prepare(req *Request, fd *flatDeps) {
-	t := req.Trace
 	n := fd.n
 	iters := req.Iterations
-	total := n * iters
-
-	e.dyns = resize(e.dyns, total)
+	e.dyns = resize(e.dyns, n*iters)
 	e.iterGate = resize(e.iterGate, iters)
 	clear(e.iterGate)
-	e.cls = resize(e.cls, n)
-	for j := 0; j < n; j++ {
-		e.cls[j] = t.Insts[j].Op
+	e.statics = resize(e.statics, n)
+	for j, in := range req.Trace.Insts {
+		st := estatic{op: in.Op, unit: isa.UnitFor(in.Op), lat: int32(isa.Latency[in.Op]),
+			npred: fd.predOff[2*j+1] - fd.predOff[2*j], carried: fd.predOff[2*j+2] - fd.predOff[2*j+1]}
+		if !isa.Pipelined[in.Op] {
+			st.hold = st.lat
+		}
+		e.statics[j] = st
 	}
 
 	loadSeq := 0
 	for it := 0; it < iters; it++ {
-		base := it * n
-		for j := 0; j < n; j++ {
-			d := &e.dyns[base+j]
-			d.static = int32(j)
-			d.iter = int32(it)
-			d.issued = -1
-			d.complete = 0
-			d.readyAt = 0
-			op := e.cls[j]
-			d.lat = isa.Latency[op]
-			if op == isa.Load {
-				d.lat = e.lats[loadSeq]
+		row := e.dyns[it*n : (it+1)*n]
+		for j := range row {
+			st, d := &e.statics[j], &row[j]
+			d.lat = st.lat
+			if st.op == isa.Load {
+				d.lat = int32(e.lats[loadSeq])
 				loadSeq++
 			}
-			np := fd.predOff[2*j+1] - fd.predOff[2*j]
+			d.issued, d.complete, d.readyAt = -1, 0, 0
+			d.npred = st.npred
 			if it > 0 {
-				np += fd.predOff[2*j+2] - fd.predOff[2*j+1]
+				d.npred += st.carried
 			}
-			d.npred = np
+			d.static, d.iter = int32(j), int32(it)
 		}
-	}
-}
-
-// wake notifies the successors of a just-issued instruction: fold its
-// completion time into their readyAt, drop their unresolved-predecessor
-// count, and when the count hits zero on an already-dispatched successor,
-// file a calendar wakeup. readyAt is then at least complete >= cycle+1
-// (every latency is >= 1), so the wakeup is strictly in the future — an
-// instruction can never become issue-eligible in the cycle its last
-// predecessor issues, which is exactly the original engine's readiness rule.
-// The in-order loops pass dispatched 0: they read readyAt and npred at the
-// head of their issue sequence and need no wakeups.
-func (e *Engine) wake(fd *flatDeps, idx, cycle, dispatched, iters, complete int) {
-	d := &e.dyns[idx]
-	j := int(d.static)
-	base := int(d.iter) * fd.n
-	for _, k := range fd.succs[fd.succOff[2*j]:fd.succOff[2*j+1]] {
-		e.wakeOne(base+int(k), cycle, dispatched, complete)
-	}
-	if int(d.iter)+1 < iters {
-		nb := base + fd.n
-		for _, k := range fd.succs[fd.succOff[2*j+1]:fd.succOff[2*j+2]] {
-			e.wakeOne(nb+int(k), cycle, dispatched, complete)
-		}
-	}
-}
-
-func (e *Engine) wakeOne(s, cycle, dispatched, complete int) {
-	d := &e.dyns[s]
-	if complete > d.readyAt {
-		d.readyAt = complete
-	}
-	d.npred--
-	if d.npred == 0 && s < dispatched {
-		e.cal.schedule(cycle, d.readyAt, int32(s))
 	}
 }
 
 func (e *Engine) runDataflow(req *Request, fd *flatDeps, res *Result) {
 	n := fd.n
-	total := len(e.dyns)
+	dyns, statics := e.dyns, e.statics
+	succOff, succs := fd.succOff, fd.succs
+	total := len(dyns)
 	width := req.Width
 	window := req.Window
 	iters := req.Iterations
 	iterGate := e.iterGate
-	e.ready.reset(total)
-	e.cal.reset()
-	e.fus.reset()
-	if req.FetchGate != nil {
-		iterGate[0] = e.gates[0]
+	ready, cal, fus := &e.ready, &e.cal, &e.fus
+	ready.reset(total)
+	cal.reset()
+	fus.reset()
+	if len(e.gates) > 0 {
+		iterGate[0] = int32(e.gates[0])
 	}
 
-	dispatched := 0 // next undispatched index
+	dispatched := 0           // next undispatched index
+	dispIter, dispEnd := 0, n // its iteration, and the index that starts the next one
 	retired := 0
 	issuedCount := 0
 	inflightCount := 0 // dispatched but not yet issued
-	cycle := 0
+	cycle := int32(0)
 
 	for retired < total {
-		// Deliver wakeups due this cycle into the ready set.
-		e.cal.drain(cycle, func(idx int32) { e.ready.add(int(idx)) })
+		// Deliver wakeups due this cycle into the ready set. The skip logic
+		// guarantees no earlier bucket is non-empty.
+		if b := cal.buckets[int(cycle)&cal.mask]; len(b) > 0 {
+			for _, idx := range b {
+				ready.add(int(idx))
+			}
+			cal.pending -= len(b)
+			cal.buckets[int(cycle)&cal.mask] = b[:0]
+		}
 
 		// Retire in order (commit width = issue width).
 		for c := 0; c < width && retired < total; c++ {
-			d := &e.dyns[retired]
-			if d.issued >= 0 && d.complete <= cycle {
-				retired++
-			} else {
+			if d := &dyns[retired]; d.issued < 0 || d.complete > cycle {
 				break
 			}
+			retired++
 		}
 
 		// Dispatch into the window. An instruction whose operands are already
@@ -446,65 +443,87 @@ func (e *Engine) runDataflow(req *Request, fd *flatDeps, res *Result) {
 		// at a known future cycle files a calendar wakeup; one with unissued
 		// predecessors is woken by them.
 		for c := 0; c < width && dispatched < total; c++ {
-			if dispatched-retired >= window {
+			if dispatched-retired >= window || cycle < iterGate[dispIter] {
 				break
 			}
-			if cycle < iterGate[dispatched/n] {
-				break
-			}
-			d := &e.dyns[dispatched]
+			d := &dyns[dispatched]
 			if d.npred == 0 {
 				if d.readyAt <= cycle {
-					e.ready.add(dispatched)
+					ready.add(dispatched)
 				} else {
-					e.cal.schedule(cycle, d.readyAt, int32(dispatched))
+					cal.schedule(int(cycle), int(d.readyAt), int32(dispatched))
 				}
 			}
 			inflightCount++
-			dispatched++
+			if dispatched++; dispatched == dispEnd {
+				dispIter, dispEnd = dispIter+1, dispEnd+n
+			}
 		}
 
 		// Issue oldest-ready-first: an ascending scan of the ready bitmap is
 		// age order, the same order the original engine walked its in-flight
 		// list — so FU claims and rng callback draws happen in the same order.
+		// Every ready instruction is dispatched and unretired, so the scan
+		// covers the words of [retired, dispatched).
 		issuedThis := 0
 		fuBlocked := false
-		e.ready.scan(retired, dispatched, func(idx int) bool {
-			d := &e.dyns[idx]
-			op := e.cls[d.static]
-			if !e.fus.tryIssue(op, cycle) {
-				fuBlocked = true
-				return true // a later instruction of another class may fit
-			}
-			d.issued = cycle
-			d.complete = cycle + d.lat
-			res.FUBusy[isa.UnitFor(op)]++
-			issuedThis++
-			issuedCount++
-			inflightCount--
-			e.ready.remove(idx)
-			e.wake(fd, idx, cycle, dispatched, iters, d.complete)
-			if int(d.static) == n-1 {
-				if it := int(d.iter); it+1 < iters {
-					// Terminating branch: resolve the next iteration's
-					// front-end redirect.
-					gate := 0
-					if e.mispredicted() {
-						gate = d.complete + req.MispredictPenalty
+		if ready.count > 0 {
+		scan:
+			for w := retired >> 6; w <= (dispatched-1)>>6; w++ {
+				for word := ready.words[w]; word != 0; word &= word - 1 {
+					bit := bits.TrailingZeros64(word)
+					idx := w<<6 | bit
+					d := &dyns[idx]
+					st := &statics[d.static]
+					if !fus.claim(st.unit, st.hold, cycle) {
+						fuBlocked = true
+						continue // a later instruction of another class may fit
 					}
-					if req.FetchGate != nil {
-						if fg := e.gates[it+1]; cycle+fg > gate {
-							gate = cycle + fg
+					ready.remove(idx)
+					d.issued = cycle
+					d.complete = cycle + d.lat
+					res.FUBusy[st.unit]++
+					issuedThis++
+					inflightCount--
+
+					// Wake the successors: fold the completion time into their
+					// readyAt and drop their unresolved-predecessor count; one
+					// whose count hits zero once dispatched files a wakeup.
+					// readyAt is then at least complete >= cycle+1 (every
+					// latency is >= 1), so the wakeup is strictly in the
+					// future — an instruction can never become issue-eligible
+					// in the cycle its last predecessor issues, which is
+					// exactly the original engine's readiness rule. The
+					// intra-iteration successors are succs[lo:mid], the next
+					// iteration's loop-carried ones succs[mid:hi].
+					j, it := int(d.static), int(d.iter)
+					lo, mid, hi := succOff[2*j], succOff[2*j+1], succOff[2*j+2]
+					if it+1 == iters {
+						hi = mid
+					}
+					for q := lo; q < hi; q++ {
+						s := it*n + int(succs[q])
+						if q >= mid {
+							s += n
+						}
+						sd := &dyns[s]
+						sd.readyAt = max(sd.readyAt, d.complete)
+						if sd.npred--; sd.npred == 0 && s < dispatched {
+							cal.schedule(int(cycle), int(sd.readyAt), int32(s))
 						}
 					}
-					if gate > iterGate[it+1] {
-						iterGate[it+1] = gate
+					if j == n-1 && it+1 < iters {
+						// Terminating branch: resolve the next iteration's
+						// front-end redirect.
+						iterGate[it+1] = max(iterGate[it+1], e.redirect(req, it, cycle, d.complete))
+					}
+					if issuedThis == width {
+						break scan
 					}
 				}
-				res.IterEnd[d.iter] = d.complete
 			}
-			return issuedThis < width
-		})
+		}
+		issuedCount += issuedThis
 
 		if issuedThis == 0 && inflightCount > 0 {
 			res.LoadStallCycles++
@@ -515,7 +534,7 @@ func (e *Engine) runDataflow(req *Request, fd *flatDeps, res *Result) {
 			}
 		}
 		fetchGated := issuedThis == 0 && inflightCount == 0 && dispatched < total &&
-			cycle < iterGate[dispatched/n]
+			cycle < iterGate[dispIter]
 		if fetchGated {
 			// The window is empty and the front end is gated: a pure fetch
 			// stall (mispredict redirect or I-fetch miss).
@@ -528,8 +547,8 @@ func (e *Engine) runDataflow(req *Request, fd *flatDeps, res *Result) {
 		// stall counters this cycle received — the skipped cycles are
 		// provably identical idle cycles.
 		if issuedThis == 0 && retired < total {
-			if next := e.nextDataflowEvent(cycle, retired, dispatched, total, window, n); next > cycle+1 {
-				span := next - cycle - 1
+			if next := e.nextDataflowEvent(cycle, retired, dispatched, dispIter, window); next > cycle+1 {
+				span := int(next - cycle - 1)
 				if inflightCount > 0 {
 					res.LoadStallCycles += span
 					if fuBlocked {
@@ -541,8 +560,8 @@ func (e *Engine) runDataflow(req *Request, fd *flatDeps, res *Result) {
 					// The gate may open mid-span when dispatch stays
 					// window-blocked past it; fetch stalls are only counted
 					// while the gate is closed.
-					if g := iterGate[dispatched/n]; g < next {
-						res.StallFetchCycles += g - cycle - 1
+					if g := iterGate[dispIter]; g < next {
+						res.StallFetchCycles += int(g - cycle - 1)
 					} else {
 						res.StallFetchCycles += span
 					}
@@ -550,8 +569,7 @@ func (e *Engine) runDataflow(req *Request, fd *flatDeps, res *Result) {
 				cycle = next - 1
 			}
 		}
-		cycle++
-		if cycle > 1<<26 {
+		if cycle++; cycle > maxCycle {
 			panic("pipeline: dataflow simulation did not converge")
 		}
 	}
@@ -564,16 +582,18 @@ func (e *Engine) runDataflow(req *Request, fd *flatDeps, res *Result) {
 // per-cycle work (width-limited retire or dispatch draining) and no skip is
 // possible. Candidate events: the in-order head completing (retirement and
 // window-full dispatch unblock), the front-end gate of the next iteration
-// opening, a calendar wakeup making an instruction data-ready, and a busy
-// functional unit freeing (only relevant when ready instructions exist —
-// in an idle cycle every ready instruction is FU-blocked).
-func (e *Engine) nextDataflowEvent(now, retired, dispatched, total, window, n int) int {
-	best := -1
-	upd := func(c int) {
+// (dispIter, dispatched's) opening, a calendar wakeup making an instruction
+// data-ready, and a busy functional unit freeing (only relevant when ready
+// instructions exist — in an idle cycle every ready instruction is
+// FU-blocked).
+func (e *Engine) nextDataflowEvent(now int32, retired, dispatched, dispIter, window int) int32 {
+	best := int32(-1)
+	upd := func(c int32) {
 		if best < 0 || c < best {
 			best = c
 		}
 	}
+	total := len(e.dyns)
 	if retired < total {
 		d := &e.dyns[retired]
 		if d.issued >= 0 {
@@ -584,14 +604,14 @@ func (e *Engine) nextDataflowEvent(now, retired, dispatched, total, window, n in
 		}
 	}
 	if dispatched < total && dispatched-retired < window {
-		g := e.iterGate[dispatched/n]
+		g := e.iterGate[dispIter]
 		if g <= now {
 			return now + 1 // dispatch has room and is not gated: it drains
 		}
 		upd(g)
 	}
-	if c := e.cal.next(now); c >= 0 {
-		upd(c)
+	if c := e.cal.next(int(now)); c >= 0 {
+		upd(int32(c))
 	}
 	if e.ready.count > 0 {
 		if c := e.fus.nextExpiry(now); c >= 0 {
@@ -606,121 +626,114 @@ func (e *Engine) nextDataflowEvent(now, retired, dispatched, total, window, n in
 
 func (e *Engine) runInOrder(req *Request, fd *flatDeps, res *Result) {
 	n := fd.n
-	total := len(e.dyns)
+	dyns, statics := e.dyns, e.statics
+	succOff, succs := fd.succOff, fd.succs
+	total := len(dyns)
 	width := req.Width
 	iters := req.Iterations
-	e.fus.reset()
+	fus := &e.fus
+	fus.reset()
 	issuedCount := 0
-	cycle := 0
-	gate := 0
-	if req.FetchGate != nil {
-		gate = e.gates[0]
+	cycle := int32(0)
+	gate := int32(0)
+	if len(e.gates) > 0 {
+		gate = int32(e.gates[0])
 	}
 
-	// Dynamic issue sequence: program order, or the recorded pattern repeated
-	// per span group. Program order needs no table — seq is the identity.
-	recorded := req.Policy == RecordedOrder
-	if recorded {
-		if cap(e.seq) < total {
-			e.seq = make([]int32, 0, total)
-		}
-		e.seq = e.seq[:0]
-		span := req.ProbeSpan
-		for g := 0; g < iters/span; g++ {
-			base := int32(g * span * n)
+	// Dynamic issue sequence: program order, or the recorded pattern
+	// repeated per span group.
+	seq := resize(e.seq, total)
+	if req.Policy == RecordedOrder {
+		k := 0
+		for base := 0; base < total; base += len(req.Order) {
 			for _, pos := range req.Order {
-				e.seq = append(e.seq, base+int32(pos))
+				seq[k] = int32(base + int(pos))
+				k++
 			}
 		}
-	}
-	at := func(i int) int {
-		if recorded {
-			return int(e.seq[i])
+	} else {
+		for i := range seq {
+			seq[i] = int32(i)
 		}
-		return i
 	}
+	e.seq = seq
 
 	next := 0
 	for next < total {
 		if cycle < gate {
-			res.StallFetchCycles += gate - cycle
+			res.StallFetchCycles += int(gate - cycle)
 			cycle = gate
+		}
+		if cycle > maxCycle {
+			panic("pipeline: in-order simulation did not converge")
 		}
 		issuedThis := 0
 		fuBlocked := false
-		var blockedOp isa.Class
+		var blocked isa.FU
 		for issuedThis < width && next < total {
-			idx := at(next)
-			d := &e.dyns[idx]
+			d := &dyns[seq[next]]
 			if d.npred != 0 {
 				panic("pipeline: in-order issue saw unissued predecessor")
 			}
 			if d.readyAt > cycle {
 				break // stall-on-use: strictly stop at first stalled inst
 			}
-			op := e.cls[d.static]
-			if !e.fus.tryIssue(op, cycle) {
+			st := &statics[d.static]
+			if !fus.claim(st.unit, st.hold, cycle) {
 				fuBlocked = true
-				blockedOp = op
+				blocked = st.unit
 				break
 			}
 			d.issued = cycle
 			d.complete = cycle + d.lat
-			res.FUBusy[isa.UnitFor(op)]++
+			res.FUBusy[st.unit]++
 			issuedThis++
-			issuedCount++
-			e.wake(fd, idx, cycle, 0, iters, d.complete)
 
-			if int(d.static) == n-1 {
-				res.IterEnd[d.iter] = d.complete
-				if it := int(d.iter); it+1 < iters {
-					g := 0
-					if e.mispredicted() {
-						g = d.complete + req.MispredictPenalty
-					}
-					if req.FetchGate != nil {
-						if fg := e.gates[it+1]; cycle+fg > g {
-							g = cycle + fg
-						}
-					}
-					if g > gate {
-						gate = g
-					}
+			// Fold the completion time into the successors' operands. The
+			// loop reads readyAt and npred at the head of its sequence, so
+			// it needs no wakeups.
+			j, it := int(d.static), int(d.iter)
+			lo, mid, hi := succOff[2*j], succOff[2*j+1], succOff[2*j+2]
+			if it+1 == iters {
+				hi = mid
+			}
+			for q := lo; q < hi; q++ {
+				s := it*n + int(succs[q])
+				if q >= mid {
+					s += n
 				}
+				sd := &dyns[s]
+				sd.readyAt = max(sd.readyAt, d.complete)
+				sd.npred--
+			}
+			if j == n-1 && it+1 < iters {
+				gate = max(gate, e.redirect(req, it, cycle, d.complete))
 			}
 			next++
 		}
-		if issuedThis == 0 {
-			res.LoadStallCycles++
-			if fuBlocked {
-				res.StallFUCycles++
-			}
-			// Jump to the earliest cycle something can proceed.
-			if rt := e.dyns[at(next)].readyAt; rt > cycle {
-				res.StallDataCycles += rt - cycle
-				cycle = rt
-				continue
-			}
-			if !fuBlocked {
-				res.StallDataCycles++
-			}
-			if fuBlocked {
-				// The head is data-ready but every unit of its class is busy
-				// past this cycle; each intervening cycle replays the same
-				// failed claim, so jump to the first expiry, charging the
-				// span as the per-cycle loop would have.
-				if m := e.fus.minBusyOf(isa.UnitFor(blockedOp), cycle); m > cycle+1 {
-					extra := m - cycle - 1
-					res.LoadStallCycles += extra
-					res.StallFUCycles += extra
-					cycle = m - 1
-				}
-			}
+		issuedCount += issuedThis
+		if issuedThis > 0 {
 			cycle++
-			if cycle > 1<<26 {
-				panic("pipeline: in-order simulation did not converge")
-			}
 			continue
+		}
+		res.LoadStallCycles++
+		if !fuBlocked {
+			// The head's operands are not ready: jump to when they are.
+			rt := dyns[seq[next]].readyAt
+			res.StallDataCycles += int(rt - cycle)
+			cycle = rt
+			continue
+		}
+		// The head is data-ready but every unit of its pool is busy past
+		// this cycle; each intervening cycle replays the same failed claim,
+		// so jump to the first expiry, charging the span as the per-cycle
+		// loop would have.
+		res.StallFUCycles++
+		if m := fus.minBusyOf(blocked, cycle); m > cycle+1 {
+			extra := int(m - cycle - 1)
+			res.LoadStallCycles += extra
+			res.StallFUCycles += extra
+			cycle = m - 1
 		}
 		cycle++
 	}
@@ -733,18 +746,13 @@ func (e *Engine) runInOrder(req *Request, fd *flatDeps, res *Result) {
 // in the iteration, not just the terminating branch.
 func (e *Engine) finishRun(n int, res *Result) {
 	res.Cycles = 0
-	iters := len(e.dyns) / n
-	for it := 0; it < iters; it++ {
-		end := 0
-		for j := 0; j < n; j++ {
-			if c := e.dyns[it*n+j].complete; c > end {
-				end = c
-			}
+	for it := range res.IterEnd {
+		end := int32(0)
+		for _, d := range e.dyns[it*n : (it+1)*n] {
+			end = max(end, d.complete)
 		}
-		res.IterEnd[it] = end
-		if end > res.Cycles {
-			res.Cycles = end
-		}
+		res.IterEnd[it] = int(end)
+		res.Cycles = max(res.Cycles, int(end))
 	}
 }
 
@@ -762,7 +770,7 @@ func (e *Engine) extractProbe(lo, hi int, res *Result) {
 	}
 	// next[c] is where the next position issued in cycle first+c goes:
 	// count each cycle's positions one slot up, then sum the counts.
-	next := resize(e.orderBuf, last-first+2)
+	next := resize(e.orderBuf, int(last-first)+2)
 	clear(next)
 	for i := range block {
 		next[block[i].issued-first+1]++

@@ -76,7 +76,7 @@ func TestEquivalenceWithReference(t *testing.T) {
 	for seed := uint64(1); seed <= 200; seed++ {
 		mk := randomRequest(seed*2654435761 + 17)
 		want := referenceRun(mk())
-		got := Run(mk())
+		got := simulate(mk())
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("seed %d (policy %d): engine diverged from reference\n got: %+v\nwant: %+v",
 				seed, mk().Policy, got, want)
@@ -88,8 +88,8 @@ func TestEquivalenceWithReference(t *testing.T) {
 }
 
 // TestEquivalenceEngineReuse re-runs a mix of requests through one shared
-// Engine and requires results identical to fresh pooled runs: scratch reuse
-// must not leak state between simulations.
+// Engine and requires results identical to the reference engine's: scratch
+// reuse must not leak state between simulations.
 func TestEquivalenceEngineReuse(t *testing.T) {
 	e := NewEngine()
 	for seed := uint64(1); seed <= 60; seed++ {
@@ -182,7 +182,7 @@ func TestMaxLiveVersionsMatchesReference(t *testing.T) {
 	}
 	for i, l := range suiteLoops() {
 		for span := 1; span <= 4; span++ {
-			res := Run(Request{
+			res := simulate(Request{
 				Trace: l.Trace, Deps: l.Deps, Iterations: suiteMeasureIters,
 				Policy: Dataflow, Width: isa.IssueWidth, Window: isa.ROBSize, ProbeSpan: span,
 				MispredictPenalty: isa.OoOPipelineDepth,
@@ -263,4 +263,74 @@ func TestMispredictCallsInIterationOrder(t *testing.T) {
 			}
 		}
 	}
+}
+
+// everyClassTrace generates a small well-formed trace that draws every
+// instruction class, divides included, so unpipelined units hold for their
+// latency; randomTrace stays as it is because the goldens pin its traces.
+func everyClassTrace(seed uint64) *trace.Trace {
+	rng := xrand.New(seed)
+	t := &trace.Trace{ID: trace.ID(seed), Streams: []trace.StreamSpec{{WorkingSet: 4096, Stride: 8}}}
+	for i, n := 0, 4+rng.Intn(36); i < n; i++ {
+		op := isa.Class(rng.Intn(int(isa.Branch))) // every class but the terminating branch
+		in := isa.Inst{Op: op, Src1: isa.Reg(1 + rng.Intn(8)), Src2: isa.Reg(1 + rng.Intn(8)), Dst: isa.Reg(1 + rng.Intn(8))}
+		if op == isa.FPAdd || op == isa.FPMul || op == isa.FPDiv {
+			in.Src1, in.Src2, in.Dst = in.Src1+isa.NumIntRegs, in.Src2+isa.NumIntRegs, in.Dst+isa.NumIntRegs
+		}
+		switch op {
+		case isa.Store:
+			in.Src2, in.Dst = isa.NoReg, isa.NoReg
+		case isa.Load:
+			in.Src2 = isa.NoReg
+		}
+		t.Insts = append(t.Insts, in)
+	}
+	t.Insts = append(t.Insts, isa.Inst{Op: isa.Branch, Dst: isa.NoReg, Src1: 1})
+	return t
+}
+
+// FuzzEngineMatchesReference compares random requests over everyClassTrace
+// traces field for field against the frozen reference engine, on a fresh
+// Engine and on one reused (memo included) across inputs: every policy,
+// width, window, probe span, fetch-gate and mispredict pattern.
+func FuzzEngineMatchesReference(f *testing.F) {
+	for seed := uint64(1); seed <= 6; seed++ {
+		f.Add(seed, uint8(seed%3), uint8(seed), uint8(seed*5), uint8(seed), uint8(seed*3), uint8(seed*7), uint8(seed))
+	}
+	reused := NewEngine()
+	f.Fuzz(func(t *testing.T, seed uint64, policy, width, window, span, iters, penalty, pattern uint8) {
+		tr := everyClassTrace(seed)
+		deps := trace.BuildDepGraph(tr)
+		n := int(iters%12) + 1
+		sp := min(int(span%4)+1, n)
+		pol := Policy(policy % 3)
+		var order []uint16
+		if pol == RecordedOrder {
+			order = referenceRun(Request{Trace: tr, Deps: deps, Iterations: 8,
+				Policy: Dataflow, Width: 3, Window: 128, ProbeSpan: sp}).IssueOrder
+		}
+		mk := func() Request {
+			req := Request{
+				Trace: tr, Deps: deps, Iterations: n, Policy: pol, Order: order, ProbeSpan: sp,
+				Width: int(width%4) + 1, Window: 1 << (window % 8), MispredictPenalty: int(penalty % 24),
+			}
+			if pattern&1 != 0 {
+				req.LoadLatency = memLatPattern(seed + 1)
+			}
+			if pattern&2 != 0 {
+				req.Mispredicts = mispredictPattern(seed+2, float64(pattern>>4)/15)
+			}
+			if pattern&4 != 0 {
+				req.FetchGate = fetchGatePattern(int(pattern>>3&3)+1, int(pattern>>5)*9+1)
+			}
+			return req
+		}
+		want := referenceRun(mk())
+		if got := simulate(mk()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("fresh engine diverged from reference\n got: %+v\nwant: %+v", got, want)
+		}
+		if got := reused.Run(mk()); !reflect.DeepEqual(got, want) {
+			t.Fatalf("reused engine (memo hit %v) diverged from reference\n got: %+v\nwant: %+v", reused.MemoHit(), got, want)
+		}
+	})
 }

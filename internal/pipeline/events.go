@@ -1,10 +1,6 @@
 package pipeline
 
-import (
-	"math/bits"
-
-	"repro/internal/isa"
-)
+import "repro/internal/isa"
 
 // calendar is a calendar queue bucketed by cycle: pending wakeup events
 // (instructions whose operands become ready at a known future cycle) live in
@@ -60,20 +56,6 @@ func (q *calendar) grow(now, horizon int) {
 	q.mask = nmask
 }
 
-// drain invokes fn for every event filed at exactly cycle now and empties
-// the bucket. The skip logic guarantees no bucket before now is non-empty.
-func (q *calendar) drain(now int, fn func(int32)) {
-	b := q.buckets[now&q.mask]
-	if len(b) == 0 {
-		return
-	}
-	q.pending -= len(b)
-	for _, idx := range b {
-		fn(idx)
-	}
-	q.buckets[now&q.mask] = b[:0]
-}
-
 // next returns the earliest cycle > now holding a pending event, or -1 if
 // none are pending. Events are always within the ring horizon of now.
 func (q *calendar) next(now int) int {
@@ -121,70 +103,38 @@ func (s *readySet) remove(idx int) {
 	s.count--
 }
 
-// scan calls fn on each set index in ascending (age) order within
-// [lo, hi), stopping early when fn returns false. fn may remove the index
-// it was called on, but must not set or clear other bits.
-func (s *readySet) scan(lo, hi int, fn func(int) bool) {
-	if s.count == 0 || hi <= lo {
-		return
-	}
-	w := lo >> 6
-	last := (hi - 1) >> 6
-	for ; w <= last; w++ {
-		word := s.words[w]
-		if w == lo>>6 {
-			word &^= (1 << (lo & 63)) - 1 // mask bits below lo
-		}
-		for word != 0 {
-			bit := bits.TrailingZeros64(word)
-			word &^= 1 << bit
-			idx := w<<6 + bit
-			if idx >= hi {
-				return
-			}
-			if !fn(idx) {
-				return
-			}
-		}
-	}
-}
+// maxUnits is the size of the largest functional-unit pool (isa.FUCount);
+// fuState holds that many units per pool in fixed arrays.
+const maxUnits = 2
 
 // fuState tracks per-pool unit occupancy. Pipelined ops occupy a unit for
 // the issue cycle only; unpipelined ops (divides) hold it for their latency.
-// The same claim rule as the previous engine, restructured for reuse: the
-// backing arrays are allocated once per Engine and reset per run.
+// The same claim rule as the previous engine, on fixed arrays indexed by
+// the pool prepare looked up once per static instruction.
 type fuState struct {
-	busyUntil [isa.NumFUs][]int
-	issuedAt  [isa.NumFUs][]int
-}
-
-func (f *fuState) init() {
-	for u := isa.FU(0); u < isa.NumFUs; u++ {
-		n := isa.FUCount[u]
-		f.busyUntil[u] = make([]int, n)
-		f.issuedAt[u] = make([]int, n)
-	}
+	busyUntil [isa.NumFUs][maxUnits]int32
+	issuedAt  [isa.NumFUs][maxUnits]int32
 }
 
 func (f *fuState) reset() {
-	for u := isa.FU(0); u < isa.NumFUs; u++ {
-		for i := range f.busyUntil[u] {
-			f.busyUntil[u][i] = 0
+	f.busyUntil = [isa.NumFUs][maxUnits]int32{}
+	for u := range f.issuedAt {
+		for i := range f.issuedAt[u] {
 			f.issuedAt[u][i] = -1
 		}
 	}
 }
 
-// tryIssue claims a unit of class c at the given cycle. Returns false if no
-// unit is free this cycle.
-func (f *fuState) tryIssue(c isa.Class, cycle int) bool {
-	u := isa.UnitFor(c)
-	units := f.busyUntil[u]
-	for i := range units {
-		if units[i] <= cycle && f.issuedAt[u][i] != cycle {
-			f.issuedAt[u][i] = cycle
-			if !isa.Pipelined[c] {
-				units[i] = cycle + isa.Latency[c]
+// claim takes a unit of pool u at cycle now, holding it for hold cycles
+// when hold > 0 (an unpipelined op). Returns false if no unit is free this
+// cycle.
+func (f *fuState) claim(u isa.FU, hold, now int32) bool {
+	busy, at := &f.busyUntil[u], &f.issuedAt[u]
+	for i := range isa.FUCount[u] {
+		if busy[i] <= now && at[i] != now {
+			at[i] = now
+			if hold > 0 {
+				busy[i] = now + hold
 			}
 			return true
 		}
@@ -194,26 +144,24 @@ func (f *fuState) tryIssue(c isa.Class, cycle int) bool {
 
 // minBusyOf returns the earliest cycle > now at which some unit of pool u
 // frees up. Callers only ask when every unit of the pool is busy past now.
-func (f *fuState) minBusyOf(u isa.FU, now int) int {
-	min := -1
-	for _, b := range f.busyUntil[u] {
-		if b > now && (min < 0 || b < min) {
-			min = b
+func (f *fuState) minBusyOf(u isa.FU, now int32) int32 {
+	m := int32(-1)
+	for _, b := range f.busyUntil[u][:isa.FUCount[u]] {
+		if b > now && (m < 0 || b < m) {
+			m = b
 		}
 	}
-	return min
+	return m
 }
 
 // nextExpiry returns the earliest cycle > now at which any unit of any pool
 // frees up, or -1 if every unit is already free.
-func (f *fuState) nextExpiry(now int) int {
-	min := -1
-	for u := isa.FU(0); u < isa.NumFUs; u++ {
-		for _, b := range f.busyUntil[u] {
-			if b > now && (min < 0 || b < min) {
-				min = b
-			}
+func (f *fuState) nextExpiry(now int32) int32 {
+	m := int32(-1)
+	for u := range f.busyUntil {
+		if b := f.minBusyOf(isa.FU(u), now); b >= 0 && (m < 0 || b < m) {
+			m = b
 		}
 	}
-	return min
+	return m
 }

@@ -169,7 +169,7 @@ const goldenFile = "testdata/results.json"
 func TestGoldenResults(t *testing.T) {
 	got := make(map[string]json.RawMessage)
 	for _, c := range goldenCases() {
-		res := Run(c.req())
+		res := simulate(c.req())
 		buf, err := json.Marshal(res)
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", c.name, err)

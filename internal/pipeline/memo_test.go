@@ -125,14 +125,14 @@ func TestMemoKeyCoversEveryInput(t *testing.T) {
 	for name, change := range variants {
 		req := base()
 		change(&req)
-		want := Run(req)
+		want := simulate(req)
 		for i := 0; i < 3; i++ {
 			got := e.Run(req)
 			if hit := i == 2; e.MemoHit() != hit {
 				t.Errorf("%s run %d: hit=%v, want %v", name, i+1, e.MemoHit(), hit)
 			}
 			if !reflect.DeepEqual(got, want) {
-				t.Errorf("%s run %d: memoized engine %+v, pooled run %+v", name, i+1, got, want)
+				t.Errorf("%s run %d: memoized engine %+v, fresh run %+v", name, i+1, got, want)
 			}
 		}
 	}
@@ -261,7 +261,7 @@ func TestMemoAdmitsCollidingKeys(t *testing.T) {
 	memo.Reset()
 	for round := 1; round <= 4; round++ {
 		for _, p := range []int{a, b} {
-			want := Run(mk(p))
+			want := simulate(mk(p))
 			if got := e.Run(mk(p)); !reflect.DeepEqual(got, want) {
 				t.Fatalf("penalty %d, round %d: %+v, want %+v", p, round, got, want)
 			}
@@ -269,20 +269,6 @@ func TestMemoAdmitsCollidingKeys(t *testing.T) {
 				t.Errorf("penalty %d, round %d: missed the memo; penalty %d shares its bucket", p, round, a+b-p)
 			}
 		}
-	}
-}
-
-// TestPooledRunOwnsResult: the package-level Run hands out slices the
-// caller owns, which later pooled runs leave intact.
-func TestPooledRunOwnsResult(t *testing.T) {
-	mk := randomRequest(5)
-	res := Run(mk())
-	want := cloneResult(res)
-	for seed := uint64(6); seed <= 20; seed++ {
-		Run(randomRequest(seed)())
-	}
-	if !reflect.DeepEqual(res, want) {
-		t.Fatalf("a pooled result changed under later runs: %+v, want %+v", res, want)
 	}
 }
 
@@ -386,7 +372,7 @@ func FuzzMemoEntry(f *testing.F) {
 				t.Fatalf("%s: round trip of %+v gave %+v", what, res, got)
 			}
 		}
-		check("simulated", Run(req))
+		check("simulated", simulate(req))
 
 		rng := xrand.New(resSeed)
 		num := func() int { return rng.Intn(1<<20) - 1<<19 }

@@ -31,8 +31,13 @@ func serialChain(n int) *trace.Trace {
 	return t
 }
 
+// simulate runs req on a fresh Engine with the result memo bypassed, so
+// the Result owns its slices and no test is answered from an entry another
+// test stored.
+func simulate(req Request) Result { return NewEngine().run(req, false) }
+
 func run(t *trace.Trace, pol Policy, iters int) Result {
-	return Run(Request{
+	return simulate(Request{
 		Trace:      t,
 		Deps:       trace.BuildDepGraph(t),
 		Iterations: iters,
@@ -70,7 +75,7 @@ func TestSerialChainEqualEverywhere(t *testing.T) {
 
 func TestIssueOrderIsValidPermutation(t *testing.T) {
 	tr := blockedChains(3, 8)
-	res := Run(Request{
+	res := simulate(Request{
 		Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 8,
 		Policy: Dataflow, Width: 3, Window: 128, ProbeSpan: 2,
 	})
@@ -100,11 +105,11 @@ func TestDataflowReordersBlockedCode(t *testing.T) {
 
 func TestRecordedOrderMatchesDataflowShape(t *testing.T) {
 	tr := blockedChains(4, 10)
-	df := Run(Request{
+	df := simulate(Request{
 		Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 8,
 		Policy: Dataflow, Width: 3, Window: 128, ProbeSpan: 2,
 	})
-	re := Run(Request{
+	re := simulate(Request{
 		Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 8,
 		Policy: RecordedOrder, Order: df.IssueOrder, ProbeSpan: 2, Width: 3,
 	})
@@ -119,9 +124,9 @@ func TestRecordedOrderMatchesDataflowShape(t *testing.T) {
 
 func TestWindowLimitsOverlap(t *testing.T) {
 	tr := blockedChains(6, 10)
-	wide := Run(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 6,
+	wide := simulate(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 6,
 		Policy: Dataflow, Width: 3, Window: 128})
-	narrow := Run(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 6,
+	narrow := simulate(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 6,
 		Policy: Dataflow, Width: 3, Window: 8})
 	if narrow.Cycles <= wide.Cycles {
 		t.Errorf("ROB 8 (%d cycles) should be slower than ROB 128 (%d)", narrow.Cycles, wide.Cycles)
@@ -130,9 +135,9 @@ func TestWindowLimitsOverlap(t *testing.T) {
 
 func TestMispredictPenaltyCharged(t *testing.T) {
 	tr := serialChain(10)
-	base := Run(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 8,
+	base := simulate(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 8,
 		Policy: ProgramOrder, Width: 3, MispredictPenalty: 8})
-	missed := Run(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 8,
+	missed := simulate(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 8,
 		Policy: ProgramOrder, Width: 3, MispredictPenalty: 8,
 		Mispredicts: func(int) bool { return true }})
 	if missed.Cycles <= base.Cycles {
@@ -147,9 +152,9 @@ func TestLoadLatencyPropagates(t *testing.T) {
 		{Op: isa.IntALU, Dst: 2, Src1: 1}, // consumer stalls on the load
 		{Op: isa.Branch, Dst: isa.NoReg, Src1: 2},
 	}}
-	fast := Run(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 4,
+	fast := simulate(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 4,
 		Policy: ProgramOrder, Width: 3, LoadLatency: func(int) int { return 2 }})
-	slow := Run(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 4,
+	slow := simulate(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 4,
 		Policy: ProgramOrder, Width: 3, LoadLatency: func(int) int { return 120 }})
 	if slow.Cycles < fast.Cycles+100 {
 		t.Errorf("120-cycle loads (%d) barely slower than 2-cycle loads (%d)", slow.Cycles, fast.Cycles)
@@ -199,9 +204,9 @@ func TestIterEndsMonotonic(t *testing.T) {
 
 func TestFetchGateDelaysIteration(t *testing.T) {
 	tr := serialChain(5)
-	base := Run(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 4,
+	base := simulate(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 4,
 		Policy: ProgramOrder, Width: 3})
-	gated := Run(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 4,
+	gated := simulate(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 4,
 		Policy: ProgramOrder, Width: 3, FetchGate: func(int) int { return 50 }})
 	if gated.Cycles <= base.Cycles+100 {
 		t.Errorf("fetch gates (%d cycles) should delay iterations vs base (%d)", gated.Cycles, base.Cycles)
@@ -209,11 +214,11 @@ func TestFetchGateDelaysIteration(t *testing.T) {
 }
 
 func TestEmptyRequests(t *testing.T) {
-	if res := Run(Request{}); res.Cycles != 0 {
+	if res := simulate(Request{}); res.Cycles != 0 {
 		t.Error("empty request should return zero result")
 	}
 	tr := serialChain(3)
-	if res := Run(Request{Trace: tr, Deps: trace.BuildDepGraph(tr)}); res.Cycles != 0 {
+	if res := simulate(Request{Trace: tr, Deps: trace.BuildDepGraph(tr)}); res.Cycles != 0 {
 		t.Error("zero iterations should return zero result")
 	}
 }
@@ -225,8 +230,55 @@ func TestRecordedOrderRequiresFullOrder(t *testing.T) {
 			t.Error("short recorded order accepted")
 		}
 	}()
-	Run(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 2,
+	simulate(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 2,
 		Policy: RecordedOrder, Order: []uint16{0, 1}})
+}
+
+// TestCycleArithmeticBounded: the engine keeps cycles in 32 bits, so on
+// both loop types a resolved latency, fetch gate or mispredict penalty that
+// could overflow them is a malformed request, and inputs within bounds
+// whose run passes the convergence guard stop there instead of wrapping.
+func TestCycleArithmeticBounded(t *testing.T) {
+	tr := &trace.Trace{ID: 12, Insts: []isa.Inst{
+		{Op: isa.Load, Dst: 1, Src1: 1},
+		{Op: isa.Branch, Dst: isa.NoReg, Src1: 1},
+	}}
+	deps := trace.BuildDepGraph(tr)
+	panicOf := func(req Request) (msg any) {
+		defer func() { msg = recover() }()
+		simulate(req)
+		return nil
+	}
+	for _, pol := range []Policy{Dataflow, ProgramOrder} {
+		for _, c := range []struct {
+			name, want string
+			change     func(*Request)
+		}{
+			{"latency", "pipeline: load latency out of range",
+				func(r *Request) { r.LoadLatency = func(int) int { return maxInput + 1 } }},
+			{"zero latency", "pipeline: load latency out of range",
+				func(r *Request) { r.LoadLatency = func(int) int { return 0 } }},
+			{"fetch gate", "pipeline: fetch gate out of range",
+				func(r *Request) { r.FetchGate = func(int) int { return maxInput + 1 } }},
+			{"penalty", "pipeline: mispredict penalty out of range",
+				func(r *Request) { r.MispredictPenalty = maxInput + 1 }},
+			{"negative penalty", "pipeline: mispredict penalty out of range",
+				func(r *Request) { r.MispredictPenalty = -1 }},
+			{"past the guard", map[Policy]string{
+				Dataflow:     "pipeline: dataflow simulation did not converge",
+				ProgramOrder: "pipeline: in-order simulation did not converge",
+			}[pol], func(r *Request) {
+				r.Iterations = maxCycle/maxInput + 2
+				r.LoadLatency = func(int) int { return maxInput }
+			}},
+		} {
+			req := Request{Trace: tr, Deps: deps, Iterations: 2, Policy: pol, Width: 3}
+			c.change(&req)
+			if got := panicOf(req); got != c.want {
+				t.Errorf("policy %d, %s: panic %v, want %q", pol, c.name, got, c.want)
+			}
+		}
+	}
 }
 
 func TestMaxLiveVersionsSerialReuse(t *testing.T) {

@@ -56,14 +56,14 @@ func TestPropertyDataflowNeverSlower(t *testing.T) {
 	check := func(seed uint64) bool {
 		tr := randomTrace(seed%10_000 + 1)
 		g := trace.BuildDepGraph(tr)
-		df := Run(Request{Trace: tr, Deps: g, Iterations: 8, Policy: Dataflow,
+		df := simulate(Request{Trace: tr, Deps: g, Iterations: 8, Policy: Dataflow,
 			Width: 3, Window: 128, ProbeSpan: 2})
-		io := Run(Request{Trace: tr, Deps: g, Iterations: 8, Policy: ProgramOrder, Width: 3})
+		io := simulate(Request{Trace: tr, Deps: g, Iterations: 8, Policy: ProgramOrder, Width: 3})
 		if df.Cycles > io.Cycles+2 {
 			t.Logf("seed %d: dataflow %d > in-order %d", seed, df.Cycles, io.Cycles)
 			return false
 		}
-		re := Run(Request{Trace: tr, Deps: g, Iterations: 8, Policy: RecordedOrder,
+		re := simulate(Request{Trace: tr, Deps: g, Iterations: 8, Policy: RecordedOrder,
 			Order: df.IssueOrder, ProbeSpan: 2, Width: 3})
 		// Replay may modestly lose to program order on adversarial traces
 		// (head-of-line blocking in the recorded permutation); the cluster
@@ -94,7 +94,7 @@ func TestPropertyIssueRespectsDependences(t *testing.T) {
 		tr := randomTrace(seed%10_000 + 50_000)
 		g := trace.BuildDepGraph(tr)
 		for _, pol := range []Policy{Dataflow, ProgramOrder} {
-			res := Run(Request{Trace: tr, Deps: g, Iterations: 4, Policy: pol,
+			res := simulate(Request{Trace: tr, Deps: g, Iterations: 4, Policy: pol,
 				Width: 3, Window: 128})
 			// Reconstruct issue cycles by re-running and inspecting the
 			// probe block: the probe order is sorted by issue time, so a
@@ -129,7 +129,7 @@ func TestPropertyCyclesScaleWithIterations(t *testing.T) {
 		g := trace.BuildDepGraph(tr)
 		prev := 0
 		for _, iters := range []int{2, 4, 8} {
-			res := Run(Request{Trace: tr, Deps: g, Iterations: iters,
+			res := simulate(Request{Trace: tr, Deps: g, Iterations: iters,
 				Policy: ProgramOrder, Width: 3})
 			if res.Cycles < prev {
 				return false
@@ -149,7 +149,7 @@ func TestPropertyMaxLiveVersions(t *testing.T) {
 	check := func(seed uint64) bool {
 		tr := randomTrace(seed%10_000 + 130_000)
 		g := trace.BuildDepGraph(tr)
-		res := Run(Request{Trace: tr, Deps: g, Iterations: 8, Policy: Dataflow,
+		res := simulate(Request{Trace: tr, Deps: g, Iterations: 8, Policy: Dataflow,
 			Width: 3, Window: 128, ProbeSpan: 2})
 		v := MaxLiveVersions(tr, res.IssueOrder)
 		if v < 1 {

@@ -51,30 +51,3 @@ func TestEnginePublishTelemetry(t *testing.T) {
 	}
 	e.PublishTelemetry(nil, "core0.ooo") // a nil registry is a no-op
 }
-
-// TestPooledRunCountsNothing: the package-level Run draws pooled engines
-// and leaves their run totals at zero, so no engine that later publishes
-// carries another caller's measurements.
-func TestPooledRunCountsNothing(t *testing.T) {
-	e := NewEngine()
-	enginePool.Put(e)
-	for seed := uint64(1); seed <= 4; seed++ {
-		Run(randomRequest(seed)())
-	}
-	// Without -race the pool hands e back to this goroutine's Runs; with
-	// it the pool may drop e, and e's totals must still be zero.
-	var drawn []*Engine
-	for i := 0; i < 4; i++ {
-		p := enginePool.Get().(*Engine)
-		drawn = append(drawn, p)
-		if p.measures != 0 || p.memoHits != 0 || p.measuredCycles != 0 {
-			t.Errorf("pooled engine counted %d measures, %d memo hits, %d cycles", p.measures, p.memoHits, p.measuredCycles)
-		}
-	}
-	for _, p := range drawn {
-		enginePool.Put(p)
-	}
-	if e.measures != 0 {
-		t.Errorf("engine run through the pool counted %d measures", e.measures)
-	}
-}

@@ -1,6 +1,7 @@
 package program
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -23,6 +24,28 @@ func TestSuiteComplete(t *testing.T) {
 	}
 	if ByName("doom") != nil {
 		t.Error("phantom benchmark resolved")
+	}
+}
+
+// TestSuiteBuiltOnce: the suite and its name index are built once, so a
+// lookup (the server resolves every mix entry of every request) allocates
+// nothing, and every accessor agrees with the parameter table.
+func TestSuiteBuiltOnce(t *testing.T) {
+	suite := Suite()
+	params := suiteParams()
+	var names []string
+	for i, b := range suite {
+		if b.Name != params[i].Name || ByName(b.Name) != b {
+			t.Errorf("suite[%d] is %s, ByName gives %p; want %s at %p", i, b.Name, ByName(b.Name), params[i].Name, b)
+		}
+		names = append(names, b.Name)
+	}
+	slices.Sort(names)
+	if got := Names(); !slices.Equal(got, names) {
+		t.Errorf("Names() = %v, want %v", got, names)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ByName("mcf") }); allocs != 0 {
+		t.Errorf("ByName allocates %.0f/op, want 0", allocs)
 	}
 }
 

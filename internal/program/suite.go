@@ -7,6 +7,7 @@
 package program
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -146,58 +147,59 @@ func suiteParams() []Params {
 // must happen exactly once. Generation is deterministic (each benchmark
 // seeds its own xrand stream from its name), so which goroutine wins the
 // race to generate changes nothing. The *Benchmark values are shared and
-// treated as immutable by every simulation layer.
+// treated as immutable by every simulation layer. suiteList keeps the
+// parameter table's order and suiteIndex finds a benchmark by name.
 var (
 	suiteOnce  sync.Once
-	suiteCache map[string]*Benchmark
+	suiteList  []*Benchmark
+	suiteIndex map[string]*Benchmark
 )
+
+// suiteNames holds the sorted names of the whole suite and of each
+// category. Built from the parameter table alone, it generates nothing.
+var suiteNames = sync.OnceValue(func() (names struct {
+	all   []string
+	byCat map[Category][]string
+}) {
+	names.byCat = map[Category][]string{}
+	for _, p := range suiteParams() {
+		names.all = append(names.all, p.Name)
+		names.byCat[p.Category] = append(names.byCat[p.Category], p.Name)
+	}
+	sort.Strings(names.all)
+	for _, ns := range names.byCat {
+		sort.Strings(ns)
+	}
+	return names
+})
+
+func generateSuite() {
+	suiteOnce.Do(func() {
+		params := suiteParams()
+		suiteList = make([]*Benchmark, len(params))
+		suiteIndex = make(map[string]*Benchmark, len(params))
+		for i, p := range params {
+			suiteList[i] = Generate(p)
+			suiteIndex[p.Name] = suiteList[i]
+		}
+	})
+}
 
 // Suite generates (and caches) the full benchmark suite. Safe for
 // concurrent use.
 func Suite() []*Benchmark {
-	params := suiteParams()
-	suiteOnce.Do(func() {
-		suiteCache = make(map[string]*Benchmark, len(params))
-		for _, p := range params {
-			suiteCache[p.Name] = Generate(p)
-		}
-	})
-	out := make([]*Benchmark, 0, len(params))
-	for _, p := range params {
-		out = append(out, suiteCache[p.Name])
-	}
-	return out
+	generateSuite()
+	return slices.Clone(suiteList)
 }
 
 // ByName returns the named benchmark, or nil.
 func ByName(name string) *Benchmark {
-	for _, b := range Suite() {
-		if b.Name == name {
-			return b
-		}
-	}
-	return nil
+	generateSuite()
+	return suiteIndex[name]
 }
 
 // Names returns the suite's benchmark names, sorted.
-func Names() []string {
-	params := suiteParams()
-	out := make([]string, len(params))
-	for i, p := range params {
-		out[i] = p.Name
-	}
-	sort.Strings(out)
-	return out
-}
+func Names() []string { return slices.Clone(suiteNames().all) }
 
 // ByCategory returns the names in the given category, sorted.
-func ByCategory(c Category) []string {
-	var out []string
-	for _, p := range suiteParams() {
-		if p.Category == c {
-			out = append(out, p.Name)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
+func ByCategory(c Category) []string { return slices.Clone(suiteNames().byCat[c]) }
