@@ -98,6 +98,13 @@ func (c *Cache) lookup(addr uint64) (base int, tag uint64, way int) {
 // Access touches addr. It returns true on a hit. On a miss the line is
 // allocated (evicting LRU).
 func (c *Cache) Access(addr uint64) bool {
+	hit, _ := c.AccessWay(addr)
+	return hit
+}
+
+// AccessWay is Access, returning also the way that now holds addr, which
+// a caller may keep as a hint for HitWay.
+func (c *Cache) AccessWay(addr uint64) (hit bool, way uint32) {
 	c.tick++
 	c.stats.Accesses++
 	base, tag, w := c.lookup(addr)
@@ -107,11 +114,36 @@ func (c *Cache) Access(addr uint64) bool {
 			c.stats.PrefetchHits++
 			c.prefetched[w] = false
 		}
-		return true
+		return true, uint32(w)
 	}
 	c.stats.Misses++
-	c.fill(base, tag, false)
-	return false
+	return false, uint32(c.fill(base, tag, false))
+}
+
+// HitWay checks a way hint, which must be below the cache's line count.
+// If way holds addr's line, not prefetched, it does what Access does on
+// that hit and returns true: a tag lives only in its own set, so that way
+// is the one Access's search would find. Otherwise (a stale hint, a way of
+// another set, a prefetched line) it changes nothing and returns false,
+// and the caller falls back to AccessWay.
+func (c *Cache) HitWay(addr uint64, way uint32) bool {
+	if c.tags[way] != addr>>c.setShift+1 || c.prefetched[way] {
+		return false
+	}
+	c.tick++
+	c.stats.Accesses++
+	c.lastUse[way] = c.tick
+	return true
+}
+
+// SkipHits counts n hits without stamping any line: the tick and the
+// access count move as n hits would. It is exact only when every line
+// those hits would have stamped is touched again before the cache next
+// compares ticks, so each line's last use ends where the hits would leave
+// it.
+func (c *Cache) SkipHits(n uint64) {
+	c.tick += n
+	c.stats.Accesses += n
 }
 
 // Probe reports whether addr is resident without updating state.
@@ -132,8 +164,8 @@ func (c *Cache) Prefetch(addr uint64) {
 }
 
 // fill places tag in the set starting at way base: in its first invalid
-// way, else over its least recently used one.
-func (c *Cache) fill(base int, tag uint64, prefetched bool) {
+// way, else over its least recently used one. It returns the way.
+func (c *Cache) fill(base int, tag uint64, prefetched bool) int {
 	victim := -1
 	for i, t := range c.tags[base : base+c.cfg.Assoc] {
 		if t == 0 {
@@ -155,6 +187,7 @@ func (c *Cache) fill(base int, tag uint64, prefetched bool) {
 	c.tags[victim] = tag
 	c.lastUse[victim] = c.tick
 	c.prefetched[victim] = prefetched
+	return victim
 }
 
 // Flush invalidates all contents (used when an application migrates away

@@ -112,18 +112,36 @@ var oracleGeometries = []Config{
 // cache of geometry cfg and the model, reporting the first divergence in a
 // result, in occupancy or in any Stats counter. The first byte's top three
 // bits pick the operation (Flush is rare); the rest and the second byte
-// pick one of 8192 blocks and an offset within it.
+// pick one of 8192 blocks and an offset within it. Kinds 2 and 3 are
+// hinted accesses: HitWay, falling back to AccessWay. Kind 2's hint is the
+// way the last hinted access left; kind 3's is the block modulo the line
+// count, an in-range way that is often stale and often of another set.
 func diffCache(t *testing.T, cfg Config, ops []byte) {
 	t.Helper()
 	got, want := New(cfg), newLRUModel(cfg)
+	var hint uint32
 	for i := 0; i+1 < len(ops); i += 2 {
 		kind := ops[i] >> 5
 		block := uint64(ops[i]&31)<<8 | uint64(ops[i+1])
 		addr := block*uint64(cfg.LineBytes) + uint64(i*7)%uint64(cfg.LineBytes)
 		switch kind {
-		case 0, 1, 2, 3:
+		case 0, 1:
 			if g, w := got.Access(addr), want.Access(addr); g != w {
 				t.Fatalf("%s op %d: Access(%#x) = %v, model %v", cfg.Name, i/2, addr, g, w)
+			}
+		case 2, 3:
+			if kind == 3 {
+				hint = uint32(block % uint64(len(got.tags)))
+			}
+			g := got.HitWay(addr, hint)
+			if !g {
+				g, hint = got.AccessWay(addr)
+			}
+			if w := want.Access(addr); g != w {
+				t.Fatalf("%s op %d: hinted access(%#x) = %v, model %v", cfg.Name, i/2, addr, g, w)
+			}
+			if got.tags[hint] != addr/uint64(cfg.LineBytes)+1 {
+				t.Fatalf("%s op %d: hinted access(%#x) left hint %d, which holds another line", cfg.Name, i/2, addr, hint)
 			}
 		case 4, 5:
 			if g, w := got.Probe(addr), want.Probe(addr); g != w {
@@ -185,6 +203,13 @@ func FuzzCache(f *testing.F) {
 		thrash = append(thrash, 0, byte(8*(i%12)))
 	}
 	f.Add(thrash)
+	// A hint naming a way of another set: blocks 2 and 6 fill set 2 of the
+	// 2-way geometry, ways 4 and 5; then block 5, of set 1, is hinted at
+	// way 5, whose block agrees with it above the set bits.
+	f.Add([]byte{0, 2, 0, 6, 0x60, 5, 0x40, 5})
+	// A hinted hit on a prefetched line: block 0 is prefetched into way 0,
+	// then hinted at way 0; the hit must count a prefetch hit.
+	f.Add([]byte{0xc0, 0, 0x60, 0, 0x40, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		for _, cfg := range oracleGeometries {
 			diffCache(t, cfg, ops)

@@ -82,22 +82,14 @@ type Events struct {
 // lookups. Every core engine counts these alike; the rest of Events is
 // theirs to fill.
 func ClassEvents(t *trace.Trace, iters int) Events {
-	var ev Events
+	c := t.ClassCounts()
 	n := uint64(iters)
-	for _, in := range t.Insts {
-		switch in.Op {
-		case isa.IntALU:
-			ev.IntOps += n
-		case isa.Branch:
-			ev.IntOps += n
-			ev.BPredLookups += n
-		case isa.IntMul, isa.IntDiv:
-			ev.MulDivOps += n
-		case isa.FPAdd, isa.FPMul, isa.FPDiv:
-			ev.FPOps += n
-		}
+	return Events{
+		IntOps:       n * uint64(c[isa.IntALU]+c[isa.Branch]),
+		BPredLookups: n * uint64(c[isa.Branch]),
+		MulDivOps:    n * uint64(c[isa.IntMul]+c[isa.IntDiv]),
+		FPOps:        n * uint64(c[isa.FPAdd]+c[isa.FPMul]+c[isa.FPDiv]),
 	}
-	return ev
 }
 
 // CoreKind selects which structure set and coefficients apply.

@@ -88,7 +88,7 @@ func (h *Hierarchy) AttachAudit(a *invariant.Auditor, label string) {
 }
 
 // model is the cache model behind a hierarchy: its caches, TLBs,
-// prefetcher and bus line counts.
+// prefetcher and bus line counts, and per stream ID the walk's hints.
 type model struct {
 	l1i, l1d, l2 *cache.Cache
 	itlb, dtlb   TLB
@@ -96,6 +96,17 @@ type model struct {
 
 	// Bus line transfers, L1<->L2 and L2<->memory.
 	l1ToL2Lines, l2ToMemLines uint64
+
+	hints [256]streamHint
+}
+
+// streamHint is the L1D way and DTLB slot a stream's last walked access
+// used. A strided stream stays in one line for several accesses, so the
+// walk checks the hint before it searches; a verified hint is the hit the
+// search would find, and a stale one costs only the search.
+type streamHint struct {
+	way  uint32
+	slot uint8
 }
 
 // models recycles the cache models of released hierarchies, so the apps of
@@ -177,6 +188,7 @@ func (m *model) reset() {
 	m.dtlb = TLB{}
 	m.pf.Reset()
 	m.l1ToL2Lines, m.l2ToMemLines = 0, 0
+	m.hints = [256]streamHint{}
 }
 
 // access applies one single access outside the walk memo, which records
@@ -203,13 +215,16 @@ func (h *Hierarchy) real(f func(m *model) int) int {
 }
 
 // LoadLatency performs a data load at addr on behalf of streamID and returns
-// its total latency in cycles, including any page-walk on a DTLB miss.
+// its total latency in cycles, including any page-walk on a DTLB miss. It
+// and the other single-access methods stay unhinted, searching every
+// structure, and serve as the oracle of the hinted walk
+// (TestWalkMatchesSingleAccess).
 func (h *Hierarchy) LoadLatency(streamID uint8, addr uint64) int {
 	return h.access(func(m *model) int { return m.loadLatency(streamID, addr) })
 }
 
 // StoreAccess performs a data store and returns the buffer-visible latency
-// (see model.storeAccess).
+// (see model.storeAccess). It stays unhinted, as LoadLatency does.
 func (h *Hierarchy) StoreAccess(streamID uint8, addr uint64) int {
 	return h.access(func(m *model) int { return m.storeAccess(streamID, addr) })
 }
@@ -223,7 +238,9 @@ func (h *Hierarchy) FetchLatency(addr uint64) int {
 // FetchStall returns the stall cycles one iteration of a trace's code pays
 // at the fetch stage: the miss penalties (beyond the pipelined L1I hit) of
 // fetching `codeBytes` of instructions starting at pc. Zero in steady state
-// — the cost appears after migrations leave the L1I and ITLB cold.
+// — the cost appears after migrations leave the L1I and ITLB cold. It walks
+// one iteration in full, without fetchGates' repeat rule, and serves as
+// the oracle of FetchGates as LoadLatency does of LoadLatencies.
 func (h *Hierarchy) FetchStall(pc uint64, codeBytes int) int {
 	return h.access(func(m *model) int { return m.fetchStall(pc, codeBytes) })
 }
@@ -233,27 +250,27 @@ func (m *model) loadLatency(streamID uint8, addr uint64) int {
 	if m.l1d.Access(addr) {
 		return walk + L1Latency
 	}
+	return walk + L1Latency + m.l1dMiss(streamID, addr)
+}
+
+// l1dMiss serves an L1D miss from the L2 or memory, training the
+// prefetcher, and returns the latency it adds to the L1's.
+func (m *model) l1dMiss(streamID uint8, addr uint64) int {
 	m.l1ToL2Lines++
 	m.pf.Observe(streamID, addr)
 	if m.l2.Access(addr) {
-		return walk + L1Latency + L2Latency
+		return L2Latency
 	}
 	m.l2ToMemLines++
-	return walk + L1Latency + L2Latency + MemLatency
+	return L2Latency + MemLatency
 }
 
 // storeAccess performs a data store. Stores retire through a store buffer,
-// so they do not stall the pipeline on a miss; the call maintains cache,
-// TLB and traffic state and returns the buffer-visible latency.
+// so they do not stall the pipeline on a miss; the call changes cache,
+// TLB and traffic state as a load does (translation happens even though
+// the buffer hides it) and returns the buffer-visible latency.
 func (m *model) storeAccess(streamID uint8, addr uint64) int {
-	m.dtlb.Access(addr) // translation happens even though the buffer hides it
-	if !m.l1d.Access(addr) {
-		m.l1ToL2Lines++
-		m.pf.Observe(streamID, addr)
-		if !m.l2.Access(addr) {
-			m.l2ToMemLines++
-		}
-	}
+	m.loadLatency(streamID, addr)
 	return 1
 }
 
@@ -283,10 +300,26 @@ func (m *model) fetchStall(pc uint64, codeBytes int) int {
 
 // fetchGates fills gates with the fetch stall of each of len(gates)
 // back-to-back iterations of t's code.
+//
+// An iteration that stalls 0 cycles hit the ITLB and the L1I on every
+// line and filled nothing, so every later iteration hits the same lines
+// and pages in the same order. fetchGates counts the middle ones' hits in
+// one step and walks the last one for real, which stamps every line and
+// page with the last use the full loop would leave.
 func (m *model) fetchGates(t *trace.Trace, gates []int) {
 	pc := uint64(t.ID) &^ 0x3f
-	for it := range gates {
-		gates[it] = m.fetchStall(pc, t.Len()*isa.InstBytes)
+	code := t.Len() * isa.InstBytes
+	line := m.l1i.LineBytes()
+	for it := 0; it < len(gates); it++ {
+		gates[it] = m.fetchStall(pc, code)
+		if gates[it] == 0 && it+2 < len(gates) {
+			skip := len(gates) - it - 2
+			clear(gates[it+1 : it+1+skip])
+			hits := uint64(skip) * uint64((code+line-1)/line)
+			m.itlb.skipHits(hits)
+			m.l1i.SkipHits(hits)
+			it += skip
+		}
 	}
 }
 
@@ -300,14 +333,12 @@ func (h *Hierarchy) FetchGates(t *trace.Trace, iters int) []int {
 	return h.gates
 }
 
-// traceSlot is what a hierarchy keeps of a recent trace: its load and
-// store counts, and its owner index in the walk memo, valid while the
-// memo's generation is tiGen-1. Traces are immutable, as for the pipeline
-// memo.
+// traceSlot is what a hierarchy keeps of a recent trace: its owner index
+// in the walk memo, valid while the memo's generation is tiGen-1. Traces
+// are immutable, as for the pipeline memo.
 type traceSlot struct {
-	t             *trace.Trace
-	loads, stores int
-	ti, tiGen     uint64
+	t         *trace.Trace
+	ti, tiGen uint64
 }
 
 // slot returns t's slot, filling it if it holds another trace. The loops
@@ -316,7 +347,6 @@ func (h *Hierarchy) slot(t *trace.Trace) *traceSlot {
 	s := &h.traces[uint64(t.ID)%uint64(len(h.traces))]
 	if s.t != t {
 		*s = traceSlot{t: t}
-		s.loads, s.stores = t.NumMemOps()
 	}
 	return s
 }
@@ -346,17 +376,41 @@ func memOps(ops []memOp, t *trace.Trace, walkers []*Walker) []memOp {
 }
 
 // walk applies iters iterations of ops in program order, appending each
-// load's latency to lats.
+// load's latency to lats. Per operation it is Walker.Next's draw, written
+// out so the strided step inlines, then loadLatency or storeAccess with
+// the stream's hints checked first: a verified DTLB slot and L1D way count
+// the hit in line, and only a stale hint pays the search, which refreshes
+// it.
 func (m *model) walk(ops []memOp, iters int, lats []int) []int {
 	for it := 0; it < iters; it++ {
 		for _, op := range ops {
-			switch {
-			case op.load && op.w != nil:
-				lats = append(lats, m.loadLatency(op.stream, op.w.next()))
-			case op.load:
-				lats = append(lats, L1Latency)
-			case op.w != nil:
-				m.storeAccess(op.stream, op.w.next())
+			if op.w == nil {
+				if op.load {
+					lats = append(lats, L1Latency)
+				}
+				continue
+			}
+			var addr uint64
+			if op.w.spec.Kind == trace.StreamRandom {
+				addr = op.w.nextRandom()
+			} else {
+				addr = op.w.nextStrided()
+			}
+			h := &m.hints[op.stream]
+			lat := L1Latency
+			if !m.dtlb.hitSlot(addr, h.slot) {
+				var walk int
+				walk, h.slot = m.dtlb.access(addr)
+				lat += walk
+			}
+			if !m.l1d.HitWay(addr, h.way) {
+				var hit bool
+				if hit, h.way = m.l1d.AccessWay(addr); !hit {
+					lat += m.l1dMiss(op.stream, addr)
+				}
+			}
+			if op.load {
+				lats = append(lats, lat)
 			}
 		}
 	}
@@ -370,11 +424,11 @@ func (m *model) walk(ops []memOp, iters int, lats []int) []int {
 // nothing. The latency slice is the hierarchy's scratch, valid until the
 // next LoadLatencies call on h.
 func (h *Hierarchy) LoadLatencies(t *trace.Trace, walkers []*Walker, iters int) (lats []int, nLoads, nStores int) {
-	s := h.slot(t)
-	if s.loads+s.stores == 0 {
+	loads, stores := t.NumMemOps()
+	if loads+stores == 0 {
 		return nil, 0, 0
 	}
-	nLoads, nStores = s.loads*iters, s.stores*iters
+	nLoads, nStores = loads*iters, stores*iters
 	h.lats = slices.Grow(h.lats[:0], nLoads)[:nLoads]
 	h.apply(opWalk, t, walkers, iters)
 	return h.lats, nLoads, nStores
@@ -427,7 +481,10 @@ func NewWalker(spec trace.StreamSpec, rng *xrand.Rand) *Walker {
 func (w *Walker) Next() uint64 {
 	w.disown()
 	w.used = true
-	return w.next()
+	if w.spec.Kind == trace.StreamRandom {
+		return w.nextRandom()
+	}
+	return w.nextStrided()
 }
 
 // disown catches the walker's owner up, which puts the walker's position
@@ -439,17 +496,25 @@ func (w *Walker) disown() {
 	}
 }
 
-func (w *Walker) next() uint64 {
-	switch w.spec.Kind {
-	case trace.StreamRandom:
-		off := w.rng.Uint64() % w.spec.WorkingSet
-		return w.spec.Base + (off &^ 7)
-	default: // StreamStrided
-		addr := w.spec.Base + w.pos
-		w.pos += w.spec.Stride
-		if w.pos >= w.spec.WorkingSet {
-			w.pos = 0
-		}
-		return addr
+// nextStrided steps a strided stream. It fits the inliner's budget; a
+// draw that also called nextRandom would not.
+func (w *Walker) nextStrided() uint64 {
+	addr := w.spec.Base + w.pos
+	w.pos += w.spec.Stride
+	if w.pos >= w.spec.WorkingSet {
+		w.pos = 0
 	}
+	return addr
+}
+
+// nextRandom draws a random stream's next address. A power-of-two working
+// set reduces with a mask, which gives the value % gives.
+func (w *Walker) nextRandom() uint64 {
+	r, ws := w.rng.Uint64(), w.spec.WorkingSet
+	if ws&(ws-1) == 0 {
+		r &= ws - 1
+	} else {
+		r %= ws
+	}
+	return w.spec.Base + (r &^ 7)
 }

@@ -112,6 +112,21 @@ func TestRandomWalkerDeterministic(t *testing.T) {
 	}
 }
 
+// TestRandomWalkerMaskMatchesModulo: a power-of-two working set reduces a
+// draw with a mask, which must give the address % gives, as it does for
+// any other working set.
+func TestRandomWalkerMaskMatchesModulo(t *testing.T) {
+	for _, ws := range []uint64{8, 64, 4096, 1 << 20, 1 << 40, 3000, 1<<20 + 8} {
+		rng := xrand.New(ws)
+		w := NewWalker(trace.StreamSpec{Kind: trace.StreamRandom, Base: 1 << 32, WorkingSet: ws}, rng)
+		for i := 0; i < 1000; i++ {
+			if got, want := w.Next(), 1<<32+(rng.Uint64()%ws)&^7; got != want {
+				t.Fatalf("working set %d draw %d: address %#x, want %#x", ws, i, got, want)
+			}
+		}
+	}
+}
+
 func TestWalkerZeroWorkingSet(t *testing.T) {
 	w := NewWalker(trace.StreamSpec{Base: 0x10}, xrand.New(4))
 	// Defaulted to a tiny set; must not panic or divide by zero.

@@ -32,6 +32,8 @@ func hintIndex(page uint64) int { return int(page * 0x9e3779b97f4a7c15 >> 56) }
 // hint names, then scans. A hint is the slot where a page with that hint
 // index last hit or was filled; pages that share an index overwrite each
 // other's hints, so a hint is trusted only when its slot holds the page.
+// A caller may also keep the slot an access used and check it first with
+// hitSlot, as the walk does per stream.
 type TLB struct {
 	pages  [TLBEntries]uint64
 	ticks  [TLBEntries]uint64
@@ -51,12 +53,41 @@ func NewTLB() *TLB {
 // Access translates addr, returning the added latency (0 on a hit, the
 // page-walk cost on a miss).
 func (t *TLB) Access(addr uint64) int {
+	lat, _ := t.access(addr)
+	return lat
+}
+
+// hitSlot checks a slot hint. If slot holds addr's page it does what
+// Access does on that hit and returns true: a page sits in only one
+// resident slot, so that slot is the one Access's search would find.
+// Otherwise (a stale hint, or a slot past n after a flush) it changes
+// nothing and returns false, and the caller falls back to access. mru and
+// hint are search shortcuts, so leaving them is exact.
+func (t *TLB) hitSlot(addr uint64, slot uint8) bool {
+	if int(slot) >= t.n || t.pages[slot] != addr>>pageShift {
+		return false
+	}
+	t.tick++
+	t.ticks[slot] = t.tick
+	t.hits++
+	return true
+}
+
+// skipHits counts n hits without stamping any slot, as Cache.SkipHits
+// does for a cache, and is exact under the same rule.
+func (t *TLB) skipHits(n uint64) {
+	t.tick += n
+	t.hits += n
+}
+
+// access is Access, returning also the slot that now holds addr's page.
+func (t *TLB) access(addr uint64) (int, uint8) {
 	t.tick++
 	page := addr >> pageShift
 	if t.n > 0 && t.pages[t.mru] == page {
 		t.ticks[t.mru] = t.tick
 		t.hits++
-		return 0
+		return 0, uint8(t.mru)
 	}
 	hint := &t.hint[hintIndex(page)]
 	slot := int(*hint)
@@ -74,7 +105,7 @@ func (t *TLB) Access(addr uint64) int {
 		t.mru = slot
 		*hint = uint8(slot)
 		t.hits++
-		return 0
+		return 0, uint8(slot)
 	}
 	t.misses++
 	slot = t.n
@@ -92,7 +123,7 @@ func (t *TLB) Access(addr uint64) int {
 	t.ticks[slot] = t.tick
 	t.mru = slot
 	*hint = uint8(slot)
-	return PageWalkCost
+	return PageWalkCost, uint8(slot)
 }
 
 // Flush empties the TLB (core migration).

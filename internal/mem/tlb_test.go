@@ -80,17 +80,38 @@ func tlbOp(i int, b byte) (addr uint64, flush bool) {
 }
 
 // diffTLB replays ops through both TLBs and reports the first divergence in
-// latency, occupancy or statistics.
+// latency, occupancy or statistics. A byte below 97 is a plain Access;
+// from 97 it is a hinted one, hitSlot falling back to access, with the
+// slot the last hinted access left (bytes below 194; after a flush that
+// slot is past n) or, above, slot i%64, in range and often stale.
 func diffTLB(t *testing.T, ops []byte) {
 	t.Helper()
 	got, want := NewTLB(), newMapTLB()
+	var hint uint8
 	for i, b := range ops {
 		addr, flush := tlbOp(i, b)
-		if flush {
+		switch {
+		case flush:
 			got.Flush()
 			want.Flush()
-		} else if g, w := got.Access(addr), want.Access(addr); g != w {
-			t.Fatalf("op %d: access %#x latency %d, oracle %d", i, addr, g, w)
+		case b < 97:
+			if g, w := got.Access(addr), want.Access(addr); g != w {
+				t.Fatalf("op %d: access %#x latency %d, oracle %d", i, addr, g, w)
+			}
+		default:
+			if b >= 194 {
+				hint = uint8(i % TLBEntries)
+			}
+			g := 0
+			if !got.hitSlot(addr, hint) {
+				g, hint = got.access(addr)
+			}
+			if w := want.Access(addr); g != w {
+				t.Fatalf("op %d: hinted access %#x latency %d, oracle %d", i, addr, g, w)
+			}
+			if got.pages[hint] != addr>>pageShift {
+				t.Fatalf("op %d: hinted access %#x left slot %d, which holds another page", i, addr, hint)
+			}
 		}
 		if got.Len() != len(want.pages) {
 			t.Fatalf("op %d: %d resident, oracle %d", i, got.Len(), len(want.pages))
@@ -146,6 +167,10 @@ func FuzzTLB(f *testing.F) {
 		full = append(full, byte(64+r%33))
 	}
 	f.Add(full)
+	// Stale slots past n: page 1 is filled into slot 1, the TLB is flushed,
+	// page 0 fills slot 0, and page 1 is hinted at slot 1, which still holds
+	// it but is past n; then page 0 is hinted at the slot page 1 missed into.
+	f.Add([]byte{97, 98, 255, 0, 98, 97})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		diffTLB(t, ops)
 	})

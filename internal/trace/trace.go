@@ -59,19 +59,33 @@ type Trace struct {
 	// AliasRate is the per-iteration probability that a load reordered
 	// above a store aliases with it, squashing an OinO replay.
 	AliasRate float64
+
+	// classes caches ClassCounts, built on first use.
+	classes atomic.Pointer[[isa.NumClasses]int]
+}
+
+// ClassCounts returns how many of the trace's instructions fall in each
+// class. The tally is built on first use and kept, so Insts must not
+// change after the first call, as a trace is immutable once built;
+// concurrent first callers build equal tallies and one is kept.
+func (t *Trace) ClassCounts() [isa.NumClasses]int {
+	if c := t.classes.Load(); c != nil {
+		return *c
+	}
+	c := new([isa.NumClasses]int)
+	for _, in := range t.Insts {
+		if in.Op < isa.NumClasses {
+			c[in.Op]++
+		}
+	}
+	t.classes.Store(c)
+	return *c
 }
 
 // NumMemOps returns how many loads and stores the trace contains.
 func (t *Trace) NumMemOps() (loads, stores int) {
-	for _, in := range t.Insts {
-		switch in.Op {
-		case isa.Load:
-			loads++
-		case isa.Store:
-			stores++
-		}
-	}
-	return loads, stores
+	c := t.ClassCounts()
+	return c[isa.Load], c[isa.Store]
 }
 
 // Len returns the number of instructions in the trace.

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 
@@ -74,6 +75,24 @@ func TestNumMemOps(t *testing.T) {
 	if loads != 1 || stores != 0 {
 		t.Errorf("got %d loads %d stores, want 1/0", loads, stores)
 	}
+}
+
+// TestClassCountsConcurrent: goroutines racing to build a fresh trace's
+// tally all read the same counts, one per instruction.
+func TestClassCountsConcurrent(t *testing.T) {
+	tr := chainTrace()
+	want := [isa.NumClasses]int{isa.IntALU: 1, isa.Load: 1, isa.IntMul: 1, isa.Branch: 1}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if got := tr.ClassCounts(); got != want {
+				t.Errorf("class counts %v, want %v", got, want)
+			}
+		}()
+	}
+	wg.Wait()
 }
 
 func TestValidate(t *testing.T) {
