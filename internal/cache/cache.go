@@ -146,12 +146,6 @@ func (c *Cache) SkipHits(n uint64) {
 	c.stats.Accesses += n
 }
 
-// Probe reports whether addr is resident without updating state.
-func (c *Cache) Probe(addr uint64) bool {
-	_, _, w := c.lookup(addr)
-	return w >= 0
-}
-
 // Prefetch inserts addr if absent, marking it as prefetched.
 func (c *Cache) Prefetch(addr uint64) {
 	base, tag, w := c.lookup(addr)

@@ -6,6 +6,13 @@ import (
 	"unsafe"
 )
 
+// Probe reports whether addr is resident without updating state: the
+// tests' observer of residency.
+func (c *Cache) Probe(addr uint64) bool {
+	_, _, w := c.lookup(addr)
+	return w >= 0
+}
+
 func smallCache() *Cache {
 	return New(Config{Name: "t", SizeBytes: 1024, LineBytes: 64, Assoc: 2})
 }

@@ -229,12 +229,6 @@ func (h *Hierarchy) StoreAccess(streamID uint8, addr uint64) int {
 	return h.access(func(m *model) int { return m.storeAccess(streamID, addr) })
 }
 
-// FetchLatency models an instruction fetch of the line containing addr,
-// including any page-walk on an ITLB miss.
-func (h *Hierarchy) FetchLatency(addr uint64) int {
-	return h.access(func(m *model) int { return m.fetchLatency(addr) })
-}
-
 // FetchStall returns the stall cycles one iteration of a trace's code pays
 // at the fetch stage: the miss penalties (beyond the pipelined L1I hit) of
 // fetching `codeBytes` of instructions starting at pc. Zero in steady state

@@ -41,13 +41,15 @@ func TestStoreNeverStalls(t *testing.T) {
 	}
 }
 
+// TestFetchLatency: a cold fetch of a line pays its miss penalties at the
+// fetch stage, and a warm one hits the pipelined L1I and stalls nothing.
 func TestFetchLatency(t *testing.T) {
 	h := NewHierarchy()
-	if lat := h.FetchLatency(0x40); lat <= L1Latency {
-		t.Errorf("cold fetch latency %d", lat)
+	if stall := h.FetchStall(0x40, 4); stall <= 0 {
+		t.Errorf("cold fetch stall %d, want > 0", stall)
 	}
-	if lat := h.FetchLatency(0x40); lat != L1Latency {
-		t.Errorf("warm fetch latency %d", lat)
+	if stall := h.FetchStall(0x40, 4); stall != 0 {
+		t.Errorf("warm fetch stall %d, want 0", stall)
 	}
 }
 

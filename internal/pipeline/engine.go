@@ -32,7 +32,8 @@ const (
 
 // edyn is the per-dynamic-instruction state, in 32-bit fields so a run's
 // state packs 28 bytes per instruction. Stored flat and reused across
-// runs; every field is (re)initialized by prepare.
+// runs; every field is (re)initialized by prepare, and runPlaced, which
+// needs no prepare, sets all but readyAt and npred.
 type edyn struct {
 	lat      int32
 	issued   int32 // cycle issued, -1 before
@@ -64,12 +65,26 @@ type estatic struct {
 // preds[predOff[2j]:predOff[2j+1]] and loop-carried predecessors at
 // preds[predOff[2j+1]:predOff[2j+2]]; succOff/succs use the same layout for
 // the reverse edges.
+//
+// srcs restates the predecessors for placement (place.go): instruction j's
+// two source operands, each as a distance back from j's slot in a table of
+// completion cycles laid out by dynamic index after n zero slots, so a
+// loop-carried source in iteration 0 reads a zero slot. A mask of 0 marks
+// an operand with no producer. narrow reports that no instruction has more
+// than two predecessors, as BuildDepGraph guarantees.
 type flatDeps struct {
 	n       int
 	predOff []int32
 	preds   []int32
 	succOff []int32
 	succs   []int32
+	srcs    []placeSrcs
+	narrow  bool
+}
+
+type placeSrcs struct {
+	back [2]int32
+	mask [2]int32
 }
 
 func flatDepsOf(g *trace.DepGraph) *flatDeps {
@@ -96,6 +111,23 @@ func buildFlatDeps(g *trace.DepGraph) *flatDeps {
 		}
 	}
 	fd.predOff[2*n] = int32(len(fd.preds))
+
+	fd.srcs = make([]placeSrcs, n)
+	fd.narrow = true
+	for j := 0; j < n; j++ {
+		k := 0
+		for q := fd.predOff[2*j]; q < fd.predOff[2*j+2]; q, k = q+1, k+1 {
+			if k == 2 {
+				fd.narrow = false
+				break
+			}
+			back := int32(j) - fd.preds[q]
+			if q >= fd.predOff[2*j+1] {
+				back += int32(n)
+			}
+			fd.srcs[j].back[k], fd.srcs[j].mask[k] = back, -1
+		}
+	}
 
 	// Invert into successor lists, preserving multiplicity and, within each
 	// producer's list, consumer program order.
@@ -133,7 +165,8 @@ func buildFlatDeps(g *trace.DepGraph) *flatDeps {
 
 // Engine holds the reusable simulation scratch: dynamic-instruction state,
 // the per-static table, the in-order issue sequence, the ready bitmap, the
-// wakeup calendar, functional-unit occupancy, the issue-order sort buffer,
+// wakeup calendar, functional-unit occupancy, age-order placement's
+// per-dynamic cycles and occupancy ring, the issue-order sort buffer,
 // the request's resolved inputs, the key and entry encoding buffers of the
 // process-wide result memo (memo.go), and the last Result. A steady-state
 // Run allocates only when the memo's arena or index grows to store an
@@ -160,6 +193,15 @@ type Engine struct {
 	keyBuf  []byte
 	entBuf  []byte
 	memoHit bool
+
+	// Age-order placement's scratch (place.go): per-dynamic retire
+	// cycles, completion cycles in the layout flatDeps.srcs reads, and the
+	// occupancy ring; and whether the last simulated run was placed rather
+	// than run by runDataflow or runInOrder.
+	retire []int32
+	comp   []int32
+	occ    occRing
+	placed bool
 
 	// res is the last Run's Result; its IterEnd and IssueOrder are the
 	// buffers the next Run fills.
@@ -255,14 +297,16 @@ func (e *Engine) run(req Request, memoize bool) Result {
 	}
 
 	fd := flatDepsOf(req.Deps)
-	e.prepare(&req, fd)
-
 	*res = Result{IterEnd: resize(res.IterEnd, req.Iterations), IssueOrder: res.IssueOrder}
-	switch req.Policy {
-	case Dataflow:
-		e.runDataflow(&req, fd, res)
-	default:
-		e.runInOrder(&req, fd, res)
+	e.placed = req.Policy == Dataflow && e.runPlaced(&req, fd, res)
+	if !e.placed {
+		e.missNext = 0 // an aborted placement drew outcomes
+		e.prepare(&req, fd)
+		if req.Policy == Dataflow {
+			e.runDataflow(&req, fd, res)
+		} else {
+			e.runInOrder(&req, fd, res)
+		}
 	}
 	span := req.ProbeSpan
 	probe := (req.Iterations / 2 / span) * span
@@ -356,6 +400,23 @@ func (e *Engine) redirect(req *Request, it int, now, complete int32) int32 {
 	return gate
 }
 
+// prepareStatics builds the per-static table and reports whether every
+// class in it is pipelined.
+func (e *Engine) prepareStatics(req *Request, fd *flatDeps) (pipelined bool) {
+	e.statics = resize(e.statics, fd.n)
+	pipelined = true
+	for j, in := range req.Trace.Insts {
+		st := estatic{op: in.Op, unit: isa.UnitFor(in.Op), lat: int32(isa.Latency[in.Op]),
+			npred: fd.predOff[2*j+1] - fd.predOff[2*j], carried: fd.predOff[2*j+2] - fd.predOff[2*j+1]}
+		if !isa.Pipelined[in.Op] {
+			st.hold = st.lat
+			pipelined = false
+		}
+		e.statics[j] = st
+	}
+	return pipelined
+}
+
 // prepare sizes the scratch for the request and initializes the per-static
 // table and per-dynamic state: latencies (the resolved per-load latencies
 // in program order), predecessor counts, and issue state.
@@ -365,15 +426,7 @@ func (e *Engine) prepare(req *Request, fd *flatDeps) {
 	e.dyns = resize(e.dyns, n*iters)
 	e.iterGate = resize(e.iterGate, iters)
 	clear(e.iterGate)
-	e.statics = resize(e.statics, n)
-	for j, in := range req.Trace.Insts {
-		st := estatic{op: in.Op, unit: isa.UnitFor(in.Op), lat: int32(isa.Latency[in.Op]),
-			npred: fd.predOff[2*j+1] - fd.predOff[2*j], carried: fd.predOff[2*j+2] - fd.predOff[2*j+1]}
-		if !isa.Pipelined[in.Op] {
-			st.hold = st.lat
-		}
-		e.statics[j] = st
-	}
+	e.prepareStatics(req, fd)
 
 	loadSeq := 0
 	for it := 0; it < iters; it++ {

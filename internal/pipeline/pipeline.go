@@ -14,7 +14,9 @@
 //
 // The implementation (engine.go, events.go) is event-driven: wakeup lists
 // propagate readiness, a calendar queue holds future wakeups, and the main
-// loops jump over cycles in which nothing can happen. Results are
+// loops jump over cycles in which nothing can happen. A Dataflow request
+// over a trace whose units are all pipelined is not stepped at all: each
+// instruction is placed once, in age order (place.go). Results are
 // bit-identical to the original cycle-by-cycle engine, whose frozen copy
 // serves as the test oracle (reference_test.go).
 package pipeline
@@ -76,8 +78,9 @@ type Request struct {
 	// resolve takes the k-th outcome, so a callback that draws from an rng
 	// sees the same calls in the same order as if it were consulted at
 	// each resolution; on the workload suite's loops the k-th branch to
-	// resolve is iteration k's (DESIGN.md §9). If nil, no branch ever
-	// mispredicts.
+	// resolve is iteration k's (DESIGN.md §9). Age-order placement relies
+	// on that order and falls back to the dataflow loop when a younger
+	// branch resolves first. If nil, no branch ever mispredicts.
 	Mispredicts func(iter int) bool
 	// FetchGate returns extra cycles gating the start of iteration i
 	// (instruction-cache or Schedule-Cache miss stalls). May be nil.
