@@ -280,8 +280,9 @@ type costKey struct {
 type measurement struct {
 	cyclesPerIter float64
 	perIterEnergy energy.Breakdown
-	// rec is an OoO measurement's recording, and sched the schedule built
-	// from it the first time the producer judges it (see schedule).
+	// rec is the Mirage producer's recording of an OoO measurement, and
+	// sched the schedule built from it the first time the producer judges
+	// it (see schedule).
 	rec        ooo.Recording
 	sched      *trace.Schedule
 	squashRate float64
@@ -685,9 +686,15 @@ func (c *Cluster) measure(a *app, l *program.Loop, m mode, sched *trace.Schedule
 	pprof.SetGoroutineLabels(modeLabels[m])
 	switch m {
 	case modeOoO:
-		r := a.oooC.Measure(l.Trace, l.Deps, ws, iters)
+		// Only the Mirage producer records schedules; every other OoO
+		// measures the trace's cost alone.
+		var r ooo.Measurement
+		if c.cfg.Memoize {
+			r, ms.rec = a.oooC.Record(l.Trace, l.Deps, ws, iters)
+		} else {
+			r = a.oooC.Measure(l.Trace, l.Deps, ws, iters)
+		}
 		ms.cyclesPerIter = r.CyclesPerIter
-		ms.rec = r.Recording
 		ms.perIterEnergy = scaleBreakdown(energy.Compute(energy.KindOoO, r.Events), iters)
 	case modeOinO:
 		r := a.inoC.MeasureReplay(l.Trace, l.Deps, sched, ws, iters)

@@ -388,3 +388,66 @@ func TestBusContentionDelaysCoRunners(t *testing.T) {
 		t.Errorf("bus contention did not cost throughput: %v vs %v", contended, free)
 	}
 }
+
+// engineCounts returns how many measurements an ooo.Core or ino.Core made
+// and how many of them asked its pipeline engine for the probe (the
+// unexported Engine.measures and Engine.probes; reflection reads them, as
+// no package outside pipeline may).
+func engineCounts(core any) (measures, probes int64) {
+	eng := reflect.ValueOf(core).Elem().FieldByName("eng").Elem()
+	return eng.FieldByName("measures").Int(), eng.FieldByName("probes").Int()
+}
+
+// TestOnlyTheProducerProbes pins which measurements ask the pipeline engine
+// for the probe, the issue order a Recording keeps: every OoO measurement
+// of a Mirage cluster, whose producer records schedules, and nothing else —
+// no in-order or replay measurement, and no OoO measurement of a Homo-OoO
+// or traditional cluster.
+func TestOnlyTheProducerProbes(t *testing.T) {
+	mirage := small(apps("astar", "hmmer", "mcf"))
+	mirage.HasOoO = true
+	mirage.Memoize = true
+	mirage.Arbiter = arbiter.NewSCMPKI()
+
+	traditional := small(apps("hmmer", "bzip2", "mcf"))
+	traditional.HasOoO = true
+	traditional.NumOoO = 2
+	traditional.Arbiter = arbiter.NewMaxSTP()
+
+	homo := small(apps("hmmer", "mcf"))
+	homo.AllOoO = true
+
+	for _, c := range []struct {
+		name string
+		cfg  Config
+	}{{"mirage", mirage}, {"traditional", traditional}, {"homo-ooo", homo}} {
+		cl, err := New(c.cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Run(); err != nil {
+			t.Fatal(err)
+		}
+		var oooMeasures, oooProbes, inoMeasures, inoProbes int64
+		for _, a := range cl.apps {
+			m, p := engineCounts(a.oooC)
+			oooMeasures, oooProbes = oooMeasures+m, oooProbes+p
+			m, p = engineCounts(a.inoC)
+			inoMeasures, inoProbes = inoMeasures+m, inoProbes+p
+		}
+		wantOoO := int64(0)
+		if c.cfg.Memoize {
+			wantOoO = oooMeasures
+			if inoMeasures == 0 {
+				t.Errorf("%s: no in-order measurement to check", c.name)
+			}
+		}
+		if oooMeasures == 0 {
+			t.Errorf("%s: no OoO measurement to check", c.name)
+		}
+		if oooProbes != wantOoO || inoProbes != 0 {
+			t.Errorf("%s: %d of %d OoO and %d of %d in-order measurements probed, want %d and 0",
+				c.name, oooProbes, oooMeasures, inoProbes, inoMeasures, wantOoO)
+		}
+	}
+}

@@ -96,7 +96,7 @@ func oracleMemoization(b *program.Benchmark) (frac, perfRel float64) {
 			ci := ino.New(h, xrand.NewString("oracle-i:"+b.Name))
 			ws := walkersFor(l.Trace, "oracle:"+b.Name)
 			co.Measure(l.Trace, l.Deps, ws, 120) // warm caches
-			ro := co.Measure(l.Trace, l.Deps, ws, 12)
+			ro, rec := co.Record(l.Trace, l.Deps, ws, 12)
 
 			w := l.Weight * float64(l.Trace.Len())
 			wAll += w
@@ -106,7 +106,7 @@ func oracleMemoization(b *program.Benchmark) (frac, perfRel float64) {
 			memoizable := l.Trace.Stability > 0.5 && l.Trace.AliasRate <= 0.05
 			var sched *trace.Schedule
 			if memoizable {
-				sched = ro.Recording.Schedule()
+				sched = rec.Schedule()
 				memoizable = sched.Replayable()
 			}
 			var cpi float64

@@ -43,13 +43,26 @@ type Core struct {
 	// it is the process's, shared with every other core.
 	eng *pipeline.Engine
 
+	// The request's callbacks, bound once by New so that a measurement
+	// allocates none, and the inputs of the measurement in progress they
+	// read: its load latencies, fetch gates and mispredict rate.
+	loadLatency    func(int) int
+	mispredicts    func(int) bool
+	fetchGate      func(int) int
+	lats, gates    []int
+	mispredictRate float64
+
 	aud      *invariant.Auditor
 	audLabel string
 }
 
 // New builds an InO core.
 func New(h *mem.Hierarchy, rng *xrand.Rand) *Core {
-	return &Core{Mem: h, rng: rng, eng: pipeline.NewEngine()}
+	c := &Core{Mem: h, rng: rng, eng: pipeline.NewEngine()}
+	c.loadLatency = func(k int) int { return c.lats[k] }
+	c.mispredicts = func(int) bool { return c.rng.Bool(c.mispredictRate) }
+	c.fetchGate = func(it int) int { return c.gates[it] }
+	return c
 }
 
 // PublishTelemetry adds this core's measurement run totals to the
@@ -77,20 +90,27 @@ const SquashRefillCycles = isa.InOPipelineDepth
 // order at trace boundaries before the next trace block proceeds.
 const CommitOverheadCycles = 1.0
 
-// MeasureTrace simulates iters iterations of t in plain in-order mode.
+// MeasureTrace simulates iters iterations of t in plain in-order mode. On
+// a memo hit it allocates nothing.
+//
+// Neither measurement asks the engine for the probe: no caller reads an
+// in-order issue order.
 func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walker, iters int) Result {
-	loadLats, nLoads, nStores := c.Mem.LoadLatencies(t, walkers, iters)
-	fetchGates := c.Mem.FetchGates(t, iters)
+	var nLoads, nStores int
+	c.lats, nLoads, nStores = c.Mem.LoadLatencies(t, walkers, iters)
+	c.gates = c.Mem.FetchGates(t, iters)
+	c.mispredictRate = t.MispredictRate
 	req := pipeline.Request{
 		Trace:             t,
 		Deps:              deps,
 		Iterations:        iters,
 		Policy:            pipeline.ProgramOrder,
+		NoProbe:           true,
 		Width:             isa.IssueWidth,
 		MispredictPenalty: isa.InOPipelineDepth,
-		LoadLatency:       func(k int) int { return loadLats[k] },
-		Mispredicts:       func(int) bool { return c.rng.Bool(t.MispredictRate) },
-		FetchGate:         func(it int) int { return fetchGates[it] },
+		LoadLatency:       c.loadLatency,
+		Mispredicts:       c.mispredicts,
+		FetchGate:         c.fetchGate,
 		Audit:             c.aud,
 		AuditLabel:        c.audLabel,
 	}
@@ -124,7 +144,9 @@ func (c *Core) MeasureReplay(t *trace.Trace, deps *trace.DepGraph, sched *trace.
 		iters += span - rem
 	}
 	// No fetch gates: replayed trace blocks come from the on-core SC.
-	loadLats, nLoads, nStores := c.Mem.LoadLatencies(t, walkers, iters)
+	var nLoads, nStores int
+	c.lats, nLoads, nStores = c.Mem.LoadLatencies(t, walkers, iters)
+	c.mispredictRate = t.MispredictRate
 	req := pipeline.Request{
 		Trace:             t,
 		Deps:              deps,
@@ -132,13 +154,14 @@ func (c *Core) MeasureReplay(t *trace.Trace, deps *trace.DepGraph, sched *trace.
 		Policy:            pipeline.RecordedOrder,
 		Order:             sched.Order,
 		ProbeSpan:         span,
+		NoProbe:           true,
 		Width:             isa.IssueWidth,
 		MispredictPenalty: isa.InOPipelineDepth,
-		LoadLatency:       func(k int) int { return loadLats[k] },
+		LoadLatency:       c.loadLatency,
 		// A mispredicted trace-terminating branch redirects the front end
 		// like on any in-order core; only memory aliases abort the atomic
 		// trace (handled below).
-		Mispredicts: func(int) bool { return c.rng.Bool(t.MispredictRate) },
+		Mispredicts: c.mispredicts,
 		Audit:       c.aud,
 		AuditLabel:  c.audLabel,
 	}

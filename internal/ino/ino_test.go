@@ -153,3 +153,22 @@ func TestLoadLatencyUsesWalkers(t *testing.T) {
 			slow.CyclesPerIter, fast.CyclesPerIter)
 	}
 }
+
+// TestMeasureTraceAllocs: a memo-hit in-order measurement allocates
+// nothing; the request's callbacks are bound once per core.
+func TestMeasureTraceAllocs(t *testing.T) {
+	tr := blockedTrace(220)
+	g := trace.BuildDepGraph(tr)
+	_, c := cores("allocs")
+	for i := 0; i < 3; i++ { // the second sighting stores the result
+		c.MeasureTrace(tr, g, nil, 12)
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if c.MeasureTrace(tr, g, nil, 12); !c.eng.MemoHit() {
+			t.Fatal("a repeated measurement missed the memo")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a memo hit allocates %.0f/op, want 0", allocs)
+	}
+}

@@ -26,24 +26,21 @@ type Measurement struct {
 	CyclesPerIter float64
 	// IPC is instructions per cycle at steady state.
 	IPC float64
-	// Recording is the issue order of a steady block; its Schedule method
-	// builds the schedule the memoization hardware would store.
-	Recording Recording
 	// Events are the energy-model activity counts for the simulated span.
 	Events energy.Events
 }
 
-// Result is a Measurement with its schedule built.
+// Result is a Measurement with its recorded schedule built.
 type Result struct {
 	Measurement
 	// Schedule is the issue schedule extracted from a steady block.
 	Schedule *trace.Schedule
 }
 
-// Recording is what one OoO measurement records of a trace's issue
-// schedule: the issue order of a ScheduleSpan-iteration block, how many of
-// its instructions issued out of program order, and the steady cycles per
-// iteration. It is cheap to keep. The replay metadata (live register
+// Recording is what one recording OoO measurement (Record) takes of a
+// trace's issue schedule: the issue order of a ScheduleSpan-iteration
+// block, how many of its instructions issued out of program order, and the
+// steady cycles per iteration. It is cheap to keep. The replay metadata (live register
 // versions and memory order) is derived only by Schedule, as the paper's
 // OoO writes a schedule out only once its repeatability tables decide to
 // memoize the trace.
@@ -92,6 +89,15 @@ type Core struct {
 	// result memo behind it is the process's, shared with every other core.
 	eng *pipeline.Engine
 
+	// The request's callbacks, bound once by New so that a measurement
+	// allocates none, and the inputs of the measurement in progress they
+	// read: its load latencies, fetch gates and mispredict rate.
+	loadLatency    func(int) int
+	mispredicts    func(int) bool
+	fetchGate      func(int) int
+	lats, gates    []int
+	mispredictRate float64
+
 	aud      *invariant.Auditor
 	audLabel string
 }
@@ -99,7 +105,11 @@ type Core struct {
 // New builds an OoO core. The rng drives per-iteration stochastic events
 // (branch mispredictions, schedule variation draws).
 func New(h *mem.Hierarchy, rng *xrand.Rand) *Core {
-	return &Core{Mem: h, rng: rng, eng: pipeline.NewEngine()}
+	c := &Core{Mem: h, rng: rng, eng: pipeline.NewEngine()}
+	c.loadLatency = func(k int) int { return c.lats[k] }
+	c.mispredicts = func(int) bool { return c.rng.Bool(c.mispredictRate) }
+	c.fetchGate = func(it int) int { return c.gates[it] }
+	return c
 }
 
 // PublishTelemetry adds this core's measurement run totals to the
@@ -125,30 +135,48 @@ func (c *Core) AttachAudit(a *invariant.Auditor, label string) {
 const ScheduleSpan = 4
 
 // Measure simulates iters consecutive iterations of t on the OoO and
-// returns steady-state performance plus the recording of its issue
-// schedule. walkers supply the trace's memory address streams (one per
-// stream spec).
+// returns its steady-state performance and energy events: the cost of the
+// trace, without the probe. walkers supply the trace's memory address
+// streams (one per stream spec). Every OoO that does not record schedules
+// (Homo-OoO, a traditional cluster's cores) and every warm-up measurement
+// calls it; on a memo hit it allocates nothing.
 func (c *Core) Measure(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walker, iters int) Measurement {
-	res, nLoads, nStores := c.simulate(t, deps, walkers, iters)
-	cpi := res.SteadyCyclesPerIter()
-	m := Measurement{
-		CyclesPerIter: cpi,
-		// The Result's IssueOrder is the engine's buffer, refilled by its
-		// next Run; the recording outlives that, so it keeps a copy.
-		Recording: Recording{t: t, order: slices.Clone(res.IssueOrder), reordered: res.Reordered, cycles: int(cpi + 0.5)},
-		Events:    c.countEvents(t, &res, iters, nLoads, nStores),
-	}
-	if cpi > 0 {
-		m.IPC = float64(len(t.Insts)) / cpi
-	}
+	m, _ := c.measure(t, deps, walkers, iters, false)
 	return m
 }
 
+// Record is Measure plus the recording of the issue schedule, for the
+// callers that build schedules: the Mirage producer, which memoizes them,
+// and experiments that replay them. It makes the same draws as Measure and
+// returns the same Measurement.
+func (c *Core) Record(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walker, iters int) (Measurement, Recording) {
+	return c.measure(t, deps, walkers, iters, true)
+}
+
+// measure is Measure, and Record when record is set.
+func (c *Core) measure(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walker, iters int, record bool) (Measurement, Recording) {
+	res, nLoads, nStores := c.simulate(t, deps, walkers, iters, record)
+	cpi := res.SteadyCyclesPerIter()
+	m := Measurement{CyclesPerIter: cpi, Events: c.countEvents(t, &res, iters, nLoads, nStores)}
+	if cpi > 0 {
+		m.IPC = float64(len(t.Insts)) / cpi
+	}
+	var rec Recording
+	if record {
+		// The Result's IssueOrder is the engine's buffer, refilled by its
+		// next Run; the recording outlives that, so it keeps a copy.
+		rec = Recording{t: t, order: slices.Clone(res.IssueOrder), reordered: res.Reordered, cycles: int(cpi + 0.5)}
+	}
+	return m, rec
+}
+
 // simulate walks the trace's memory streams and runs the pipeline engine,
-// returning its result with the dynamic load and store counts.
-func (c *Core) simulate(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walker, iters int) (res pipeline.Result, nLoads, nStores int) {
-	loadLats, nLoads, nStores := c.Mem.LoadLatencies(t, walkers, iters)
-	fetchGates := c.Mem.FetchGates(t, iters)
+// asking for the probe when probe is set, and returns its result with the
+// dynamic load and store counts.
+func (c *Core) simulate(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walker, iters int, probe bool) (res pipeline.Result, nLoads, nStores int) {
+	c.lats, nLoads, nStores = c.Mem.LoadLatencies(t, walkers, iters)
+	c.gates = c.Mem.FetchGates(t, iters)
+	c.mispredictRate = t.MispredictRate
 
 	req := pipeline.Request{
 		Trace:             t,
@@ -158,21 +186,22 @@ func (c *Core) simulate(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Wal
 		Width:             isa.IssueWidth,
 		Window:            isa.ROBSize,
 		ProbeSpan:         ScheduleSpan,
+		NoProbe:           !probe,
 		MispredictPenalty: isa.OoOPipelineDepth,
-		LoadLatency:       func(k int) int { return loadLats[k] },
-		Mispredicts:       func(int) bool { return c.rng.Bool(t.MispredictRate) },
-		FetchGate:         func(it int) int { return fetchGates[it] },
+		LoadLatency:       c.loadLatency,
+		Mispredicts:       c.mispredicts,
+		FetchGate:         c.fetchGate,
 		Audit:             c.aud,
 		AuditLabel:        c.audLabel,
 	}
 	return c.eng.Run(req), nLoads, nStores
 }
 
-// MeasureTrace is Measure with the schedule built, for callers that replay
+// MeasureTrace is Record with the schedule built, for callers that replay
 // the schedule of every trace they measure.
 func (c *Core) MeasureTrace(t *trace.Trace, deps *trace.DepGraph, walkers []*mem.Walker, iters int) Result {
-	m := c.Measure(t, deps, walkers, iters)
-	return Result{Measurement: m, Schedule: m.Recording.Schedule()}
+	m, rec := c.Record(t, deps, walkers, iters)
+	return Result{Measurement: m, Schedule: rec.Schedule()}
 }
 
 func (c *Core) countEvents(t *trace.Trace, res *pipeline.Result, iters, nLoads, nStores int) energy.Events {

@@ -48,7 +48,8 @@ func TestMeasureTraceBasics(t *testing.T) {
 func TestScheduleValidAndSpanned(t *testing.T) {
 	tr := parallelTrace(101)
 	c := newCore("sched")
-	s := c.Measure(tr, trace.BuildDepGraph(tr), nil, 12).Recording.Schedule()
+	_, rec := c.Record(tr, trace.BuildDepGraph(tr), nil, 12)
+	s := rec.Schedule()
 	if s.Span != ScheduleSpan {
 		t.Errorf("schedule span %d, want %d", s.Span, ScheduleSpan)
 	}
@@ -76,13 +77,14 @@ func TestMemOrderCoversBlockMemOps(t *testing.T) {
 		}}
 	c := newCore("memorder")
 	ws := []*mem.Walker{mem.NewWalker(tr.Streams[0], xrand.New(5))}
-	s := c.Measure(tr, trace.BuildDepGraph(tr), ws, 12).Recording.Schedule()
+	_, rec := c.Record(tr, trace.BuildDepGraph(tr), ws, 12)
+	s := rec.Schedule()
 	if want := 2 * ScheduleSpan; len(s.MemOrder) != want {
 		t.Errorf("MemOrder has %d entries, want %d (2 mem ops x span)", len(s.MemOrder), want)
 	}
 }
 
-// extractSchedule is the eager schedule builder Measure replaced, kept as
+// extractSchedule is the eager schedule builder Record replaced, kept as
 // the oracle for Recording.Schedule: every OoO measurement used to build
 // the whole schedule, replay metadata included, from the pipeline result.
 func extractSchedule(t *trace.Trace, res *pipeline.Result) *trace.Schedule {
@@ -116,9 +118,9 @@ func suiteWalkers(tr *trace.Trace, seed string) []*mem.Walker {
 }
 
 // TestScheduleOnDemandMatchesEager builds each suite loop trace's schedule
-// from a Measure recording and checks it field by field against the eager
+// from a Record recording and checks it field by field against the eager
 // oracle run on a twin core: same seeds, same walkers, same pipeline
-// request, after a warm-up measurement on each.
+// request, after a cost-only warm-up measurement on each.
 func TestScheduleOnDemandMatchesEager(t *testing.T) {
 	n := 0
 	for _, b := range program.Suite() {
@@ -128,12 +130,12 @@ func TestScheduleOnDemandMatchesEager(t *testing.T) {
 				lazy, eager := newCore(seed), newCore(seed)
 				lws, ews := suiteWalkers(l.Trace, seed), suiteWalkers(l.Trace, seed)
 				lazy.Measure(l.Trace, l.Deps, lws, 20)
-				eager.simulate(l.Trace, l.Deps, ews, 20)
-				m := lazy.Measure(l.Trace, l.Deps, lws, 10)
-				res, _, _ := eager.simulate(l.Trace, l.Deps, ews, 10)
+				eager.simulate(l.Trace, l.Deps, ews, 20, false)
+				_, rec := lazy.Record(l.Trace, l.Deps, lws, 10)
+				res, _, _ := eager.simulate(l.Trace, l.Deps, ews, 10, true)
 				want := extractSchedule(l.Trace, &res)
 				want.RecordedCycles = int(res.SteadyCyclesPerIter() + 0.5)
-				got := m.Recording.Schedule()
+				got := rec.Schedule()
 				where := fmt.Sprintf("%s phase %d loop %d (trace %d)", b.Name, pi, li, l.Trace.ID)
 				switch {
 				case got.TraceID != want.TraceID:
@@ -317,5 +319,34 @@ func TestDeterministicMeasurement(t *testing.T) {
 	r2 := newCore("det").MeasureTrace(tr, g, nil, 12)
 	if r1.CyclesPerIter != r2.CyclesPerIter {
 		t.Errorf("measurement not deterministic: %v vs %v", r1.CyclesPerIter, r2.CyclesPerIter)
+	}
+}
+
+// TestMeasureAllocs pins a memo-hit measurement's allocations: the
+// cost-only Measure makes none, and Record only its Recording's copy of the
+// issue order. The request's callbacks are bound once per core.
+func TestMeasureAllocs(t *testing.T) {
+	tr := parallelTrace(120)
+	g := trace.BuildDepGraph(tr)
+	c := newCore("allocs")
+	for _, m := range []struct {
+		name   string
+		allocs float64
+		run    func()
+	}{
+		{"Measure", 0, func() { c.Measure(tr, g, nil, 12) }},
+		{"Record", 1, func() { c.Record(tr, g, nil, 12) }},
+	} {
+		for i := 0; i < 3; i++ { // the second sighting stores the result
+			m.run()
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			if m.run(); !c.eng.MemoHit() {
+				t.Fatalf("%s: a repeated measurement missed the memo", m.name)
+			}
+		})
+		if allocs != m.allocs {
+			t.Errorf("%s: a memo hit allocates %.0f/op, want %.0f", m.name, allocs, m.allocs)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"math/bits"
+	"sync/atomic"
 
 	"repro/internal/isa"
 	"repro/internal/memo"
@@ -44,8 +45,8 @@ type edyn struct {
 	iter     int32
 }
 
-// estatic is the per-static-instruction table prepare builds once per run,
-// so neither it nor the issue loops map a class to its pool or latency.
+// estatic is one instruction's entry in a trace's per-static table, so
+// neither prepare nor the issue loops map a class to its pool or latency.
 type estatic struct {
 	op      isa.Class
 	unit    isa.FU
@@ -72,6 +73,9 @@ type estatic struct {
 // loop-carried source in iteration 0 reads a zero slot. A mask of 0 marks
 // an operand with no producer. narrow reports that no instruction has more
 // than two predecessors, as BuildDepGraph guarantees.
+//
+// statics holds the per-static table of the trace last run over the graph
+// (staticsOf).
 type flatDeps struct {
 	n       int
 	predOff []int32
@@ -80,6 +84,16 @@ type flatDeps struct {
 	succs   []int32
 	srcs    []placeSrcs
 	narrow  bool
+	statics atomic.Pointer[staticTable]
+}
+
+// staticTable is a trace's per-static table over its dependence graph,
+// and whether every class in it is pipelined. Built once, it is only read,
+// by every engine that runs the trace.
+type staticTable struct {
+	trace     *trace.Trace
+	insts     []estatic
+	pipelined bool
 }
 
 type placeSrcs struct {
@@ -164,17 +178,17 @@ func buildFlatDeps(g *trace.DepGraph) *flatDeps {
 }
 
 // Engine holds the reusable simulation scratch: dynamic-instruction state,
-// the per-static table, the in-order issue sequence, the ready bitmap, the
-// wakeup calendar, functional-unit occupancy, age-order placement's
-// per-dynamic cycles and occupancy ring, the issue-order sort buffer,
-// the request's resolved inputs, the key and entry encoding buffers of the
-// process-wide result memo (memo.go), and the last Result. A steady-state
-// Run allocates only when the memo's arena or index grows to store an
-// entry; a memo hit allocates nothing. An Engine is not safe for concurrent
-// use; each worker owns one.
+// the in-order issue sequence, the ready bitmap, the wakeup calendar,
+// functional-unit occupancy, age-order placement's per-dynamic cycles and
+// occupancy ring, the issue-order sort buffer, the request's resolved
+// inputs, the key and entry encoding buffers of the process-wide result
+// memo (memo.go), and the last Result. A steady-state Run allocates only
+// when the memo's arena or index grows to store an entry, or the first
+// time a trace runs, to build its per-static table; a memo hit allocates
+// nothing. An Engine is not safe for concurrent use; each worker owns one.
 type Engine struct {
 	dyns     []edyn
-	statics  []estatic
+	statics  []estatic // the request's per-static table, shared: read only
 	iterGate []int32
 	seq      []int32 // the in-order loop's issue sequence of dyns indexes
 	ready    readySet
@@ -211,6 +225,10 @@ type Engine struct {
 	measures, memoHits             int64
 	measuredCycles                 int64
 	stallData, stallFU, stallFetch int64
+	// probes counts the Run calls that asked for the probe, memo hits
+	// included. It is not published: tests read it to pin which callers
+	// probe.
+	probes int64
 }
 
 // NewEngine returns an engine with empty scratch; buffers grow to fit the
@@ -227,6 +245,9 @@ func NewEngine() *Engine { return &Engine{} }
 func (e *Engine) Run(req Request) Result {
 	res := e.run(req, true)
 	e.measures++
+	if !req.NoProbe {
+		e.probes++
+	}
 	if e.memoHit {
 		e.memoHits++
 	}
@@ -297,8 +318,10 @@ func (e *Engine) run(req Request, memoize bool) Result {
 	}
 
 	fd := flatDepsOf(req.Deps)
-	*res = Result{IterEnd: resize(res.IterEnd, req.Iterations), IssueOrder: res.IssueOrder}
-	e.placed = req.Policy == Dataflow && e.runPlaced(&req, fd, res)
+	tab := fd.staticsOf(req.Trace)
+	e.statics = tab.insts
+	*res = Result{IterEnd: resize(res.IterEnd, req.Iterations), IssueOrder: res.IssueOrder[:0]}
+	e.placed = req.Policy == Dataflow && fd.narrow && tab.pipelined && e.runPlaced(&req, fd, res)
 	if !e.placed {
 		e.missNext = 0 // an aborted placement drew outcomes
 		e.prepare(&req, fd)
@@ -308,12 +331,14 @@ func (e *Engine) run(req Request, memoize bool) Result {
 			e.runInOrder(&req, fd, res)
 		}
 	}
-	span := req.ProbeSpan
-	probe := (req.Iterations / 2 / span) * span
-	if probe+span > req.Iterations {
-		probe = req.Iterations - span
+	if !req.NoProbe {
+		span := req.ProbeSpan
+		probe := (req.Iterations / 2 / span) * span
+		if probe+span > req.Iterations {
+			probe = req.Iterations - span
+		}
+		e.extractProbe(probe*n, (probe+span)*n, res)
 	}
-	e.extractProbe(probe*n, (probe+span)*n, res)
 	if req.Audit != nil {
 		e.audit(&req, fd, res)
 	}
@@ -353,8 +378,8 @@ func (e *Engine) resolve(req *Request) {
 	}
 	iters := req.Iterations
 	loads, _ := req.Trace.NumMemOps()
-	e.lats = e.lats[:0]
-	for k := 0; k < loads*iters; k++ {
+	e.lats = resize(e.lats, loads*iters)
+	for k := range e.lats {
 		lat := isa.Latency[isa.Load]
 		if req.LoadLatency != nil {
 			lat = req.LoadLatency(k)
@@ -362,7 +387,7 @@ func (e *Engine) resolve(req *Request) {
 		if lat < 1 || lat > maxInput {
 			panic("pipeline: load latency out of range")
 		}
-		e.lats = append(e.lats, lat)
+		e.lats[k] = lat
 	}
 	e.miss = e.miss[:0]
 	for it := 0; it+1 < iters; it++ {
@@ -400,33 +425,38 @@ func (e *Engine) redirect(req *Request, it int, now, complete int32) int32 {
 	return gate
 }
 
-// prepareStatics builds the per-static table and reports whether every
-// class in it is pipelined.
-func (e *Engine) prepareStatics(req *Request, fd *flatDeps) (pipelined bool) {
-	e.statics = resize(e.statics, fd.n)
-	pipelined = true
-	for j, in := range req.Trace.Insts {
+// staticsOf returns t's per-static table over the graph, building it the
+// first time t runs over it. The simulator runs a graph only with the
+// trace it was built from; a request that pairs it with another trace
+// rebuilds the table. Concurrent first runs may each build one; they are
+// equal, and one stays.
+func (fd *flatDeps) staticsOf(t *trace.Trace) *staticTable {
+	if tab := fd.statics.Load(); tab != nil && tab.trace == t {
+		return tab
+	}
+	tab := &staticTable{trace: t, insts: make([]estatic, fd.n), pipelined: true}
+	for j, in := range t.Insts {
 		st := estatic{op: in.Op, unit: isa.UnitFor(in.Op), lat: int32(isa.Latency[in.Op]),
 			npred: fd.predOff[2*j+1] - fd.predOff[2*j], carried: fd.predOff[2*j+2] - fd.predOff[2*j+1]}
 		if !isa.Pipelined[in.Op] {
 			st.hold = st.lat
-			pipelined = false
+			tab.pipelined = false
 		}
-		e.statics[j] = st
+		tab.insts[j] = st
 	}
-	return pipelined
+	fd.statics.Store(tab)
+	return tab
 }
 
-// prepare sizes the scratch for the request and initializes the per-static
-// table and per-dynamic state: latencies (the resolved per-load latencies
-// in program order), predecessor counts, and issue state.
+// prepare sizes the scratch for the request and initializes the
+// per-dynamic state: latencies (the resolved per-load latencies in program
+// order), predecessor counts, and issue state.
 func (e *Engine) prepare(req *Request, fd *flatDeps) {
 	n := fd.n
 	iters := req.Iterations
 	e.dyns = resize(e.dyns, n*iters)
 	e.iterGate = resize(e.iterGate, iters)
 	clear(e.iterGate)
-	e.prepareStatics(req, fd)
 
 	loadSeq := 0
 	for it := 0; it < iters; it++ {

@@ -289,16 +289,30 @@ func everyClassTrace(seed uint64) *trace.Trace {
 	return t
 }
 
+// sameAsReference reports whether got, the result of a request with the
+// given NoProbe, equals the reference engine's want field for field. An
+// unprobed result must instead have an empty IssueOrder and Reordered 0.
+func sameAsReference(got, want Result, noProbe bool) bool {
+	if noProbe {
+		if len(got.IssueOrder) != 0 || got.Reordered != 0 {
+			return false
+		}
+		got.IssueOrder, got.Reordered = want.IssueOrder, want.Reordered
+	}
+	return reflect.DeepEqual(got, want)
+}
+
 // FuzzEngineMatchesReference compares random requests over everyClassTrace
 // traces field for field against the frozen reference engine, on a fresh
 // Engine and on one reused (memo included) across inputs: every policy,
-// width, window, probe span, fetch-gate and mispredict pattern.
+// width, window, probe span, fetch-gate and mispredict pattern, probed or
+// not (sameAsReference).
 func FuzzEngineMatchesReference(f *testing.F) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		f.Add(seed, uint8(seed%3), uint8(seed), uint8(seed*5), uint8(seed), uint8(seed*3), uint8(seed*7), uint8(seed))
+		f.Add(seed, uint8(seed%3), uint8(seed), uint8(seed*5), uint8(seed), uint8(seed*3), uint8(seed*7), uint8(seed), seed%2 == 0)
 	}
 	reused := NewEngine()
-	f.Fuzz(func(t *testing.T, seed uint64, policy, width, window, span, iters, penalty, pattern uint8) {
+	f.Fuzz(func(t *testing.T, seed uint64, policy, width, window, span, iters, penalty, pattern uint8, noProbe bool) {
 		tr := everyClassTrace(seed)
 		deps := trace.BuildDepGraph(tr)
 		n := int(iters%12) + 1
@@ -311,7 +325,7 @@ func FuzzEngineMatchesReference(f *testing.F) {
 		}
 		mk := func() Request {
 			req := Request{
-				Trace: tr, Deps: deps, Iterations: n, Policy: pol, Order: order, ProbeSpan: sp,
+				Trace: tr, Deps: deps, Iterations: n, Policy: pol, Order: order, ProbeSpan: sp, NoProbe: noProbe,
 				Width: int(width%4) + 1, Window: 1 << (window % 8), MispredictPenalty: int(penalty % 24),
 			}
 			if pattern&1 != 0 {
@@ -326,11 +340,12 @@ func FuzzEngineMatchesReference(f *testing.F) {
 			return req
 		}
 		want := referenceRun(mk())
-		if got := simulate(mk()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("fresh engine diverged from reference\n got: %+v\nwant: %+v", got, want)
+		if got := simulate(mk()); !sameAsReference(got, want, noProbe) {
+			t.Fatalf("fresh engine (no probe %v) diverged from reference\n got: %+v\nwant: %+v", noProbe, got, want)
 		}
-		if got := reused.Run(mk()); !reflect.DeepEqual(got, want) {
-			t.Fatalf("reused engine (memo hit %v) diverged from reference\n got: %+v\nwant: %+v", reused.MemoHit(), got, want)
+		if got := reused.Run(mk()); !sameAsReference(got, want, noProbe) {
+			t.Fatalf("reused engine (no probe %v, memo hit %v) diverged from reference\n got: %+v\nwant: %+v",
+				noProbe, reused.MemoHit(), got, want)
 		}
 	})
 }

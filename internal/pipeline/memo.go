@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math/bits"
 	"reflect"
+	"slices"
 
 	"repro/internal/memo"
 	"repro/internal/trace"
@@ -24,8 +25,9 @@ import (
 // encoded Result. Load latencies and fetch gates are run-length coded, the recorded
 // order is stored as offsets from position, and IssueOrder as offsets from
 // the identity (from the recorded order under RecordedOrder), bit-packed
-// under Dataflow and run-length coded otherwise. A hit decodes into the
-// engine's result buffers, so on an owned Engine it allocates nothing.
+// under Dataflow and run-length coded otherwise. Only a probed request's
+// entry carries an IssueOrder. A hit decodes into the engine's result
+// buffers, so on an owned Engine it allocates nothing.
 
 const (
 	// memoSeenBuckets shapes the first-sighting filter: 8192 × 8 × 4 bytes
@@ -33,12 +35,20 @@ const (
 	// the memo had before were, so <core>.memo_hits did not move.
 	memoSeenBuckets = 8192
 	// memoBudget bounds the memo's charged bytes: the smallest quarter MiB
-	// that holds a bench-scale Figure 7/8/9b sweep's entries, 18,570 of
-	// them charged 3,871,040 bytes (3.69 MiB).
+	// that held a bench-scale Figure 7/8/9b sweep's entries when every
+	// request stored an issue order, 18,570 of them charged 3,871,040
+	// bytes (3.69 MiB). With only recording measurements probing, the
+	// sweep stores 19,093 entries charged 3,314,336 bytes (3.16 MiB); the
+	// headroom serves cold streams of distinct runs.
 	memoBudget = 15 << 18
 )
 
 var results = memo.New[memoOwner](memoBudget, memoSeenBuckets)
+
+// noProbeKey marks an unprobed request in the policy byte of its key.
+// Policies are small, so the bit is free and leaves a probed request's key
+// bytes as they are.
+const noProbeKey = 0x80
 
 // MemoStats returns the result memo's current entries and charged bytes.
 func MemoStats() (entries, bytes int) { return results.Stats() }
@@ -52,18 +62,22 @@ type memoOwner struct {
 }
 
 // memoKeyOf encodes the normalized request's inputs into e.keyBuf and
-// returns their hash: the six fixed fields (policy, iterations, width,
-// window, probe span, penalty), the recorded order as offsets from
-// position, the resolved load latencies run-length coded, the branch
-// outcomes as bits, and the fetch gates run-length coded. The trace (the
-// owner) and the fixed fields determine every section's length, so equal
-// bytes under one owner mean equal inputs. A request with a FetchGate
-// encodes a gate per iteration, zeros included, and one without encodes
-// none: even zero gates hold the next iteration's dispatch until the branch
-// issues, so the two must not match, and the last section's emptiness
-// tells them apart.
+// returns their hash: the six fixed fields (policy with noProbeKey for an
+// unprobed request, iterations, width, window, probe span, penalty), the
+// recorded order as offsets from position, the resolved load latencies
+// run-length coded, the branch outcomes as bits, and the fetch gates
+// run-length coded. The trace (the owner) and the fixed fields determine
+// every section's length, so equal bytes under one owner mean equal
+// inputs. A request with a FetchGate encodes a gate per iteration, zeros
+// included, and one without encodes none: even zero gates hold the next
+// iteration's dispatch until the branch issues, so the two must not match,
+// and the last section's emptiness tells them apart.
 func (e *Engine) memoKeyOf(req *Request) uint64 {
-	b := append(e.keyBuf[:0], byte(req.Policy))
+	pol := byte(req.Policy)
+	if req.NoProbe {
+		pol |= noProbeKey
+	}
+	b := append(e.keyBuf[:0], pol)
 	for _, v := range [...]int{req.Iterations, req.Width, req.Window, req.ProbeSpan, req.MispredictPenalty} {
 		b = binary.AppendVarint(b, int64(v))
 	}
@@ -136,11 +150,11 @@ func orderBase(req *Request, k int) int64 {
 }
 
 // appendResult encodes res: the scalar fields as varints, IterEnd's length
-// and deltas, and IssueOrder's length and then its offsets from orderBase,
-// bit-packed under Dataflow and run-length coded otherwise. An OoO order
-// moves almost every instruction, by a few places, so its runs are about
-// one long; an in-order one is the identity or its recorded order save a
-// few places, moved far.
+// and deltas, and for a probed request IssueOrder's length and then its
+// offsets from orderBase, bit-packed under Dataflow and run-length coded
+// otherwise. An OoO order moves almost every instruction, by a few places,
+// so its runs are about one long; an in-order one is the identity or its
+// recorded order save a few places, moved far.
 func appendResult(b []byte, req *Request, res *Result) []byte {
 	for _, v := range [...]int{res.Cycles, res.Reordered, res.Issued, res.LoadStallCycles,
 		res.StallDataCycles, res.StallFUCycles, res.StallFetchCycles} {
@@ -154,6 +168,9 @@ func appendResult(b []byte, req *Request, res *Result) []byte {
 	for _, v := range res.IterEnd {
 		b = binary.AppendVarint(b, int64(v-prev))
 		prev = v
+	}
+	if req.NoProbe {
+		return b
 	}
 	b = binary.AppendUvarint(b, uint64(len(res.IssueOrder)))
 	if req.Policy == Dataflow {
@@ -242,6 +259,10 @@ func decodeResult(ent []byte, req *Request, res *Result) {
 		prev += int(r.Varint())
 		res.IterEnd[i] = prev
 	}
+	if req.NoProbe {
+		res.IssueOrder = res.IssueOrder[:0]
+		return
+	}
 	res.IssueOrder = resize(res.IssueOrder, int(r.Uvarint()))
 	if req.Policy == Dataflow {
 		packedOrder(&r, res.IssueOrder)
@@ -258,13 +279,17 @@ func decodeResult(ent []byte, req *Request, res *Result) {
 
 // auditMemo checks, under -audit, that a memoized result equals a fresh
 // simulation of the same inputs, and reports whether it does: a stale or
-// corrupted entry would otherwise be served to every later repeat.
+// corrupted entry would otherwise be served to every later repeat. An
+// unprobed result's empty IssueOrder may be nil or not.
 func (e *Engine) auditMemo(req *Request, stored, fresh *Result) bool {
 	where := req.AuditLabel
 	if where == "" {
 		where = "pipeline"
 	}
-	same := reflect.DeepEqual(*stored, *fresh)
+	s, f := *stored, *fresh
+	same := slices.Equal(s.IssueOrder, f.IssueOrder)
+	s.IssueOrder, f.IssueOrder = nil, nil
+	same = same && reflect.DeepEqual(s, f)
 	req.Audit.Checkf(same, "pipeline.memo", where,
 		"memoized result for trace %d differs from a fresh simulation: cycles %d, want %d",
 		req.Trace.ID, stored.Cycles, fresh.Cycles)

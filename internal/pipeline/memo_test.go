@@ -166,10 +166,12 @@ func TestMemoComparesInputs(t *testing.T) {
 // distinct results than it holds clears the memo instead of growing it
 // (the table's own tests check the charge against any budget). 3.75 MiB
 // was re-derived when the memo moved from 64 separately budgeted shards to
-// one table: a bench-scale Figure 7/8/9b sweep stores 18,570 entries,
-// charged 3,871,040 bytes (TestWarmSweepFitsMemo logs it), and 3.75 MiB is
-// the smallest quarter MiB that holds them. The 5 MiB it replaced was the
-// smallest whose 80 KiB per-shard share held the sweep's largest shard.
+// one table: a bench-scale Figure 7/8/9b sweep stored 18,570 entries,
+// charged 3,871,040 bytes, and 3.75 MiB is the smallest quarter MiB that
+// holds them. Since only recording measurements store an issue order, the
+// sweep stores 19,093 entries charged 3,314,336 bytes (TestWarmSweepFitsMemo
+// logs it), and the budget is kept. The 5 MiB it replaced was the smallest
+// whose 80 KiB per-shard share held the sweep's largest shard.
 func TestMemoBounded(t *testing.T) {
 	if memoBudget != 15<<18 {
 		t.Fatalf("memoBudget %d: the measured memory bound assumes 3.75 MiB", memoBudget)
@@ -349,26 +351,33 @@ const (
 // Result for a random request — a real simulation's and a random one,
 // IssueOrder bit-packed under Dataflow and run-length coded against the
 // request's recorded order or the identity otherwise — gives back the same
-// Result.
+// Result. An unprobed request's entry carries no order: its result decodes
+// with an empty IssueOrder, and an order in the Result is not encoded.
 func FuzzMemoEntry(f *testing.F) {
 	for _, s := range []uint64{1, 7, 42, 1 << 40} {
-		f.Add(s, s^0x9e3779b9, byte(s))
+		f.Add(s, s^0x9e3779b9, byte(s), s == 7)
 	}
 	dataflow := uint64(1)
 	for randomRequest(dataflow)().Policy != Dataflow {
 		dataflow++
 	}
 	for shape := byte(0); shape < orderShapes; shape++ {
-		f.Add(dataflow, uint64(shape), shape)
+		f.Add(dataflow, uint64(shape), shape, false)
 	}
-	f.Fuzz(func(t *testing.T, reqSeed, resSeed uint64, shape byte) {
+	f.Add(dataflow, uint64(orderShapes), byte(orderPermuted), true)
+	f.Fuzz(func(t *testing.T, reqSeed, resSeed uint64, shape byte, noProbe bool) {
 		req := randomRequest(reqSeed)()
+		req.NoProbe = noProbe
 		check := func(what string, res Result) {
 			b := appendResult(nil, &req, &res)
 			// Decode into buffers holding stale values, as an engine's do.
 			got := Result{Cycles: 1, Reordered: 1, IterEnd: []int{7, 7, 7}, IssueOrder: []uint16{7, 7, 7, 7}}
 			got.FUBusy[0] = 1
-			if decodeResult(b, &req, &got); !reflect.DeepEqual(got, res) {
+			decodeResult(b, &req, &got)
+			if noProbe && len(got.IssueOrder) == 0 {
+				got.IssueOrder = res.IssueOrder // empty too, nil or not
+			}
+			if !reflect.DeepEqual(got, res) {
 				t.Fatalf("%s: round trip of %+v gave %+v", what, res, got)
 			}
 		}
@@ -386,8 +395,77 @@ func FuzzMemoEntry(f *testing.F) {
 			res.IterEnd[i] = num()
 		}
 		res.IssueOrder = randomOrder(rng, &req, shape%orderShapes)
+		if noProbe {
+			b := appendResult(nil, &req, &res)
+			res.IssueOrder = nil
+			if !slices.Equal(b, appendResult(nil, &req, &res)) {
+				t.Fatalf("an unprobed request's entry encodes its IssueOrder")
+			}
+		}
 		check(fmt.Sprintf("random, shape %d", shape%orderShapes), res)
 	})
+}
+
+// TestProbeOptOutKeysApart stores one request's result in the memo, probed
+// or not, and then runs the same inputs with the other setting: it must
+// simulate, as its key differs, and return its own kind of result, then
+// store and hit its own entry, while the first entry goes on answering the
+// first setting. Every policy, in both orders, on fresh engines and on one
+// reused engine, which counts the probed runs, hits included.
+func TestProbeOptOutKeysApart(t *testing.T) {
+	tr := randomTrace(77)
+	deps := trace.BuildDepGraph(tr)
+	order := recordedOrderFor(tr, 2)
+	for _, pol := range []Policy{Dataflow, ProgramOrder, RecordedOrder} {
+		mk := func(noProbe bool) Request {
+			req := Request{
+				Trace: tr, Deps: deps, Iterations: 8, Policy: pol, ProbeSpan: 2, NoProbe: noProbe,
+				Width: 3, Window: 64, MispredictPenalty: 9,
+				LoadLatency: func(k int) int { return 2 + 15*(k%3) },
+				Mispredicts: func(it int) bool { return it == 2 },
+				FetchGate:   func(it int) int { return it % 2 },
+			}
+			if pol == RecordedOrder {
+				req.Order = order
+			}
+			return req
+		}
+		want := referenceRun(mk(false))
+		for _, first := range []bool{false, true} {
+			for _, reuse := range []bool{false, true} {
+				memo.Reset()
+				reused := NewEngine()
+				probed := int64(0)
+				for pass, noProbe := range []bool{first, !first, first} {
+					for i := 1; i <= 3; i++ {
+						e := reused
+						if !reuse {
+							e = NewEngine()
+						}
+						got := e.Run(mk(noProbe))
+						if !noProbe {
+							probed++
+						}
+						where := fmt.Sprintf("policy %d, first no probe %v, reused %v: pass %d (no probe %v) run %d",
+							pol, first, reuse, pass+1, noProbe, i)
+						// Each setting stores its entry on its second sighting
+						// and hits from its third; the first setting's entry
+						// answers the third pass.
+						if wantHit := i == 3 || pass == 2; e.MemoHit() != wantHit {
+							t.Errorf("%s: hit=%v, want %v", where, e.MemoHit(), wantHit)
+						}
+						if !sameAsReference(got, want, noProbe) {
+							t.Errorf("%s: got %+v, reference %+v", where, got, want)
+						}
+					}
+				}
+				if reuse && reused.probes != probed {
+					t.Errorf("policy %d, first no probe %v: the engine counted %d probed runs, want %d",
+						pol, first, reused.probes, probed)
+				}
+			}
+		}
+	}
 }
 
 // randomOrder draws an IssueOrder of the given shape for req.

@@ -59,6 +59,12 @@ type Request struct {
 	// cross-iteration overlap, which in-order replay needs (see
 	// ooo.ScheduleSpan). Defaults to 1.
 	ProbeSpan int
+	// NoProbe skips the probe: the Result's IssueOrder is empty and
+	// Reordered is 0, and every other field is what a probed run returns.
+	// Only a caller that records a schedule reads the probe (the paper's
+	// OoO records one only once it decides to memoize a trace), so every
+	// other caller sets NoProbe; its memo entries then carry no order.
+	NoProbe bool
 
 	Width  int
 	Window int // ROB capacity; used by Dataflow only
@@ -104,10 +110,10 @@ type Result struct {
 	// IssueOrder is the issue order observed for the probe block (ProbeSpan
 	// iterations out of the middle of the run). Entries index into the
 	// block: value it*len(Trace.Insts)+j is instruction j of the block's
-	// it-th iteration.
+	// it-th iteration. It is empty when the request set NoProbe.
 	IssueOrder []uint16
 	// Reordered counts probe-block instructions issued before an older
-	// instruction of the same block.
+	// instruction of the same block; 0 when the request set NoProbe.
 	Reordered int
 	// Issued is the total number of instructions issued.
 	Issued int

@@ -32,9 +32,15 @@ import "repro/internal/isa"
 const maxPlaceSpan = 1 << 16
 
 // An occupancy word counts one cycle's issues in its low 4 bits and pool
-// u's claims in the 4 bits at occPoolShift*(u+1). No cycle issues more than
-// the pools' total of units (6), so neither field can carry into the next.
-const occPoolShift = 4
+// u's claims in the 4 bits at occPoolShift*(u+1). The claim test adds a
+// bias to the word that takes a field to occFieldTop exactly when its
+// count reaches its limit, the width or the pool's units, capped at
+// occFieldTop. No cycle issues more than the pools' total of units (6,
+// at most occFieldTop), so no field, biased or not, carries into the next.
+const (
+	occPoolShift = 4
+	occFieldTop  = 1 << (occPoolShift - 1)
+)
 
 // occRing holds the occupancy words of the len(words) cycles from the
 // stall sweep's fin on, the word of cycle c at c&mask. Every other word is
@@ -111,13 +117,11 @@ func (e *Engine) advance(s *stallSweep, to int32, placed, n int) {
 // runPlaced simulates a Dataflow request by age-order placement and
 // reports true, or reports false, leaving res untouched but some
 // mispredict outcomes drawn, when the request is outside placement's
-// domain. It needs only the per-static table of prepare: it sets every
-// edyn field the audit and the result read (lat, issued, complete, static,
-// iter) as it places.
+// domain. The caller checks the static domain: a narrow graph and a
+// per-static table whose classes are all pipelined. It needs no prepare:
+// it sets every edyn field the audit and the result read (lat, issued,
+// complete, static, iter) as it places.
 func (e *Engine) runPlaced(req *Request, fd *flatDeps, res *Result) bool {
-	if !fd.narrow || !e.prepareStatics(req, fd) {
-		return false
-	}
 	n := fd.n
 	iters := req.Iterations
 	total := n * iters
@@ -136,6 +140,17 @@ func (e *Engine) runPlaced(req *Request, fd *flatDeps, res *Result) bool {
 	occ := &e.occ
 	if occ.words == nil {
 		occ.words, occ.mask = make([]uint32, 256), 255
+	}
+	words, mask := occ.words, occ.mask
+	// A claim on pool u adds claim[u] to its cycle's word, and fits when
+	// the word plus bias[u] sets neither top bit of full[u].
+	var claim, bias, full [isa.NumFUs]uint32
+	widthBias := uint32(occFieldTop - min(width, occFieldTop))
+	for u := range claim {
+		sh := occPoolShift * (uint32(u) + 1)
+		claim[u] = 1 + 1<<sh
+		bias[u] = widthBias + uint32(occFieldTop-isa.FUCount[u])<<sh
+		full[u] = occFieldTop + occFieldTop<<sh
 	}
 
 	var sweep stallSweep
@@ -184,16 +199,17 @@ func (e *Engine) runPlaced(req *Request, fd *flatDeps, res *Result) bool {
 			// completion with a width slot and a unit of the pool free.
 			src, k := &srcs[j], int32(n+idx)
 			c = max(c, comp[k-src.back[0]]&src.mask[0], comp[k-src.back[1]]&src.mask[1])
-			sh := occPoolShift * (uint32(st.unit) + 1)
-			units := uint32(isa.FUCount[st.unit])
+			u := st.unit
 			for {
-				if c-sweep.fin > occ.mask && !occ.grow(sweep.fin, c) {
-					clear(occ.words)
-					return false
+				if c-sweep.fin > mask {
+					if !occ.grow(sweep.fin, c) {
+						clear(occ.words)
+						return false
+					}
+					words, mask = occ.words, occ.mask
 				}
-				w := occ.words[c&occ.mask]
-				if int(w&(1<<occPoolShift-1)) < width && w>>sh&(1<<occPoolShift-1) < units {
-					occ.words[c&occ.mask] = w + 1 + 1<<sh
+				if w := words[c&mask]; (w+bias[u])&full[u] == 0 {
+					words[c&mask] = w + claim[u]
 					break
 				}
 				c++

@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/isa"
@@ -27,15 +28,15 @@ func pipelinedTrace(seed uint64) *trace.Trace {
 // checkPlacement runs one Dataflow request over a divide-free trace, which
 // runPlaced serves unless a younger branch resolves first, through a fresh
 // Engine and through reused, and compares both with the frozen reference
-// engine field for field.
-func checkPlacement(t *testing.T, reused *Engine, seed uint64, width, window, span, iters, penalty, pattern uint8) {
+// engine field for field (sameAsReference).
+func checkPlacement(t *testing.T, reused *Engine, seed uint64, width, window, span, iters, penalty, pattern uint8, noProbe bool) {
 	t.Helper()
 	tr := pipelinedTrace(seed)
 	deps := trace.BuildDepGraph(tr)
 	n := int(iters%12) + 1
 	mk := func() Request {
 		req := Request{
-			Trace: tr, Deps: deps, Iterations: n, Policy: Dataflow, ProbeSpan: min(int(span%4)+1, n),
+			Trace: tr, Deps: deps, Iterations: n, Policy: Dataflow, ProbeSpan: min(int(span%4)+1, n), NoProbe: noProbe,
 			Width: int(width%4) + 1, Window: 1 << (window % 8), MispredictPenalty: int(penalty % 24),
 		}
 		if pattern&1 != 0 {
@@ -50,30 +51,32 @@ func checkPlacement(t *testing.T, reused *Engine, seed uint64, width, window, sp
 		return req
 	}
 	want := referenceRun(mk())
-	if got := simulate(mk()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("seed %d: fresh engine diverged from reference\n got: %+v\nwant: %+v", seed, got, want)
+	if got := simulate(mk()); !sameAsReference(got, want, noProbe) {
+		t.Fatalf("seed %d: fresh engine (no probe %v) diverged from reference\n got: %+v\nwant: %+v", seed, noProbe, got, want)
 	}
-	if got := reused.Run(mk()); !reflect.DeepEqual(got, want) {
-		t.Fatalf("seed %d: reused engine (memo hit %v, placed %v) diverged from reference\n got: %+v\nwant: %+v",
-			seed, reused.MemoHit(), reused.placed, got, want)
+	if got := reused.Run(mk()); !sameAsReference(got, want, noProbe) {
+		t.Fatalf("seed %d: reused engine (no probe %v, memo hit %v, placed %v) diverged from reference\n got: %+v\nwant: %+v",
+			seed, noProbe, reused.MemoHit(), reused.placed, got, want)
 	}
 }
 
 // FuzzPlacementMatchesReference runs checkPlacement on fuzzed inputs: every
-// width, window, probe span, fetch-gate and mispredict pattern.
+// width, window, probe span, fetch-gate and mispredict pattern, probed or
+// not.
 func FuzzPlacementMatchesReference(f *testing.F) {
 	for seed := uint64(1); seed <= 6; seed++ {
-		f.Add(seed, uint8(seed), uint8(seed*5), uint8(seed), uint8(seed*3), uint8(seed*7), uint8(seed))
+		f.Add(seed, uint8(seed), uint8(seed*5), uint8(seed), uint8(seed*3), uint8(seed*7), uint8(seed), seed%2 == 0)
 	}
 	reused := NewEngine()
-	f.Fuzz(func(t *testing.T, seed uint64, width, window, span, iters, penalty, pattern uint8) {
-		checkPlacement(t, reused, seed, width, window, span, iters, penalty, pattern)
+	f.Fuzz(func(t *testing.T, seed uint64, width, window, span, iters, penalty, pattern uint8, noProbe bool) {
+		checkPlacement(t, reused, seed, width, window, span, iters, penalty, pattern, noProbe)
 	})
 }
 
 // TestPlacementMatchesReference runs checkPlacement on 1000 seeded draws of
-// the fuzz target's inputs, so every test run covers narrow windows that
-// retirement bandwidth throttles and gated and idle spans.
+// the fuzz target's inputs, each probed and then not, so every test run
+// covers narrow windows that retirement bandwidth throttles and gated and
+// idle spans.
 func TestPlacementMatchesReference(t *testing.T) {
 	rng := xrand.New(34)
 	reused := NewEngine()
@@ -82,7 +85,10 @@ func TestPlacementMatchesReference(t *testing.T) {
 		for i := range b {
 			b[i] = uint8(rng.Intn(256))
 		}
-		checkPlacement(t, reused, rng.Uint64()%100_000, b[0], b[1], b[2], b[3], b[4], b[5])
+		seed := rng.Uint64() % 100_000
+		for _, noProbe := range []bool{false, true} {
+			checkPlacement(t, reused, seed, b[0], b[1], b[2], b[3], b[4], b[5], noProbe)
+		}
 	}
 }
 
@@ -181,16 +187,18 @@ func TestSuiteTakesPlacement(t *testing.T) {
 	}
 }
 
-// TestOccupancyWordFits: a cycle's issue count and each pool's claims fit
-// their 4-bit fields of an occupancy word, so no claim carries into the
-// next field whatever the request's width.
+// TestOccupancyWordFits: a cycle's issue count and each pool's claims,
+// biased for the claim test, fit their 4-bit fields of an occupancy word,
+// so no claim carries into the next field whatever the request's width.
+// The pools' total of units bounds both counts, and the width's bias caps
+// the width at occFieldTop, which only that total reaches.
 func TestOccupancyWordFits(t *testing.T) {
 	units := 0
 	for _, k := range isa.FUCount {
 		units += k
 	}
-	if units >= 1<<occPoolShift || occPoolShift*(isa.NumFUs+1) > 32 {
-		t.Errorf("%d units over %d pools overflow a 32-bit word of %d-bit fields", units, isa.NumFUs, occPoolShift)
+	if units > occFieldTop || occPoolShift*(isa.NumFUs+1) > 32 {
+		t.Errorf("%d units over %d pools overflow a 32-bit word of %d-bit biased fields", units, isa.NumFUs, occPoolShift)
 	}
 }
 
@@ -219,4 +227,27 @@ func TestPlacementLeavesGuardToLoop(t *testing.T) {
 		}
 	}()
 	e.run(req, false)
+}
+
+// TestStaticTableFollowsTrace runs two traces with the same registers, so
+// the same dependence graph, but different classes over one graph, in
+// turn: a pipelined trace that placement serves and its twin with a
+// divide that takes the dataflow loop. The per-static table cached on the
+// graph must be the running trace's, so both match the reference.
+func TestStaticTableFollowsTrace(t *testing.T) {
+	placed := pipelinedTrace(11)
+	divide := &trace.Trace{ID: placed.ID + 1, Streams: placed.Streams, Insts: slices.Clone(placed.Insts)}
+	divide.Insts[0].Op = isa.IntDiv
+	deps := trace.BuildDepGraph(placed)
+	for _, tr := range []*trace.Trace{placed, divide, placed, divide} {
+		mk := func() Request {
+			return Request{Trace: tr, Deps: deps, Iterations: 6, Policy: Dataflow, Width: 3, Window: 32,
+				LoadLatency: memLatPattern(5)}
+		}
+		want := referenceRun(mk())
+		e := NewEngine()
+		if got := e.run(mk(), false); !reflect.DeepEqual(got, want) || e.placed != (tr == placed) {
+			t.Fatalf("trace %d: placed %v, got %+v, want %+v", tr.ID, e.placed, got, want)
+		}
+	}
 }
