@@ -53,8 +53,8 @@ func allocsRequest(pol Policy, tr *trace.Trace) Request {
 // run on an owned Engine (the path every core takes) may allocate only the
 // result memo's entries, not per-run scratch, and a memo hit allocates
 // nothing. Every engine is covered: the in-order loop on program order and
-// on a recorded order, age-order placement (also behind fetch gates), and
-// the dataflow loop it falls back to on a trace with a divide.
+// on a recorded order, and age-order placement, also behind fetch gates and
+// on a trace with a divide, whose hold takes back displaced claims.
 // The simulating bound is deliberately a little loose so unrelated runtime
 // changes don't flake it; the pre-rewrite engine sat near 1180 allocs/op.
 func TestPipelineRunAllocs(t *testing.T) {
@@ -67,22 +67,18 @@ func TestPipelineRunAllocs(t *testing.T) {
 	divide := allocsTrace()
 	divide.Insts[2].Op = isa.IntDiv
 	for _, c := range []struct {
-		name   string
-		req    Request
-		placed bool
+		name string
+		req  Request
 	}{
-		{"placed dataflow", allocsRequest(Dataflow, tr), true},
-		{"program order", allocsRequest(ProgramOrder, tr), false},
-		{"recorded order", recorded, false},
-		{"fetch-gated placed dataflow", gated, true},
-		{"dataflow fallback", allocsRequest(Dataflow, divide), false},
+		{"placed dataflow", allocsRequest(Dataflow, tr)},
+		{"program order", allocsRequest(ProgramOrder, tr)},
+		{"recorded order", recorded},
+		{"fetch-gated placed dataflow", gated},
+		{"placed divide", allocsRequest(Dataflow, divide)},
 	} {
 		eng := NewEngine()
 		req := c.req
 		eng.Run(req) // size the scratch and build the memoized dep CSR
-		if eng.placed != c.placed {
-			t.Fatalf("%s: placed = %v, want %v", c.name, eng.placed, c.placed)
-		}
 		allocs := testing.AllocsPerRun(100, func() { eng.Run(req) })
 		if allocs > 8 {
 			t.Errorf("%s: Engine.Run allocates %.0f/op, want <= 8", c.name, allocs)

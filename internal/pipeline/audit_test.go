@@ -142,3 +142,29 @@ func TestAuditDetectsNonMonotoneInOrderIssue(t *testing.T) {
 		t.Fatalf("non-monotone issue undetected: %v", aud.Err())
 	}
 }
+
+// TestAuditDropsLongSpanBuffer: the audit counts capacity over the run's
+// cycle span in a buffer the engine keeps, but not one a long run grew
+// past what the occupancy ring keeps.
+func TestAuditDropsLongSpanBuffer(t *testing.T) {
+	tr := &trace.Trace{ID: 14, Insts: []isa.Inst{
+		{Op: isa.Load, Dst: 1, Src1: 1},
+		{Op: isa.Branch, Dst: isa.NoReg, Src1: 1},
+	}}
+	e := NewEngine()
+	for _, c := range []struct {
+		lat  int
+		kept bool
+	}{{4, true}, {maxKeptRing, false}, {4, true}} {
+		aud := invariant.New(nil)
+		e.run(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 3, Policy: Dataflow,
+			Width: isa.IssueWidth, Window: isa.ROBSize, NoProbe: true,
+			LoadLatency: func(int) int { return c.lat }, Audit: aud, AuditLabel: "audit-test"}, false)
+		if aud.Total() != 0 {
+			t.Fatalf("latency %d: %v", c.lat, aud.Err())
+		}
+		if kept := e.auditBuf != nil; kept != c.kept {
+			t.Errorf("latency %d: audit buffer of %d counts kept %v, want %v", c.lat, len(e.auditBuf), kept, c.kept)
+		}
+	}
+}

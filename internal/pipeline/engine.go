@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"math/bits"
 	"sync/atomic"
 
 	"repro/internal/isa"
@@ -10,25 +9,21 @@ import (
 	"repro/internal/trace"
 )
 
-// The event-driven engine. The original engine rescanned every in-flight
-// instruction's predecessors every cycle and advanced time one cycle at a
-// time; this one propagates readiness along successor (wakeup) lists when an
-// instruction issues, keeps the ready set as an age-ordered bitmap, files
-// future wakeups in a calendar queue, and jumps over cycles in which nothing
-// can happen — charging the skipped span to the same stall counters the
-// cycle-by-cycle loop would have. Results are bit-identical to the original
-// engine (see reference_test.go and DESIGN.md §9 for the argument).
-
-// maxCycle is the convergence guard: both loops panic once the cycle they
-// are about to issue in passes it. maxInput bounds every resolved latency,
-// fetch gate and mispredict penalty (resolve rejects larger ones), so no
-// cycle the loops compute exceeds maxCycle + 2*maxInput < 1<<31, which is
-// what lets the per-dynamic state hold cycles in 32 bits, and no wakeup
-// lies more than maxInput cycles ahead, which bounds the calendar's ring.
-// The memory hierarchy's latencies and gates are a few hundred cycles.
+// maxCycle is the convergence guard: the in-order loop panics once the
+// cycle it is about to issue in passes it, and placement once a cycle its
+// stall sweep makes final does. maxInput bounds every resolved latency,
+// fetch gate and mispredict penalty, and maxWindow a Dataflow request's
+// window (resolve rejects larger ones). Every cycle the engine computes
+// then stays below 1<<31, which is what lets the per-dynamic state hold
+// cycles in 32 bits: the in-order loop's lie within two inputs of the
+// guard, and placement's within maxWindow*(maxInput+1+2h) cycles of a
+// stall sweep frontier that never passes it, h the longest unit hold
+// (DESIGN.md §9). The memory hierarchy's latencies and gates are a few
+// hundred cycles, and the cores' window is isa.ROBSize.
 const (
-	maxCycle = 1 << 26
-	maxInput = 1 << 17
+	maxCycle  = 1 << 26
+	maxInput  = 1 << 17
+	maxWindow = 1 << 9
 )
 
 // edyn is the per-dynamic-instruction state, in 32-bit fields so a run's
@@ -46,7 +41,7 @@ type edyn struct {
 }
 
 // estatic is one instruction's entry in a trace's per-static table, so
-// neither prepare nor the issue loops map a class to its pool or latency.
+// neither prepare nor the engines map a class to its pool or latency.
 type estatic struct {
 	op      isa.Class
 	unit    isa.FU
@@ -71,8 +66,9 @@ type estatic struct {
 // two source operands, each as a distance back from j's slot in a table of
 // completion cycles laid out by dynamic index after n zero slots, so a
 // loop-carried source in iteration 0 reads a zero slot. A mask of 0 marks
-// an operand with no producer. narrow reports that no instruction has more
-// than two predecessors, as BuildDepGraph guarantees.
+// an operand with no producer. BuildDepGraph gives each source one
+// producer, so an instruction with a third predecessor is a malformed
+// graph.
 //
 // statics holds the per-static table of the trace last run over the graph
 // (staticsOf).
@@ -83,17 +79,14 @@ type flatDeps struct {
 	succOff []int32
 	succs   []int32
 	srcs    []placeSrcs
-	narrow  bool
 	statics atomic.Pointer[staticTable]
 }
 
-// staticTable is a trace's per-static table over its dependence graph,
-// and whether every class in it is pipelined. Built once, it is only read,
-// by every engine that runs the trace.
+// staticTable is a trace's per-static table over its dependence graph.
+// Built once, it is only read, by every engine that runs the trace.
 type staticTable struct {
-	trace     *trace.Trace
-	insts     []estatic
-	pipelined bool
+	trace *trace.Trace
+	insts []estatic
 }
 
 type placeSrcs struct {
@@ -127,13 +120,11 @@ func buildFlatDeps(g *trace.DepGraph) *flatDeps {
 	fd.predOff[2*n] = int32(len(fd.preds))
 
 	fd.srcs = make([]placeSrcs, n)
-	fd.narrow = true
 	for j := 0; j < n; j++ {
 		k := 0
 		for q := fd.predOff[2*j]; q < fd.predOff[2*j+2]; q, k = q+1, k+1 {
 			if k == 2 {
-				fd.narrow = false
-				break
+				panic("pipeline: an instruction with more than two predecessors")
 			}
 			back := int32(j) - fd.preds[q]
 			if q >= fd.predOff[2*j+1] {
@@ -178,44 +169,39 @@ func buildFlatDeps(g *trace.DepGraph) *flatDeps {
 }
 
 // Engine holds the reusable simulation scratch: dynamic-instruction state,
-// the in-order issue sequence, the ready bitmap, the wakeup calendar,
-// functional-unit occupancy, age-order placement's per-dynamic cycles and
-// occupancy ring, the issue-order sort buffer, the request's resolved
-// inputs, the key and entry encoding buffers of the process-wide result
-// memo (memo.go), and the last Result. A steady-state Run allocates only
-// when the memo's arena or index grows to store an entry, or the first
-// time a trace runs, to build its per-static table; a memo hit allocates
-// nothing. An Engine is not safe for concurrent use; each worker owns one.
+// the in-order issue sequence and unit occupancy, placement's per-dynamic
+// cycles and occupancy ring, the issue-order sort buffer, the request's
+// resolved inputs, the key and entry encoding buffers of the process-wide
+// result memo (memo.go), and the last Result. A steady-state Run allocates
+// only when the memo's arena or index grows to store an entry, or the
+// first time a trace runs, to build its per-static table; a memo hit
+// allocates nothing. An Engine is not safe for concurrent use; each worker owns one.
 type Engine struct {
 	dyns     []edyn
 	statics  []estatic // the request's per-static table, shared: read only
 	iterGate []int32
 	seq      []int32 // the in-order loop's issue sequence of dyns indexes
-	ready    readySet
-	cal      calendar
-	fus      fuState
+	fus      fuUnits
 	orderBuf []int32 // extractProbe's per-cycle counts
+	auditBuf []int32 // audit's per-cycle issue and claim counts
 
 	// The request's callbacks, resolved once by resolve: per-dynamic-load
-	// latencies in load order, terminating-branch outcomes in draw order
-	// (missNext is the next one to hand out) and per-iteration fetch gates.
-	lats     []int
-	miss     []bool
-	missNext int
-	gates    []int
+	// latencies in load order, terminating-branch outcomes and fetch gates
+	// by iteration.
+	lats  []int
+	miss  []bool
+	gates []int
 
 	keyBuf  []byte
 	entBuf  []byte
 	memoHit bool
 
-	// Age-order placement's scratch (place.go): per-dynamic retire
-	// cycles, completion cycles in the layout flatDeps.srcs reads, and the
-	// occupancy ring; and whether the last simulated run was placed rather
-	// than run by runDataflow or runInOrder.
+	// Age-order placement's scratch (place.go): per-dynamic retire cycles,
+	// completion cycles in the layout flatDeps.srcs reads, and the
+	// occupancy ring.
 	retire []int32
 	comp   []int32
 	occ    occRing
-	placed bool
 
 	// res is the last Run's Result; its IterEnd and IssueOrder are the
 	// buffers the next Run fills.
@@ -318,18 +304,13 @@ func (e *Engine) run(req Request, memoize bool) Result {
 	}
 
 	fd := flatDepsOf(req.Deps)
-	tab := fd.staticsOf(req.Trace)
-	e.statics = tab.insts
+	e.statics = fd.staticsOf(req.Trace).insts
 	*res = Result{IterEnd: resize(res.IterEnd, req.Iterations), IssueOrder: res.IssueOrder[:0]}
-	e.placed = req.Policy == Dataflow && fd.narrow && tab.pipelined && e.runPlaced(&req, fd, res)
-	if !e.placed {
-		e.missNext = 0 // an aborted placement drew outcomes
+	if req.Policy == Dataflow {
+		e.runPlaced(&req, fd, res)
+	} else {
 		e.prepare(&req, fd)
-		if req.Policy == Dataflow {
-			e.runDataflow(&req, fd, res)
-		} else {
-			e.runInOrder(&req, fd, res)
-		}
+		e.runInOrder(&req, fd, res)
 	}
 	if !req.NoProbe {
 		span := req.ProbeSpan
@@ -370,11 +351,14 @@ func resize[T any](s []T, n int) []T {
 // (the order the lazy engine drew them in), Mispredicts for iterations
 // 0..Iterations-2, FetchGate for every iteration. The simulation reads only
 // the resolved inputs, so they are all a memo key must capture. A latency
-// outside [1, maxInput], or a fetch gate or mispredict penalty outside
-// [0, maxInput], is a malformed request.
+// outside [1, maxInput], a fetch gate or mispredict penalty outside
+// [0, maxInput], or a Dataflow window past maxWindow is a malformed request.
 func (e *Engine) resolve(req *Request) {
 	if req.MispredictPenalty < 0 || req.MispredictPenalty > maxInput {
 		panic("pipeline: mispredict penalty out of range")
+	}
+	if req.Policy == Dataflow && req.Window > maxWindow {
+		panic("pipeline: window out of range")
 	}
 	iters := req.Iterations
 	loads, _ := req.Trace.NumMemOps()
@@ -393,7 +377,6 @@ func (e *Engine) resolve(req *Request) {
 	for it := 0; it+1 < iters; it++ {
 		e.miss = append(e.miss, req.Mispredicts != nil && req.Mispredicts(it))
 	}
-	e.missNext = 0
 	e.gates = e.gates[:0]
 	if req.FetchGate != nil {
 		for it := 0; it < iters; it++ {
@@ -410,15 +393,13 @@ func (e *Engine) resolve(req *Request) {
 // it+1, once iteration it's terminating branch issues at now and completes
 // at complete: the mispredict penalty after completion when the branch
 // mispredicts, and no earlier than the next iteration's fetch gate past
-// now. The k-th terminating branch to resolve takes the k-th resolved
-// outcome, just as the lazy engine's k-th Mispredicts call drew the k-th
-// value from the callback.
+// now. Iteration it's branch takes outcome it, whatever order the branches
+// resolve in.
 func (e *Engine) redirect(req *Request, it int, now, complete int32) int32 {
 	gate := int32(0)
-	if e.miss[e.missNext] {
+	if e.miss[it] {
 		gate = complete + int32(req.MispredictPenalty)
 	}
-	e.missNext++
 	if len(e.gates) > 0 {
 		gate = max(gate, now+int32(e.gates[it+1]))
 	}
@@ -434,13 +415,12 @@ func (fd *flatDeps) staticsOf(t *trace.Trace) *staticTable {
 	if tab := fd.statics.Load(); tab != nil && tab.trace == t {
 		return tab
 	}
-	tab := &staticTable{trace: t, insts: make([]estatic, fd.n), pipelined: true}
+	tab := &staticTable{trace: t, insts: make([]estatic, fd.n)}
 	for j, in := range t.Insts {
 		st := estatic{op: in.Op, unit: isa.UnitFor(in.Op), lat: int32(isa.Latency[in.Op]),
 			npred: fd.predOff[2*j+1] - fd.predOff[2*j], carried: fd.predOff[2*j+2] - fd.predOff[2*j+1]}
 		if !isa.Pipelined[in.Op] {
 			st.hold = st.lat
-			tab.pipelined = false
 		}
 		tab.insts[j] = st
 	}
@@ -478,235 +458,42 @@ func (e *Engine) prepare(req *Request, fd *flatDeps) {
 	}
 }
 
-func (e *Engine) runDataflow(req *Request, fd *flatDeps, res *Result) {
-	n := fd.n
-	dyns, statics := e.dyns, e.statics
-	succOff, succs := fd.succOff, fd.succs
-	total := len(dyns)
-	width := req.Width
-	window := req.Window
-	iters := req.Iterations
-	iterGate := e.iterGate
-	ready, cal, fus := &e.ready, &e.cal, &e.fus
-	ready.reset(total)
-	cal.reset()
-	fus.reset()
-	if len(e.gates) > 0 {
-		iterGate[0] = int32(e.gates[0])
-	}
+// maxUnits is the size of the largest functional-unit pool (isa.FUCount).
+const maxUnits = 2
 
-	dispatched := 0           // next undispatched index
-	dispIter, dispEnd := 0, n // its iteration, and the index that starts the next one
-	retired := 0
-	issuedCount := 0
-	inflightCount := 0 // dispatched but not yet issued
-	cycle := int32(0)
+// fuUnits holds, for each unit of each pool, the first cycle it accepts an
+// operation. The in-order loop claims units in non-decreasing cycles, so a
+// pipelined op takes its unit until the next cycle, and an unpipelined op
+// (a divide) for its latency: the previous engine's claim rule.
+type fuUnits [isa.NumFUs][maxUnits]int32
 
-	for retired < total {
-		// Deliver wakeups due this cycle into the ready set. The skip logic
-		// guarantees no earlier bucket is non-empty.
-		if b := cal.buckets[int(cycle)&cal.mask]; len(b) > 0 {
-			for _, idx := range b {
-				ready.add(int(idx))
-			}
-			cal.pending -= len(b)
-			cal.buckets[int(cycle)&cal.mask] = b[:0]
-		}
-
-		// Retire in order (commit width = issue width).
-		for c := 0; c < width && retired < total; c++ {
-			if d := &dyns[retired]; d.issued < 0 || d.complete > cycle {
-				break
-			}
-			retired++
-		}
-
-		// Dispatch into the window. An instruction whose operands are already
-		// complete goes straight to the ready set; one whose operands resolve
-		// at a known future cycle files a calendar wakeup; one with unissued
-		// predecessors is woken by them.
-		for c := 0; c < width && dispatched < total; c++ {
-			if dispatched-retired >= window || cycle < iterGate[dispIter] {
-				break
-			}
-			d := &dyns[dispatched]
-			if d.npred == 0 {
-				if d.readyAt <= cycle {
-					ready.add(dispatched)
-				} else {
-					cal.schedule(int(cycle), int(d.readyAt), int32(dispatched))
-				}
-			}
-			inflightCount++
-			if dispatched++; dispatched == dispEnd {
-				dispIter, dispEnd = dispIter+1, dispEnd+n
-			}
-		}
-
-		// Issue oldest-ready-first: an ascending scan of the ready bitmap is
-		// age order, the same order the original engine walked its in-flight
-		// list — so FU claims and rng callback draws happen in the same order.
-		// Every ready instruction is dispatched and unretired, so the scan
-		// covers the words of [retired, dispatched).
-		issuedThis := 0
-		fuBlocked := false
-		if ready.count > 0 {
-		scan:
-			for w := retired >> 6; w <= (dispatched-1)>>6; w++ {
-				for word := ready.words[w]; word != 0; word &= word - 1 {
-					bit := bits.TrailingZeros64(word)
-					idx := w<<6 | bit
-					d := &dyns[idx]
-					st := &statics[d.static]
-					if !fus.claim(st.unit, st.hold, cycle) {
-						fuBlocked = true
-						continue // a later instruction of another class may fit
-					}
-					ready.remove(idx)
-					d.issued = cycle
-					d.complete = cycle + d.lat
-					res.FUBusy[st.unit]++
-					issuedThis++
-					inflightCount--
-
-					// Wake the successors: fold the completion time into their
-					// readyAt and drop their unresolved-predecessor count; one
-					// whose count hits zero once dispatched files a wakeup.
-					// readyAt is then at least complete >= cycle+1 (every
-					// latency is >= 1), so the wakeup is strictly in the
-					// future — an instruction can never become issue-eligible
-					// in the cycle its last predecessor issues, which is
-					// exactly the original engine's readiness rule. The
-					// intra-iteration successors are succs[lo:mid], the next
-					// iteration's loop-carried ones succs[mid:hi].
-					j, it := int(d.static), int(d.iter)
-					lo, mid, hi := succOff[2*j], succOff[2*j+1], succOff[2*j+2]
-					if it+1 == iters {
-						hi = mid
-					}
-					for q := lo; q < hi; q++ {
-						s := it*n + int(succs[q])
-						if q >= mid {
-							s += n
-						}
-						sd := &dyns[s]
-						sd.readyAt = max(sd.readyAt, d.complete)
-						if sd.npred--; sd.npred == 0 && s < dispatched {
-							cal.schedule(int(cycle), int(sd.readyAt), int32(s))
-						}
-					}
-					if j == n-1 && it+1 < iters {
-						// Terminating branch: resolve the next iteration's
-						// front-end redirect.
-						iterGate[it+1] = max(iterGate[it+1], e.redirect(req, it, cycle, d.complete))
-					}
-					if issuedThis == width {
-						break scan
-					}
-				}
-			}
-		}
-		issuedCount += issuedThis
-
-		if issuedThis == 0 && inflightCount > 0 {
-			res.LoadStallCycles++
-			if fuBlocked {
-				res.StallFUCycles++
-			} else {
-				res.StallDataCycles++
-			}
-		}
-		fetchGated := issuedThis == 0 && inflightCount == 0 && dispatched < total &&
-			cycle < iterGate[dispIter]
-		if fetchGated {
-			// The window is empty and the front end is gated: a pure fetch
-			// stall (mispredict redirect or I-fetch miss).
-			res.StallFetchCycles++
-		}
-
-		// Cycle skipping: if nothing issued and no per-cycle progress (retire
-		// or dispatch drain) is pending, jump to the next cycle at which the
-		// machine state can change, charging the skipped span to the same
-		// stall counters this cycle received — the skipped cycles are
-		// provably identical idle cycles.
-		if issuedThis == 0 && retired < total {
-			if next := e.nextDataflowEvent(cycle, retired, dispatched, dispIter, window); next > cycle+1 {
-				span := int(next - cycle - 1)
-				if inflightCount > 0 {
-					res.LoadStallCycles += span
-					if fuBlocked {
-						res.StallFUCycles += span
-					} else {
-						res.StallDataCycles += span
-					}
-				} else if fetchGated {
-					// The gate may open mid-span when dispatch stays
-					// window-blocked past it; fetch stalls are only counted
-					// while the gate is closed.
-					if g := iterGate[dispIter]; g < next {
-						res.StallFetchCycles += int(g - cycle - 1)
-					} else {
-						res.StallFetchCycles += span
-					}
-				}
-				cycle = next - 1
-			}
-		}
-		if cycle++; cycle > maxCycle {
-			panic("pipeline: dataflow simulation did not converge")
+// claim takes a unit of pool u at cycle now, for hold cycles when hold > 0.
+// It reports false if no unit is free this cycle.
+func (f *fuUnits) claim(u isa.FU, hold, now int32) bool {
+	for i := range isa.FUCount[u] {
+		if f[u][i] <= now {
+			f[u][i] = now + max(hold, 1)
+			return true
 		}
 	}
-	res.Issued = issuedCount
-	e.finishRun(n, res)
+	return false
 }
 
-// nextDataflowEvent returns the earliest cycle after now at which the
-// dataflow machine state can change, or now+1 when the next cycle does
-// per-cycle work (width-limited retire or dispatch draining) and no skip is
-// possible. Candidate events: the in-order head completing (retirement and
-// window-full dispatch unblock), the front-end gate of the next iteration
-// (dispIter, dispatched's) opening, a calendar wakeup making an instruction
-// data-ready, and a busy functional unit freeing (only relevant when ready
-// instructions exist — in an idle cycle every ready instruction is
-// FU-blocked).
-func (e *Engine) nextDataflowEvent(now int32, retired, dispatched, dispIter, window int) int32 {
-	best := int32(-1)
-	upd := func(c int32) {
-		if best < 0 || c < best {
-			best = c
+// minBusyOf returns the earliest cycle > now at which some unit of pool u
+// frees up. Callers only ask when every unit of the pool is busy past now.
+func (f *fuUnits) minBusyOf(u isa.FU, now int32) int32 {
+	m := int32(-1)
+	for _, b := range f[u][:isa.FUCount[u]] {
+		if b > now && (m < 0 || b < m) {
+			m = b
 		}
 	}
-	total := len(e.dyns)
-	if retired < total {
-		d := &e.dyns[retired]
-		if d.issued >= 0 {
-			if d.complete <= now {
-				return now + 1 // width-limited retirement continues next cycle
-			}
-			upd(d.complete)
-		}
-	}
-	if dispatched < total && dispatched-retired < window {
-		g := e.iterGate[dispIter]
-		if g <= now {
-			return now + 1 // dispatch has room and is not gated: it drains
-		}
-		upd(g)
-	}
-	if c := e.cal.next(int(now)); c >= 0 {
-		upd(int32(c))
-	}
-	if e.ready.count > 0 {
-		if c := e.fus.nextExpiry(now); c >= 0 {
-			upd(c)
-		}
-	}
-	if best < 0 {
-		return now + 1
-	}
-	return best
+	return m
 }
 
+// runInOrder issues along the request's sequence, stall-on-use, folds
+// each issue's completion into its successors, and jumps over stalled
+// spans, charging them as the cycle-by-cycle loop would have.
 func (e *Engine) runInOrder(req *Request, fd *flatDeps, res *Result) {
 	n := fd.n
 	dyns, statics := e.dyns, e.statics
@@ -715,7 +502,7 @@ func (e *Engine) runInOrder(req *Request, fd *flatDeps, res *Result) {
 	width := req.Width
 	iters := req.Iterations
 	fus := &e.fus
-	fus.reset()
+	*fus = fuUnits{}
 	issuedCount := 0
 	cycle := int32(0)
 	gate := int32(0)

@@ -68,7 +68,7 @@ func randomRequest(seed uint64) func() Request {
 }
 
 // TestEquivalenceWithReference drives ~200 random trace/dep/latency configs
-// through the event-driven engine and the frozen pre-rewrite reference, and
+// through the engine and the frozen pre-rewrite reference, and
 // requires the Results to match field for field — cycles, IterEnd, the full
 // stall breakdown, FUBusy, Issued, IssueOrder and Reordered.
 func TestEquivalenceWithReference(t *testing.T) {
@@ -217,54 +217,6 @@ func suiteLoops() []program.Loop {
 	return loops
 }
 
-// TestMispredictCallsInIterationOrder is why Engine.Run may draw every
-// branch outcome up front, in iteration order, and stay bit-identical to
-// the lazy engine: on every suite loop, under each policy the cores use,
-// the frozen reference engine consults Mispredicts exactly once per
-// iteration 0..Iterations-2, in that order. The suite's terminating branch
-// reads the loop-carried induction register, so iteration i's branch is
-// ready strictly before iteration i+1's and oldest-first select (or the
-// OoO-recorded order) resolves it first — whatever the load latencies.
-func TestMispredictCallsInIterationOrder(t *testing.T) {
-	for i, l := range suiteLoops() {
-		df := Request{
-			Trace: l.Trace, Deps: l.Deps, Iterations: suiteMeasureIters,
-			Policy: Dataflow, Width: isa.IssueWidth, Window: isa.ROBSize,
-			ProbeSpan: suiteScheduleSpan, MispredictPenalty: isa.OoOPipelineDepth,
-		}
-		inorder := Request{
-			Trace: l.Trace, Deps: l.Deps, Iterations: suiteMeasureIters,
-			Policy: ProgramOrder, Width: isa.IssueWidth, MispredictPenalty: isa.InOPipelineDepth,
-		}
-		replay := inorder
-		replay.Policy = RecordedOrder
-		replay.Order = referenceRun(df).IssueOrder
-		replay.ProbeSpan = suiteScheduleSpan
-		replay.Iterations = 12 // rounded up to whole spans, as ino.MeasureReplay does
-		for _, req := range []Request{df, inorder, replay} {
-			var calls []int
-			draw := mispredictPattern(uint64(i), 0.5)
-			req.Mispredicts = func(it int) bool {
-				calls = append(calls, it)
-				return draw(it)
-			}
-			req.LoadLatency = memLatPattern(uint64(i) + 1)
-			if req.Policy != RecordedOrder {
-				req.FetchGate = fetchGatePattern(3, 7)
-			}
-			referenceRun(req)
-			ok := len(calls) == req.Iterations-1
-			for k, it := range calls {
-				ok = ok && it == k
-			}
-			if !ok {
-				t.Fatalf("suite trace %d policy %d: Mispredicts calls %v, want 0..%d in order",
-					l.Trace.ID, req.Policy, calls, req.Iterations-2)
-			}
-		}
-	}
-}
-
 // everyClassTrace generates a small well-formed trace that draws every
 // instruction class, divides included, so unpipelined units hold for their
 // latency; randomTrace stays as it is because the goldens pin its traces.
@@ -311,6 +263,14 @@ func FuzzEngineMatchesReference(f *testing.F) {
 	for seed := uint64(1); seed <= 6; seed++ {
 		f.Add(seed, uint8(seed%3), uint8(seed), uint8(seed*5), uint8(seed), uint8(seed*3), uint8(seed*7), uint8(seed), seed%2 == 0)
 	}
+	// A divide's take-back makes an instruction ready before the stall
+	// sweep's frontier place again: it must search no cycle the sweep has
+	// classified, or a data stall is counted twice.
+	f.Add(uint64(17), uint8(0), uint8(6), uint8(30), uint8(6), uint8(18), uint8(0), uint8(6), true)
+	// A divide placed again during a take-back displaces an instruction
+	// older than the last one an earlier step of the same take-back took
+	// back: its search must reach back a whole window.
+	f.Add(uint64(107), uint8(0x8a), uint8(0x53), uint8(5), uint8(0x4e), uint8(0x8f), uint8(0x64), uint8(0xfa), false)
 	reused := NewEngine()
 	f.Fuzz(func(t *testing.T, seed uint64, policy, width, window, span, iters, penalty, pattern uint8, noProbe bool) {
 		tr := everyClassTrace(seed)

@@ -30,9 +30,20 @@ func memLatPattern(seed uint64) func(int) int {
 	return func(int) int { return lats[rng.Intn(len(lats))] }
 }
 
+// mispredictPattern gives iteration i the i-th draw of a seeded stream,
+// whatever order it is asked in: the engine resolves every outcome up front
+// in iteration order, and the frozen reference asks as its branches
+// resolve, so a younger branch that resolves first must still take its
+// own iteration's draw.
 func mispredictPattern(seed uint64, p float64) func(int) bool {
 	rng := xrand.New(seed)
-	return func(int) bool { return rng.Bool(p) }
+	var draws []bool
+	return func(it int) bool {
+		for len(draws) <= it {
+			draws = append(draws, rng.Bool(p))
+		}
+		return draws[it]
+	}
 }
 
 func fetchGatePattern(every, stall int) func(int) int {

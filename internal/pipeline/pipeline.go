@@ -12,13 +12,12 @@
 // transfer directly), the same register dependences, and per-dynamic-load
 // latencies supplied by the memory hierarchy.
 //
-// The implementation (engine.go, events.go) is event-driven: wakeup lists
-// propagate readiness, a calendar queue holds future wakeups, and the main
-// loops jump over cycles in which nothing can happen. A Dataflow request
-// over a trace whose units are all pipelined is not stepped at all: each
-// instruction is placed once, in age order (place.go). Results are
-// bit-identical to the original cycle-by-cycle engine, whose frozen copy
-// serves as the test oracle (reference_test.go).
+// No policy steps the machine cycle by cycle. A Dataflow request places
+// each instruction once, in age order, taking back what a divide's hold
+// displaces (place.go); the in-order policies fold each issue's completion
+// into its successors and jump over cycles in which nothing can happen
+// (engine.go). Results are bit-identical to the original cycle-by-cycle
+// engine, whose frozen copy serves as the test oracle (reference_test.go).
 package pipeline
 
 import (
@@ -67,7 +66,7 @@ type Request struct {
 	NoProbe bool
 
 	Width  int
-	Window int // ROB capacity; used by Dataflow only
+	Window int // ROB capacity, at most 512; used by Dataflow only
 	// MispredictPenalty is the front-end refill depth charged after a
 	// mispredicted trace-terminating branch.
 	MispredictPenalty int
@@ -80,13 +79,10 @@ type Request struct {
 	// take the L1-hit latency.
 	LoadLatency func(loadSeq int) int
 	// Mispredicts reports whether the terminating branch of iteration i
-	// mispredicts, for i in 0..Iterations-2. The k-th terminating branch to
-	// resolve takes the k-th outcome, so a callback that draws from an rng
-	// sees the same calls in the same order as if it were consulted at
-	// each resolution; on the workload suite's loops the k-th branch to
-	// resolve is iteration k's (DESIGN.md §9). Age-order placement relies
-	// on that order and falls back to the dataflow loop when a younger
-	// branch resolves first. If nil, no branch ever mispredicts.
+	// mispredicts, for i in 0..Iterations-2. It is called once per
+	// iteration, in iteration order, and iteration i's branch takes outcome
+	// i whatever order the branches resolve in (DESIGN.md §9). If nil, no
+	// branch ever mispredicts.
 	Mispredicts func(iter int) bool
 	// FetchGate returns extra cycles gating the start of iteration i
 	// (instruction-cache or Schedule-Cache miss stalls). May be nil.

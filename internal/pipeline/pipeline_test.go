@@ -236,9 +236,19 @@ func TestRecordedOrderRequiresFullOrder(t *testing.T) {
 
 // TestCycleArithmeticBounded: the engine keeps cycles in 32 bits, so on
 // both loop types a resolved latency, fetch gate or mispredict penalty that
-// could overflow them is a malformed request, and inputs within bounds
+// could overflow them is a malformed request, as is a Dataflow window wide
+// enough for placement's claims to overflow them, and inputs within bounds
 // whose run passes the convergence guard stop there instead of wrapping.
 func TestCycleArithmeticBounded(t *testing.T) {
+	hold := 0
+	for c := range isa.NumClasses {
+		if !isa.Pipelined[c] {
+			hold = max(hold, isa.Latency[c])
+		}
+	}
+	if span := maxWindow * (maxInput + 1 + 2*hold); maxCycle+span >= 1<<31 {
+		t.Fatalf("placement's claims reach cycle %d past the guard, beyond 32 bits", span)
+	}
 	tr := &trace.Trace{ID: 12, Insts: []isa.Inst{
 		{Op: isa.Load, Dst: 1, Src1: 1},
 		{Op: isa.Branch, Dst: isa.NoReg, Src1: 1},
@@ -251,8 +261,9 @@ func TestCycleArithmeticBounded(t *testing.T) {
 	}
 	for _, pol := range []Policy{Dataflow, ProgramOrder} {
 		for _, c := range []struct {
-			name, want string
-			change     func(*Request)
+			name   string
+			want   any
+			change func(*Request)
 		}{
 			{"latency", "pipeline: load latency out of range",
 				func(r *Request) { r.LoadLatency = func(int) int { return maxInput + 1 } }},
@@ -264,6 +275,8 @@ func TestCycleArithmeticBounded(t *testing.T) {
 				func(r *Request) { r.MispredictPenalty = maxInput + 1 }},
 			{"negative penalty", "pipeline: mispredict penalty out of range",
 				func(r *Request) { r.MispredictPenalty = -1 }},
+			{"window", map[Policy]any{Dataflow: "pipeline: window out of range"}[pol],
+				func(r *Request) { r.Window = maxWindow + 1 }},
 			{"past the guard", map[Policy]string{
 				Dataflow:     "pipeline: dataflow simulation did not converge",
 				ProgramOrder: "pipeline: in-order simulation did not converge",

@@ -6,12 +6,13 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/program"
 	"repro/internal/trace"
 	"repro/internal/xrand"
 )
 
 // pipelinedTrace is everyClassTrace with each divide mapped to its
-// pipelined sibling, so the trace lies in placement's domain.
+// pipelined sibling, so no unit is ever held and no take-back runs.
 func pipelinedTrace(seed uint64) *trace.Trace {
 	tr := everyClassTrace(seed)
 	for i := range tr.Insts {
@@ -25,10 +26,9 @@ func pipelinedTrace(seed uint64) *trace.Trace {
 	return tr
 }
 
-// checkPlacement runs one Dataflow request over a divide-free trace, which
-// runPlaced serves unless a younger branch resolves first, through a fresh
-// Engine and through reused, and compares both with the frozen reference
-// engine field for field (sameAsReference).
+// checkPlacement runs one Dataflow request over a divide-free trace through
+// a fresh Engine and through reused, and compares both with the frozen
+// reference engine field for field (sameAsReference).
 func checkPlacement(t *testing.T, reused *Engine, seed uint64, width, window, span, iters, penalty, pattern uint8, noProbe bool) {
 	t.Helper()
 	tr := pipelinedTrace(seed)
@@ -55,8 +55,8 @@ func checkPlacement(t *testing.T, reused *Engine, seed uint64, width, window, sp
 		t.Fatalf("seed %d: fresh engine (no probe %v) diverged from reference\n got: %+v\nwant: %+v", seed, noProbe, got, want)
 	}
 	if got := reused.Run(mk()); !sameAsReference(got, want, noProbe) {
-		t.Fatalf("seed %d: reused engine (no probe %v, memo hit %v, placed %v) diverged from reference\n got: %+v\nwant: %+v",
-			seed, noProbe, reused.MemoHit(), reused.placed, got, want)
+		t.Fatalf("seed %d: reused engine (no probe %v, memo hit %v) diverged from reference\n got: %+v\nwant: %+v",
+			seed, noProbe, reused.MemoHit(), got, want)
 	}
 }
 
@@ -92,12 +92,17 @@ func TestPlacementMatchesReference(t *testing.T) {
 	}
 }
 
-// TestPlacementFallsBack forces each of runPlaced's ways out of its domain
-// and checks which engine ran and that the result is the reference's,
-// each followed by a request of the same shape that placement serves. A
-// fresh Engine and one reused across the cases, so that every placement
-// follows an abort, must agree.
-func TestPlacementFallsBack(t *testing.T) {
+// TestPlacementServesFormerFallbacks places each request that once fell
+// back to the cycle-stepped loop and checks it against the reference, on a
+// fresh Engine and on one reused across the cases:
+//   - iteration 1's branch resolves before iteration 0's, and takes its own
+//     iteration's mispredict outcome;
+//   - a divide that issues while an older multiply waits for its operand
+//     holds the unit through the multiply's first placement, so the
+//     multiply is taken back and issues after the hold;
+//   - a serial chain issues past 2^16 cycles beyond the dispatch frontier,
+//     so the occupancy ring grows past what an engine keeps, and is dropped.
+func TestPlacementServesFormerFallbacks(t *testing.T) {
 	// A load whose latency differs per iteration feeds the terminating
 	// branch, and nothing carries between iterations.
 	loadBranch := &trace.Trace{ID: 901, Insts: []isa.Inst{
@@ -105,42 +110,40 @@ func TestPlacementFallsBack(t *testing.T) {
 		{Op: isa.IntALU, Dst: 4, Src1: 2, Src2: 5},
 		{Op: isa.Branch, Dst: isa.NoReg, Src1: 4},
 	}}
-	divide := pipelinedTrace(3)
-	divide.Insts = append([]isa.Inst{{Op: isa.IntDiv, Dst: 6, Src1: 6, Src2: 7}}, divide.Insts...)
-	chain := &trace.Trace{ID: 902, Insts: []isa.Inst{
+	displace := &trace.Trace{ID: 902, Insts: []isa.Inst{
+		{Op: isa.Load, Dst: 1, Src1: 1},
+		{Op: isa.IntMul, Dst: 2, Src1: 1},
+		{Op: isa.IntDiv, Dst: 3, Src1: 4},
+		{Op: isa.Branch, Dst: isa.NoReg, Src1: 1},
+	}}
+	chain := &trace.Trace{ID: 903, Insts: []isa.Inst{
 		{Op: isa.Load, Dst: 1, Src1: 1},
 		{Op: isa.Branch, Dst: isa.NoReg, Src1: 1},
 	}}
-	latencies := func(lats ...int) func() func(int) int {
-		return func() func(int) int { return func(k int) int { return lats[k%len(lats)] } }
-	}
-	pattern := func(seed uint64) func() func(int) int {
-		return func() func(int) int { return memLatPattern(seed) }
-	}
 	reused := NewEngine()
 	for _, c := range []struct {
-		name   string
-		tr     *trace.Trace
-		lats   func() func(int) int // a fresh callback for each run
-		placed bool
+		name  string
+		tr    *trace.Trace
+		lats  []int
+		check func(e *Engine) bool // the run took the path the case is for
 	}{
-		// Iteration 1's load hits while iteration 0's misses, so iteration
-		// 1's branch resolves first and takes the first mispredict draw.
-		{"younger branch first", loadBranch, latencies(137, 2, 2), false},
-		{"branches in order", loadBranch, latencies(2, 17, 137), true},
-		{"divide", divide, pattern(4), false},
-		{"divide-free", pipelinedTrace(3), pattern(4), true},
-		// The serial chain issues its second load maxInput cycles past the
-		// dispatch frontier.
-		{"chain past the span", chain, latencies(maxInput), false},
-		{"chain within the span", chain, latencies(maxPlaceSpan / 8), true},
+		{"younger branch first", loadBranch, []int{137, 2, 2}, func(e *Engine) bool {
+			return e.dyns[5].issued < e.dyns[2].issued
+		}},
+		{"divide displaces an older multiply", displace, []int{2}, func(e *Engine) bool {
+			return e.dyns[1].issued >= e.dyns[2].issued+int32(isa.Latency[isa.IntDiv])
+		}},
+		{"chain past the kept ring", chain, []int{maxInput}, func(e *Engine) bool {
+			return e.occ.words == nil
+		}},
 	} {
 		mk := func() Request {
 			return Request{
 				Trace: c.tr, Deps: trace.BuildDepGraph(c.tr), Iterations: 4, Policy: Dataflow,
 				Width: isa.IssueWidth, Window: isa.ROBSize, ProbeSpan: 2,
-				MispredictPenalty: isa.OoOPipelineDepth, LoadLatency: c.lats(),
-				Mispredicts: mispredictPattern(5, 0.5), FetchGate: fetchGatePattern(2, 9),
+				MispredictPenalty: isa.OoOPipelineDepth,
+				LoadLatency:       func(k int) int { return c.lats[k%len(c.lats)] },
+				Mispredicts:       mispredictPattern(5, 0.5), FetchGate: fetchGatePattern(2, 9),
 			}
 		}
 		want := referenceRun(mk())
@@ -148,12 +151,11 @@ func TestPlacementFallsBack(t *testing.T) {
 		if got := fresh.run(mk(), false); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: fresh engine diverged from reference\n got: %+v\nwant: %+v", c.name, got, want)
 		}
-		if fresh.placed != c.placed {
-			t.Errorf("%s: placed = %v, want %v", c.name, fresh.placed, c.placed)
+		if !c.check(fresh) {
+			t.Errorf("%s: the run did not take the path the case is for", c.name)
 		}
-		if got := reused.run(mk(), false); !reflect.DeepEqual(got, want) || reused.placed != c.placed {
-			t.Errorf("%s: reused engine (placed %v) diverged from reference\n got: %+v\nwant: %+v",
-				c.name, reused.placed, got, want)
+		if got := reused.run(mk(), false); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: reused engine diverged from reference\n got: %+v\nwant: %+v", c.name, got, want)
 		}
 	}
 }
@@ -161,28 +163,51 @@ func TestPlacementFallsBack(t *testing.T) {
 // TestSuiteTakesPlacement pins the traffic placement serves: every suite
 // loop trace, in the shape of an OoO core's request (ooo.Core.simulate:
 // issue width, ROB window, schedule span, mispredict penalty, mispredicts
-// drawn), is placed and matches the reference. A generator change that adds
-// divides or breaks iteration-order branch resolution fails here instead of
-// silently sending the OoO's measurements back to runDataflow.
+// drawn), matches the reference, and the occupancy ring stays within what
+// an engine keeps between runs.
 func TestSuiteTakesPlacement(t *testing.T) {
 	e := NewEngine()
 	for i, l := range suiteLoops() {
-		mk := func() Request {
-			return Request{
-				Trace: l.Trace, Deps: l.Deps, Iterations: suiteMeasureIters, Policy: Dataflow,
-				Width: isa.IssueWidth, Window: isa.ROBSize, ProbeSpan: suiteScheduleSpan,
-				MispredictPenalty: isa.OoOPipelineDepth,
-				LoadLatency:       memLatPattern(uint64(i) + 1),
-				Mispredicts:       mispredictPattern(uint64(i), 0.5),
-				FetchGate:         fetchGatePattern(3, 7),
-			}
-		}
+		mk := func() Request { return suiteDataflowRequest(i, l) }
 		got := e.run(mk(), false)
-		if !e.placed {
-			t.Fatalf("suite trace %d: Dataflow request fell back to runDataflow", l.Trace.ID)
+		if e.occ.words == nil {
+			t.Fatalf("suite trace %d: the occupancy ring grew past %d words", l.Trace.ID, maxKeptRing)
 		}
 		if want := referenceRun(mk()); !reflect.DeepEqual(got, want) {
 			t.Fatalf("suite trace %d: placement diverged from reference\n got: %+v\nwant: %+v", l.Trace.ID, got, want)
+		}
+	}
+}
+
+// suiteDataflowRequest is the i-th suite loop's request in the shape an
+// OoO core makes (ooo.Core.simulate: issue width, ROB window, schedule
+// span, mispredict penalty, mispredicts drawn), with memory-like load
+// latencies and fetch gates.
+func suiteDataflowRequest(i int, l program.Loop) Request {
+	return Request{
+		Trace: l.Trace, Deps: l.Deps, Iterations: suiteMeasureIters, Policy: Dataflow,
+		Width: isa.IssueWidth, Window: isa.ROBSize, ProbeSpan: suiteScheduleSpan,
+		MispredictPenalty: isa.OoOPipelineDepth,
+		LoadLatency:       memLatPattern(uint64(i) + 1),
+		Mispredicts:       mispredictPattern(uint64(i), 0.5),
+		FetchGate:         fetchGatePattern(3, 7),
+	}
+}
+
+// BenchmarkPlaceSuite places every suite loop's OoO-shaped Dataflow
+// request on one engine, the memo bypassed: one op is one pass over the
+// suite, the placement work of an OoO measurement of each loop.
+func BenchmarkPlaceSuite(b *testing.B) {
+	loops := suiteLoops()
+	reqs := make([]Request, len(loops))
+	for i, l := range loops {
+		reqs[i] = suiteDataflowRequest(i, l)
+	}
+	e := NewEngine()
+	b.ResetTimer()
+	for range b.N {
+		for _, req := range reqs {
+			e.run(req, false)
 		}
 	}
 }
@@ -202,10 +227,10 @@ func TestOccupancyWordFits(t *testing.T) {
 	}
 }
 
-// TestPlacementLeavesGuardToLoop: a placed run whose last retire reaches
-// the convergence guard aborts to runDataflow, which panics as it always
-// has. A one-entry window keeps every issue at its dispatch cycle, so only
-// the guard, not the occupancy ring's span, stops the placement.
+// TestPlacementLeavesGuardToLoop: placement panics with the cycle loop's
+// message exactly when the loop would, once the run's last retire reaches
+// the convergence guard, and runs to the end below it. A one-entry window
+// keeps every issue at its dispatch cycle, so the ring stays small.
 func TestPlacementLeavesGuardToLoop(t *testing.T) {
 	tr := &trace.Trace{ID: 903, Insts: []isa.Inst{
 		{Op: isa.Load, Dst: 1, Src1: 1},
@@ -216,9 +241,8 @@ func TestPlacementLeavesGuardToLoop(t *testing.T) {
 		LoadLatency: func(int) int { return lat }}
 	e := NewEngine()
 	req.Iterations = maxCycle/lat - 2
-	e.run(req, false)
-	if !e.placed {
-		t.Fatalf("%d iterations below the guard fell back to runDataflow", req.Iterations)
+	if res := e.run(req, false); res.Cycles >= maxCycle {
+		t.Fatalf("%d iterations below the guard ran %d cycles", req.Iterations, res.Cycles)
 	}
 	req.Iterations = maxCycle/lat + 2
 	defer func() {
@@ -231,9 +255,9 @@ func TestPlacementLeavesGuardToLoop(t *testing.T) {
 
 // TestStaticTableFollowsTrace runs two traces with the same registers, so
 // the same dependence graph, but different classes over one graph, in
-// turn: a pipelined trace that placement serves and its twin with a
-// divide that takes the dataflow loop. The per-static table cached on the
-// graph must be the running trace's, so both match the reference.
+// turn: a pipelined trace and its twin with a divide, whose unit is held.
+// The per-static table cached on the graph must be the running trace's,
+// so both match the reference.
 func TestStaticTableFollowsTrace(t *testing.T) {
 	placed := pipelinedTrace(11)
 	divide := &trace.Trace{ID: placed.ID + 1, Streams: placed.Streams, Insts: slices.Clone(placed.Insts)}
@@ -246,8 +270,25 @@ func TestStaticTableFollowsTrace(t *testing.T) {
 		}
 		want := referenceRun(mk())
 		e := NewEngine()
-		if got := e.run(mk(), false); !reflect.DeepEqual(got, want) || e.placed != (tr == placed) {
-			t.Fatalf("trace %d: placed %v, got %+v, want %+v", tr.ID, e.placed, got, want)
+		if got := e.run(mk(), false); !reflect.DeepEqual(got, want) {
+			t.Fatalf("trace %d: got %+v, want %+v", tr.ID, got, want)
 		}
+	}
+}
+
+// TestTakeBackRedirectsAgain: a divide that terminates the trace, taken
+// back and placed again where its hold displaces an older claim once more,
+// recomputes its iteration's redirect before the take-back it starts.
+func TestTakeBackRedirectsAgain(t *testing.T) {
+	tr := everyClassTrace(99073)
+	last := &tr.Insts[len(tr.Insts)-1]
+	last.Op, last.Dst, last.Src2 = isa.IntDiv, 7, 2
+	deps := trace.BuildDepGraph(tr)
+	mk := func() Request {
+		return Request{Trace: tr, Deps: deps, Iterations: 5, Policy: Dataflow, ProbeSpan: 3,
+			Width: 3, Window: 32, MispredictPenalty: 3, Mispredicts: mispredictPattern(99075, 0.6)}
+	}
+	if got, want := simulate(mk()), referenceRun(mk()); !reflect.DeepEqual(got, want) {
+		t.Fatalf("diverged from reference\n got: %+v\nwant: %+v", got, want)
 	}
 }
