@@ -5,11 +5,12 @@
 // Usage:
 //
 //	miragesim -mix hmmer,bzip2,astar,milc -topology mirage -policy SC-MPKI
-//	miragesim -n 8 -topology traditional -policy maxSTP   (random 8-app mix)
+//	miragesim -n 8 -topology traditional -policy Fair     (random 8-app mix)
 //	miragesim -list                                        (available benchmarks)
 package main
 
 import (
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
@@ -27,8 +28,8 @@ func main() {
 	mixFlag := flag.String("mix", "", "comma-separated benchmark names (default: random mix of size -n)")
 	nFlag := flag.Int("n", 8, "mix size when -mix is empty (also the InO count)")
 	topoFlag := flag.String("topology", "mirage", "mirage | traditional | homo-ino | homo-ooo")
-	policyFlag := flag.String("policy", "SC-MPKI", "SC-MPKI | maxSTP | SC-MPKI+maxSTP | Fair | SC-MPKI-fair")
-	numOoO := flag.Int("ooo", 1, "OoO core count (traditional topology only)")
+	policyFlag := flag.String("policy", "", "SC-MPKI | maxSTP | SC-MPKI+maxSTP | Fair | SC-MPKI-fair | software-SC-MPKI (default: SC-MPKI on mirage, maxSTP on traditional)")
+	numOoO := flag.Int("ooo", 0, "OoO core count, traditional topology only (default 1)")
 	insts := flag.Int64("insts", 2_000_000, "instruction target per application")
 	interval := flag.Int64("interval", 80_000, "arbitration interval in cycles")
 	seed := flag.String("seed", "miragesim", "deterministic seed name")
@@ -106,7 +107,7 @@ func main() {
 	}
 
 	var tbl stats.Table
-	tbl.Title = fmt.Sprintf("%s / %s on %d applications", topo, *policyFlag, len(mix))
+	tbl.Title = fmt.Sprintf("%s / %s on %d applications", topo, cmp.Or(string(mr.Config.Policy), "no arbiter"), len(mix))
 	tbl.Headers = []string{"app", "IPC", "speedup vs OoO", "memoized", "OoO share", "migrations"}
 	for i, a := range mr.Cluster.Apps {
 		memo := "-"

@@ -719,11 +719,14 @@ func (c *Cluster) measure(a *app, l *program.Loop, m mode, sched *trace.Schedule
 	}
 	pprof.SetGoroutineLabels(context.Background())
 	if aud := c.cfg.Audit; aud != nil {
-		aud.Checkf(!math.IsNaN(ms.cyclesPerIter) && !math.IsInf(ms.cyclesPerIter, 0) && ms.cyclesPerIter >= 0,
-			"cluster.measure", c.cfg.Seed,
-			"trace %d mode %d: cycles/iter %v", l.Trace.ID, m, ms.cyclesPerIter)
-		aud.Checkf(ms.perIterEnergy.Valid(), "energy.breakdown", c.cfg.Seed,
-			"trace %d mode %d: non-finite or negative per-iteration energy component", l.Trace.ID, m)
+		if math.IsNaN(ms.cyclesPerIter) || math.IsInf(ms.cyclesPerIter, 0) || ms.cyclesPerIter < 0 {
+			aud.Violatef("cluster.measure", c.cfg.Seed,
+				"trace %d mode %d: cycles/iter %v", l.Trace.ID, m, ms.cyclesPerIter)
+		}
+		if !ms.perIterEnergy.Valid() {
+			aud.Violatef("energy.breakdown", c.cfg.Seed,
+				"trace %d mode %d: non-finite or negative per-iteration energy component", l.Trace.ID, m)
+		}
 	}
 	// First measurement after a migration/new trace runs with cold caches;
 	// keep it for a warmup window, then re-measure warm.
@@ -783,9 +786,11 @@ func (c *Cluster) arbitrate(interval int) {
 	remaining := states
 	for slot := 0; slot < c.cfg.NumOoO && len(remaining) > 0; slot++ {
 		pick := c.cfg.Arbiter.Decide(remaining, interval)
-		c.cfg.Audit.Checkf(arbiter.ValidDecision(remaining, pick), "arbiter.decision",
-			c.cfg.Seed, "interval %d slot %d: %s returned %d, not an offered app index",
-			interval, slot, c.cfg.Arbiter.Name(), pick)
+		if c.cfg.Audit != nil && !arbiter.ValidDecision(remaining, pick) {
+			c.cfg.Audit.Violatef("arbiter.decision", c.cfg.Seed,
+				"interval %d slot %d: %s returned %d, not an offered app index",
+				interval, slot, c.cfg.Arbiter.Name(), pick)
+		}
 		if pick == arbiter.None || pick < 0 || pick >= len(c.apps) {
 			break
 		}
@@ -838,8 +843,10 @@ func (c *Cluster) auditOccupancy(interval int) {
 			seated++
 		}
 	}
-	c.cfg.Audit.Checkf(seated <= c.cfg.NumOoO, "cluster.ooo_occupancy", c.cfg.Seed,
-		"interval %d: %d OoO occupants, capacity %d", interval, seated, c.cfg.NumOoO)
+	if seated > c.cfg.NumOoO {
+		c.cfg.Audit.Violatef("cluster.ooo_occupancy", c.cfg.Seed,
+			"interval %d: %d OoO occupants, capacity %d", interval, seated, c.cfg.NumOoO)
+	}
 }
 
 // evictFromOoO returns an app to its InO core, shipping the producer SC
@@ -991,8 +998,9 @@ func (c *Cluster) auditFinalize(res *Result) {
 	aud := c.cfg.Audit
 	var want float64
 	for i, ar := range res.Apps {
-		aud.Checkf(ar.EnergyPJ.Valid(), "energy.breakdown", ar.Name,
-			"non-finite or negative component in final breakdown")
+		if !ar.EnergyPJ.Valid() {
+			aud.Violatef("energy.breakdown", ar.Name, "non-finite or negative component in final breakdown")
+		}
 		want += ar.EnergyPJ.Total()
 		if c.cfg.HasOoO {
 			want += energy.IdleLeakagePJ(energy.KindInO, uint64(c.apps[i].final().oooCycles)) * 0.3
@@ -1006,11 +1014,12 @@ func (c *Cluster) auditFinalize(res *Result) {
 	if tol < 1e-9 {
 		tol = 1e-9
 	}
-	aud.Checkf(diff <= tol, "energy.closure", c.cfg.Seed,
-		"TotalEnergyPJ %v != per-app component sum %v (diff %v)", res.TotalEnergyPJ, want, diff)
-	if !c.cfg.AllOoO {
-		aud.Checkf(res.OoOActiveCycles >= 0 && res.OoOActiveCycles <= res.RunCycles,
-			"cluster.ooo_occupancy", c.cfg.Seed,
+	if !(diff <= tol) {
+		aud.Violatef("energy.closure", c.cfg.Seed,
+			"TotalEnergyPJ %v != per-app component sum %v (diff %v)", res.TotalEnergyPJ, want, diff)
+	}
+	if !c.cfg.AllOoO && (res.OoOActiveCycles < 0 || res.OoOActiveCycles > res.RunCycles) {
+		aud.Violatef("cluster.ooo_occupancy", c.cfg.Seed,
 			"OoO active %d cycles outside run window %d", res.OoOActiveCycles, res.RunCycles)
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/arbiter"
+	"repro/internal/invariant"
 	"repro/internal/program"
 )
 
@@ -448,6 +449,42 @@ func TestOnlyTheProducerProbes(t *testing.T) {
 		if oooProbes != wantOoO || inoProbes != 0 {
 			t.Errorf("%s: %d of %d OoO and %d of %d in-order measurements probed, want %d and 0",
 				c.name, oooProbes, oooMeasures, inoProbes, inoMeasures, wantOoO)
+		}
+	}
+}
+
+// strayArbiter grants the OoO to an index past every app it is offered.
+type strayArbiter struct{}
+
+func (strayArbiter) Name() string                              { return "stray" }
+func (strayArbiter) Decide(apps []arbiter.AppState, _ int) int { return len(apps) + 7 }
+
+// TestAuditCatchesStrayDecision plants an arbiter that picks an app it was
+// not offered: the audit records arbiter.decision violations, and the same
+// cluster under a valid arbiter records none.
+func TestAuditCatchesStrayDecision(t *testing.T) {
+	for _, c := range []struct {
+		arb  arbiter.Arbiter
+		want bool
+	}{{arbiter.NewMaxSTP(), false}, {strayArbiter{}, true}} {
+		cfg := small(apps("hmmer", "bzip2"))
+		cfg.HasOoO = true
+		cfg.Arbiter = c.arb
+		aud := invariant.New(nil)
+		cfg.Audit = aud
+		cl, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := cl.Run(); err != nil {
+			t.Fatal(err)
+		}
+		got := false
+		for _, v := range aud.Violations() {
+			got = got || v.Check == "arbiter.decision"
+		}
+		if got != c.want {
+			t.Errorf("%s: arbiter.decision recorded %v, want %v (%v)", c.arb.Name(), got, c.want, aud.Err())
 		}
 	}
 }

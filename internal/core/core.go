@@ -44,21 +44,22 @@ const (
 // spans for PolicySoftwareSCMPKI (the paper's ~10ms vs 1M-cycle intervals).
 const SoftwarePollIntervals = 10
 
+// arbiters builds each policy's arbiter. Its keys are the policy names.
+var arbiters = map[Policy]func() arbiter.Arbiter{
+	PolicySCMPKI:       func() arbiter.Arbiter { return arbiter.NewSCMPKI() },
+	PolicyMaxSTP:       func() arbiter.Arbiter { return arbiter.NewMaxSTP() },
+	PolicySCMPKIMaxSTP: func() arbiter.Arbiter { return arbiter.NewSCMPKIMaxSTP() },
+	PolicyFair:         func() arbiter.Arbiter { return arbiter.NewFair() },
+	PolicySCMPKIFair:   func() arbiter.Arbiter { return arbiter.NewSCMPKIFair() },
+	PolicySoftwareSCMPKI: func() arbiter.Arbiter {
+		return arbiter.NewSoftware(arbiter.NewSCMPKI(), SoftwarePollIntervals)
+	},
+}
+
 // NewArbiter constructs the named policy.
 func NewArbiter(p Policy) (arbiter.Arbiter, error) {
-	switch p {
-	case PolicySCMPKI:
-		return arbiter.NewSCMPKI(), nil
-	case PolicyMaxSTP:
-		return arbiter.NewMaxSTP(), nil
-	case PolicySCMPKIMaxSTP:
-		return arbiter.NewSCMPKIMaxSTP(), nil
-	case PolicyFair:
-		return arbiter.NewFair(), nil
-	case PolicySCMPKIFair:
-		return arbiter.NewSCMPKIFair(), nil
-	case PolicySoftwareSCMPKI:
-		return arbiter.NewSoftware(arbiter.NewSCMPKI(), SoftwarePollIntervals), nil
+	if mk, ok := arbiters[p]; ok {
+		return mk(), nil
 	}
 	return nil, fmt.Errorf("core: unknown policy %q", p)
 }
@@ -77,11 +78,11 @@ const (
 	TopologyHomoOoO
 )
 
-// ParseTopology maps a topology's command-line and wire name (mirage,
-// traditional, homo-ino, homo-ooo) to the Topology.
+// ParseTopology maps a topology's command-line and wire name (mirage, the
+// default, traditional, homo-ino, homo-ooo) to the Topology.
 func ParseTopology(name string) (Topology, error) {
 	switch name {
-	case "mirage":
+	case "", "mirage":
 		return TopologyMirage, nil
 	case "traditional":
 		return TopologyTraditional, nil
@@ -114,10 +115,11 @@ type Config struct {
 	Topology Topology
 	// Benchmarks name the workload mix (one application per InO core).
 	Benchmarks []string
-	// Policy selects the arbitrator for Het topologies.
+	// Policy selects the arbitrator; empty means the topology's default
+	// (see Normalize).
 	Policy Policy
 
-	// NumOoO is the OoO core count for TopologyTraditional (default 1);
+	// NumOoO is the OoO core count for TopologyTraditional (0 means 1);
 	// e.g. the 5:3 Kumar-style CMP of Figure 14 uses NumOoO=3.
 	NumOoO int
 
@@ -181,26 +183,61 @@ type MixResult struct {
 	OoOActiveFrac float64
 }
 
-// resolveMix maps benchmark names to generated workloads.
-func resolveMix(names []string) ([]*program.Benchmark, error) {
-	if len(names) == 0 {
-		return nil, fmt.Errorf("core: empty workload mix")
+// Normalize returns c with its topology's defaults filled in, or the first
+// rule c breaks; it is the one home of those rules, and a normalized Config
+// normalizes to itself. The mix names at least one known benchmark. Mirage
+// defaults Policy to SC-MPKI. Traditional defaults it to maxSTP and NumOoO
+// to 1, and refuses SC-MPKI and software-SC-MPKI: they rank apps by
+// Schedule Cache misses, so with no Schedule Cache they never grant the
+// OoO. A homogeneous topology takes no Policy, and only traditional takes
+// more than one OoO.
+func (c Config) Normalize() (Config, error) {
+	if len(c.Benchmarks) == 0 {
+		return c, errors.New("mix must name at least one benchmark")
 	}
-	out := make([]*program.Benchmark, len(names))
-	for i, n := range names {
-		b := program.ByName(n)
-		if b == nil {
-			return nil, fmt.Errorf("core: unknown benchmark %q", n)
+	for _, name := range c.Benchmarks {
+		if program.ByName(name) == nil {
+			return c, fmt.Errorf("unknown benchmark %q", name)
 		}
-		out[i] = b
 	}
-	return out, nil
+	switch c.Topology {
+	case TopologyMirage:
+		if c.Policy == "" {
+			c.Policy = PolicySCMPKI
+		}
+	case TopologyTraditional:
+		switch c.Policy {
+		case "":
+			c.Policy = PolicyMaxSTP
+		case PolicySCMPKI, PolicySoftwareSCMPKI:
+			return c, fmt.Errorf("policy %q never grants the OoO on topology %q (it ranks Schedule Cache misses, and there is no Schedule Cache)", c.Policy, c.Topology)
+		}
+		if c.NumOoO == 0 {
+			c.NumOoO = 1
+		}
+	case TopologyHomoInO, TopologyHomoOoO:
+		if c.Policy != "" {
+			return c, fmt.Errorf("policy %q does not apply to topology %q (no arbitrated OoO)", c.Policy, c.Topology)
+		}
+	default:
+		return c, fmt.Errorf("unknown topology %d", c.Topology)
+	}
+	if _, ok := arbiters[c.Policy]; !ok && c.Policy != "" {
+		return c, fmt.Errorf("unknown policy %q", c.Policy)
+	}
+	switch {
+	case c.NumOoO < 0:
+		return c, fmt.Errorf("num_ooo %d is negative", c.NumOoO)
+	case c.NumOoO > 1 && c.Topology != TopologyTraditional:
+		return c, errors.New("num_ooo applies to the traditional topology only")
+	}
+	return c, nil
 }
 
-// clusterConfig lowers a Config to the cluster layer.
-func (c Config) clusterConfig(apps []*program.Benchmark) (cluster.Config, error) {
+// clusterConfig lowers a normalized Config to the cluster layer.
+func (c Config) clusterConfig() cluster.Config {
 	cc := cluster.Config{
-		Apps:            apps,
+		Apps:            make([]*program.Benchmark, len(c.Benchmarks)),
 		NumOoO:          c.NumOoO,
 		IntervalCycles:  c.IntervalCycles,
 		TargetInsts:     c.TargetInsts,
@@ -210,31 +247,22 @@ func (c Config) clusterConfig(apps []*program.Benchmark) (cluster.Config, error)
 		Seed:            c.Seed + ":" + string(c.Policy),
 		Telemetry:       c.Telemetry,
 	}
+	for i, name := range c.Benchmarks {
+		cc.Apps[i] = program.ByName(name)
+	}
 	switch c.Topology {
 	case TopologyMirage:
 		cc.HasOoO = true
 		cc.Memoize = true
 	case TopologyTraditional:
 		cc.HasOoO = true
-	case TopologyHomoInO:
-		// defaults
 	case TopologyHomoOoO:
 		cc.AllOoO = true
-	default:
-		return cc, fmt.Errorf("core: unknown topology %d", c.Topology)
 	}
 	if cc.HasOoO {
-		pol := c.Policy
-		if pol == "" {
-			pol = PolicySCMPKI
-		}
-		arb, err := NewArbiter(pol)
-		if err != nil {
-			return cc, err
-		}
-		cc.Arbiter = arb
+		cc.Arbiter = arbiters[c.Policy]()
 	}
-	return cc, nil
+	return cc
 }
 
 // RunMix simulates one configuration. The context is checked on entry only:
@@ -249,14 +277,11 @@ func RunMix(ctx context.Context, cfg Config) (*MixResult, error) {
 			return nil, err
 		}
 	}
-	apps, err := resolveMix(cfg.Benchmarks)
+	cfg, err := cfg.Normalize()
 	if err != nil {
 		return nil, err
 	}
-	cc, err := cfg.clusterConfig(apps)
-	if err != nil {
-		return nil, err
-	}
+	cc := cfg.clusterConfig()
 	var aud *invariant.Auditor
 	if cfg.Audit {
 		aud = invariant.New(cfg.Telemetry.Reg())
@@ -277,11 +302,7 @@ func RunMix(ctx context.Context, cfg Config) (*MixResult, error) {
 	for _, a := range res.Apps {
 		mr.PerAppIPC = append(mr.PerAppIPC, a.IPC)
 	}
-	numOoO := cfg.NumOoO
-	if numOoO <= 0 {
-		numOoO = 1
-	}
-	mr.AreaMM2 = AreaK(cfg.Topology, len(apps), numOoO)
+	mr.AreaMM2 = AreaK(cfg.Topology, len(cfg.Benchmarks), cfg.NumOoO)
 	if res.RunCycles > 0 {
 		mr.OoOActiveFrac = float64(res.OoOActiveCycles) / float64(res.RunCycles)
 	}

@@ -18,8 +18,11 @@ func tiny(topo Topology, mix []string) Config {
 	}
 }
 
+// allPolicies is every policy NewArbiter builds.
+var allPolicies = []Policy{PolicySCMPKI, PolicyMaxSTP, PolicySCMPKIMaxSTP, PolicyFair, PolicySCMPKIFair, PolicySoftwareSCMPKI}
+
 func TestNewArbiter(t *testing.T) {
-	for _, p := range []Policy{PolicySCMPKI, PolicyMaxSTP, PolicySCMPKIMaxSTP, PolicyFair, PolicySCMPKIFair} {
+	for _, p := range allPolicies {
 		a, err := NewArbiter(p)
 		if err != nil || a == nil {
 			t.Errorf("policy %q: %v", p, err)
@@ -45,6 +48,90 @@ func TestRunMixValidation(t *testing.T) {
 	cfg.NumOoO = 2
 	if _, err := RunMix(context.Background(), cfg); err == nil {
 		t.Error("multi-producer Mirage accepted")
+	}
+}
+
+// TestNormalize covers topology × policy × NumOoO: each pair's normalized
+// policy and OoO count, or its refusal, and that normalizing a normalized
+// Config changes nothing; and an unknown topology, an empty mix and an
+// unknown benchmark are refused.
+func TestNormalize(t *testing.T) {
+	const refused Policy = "!" // no normalized policy is "!"
+	policies := append([]Policy{""}, append(allPolicies, "bogus")...)
+	// wantPolicy[topo][i] is what Normalize makes of policies[i].
+	homo := []Policy{"", refused, refused, refused, refused, refused, refused, refused}
+	wantPolicy := map[Topology][]Policy{
+		TopologyMirage: {PolicySCMPKI, PolicySCMPKI, PolicyMaxSTP, PolicySCMPKIMaxSTP,
+			PolicyFair, PolicySCMPKIFair, PolicySoftwareSCMPKI, refused},
+		TopologyTraditional: {PolicyMaxSTP, refused, PolicyMaxSTP, PolicySCMPKIMaxSTP,
+			PolicyFair, PolicySCMPKIFair, refused, refused},
+		TopologyHomoInO: homo,
+		TopologyHomoOoO: homo,
+	}
+	const refusedOoO = -1 // no normalized OoO count is negative
+	numOoO := []int{-1, 0, 1, 3}
+	// wantOoO[topo][i] is what Normalize makes of numOoO[i].
+	single := []int{refusedOoO, 0, 1, refusedOoO}
+	wantOoO := map[Topology][]int{
+		TopologyMirage:      single,
+		TopologyTraditional: {refusedOoO, 1, 1, 3},
+		TopologyHomoInO:     single,
+		TopologyHomoOoO:     single,
+	}
+	for topo, pols := range wantPolicy {
+		for pi, p := range policies {
+			for ni, n := range numOoO {
+				in := Config{Topology: topo, Benchmarks: []string{"mcf"}, Policy: p, NumOoO: n}
+				got, err := in.Normalize()
+				wantP, wantN := pols[pi], wantOoO[topo][ni]
+				if refuse := wantP == refused || wantN == refusedOoO; refuse != (err != nil) {
+					t.Errorf("%v/%q/NumOoO %d: err %v, want refused %v", topo, p, n, err, refuse)
+					continue
+				}
+				if err != nil {
+					continue
+				}
+				if got.Policy != wantP || got.NumOoO != wantN {
+					t.Errorf("%v/%q/NumOoO %d: normalized to %q/%d, want %q/%d", topo, p, n, got.Policy, got.NumOoO, wantP, wantN)
+				}
+				if again, err := got.Normalize(); err != nil || !reflect.DeepEqual(again, got) {
+					t.Errorf("%v/%q/NumOoO %d: normalizing again gave %+v, %v", topo, p, n, again, err)
+				}
+			}
+		}
+	}
+	for _, bad := range []Config{
+		{Topology: Topology(99), Benchmarks: []string{"mcf"}},
+		{Benchmarks: nil},
+		{Benchmarks: []string{"mcf", "not-a-benchmark"}},
+	} {
+		if _, err := bad.Normalize(); err == nil {
+			t.Errorf("%+v accepted", bad)
+		}
+	}
+}
+
+// TestAcceptedArmsGrantTheOoO runs every policy Normalize accepts on each
+// topology with an arbitrated OoO and requires the OoO granted at some
+// interval: a pair whose arbiter never grants it is a no-op Normalize
+// must refuse (SC-MPKI on traditional, which has no Schedule Cache to rank
+// by, was one).
+func TestAcceptedArmsGrantTheOoO(t *testing.T) {
+	for _, topo := range []Topology{TopologyMirage, TopologyTraditional} {
+		for _, p := range append([]Policy{""}, allPolicies...) {
+			cfg := tiny(topo, []string{"hmmer", "bzip2", "mcf"})
+			cfg.Policy = p
+			if _, err := cfg.Normalize(); err != nil {
+				continue
+			}
+			mr, err := RunMix(context.Background(), cfg)
+			if err != nil {
+				t.Fatalf("%v/%q: %v", topo, p, err)
+			}
+			if mr.Cluster.OoOActiveCycles == 0 {
+				t.Errorf("%v/%q: Normalize accepts it, but the OoO was never granted", topo, p)
+			}
+		}
 	}
 }
 

@@ -78,15 +78,6 @@ func (a *Auditor) Violatef(check, where, format string, args ...any) {
 	a.reg.Counter("audit.violations." + check).Inc()
 }
 
-// Checkf records a violation when cond is false. It returns cond so call
-// sites can chain (`if !aud.Checkf(...) { return }`).
-func (a *Auditor) Checkf(cond bool, check, where, format string, args ...any) bool {
-	if !cond {
-		a.Violatef(check, where, format, args...)
-	}
-	return cond
-}
-
 // Total reports how many violations have been recorded, including those
 // past the MaxRecorded retention bound.
 func (a *Auditor) Total() int {

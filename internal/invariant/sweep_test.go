@@ -1,11 +1,10 @@
 package invariant_test
 
 // The audit sweep: drive full simulations across 200 seeds with the
-// invariant audit attached (ISSUE 5 acceptance criterion) and require zero
-// violations. The sweep rotates every topology and arbitration policy so
-// each audit check — pipeline scheduling, arbitration decisions, OoO
-// occupancy, energy closure — actually executes; a check that never runs
-// proves nothing.
+// invariant audit attached and require zero violations. The sweep rotates
+// every topology and every arbitration policy it takes, so each audit
+// check — pipeline scheduling, arbitration decisions, OoO occupancy, energy
+// closure — actually executes; a check that never runs proves nothing.
 
 import (
 	"context"
@@ -46,8 +45,16 @@ func sweepCase(i int) core.Config {
 		Seed:           seed,
 		Audit:          true,
 	}
-	if cfg.Topology == core.TopologyTraditional && i%4 == 3 {
-		cfg.NumOoO = 2 // multi-slot arbitration paths
+	switch cfg.Topology {
+	case core.TopologyTraditional:
+		if cfg.Policy == core.PolicySCMPKI || cfg.Policy == core.PolicySoftwareSCMPKI {
+			cfg.Policy = "" // no Schedule Cache to rank by: the default, maxSTP
+		}
+		if i%4 == 3 {
+			cfg.NumOoO = 2 // multi-slot arbitration paths
+		}
+	case core.TopologyHomoInO, core.TopologyHomoOoO:
+		cfg.Policy = "" // no arbitrated OoO
 	}
 	return cfg
 }

@@ -153,11 +153,11 @@ func TestAuditDropsLongSpanBuffer(t *testing.T) {
 	}}
 	e := NewEngine()
 	for _, c := range []struct {
-		lat  int
-		kept bool
-	}{{4, true}, {maxKeptRing, false}, {4, true}} {
+		lat, iters int
+		kept       bool
+	}{{4, 3, true}, {maxLatency, maxKeptRing/maxLatency + 1, false}, {4, 3, true}} {
 		aud := invariant.New(nil)
-		e.run(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 3, Policy: Dataflow,
+		e.run(Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: c.iters, Policy: Dataflow,
 			Width: isa.IssueWidth, Window: isa.ROBSize, NoProbe: true,
 			LoadLatency: func(int) int { return c.lat }, Audit: aud, AuditLabel: "audit-test"}, false)
 		if aud.Total() != 0 {

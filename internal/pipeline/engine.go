@@ -11,19 +11,22 @@ import (
 
 // maxCycle is the convergence guard: the in-order loop panics once the
 // cycle it is about to issue in passes it, and placement once a cycle its
-// stall sweep makes final does. maxInput bounds every resolved latency,
-// fetch gate and mispredict penalty, and maxWindow a Dataflow request's
-// window (resolve rejects larger ones). Every cycle the engine computes
-// then stays below 1<<31, which is what lets the per-dynamic state hold
-// cycles in 32 bits: the in-order loop's lie within two inputs of the
-// guard, and placement's within maxWindow*(maxInput+1+2h) cycles of a
-// stall sweep frontier that never passes it, h the longest unit hold
-// (DESIGN.md §9). The memory hierarchy's latencies and gates are a few
-// hundred cycles, and the cores' window is isa.ROBSize.
+// stall sweep makes final does. maxLatency bounds every resolved load
+// latency, maxInput every fetch gate and mispredict penalty, and maxWindow
+// a Dataflow request's window (resolve rejects larger ones). Every cycle
+// the engine computes then stays below 1<<31, which is what lets the
+// per-dynamic state hold cycles in 32 bits: the in-order loop's lie within
+// two inputs of the guard, and placement's within
+// maxWindow*(maxLatency+1+2h) cycles of a stall sweep frontier that never
+// passes it, h the longest unit hold, which also bounds placement's dense
+// occupancy ring (DESIGN.md §9). The memory hierarchy's latencies are at
+// most 157 cycles and its gates a few hundred; the cores' window is
+// isa.ROBSize.
 const (
-	maxCycle  = 1 << 26
-	maxInput  = 1 << 17
-	maxWindow = 1 << 9
+	maxCycle   = 1 << 26
+	maxLatency = 1 << 8
+	maxInput   = 1 << 17
+	maxWindow  = 1 << 9
 )
 
 // edyn is the per-dynamic-instruction state, in 32-bit fields so a run's
@@ -351,7 +354,7 @@ func resize[T any](s []T, n int) []T {
 // (the order the lazy engine drew them in), Mispredicts for iterations
 // 0..Iterations-2, FetchGate for every iteration. The simulation reads only
 // the resolved inputs, so they are all a memo key must capture. A latency
-// outside [1, maxInput], a fetch gate or mispredict penalty outside
+// outside [1, maxLatency], a fetch gate or mispredict penalty outside
 // [0, maxInput], or a Dataflow window past maxWindow is a malformed request.
 func (e *Engine) resolve(req *Request) {
 	if req.MispredictPenalty < 0 || req.MispredictPenalty > maxInput {
@@ -368,7 +371,7 @@ func (e *Engine) resolve(req *Request) {
 		if req.LoadLatency != nil {
 			lat = req.LoadLatency(k)
 		}
-		if lat < 1 || lat > maxInput {
+		if lat < 1 || lat > maxLatency {
 			panic("pipeline: load latency out of range")
 		}
 		e.lats[k] = lat

@@ -290,8 +290,10 @@ func (e *Engine) auditMemo(req *Request, stored, fresh *Result) bool {
 	same := slices.Equal(s.IssueOrder, f.IssueOrder)
 	s.IssueOrder, f.IssueOrder = nil, nil
 	same = same && reflect.DeepEqual(s, f)
-	req.Audit.Checkf(same, "pipeline.memo", where,
-		"memoized result for trace %d differs from a fresh simulation: cycles %d, want %d",
-		req.Trace.ID, stored.Cycles, fresh.Cycles)
+	if !same {
+		req.Audit.Violatef("pipeline.memo", where,
+			"memoized result for trace %d differs from a fresh simulation: cycles %d, want %d",
+			req.Trace.ID, stored.Cycles, fresh.Cycles)
+	}
 	return same
 }

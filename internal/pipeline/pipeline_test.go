@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/isa"
+	"repro/internal/mem"
 	"repro/internal/trace"
 )
 
@@ -239,6 +240,7 @@ func TestRecordedOrderRequiresFullOrder(t *testing.T) {
 // could overflow them is a malformed request, as is a Dataflow window wide
 // enough for placement's claims to overflow them, and inputs within bounds
 // whose run passes the convergence guard stop there instead of wrapping.
+// The latency bound still admits the memory hierarchy's slowest load.
 func TestCycleArithmeticBounded(t *testing.T) {
 	hold := 0
 	for c := range isa.NumClasses {
@@ -246,7 +248,10 @@ func TestCycleArithmeticBounded(t *testing.T) {
 			hold = max(hold, isa.Latency[c])
 		}
 	}
-	if span := maxWindow * (maxInput + 1 + 2*hold); maxCycle+span >= 1<<31 {
+	if worst := mem.PageWalkCost + mem.L1Latency + mem.L2Latency + mem.MemLatency; worst > maxLatency {
+		t.Fatalf("the memory hierarchy's slowest load takes %d cycles, past the %d resolve accepts", worst, maxLatency)
+	}
+	if span := maxWindow * (maxLatency + 1 + 2*hold); maxCycle+span >= 1<<31 {
 		t.Fatalf("placement's claims reach cycle %d past the guard, beyond 32 bits", span)
 	}
 	tr := &trace.Trace{ID: 12, Insts: []isa.Inst{
@@ -266,7 +271,7 @@ func TestCycleArithmeticBounded(t *testing.T) {
 			change func(*Request)
 		}{
 			{"latency", "pipeline: load latency out of range",
-				func(r *Request) { r.LoadLatency = func(int) int { return maxInput + 1 } }},
+				func(r *Request) { r.LoadLatency = func(int) int { return maxLatency + 1 } }},
 			{"zero latency", "pipeline: load latency out of range",
 				func(r *Request) { r.LoadLatency = func(int) int { return 0 } }},
 			{"fetch gate", "pipeline: fetch gate out of range",
@@ -281,8 +286,8 @@ func TestCycleArithmeticBounded(t *testing.T) {
 				Dataflow:     "pipeline: dataflow simulation did not converge",
 				ProgramOrder: "pipeline: in-order simulation did not converge",
 			}[pol], func(r *Request) {
-				r.Iterations = maxCycle/maxInput + 2
-				r.LoadLatency = func(int) int { return maxInput }
+				r.Iterations = maxCycle/maxLatency + 2
+				r.LoadLatency = func(int) int { return maxLatency }
 			}},
 		} {
 			req := Request{Trace: tr, Deps: deps, Iterations: 2, Policy: pol, Width: 3}

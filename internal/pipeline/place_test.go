@@ -2,6 +2,7 @@ package pipeline
 
 import (
 	"reflect"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -100,8 +101,9 @@ func TestPlacementMatchesReference(t *testing.T) {
 //   - a divide that issues while an older multiply waits for its operand
 //     holds the unit through the multiply's first placement, so the
 //     multiply is taken back and issues after the hold;
-//   - a serial chain issues past 2^16 cycles beyond the dispatch frontier,
-//     so the occupancy ring grows past what an engine keeps, and is dropped.
+//   - a serial chain of loads at the largest latency, in the largest
+//     window, issues past 2^16 cycles beyond the dispatch frontier, so the
+//     occupancy ring grows past what an engine keeps, and is dropped.
 func TestPlacementServesFormerFallbacks(t *testing.T) {
 	// A load whose latency differs per iteration feeds the terminating
 	// branch, and nothing carries between iterations.
@@ -118,29 +120,33 @@ func TestPlacementServesFormerFallbacks(t *testing.T) {
 	}}
 	chain := &trace.Trace{ID: 903, Insts: []isa.Inst{
 		{Op: isa.Load, Dst: 1, Src1: 1},
+		{Op: isa.Load, Dst: 1, Src1: 1},
+		{Op: isa.Load, Dst: 1, Src1: 1},
+		{Op: isa.Load, Dst: 1, Src1: 1},
 		{Op: isa.Branch, Dst: isa.NoReg, Src1: 1},
 	}}
 	reused := NewEngine()
 	for _, c := range []struct {
-		name  string
-		tr    *trace.Trace
-		lats  []int
-		check func(e *Engine) bool // the run took the path the case is for
+		name          string
+		tr            *trace.Trace
+		lats          []int
+		window, iters int
+		check         func(e *Engine) bool // the run took the path the case is for
 	}{
-		{"younger branch first", loadBranch, []int{137, 2, 2}, func(e *Engine) bool {
+		{"younger branch first", loadBranch, []int{137, 2, 2}, isa.ROBSize, 4, func(e *Engine) bool {
 			return e.dyns[5].issued < e.dyns[2].issued
 		}},
-		{"divide displaces an older multiply", displace, []int{2}, func(e *Engine) bool {
+		{"divide displaces an older multiply", displace, []int{2}, isa.ROBSize, 4, func(e *Engine) bool {
 			return e.dyns[1].issued >= e.dyns[2].issued+int32(isa.Latency[isa.IntDiv])
 		}},
-		{"chain past the kept ring", chain, []int{maxInput}, func(e *Engine) bool {
+		{"chain past the kept ring", chain, []int{maxLatency}, maxWindow, 200, func(e *Engine) bool {
 			return e.occ.words == nil
 		}},
 	} {
 		mk := func() Request {
 			return Request{
-				Trace: c.tr, Deps: trace.BuildDepGraph(c.tr), Iterations: 4, Policy: Dataflow,
-				Width: isa.IssueWidth, Window: isa.ROBSize, ProbeSpan: 2,
+				Trace: c.tr, Deps: trace.BuildDepGraph(c.tr), Iterations: c.iters, Policy: Dataflow,
+				Width: isa.IssueWidth, Window: c.window, ProbeSpan: 2,
 				MispredictPenalty: isa.OoOPipelineDepth,
 				LoadLatency:       func(k int) int { return c.lats[k%len(c.lats)] },
 				Mispredicts:       mispredictPattern(5, 0.5), FetchGate: fetchGatePattern(2, 9),
@@ -229,22 +235,23 @@ func TestOccupancyWordFits(t *testing.T) {
 
 // TestPlacementLeavesGuardToLoop: placement panics with the cycle loop's
 // message exactly when the loop would, once the run's last retire reaches
-// the convergence guard, and runs to the end below it. A one-entry window
-// keeps every issue at its dispatch cycle, so the ring stays small.
+// the convergence guard, and runs to the end below it. Fetch gates carry
+// the run to the guard, and a one-entry window keeps every issue at its
+// dispatch cycle, so the ring stays small.
 func TestPlacementLeavesGuardToLoop(t *testing.T) {
 	tr := &trace.Trace{ID: 903, Insts: []isa.Inst{
 		{Op: isa.Load, Dst: 1, Src1: 1},
 		{Op: isa.Branch, Dst: isa.NoReg, Src1: 1},
 	}}
-	const lat = 1 << 16
+	const gate = 1 << 16
 	req := Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Policy: Dataflow, Width: 3, Window: 1,
-		LoadLatency: func(int) int { return lat }}
+		FetchGate: func(int) int { return gate }}
 	e := NewEngine()
-	req.Iterations = maxCycle/lat - 2
+	req.Iterations = maxCycle/gate - 2
 	if res := e.run(req, false); res.Cycles >= maxCycle {
 		t.Fatalf("%d iterations below the guard ran %d cycles", req.Iterations, res.Cycles)
 	}
-	req.Iterations = maxCycle/lat + 2
+	req.Iterations = maxCycle/gate + 2
 	defer func() {
 		if msg := recover(); msg != "pipeline: dataflow simulation did not converge" {
 			t.Errorf("past the guard: panic %v", msg)
@@ -290,5 +297,29 @@ func TestTakeBackRedirectsAgain(t *testing.T) {
 	}
 	if got, want := simulate(mk()), referenceRun(mk()); !reflect.DeepEqual(got, want) {
 		t.Fatalf("diverged from reference\n got: %+v\nwant: %+v", got, want)
+	}
+}
+
+// TestLongLatencyChainAllocs: the occupancy ring spans the window's claims
+// ahead of the dispatch frontier, so a chain of loads at the largest
+// latency resolve accepts must still place in a small, fixed amount of
+// memory at every window a Dataflow request may name.
+func TestLongLatencyChainAllocs(t *testing.T) {
+	tr := &trace.Trace{ID: 904, Insts: []isa.Inst{
+		{Op: isa.Load, Dst: 1, Src1: 1},
+		{Op: isa.Branch, Dst: isa.NoReg, Src1: 1},
+	}}
+	for _, window := range []int{128, maxWindow} {
+		req := Request{Trace: tr, Deps: trace.BuildDepGraph(tr), Iterations: 200, Policy: Dataflow,
+			Width: isa.IssueWidth, Window: window, NoProbe: true,
+			LoadLatency: func(int) int { return maxLatency }}
+		e := NewEngine()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		e.run(req, false)
+		runtime.ReadMemStats(&after)
+		if got := after.TotalAlloc - before.TotalAlloc; got > 2<<20 {
+			t.Errorf("window %d: one run allocated %d bytes, want <= 2 MiB", window, got)
+		}
 	}
 }

@@ -4,9 +4,10 @@ package server
 // three job routes: the POST bodies of /v1/run and /v1/sweep and the query
 // string of /v1/figures/{id}. Whatever the input, the server must never
 // panic and never blame itself (5xx), malformed JSON must be rejected with
-// a 4xx, and ParseJob must key the request exactly when the worker accepts
-// it. The backend is a fast fake, so any input that does validate
-// exercises the full handler (cache, admission, encoding) too.
+// a 4xx, ParseJob must key the request exactly when the worker accepts
+// it, and an accepted run's config must be one core.Config.Normalize
+// leaves as it is. The backend is a fast fake, so any input that does
+// validate exercises the full handler (cache, admission, encoding) too.
 
 import (
 	"bytes"
@@ -15,6 +16,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -33,6 +35,8 @@ func FuzzServerDecodeRequest(f *testing.F) {
 	f.Add("/v1/sweep", "{\"scale\": \"\u0000\"}")
 	f.Add("/v1/sweep", `[1,2,3]`)
 	f.Add("/v1/run", `{"mix": ["hmmer"], "bogus": 1}`)
+	f.Add("/v1/run", `{"mix": ["hmmer"], "topology": "traditional", "policy": "SC-MPKI"}`)
+	f.Add("/v1/run", `{"mix": ["mcf"], "topology": "homo-ooo", "num_ooo": 1}`)
 
 	srv := newFuzzServer()
 	f.Fuzz(func(t *testing.T, path, body string) {
@@ -68,6 +72,14 @@ func FuzzServerDecodeRequest(f *testing.F) {
 			quoted, _ := json.Marshal(j.Key)
 			if !bytes.Contains(rec.Body.Bytes(), quoted) {
 				t.Fatalf("%s %q: reply does not carry ParseJob's key %q", path, body, j.Key)
+			}
+		}
+		// An accepted run is a normalized core.Config, which normalizes
+		// again without error and unchanged.
+		if keyed && j.Route == "run" {
+			again, err := j.cfg.Normalize()
+			if err != nil || !reflect.DeepEqual(again, j.cfg) {
+				t.Fatalf("%s %q: accepted config %+v normalizes to %+v, %v", path, body, j.cfg, again, err)
 			}
 		}
 		if !routed {

@@ -20,7 +20,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/experiments"
-	"repro/internal/program"
 )
 
 // maxBodyBytes bounds request bodies; hostile payloads past it fail decode
@@ -57,7 +56,8 @@ type RunRequest struct {
 	Mix []string `json:"mix"`
 	// Topology is mirage|traditional|homo-ino|homo-ooo (default mirage).
 	Topology string `json:"topology,omitempty"`
-	// Policy is an arbitration policy name (default SC-MPKI).
+	// Policy is an arbitration policy name (default SC-MPKI on mirage and
+	// maxSTP on traditional; see core.Config.Normalize).
 	Policy string `json:"policy,omitempty"`
 	// NumOoO is the OoO count for traditional topologies (default 1).
 	NumOoO int `json:"num_ooo,omitempty"`
@@ -175,44 +175,19 @@ func validSeed(s string) bool {
 	return true
 }
 
-// parseRun validates a /v1/run request and derives its key and cluster.
+// parseRun checks a /v1/run request's wire limits, takes the run from
+// core.Config.Normalize and derives its key.
 func parseRun(req *RunRequest) (*Job, error) {
-	if len(req.Mix) == 0 {
-		return nil, badRequest("mix must name at least one benchmark")
-	}
 	if len(req.Mix) > maxMixSize {
 		return nil, badRequest("mix has %d entries; the limit is %d", len(req.Mix), maxMixSize)
 	}
-	for _, name := range req.Mix {
-		if program.ByName(name) == nil {
-			return nil, badRequest("unknown benchmark %q", name)
-		}
-	}
-	topoName := req.Topology
-	if topoName == "" {
-		topoName = "mirage"
-	}
-	topo, err := core.ParseTopology(topoName)
+	topo, err := core.ParseTopology(req.Topology)
 	if err != nil {
 		return nil, badRequest("%v", err)
-	}
-	policy := core.Policy(req.Policy)
-	hasOoO := topo == core.TopologyMirage || topo == core.TopologyTraditional
-	if hasOoO {
-		if policy == "" {
-			policy = core.PolicySCMPKI
-		}
-		if _, err := core.NewArbiter(policy); err != nil {
-			return nil, badRequest("unknown policy %q", req.Policy)
-		}
-	} else if policy != "" {
-		return nil, badRequest("policy %q does not apply to topology %q (no arbitrated OoO)", req.Policy, topo)
 	}
 	switch {
 	case req.NumOoO < 0 || req.NumOoO > maxNumOoO:
 		return nil, badRequest("num_ooo %d out of range [0, %d]", req.NumOoO, maxNumOoO)
-	case req.NumOoO > 1 && topo != core.TopologyTraditional:
-		return nil, badRequest("num_ooo applies to the traditional topology only")
 	case req.TargetInsts < 0 || req.TargetInsts > maxTargetInsts:
 		return nil, badRequest("target_insts %d out of range [0, %d]", req.TargetInsts, maxTargetInsts)
 	case req.IntervalCycles < 0 || req.IntervalCycles > maxInterval:
@@ -229,24 +204,21 @@ func parseRun(req *RunRequest) (*Job, error) {
 	if !validSeed(seed) {
 		return nil, badRequest("seed must be at most %d printable ASCII characters without '|'", maxSeedLen)
 	}
-	numOoO := req.NumOoO
-	if topo == core.TopologyTraditional && numOoO == 0 {
-		numOoO = 1
-	}
-	cfg := core.Config{
+	cfg, err := core.Config{
 		Topology:        topo,
 		Benchmarks:      append([]string(nil), req.Mix...),
-		NumOoO:          numOoO,
+		Policy:          core.Policy(req.Policy),
+		NumOoO:          req.NumOoO,
 		TargetInsts:     req.TargetInsts,
 		IntervalCycles:  req.IntervalCycles,
 		SCCapacityBytes: req.SCCapacityBytes,
 		Seed:            seed,
-	}
-	if hasOoO {
-		cfg.Policy = policy
+	}.Normalize()
+	if err != nil {
+		return nil, badRequest("%v", err)
 	}
 	key := fmt.Sprintf("run|topo=%s|policy=%s|ooo=%d|insts=%d|interval=%d|sc=%d|seed=%s|mix=%s",
-		topo, cfg.Policy, numOoO, req.TargetInsts, req.IntervalCycles, req.SCCapacityBytes,
+		topo, cfg.Policy, cfg.NumOoO, req.TargetInsts, req.IntervalCycles, req.SCCapacityBytes,
 		seed, strings.Join(req.Mix, ","))
 	return &Job{Route: "run", Key: key, Timeout: ms(req.TimeoutMS), cfg: cfg}, nil
 }

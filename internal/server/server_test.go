@@ -236,6 +236,46 @@ func TestRunValidation(t *testing.T) {
 	}
 }
 
+// TestRunTopologyDefaults pins what /v1/run takes from core.Config.Normalize:
+// a traditional run defaults to maxSTP on one OoO core, and SC-MPKI, which
+// never grants the OoO of a cluster with no Schedule Cache, is a 400 there.
+func TestRunTopologyDefaults(t *testing.T) {
+	key, err := CanonicalRunKey(&RunRequest{Mix: []string{"hmmer"}, Topology: "traditional"})
+	if err != nil || !strings.Contains(key, "|policy=maxSTP|ooo=1|") {
+		t.Errorf("traditional default: key %q, err %v", key, err)
+	}
+	_, err = CanonicalRunKey(&RunRequest{Mix: []string{"hmmer"}, Topology: "traditional", Policy: "SC-MPKI"})
+	if ae, ok := err.(*apiError); !ok || ae.status != http.StatusBadRequest {
+		t.Errorf("SC-MPKI on traditional: err %v, want a 400", err)
+	}
+}
+
+// TestParseRunAllocs bounds ParseJob's allocations on two /v1/run shapes
+// at what they took when the request path still built an arbiter to check
+// the policy name: serve-warm's Mirage key, and a traditional Fair run.
+func TestParseRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, c := range []struct {
+		body string
+		max  float64
+	}{
+		{`{"mix":["hmmer"],"target_insts":60000,"interval_cycles":15000,"seed":"sw-1-3"}`, 25},
+		{`{"mix":["hmmer","mcf"],"topology":"traditional","policy":"Fair","target_insts":60000,"seed":"rc-1-3"}`, 28},
+	} {
+		body := []byte(c.body)
+		allocs := testing.AllocsPerRun(100, func() {
+			if _, err := ParseJob("run", nil, body, nil); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > c.max {
+			t.Errorf("%s: %v allocs/op, want <= %v", c.body, allocs, c.max)
+		}
+	}
+}
+
 // TestWorkerBudget pins where Config.Parallel goes: figures and sweeps get
 // it as their Scale.Parallel, while /v1/run always hands its backend a
 // serial pair (core.Config.Parallel == 1), whatever the server's budget.
