@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -485,6 +486,67 @@ func TestAuditCatchesStrayDecision(t *testing.T) {
 		}
 		if got != c.want {
 			t.Errorf("%s: arbiter.decision recorded %v, want %v (%v)", c.arb.Name(), got, c.want, aud.Err())
+		}
+	}
+}
+
+// TestAuditCatchesPlantedViolations plants a violation of each occupancy
+// and energy check after a clean audited run and calls the check
+// directly: the plant records its check, and the clean run, or its result
+// checked again unplanted, records none.
+// The per-measurement checks (cluster.measure and the per-iteration
+// energy.breakdown) have no such seam: no input yields a non-finite cost.
+func TestAuditCatchesPlantedViolations(t *testing.T) {
+	cfg := small(apps("hmmer", "bzip2"))
+	cfg.HasOoO = true
+	cfg.Arbiter = arbiter.NewMaxSTP()
+	cfg.Audit = invariant.New(nil)
+	cl, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Audit.Total() != 0 {
+		t.Fatalf("clean run: %v", cfg.Audit.Err())
+	}
+	for _, c := range []struct {
+		name, check string
+		plant       func(r *Result)
+	}{
+		{"unplanted", "", func(*Result) {}},
+		{"every app seated", "cluster.ooo_occupancy", nil},
+		{"OoO active past the run", "cluster.ooo_occupancy", func(r *Result) { r.OoOActiveCycles = r.RunCycles + 1 }},
+		{"total off the sum", "energy.closure", func(r *Result) { r.TotalEnergyPJ *= 1.01 }},
+		{"NaN component", "energy.breakdown", func(r *Result) { r.Apps[1].EnergyPJ[0] = math.NaN() }},
+	} {
+		aud := invariant.New(nil)
+		cl.cfg.Audit = aud
+		if c.plant == nil {
+			seated := make([]bool, len(cl.apps))
+			for i, a := range cl.apps {
+				seated[i], a.onOoO = a.onOoO, true
+			}
+			cl.auditOccupancy(0)
+			for i, a := range cl.apps {
+				a.onOoO = seated[i]
+			}
+		} else {
+			r := *res
+			r.Apps = append([]AppResult(nil), res.Apps...)
+			c.plant(&r)
+			cl.auditFinalize(&r)
+		}
+		got := false
+		for _, v := range aud.Violations() {
+			got = got || v.Check == c.check
+		}
+		if c.check == "" && aud.Total() != 0 {
+			t.Errorf("%s: %v", c.name, aud.Err())
+		} else if c.check != "" && !got {
+			t.Errorf("%s: %s not recorded (%v)", c.name, c.check, aud.Err())
 		}
 	}
 }

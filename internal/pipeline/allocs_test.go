@@ -52,7 +52,7 @@ func allocsRequest(pol Policy, tr *trace.Trace) Request {
 // TestPipelineRunAllocs pins the hot path's allocation budget: a steady-state
 // run on an owned Engine (the path every core takes) may allocate only the
 // result memo's entries, not per-run scratch, and a memo hit allocates
-// nothing. Every engine is covered: the in-order loop on program order and
+// nothing. Every engine is covered: the in-order pass on program order and
 // on a recorded order, and age-order placement, also behind fetch gates and
 // on a trace with a divide, whose hold takes back displaced claims.
 // The simulating bound is deliberately a little loose so unrelated runtime
@@ -78,7 +78,7 @@ func TestPipelineRunAllocs(t *testing.T) {
 	} {
 		eng := NewEngine()
 		req := c.req
-		eng.Run(req) // size the scratch and build the memoized dep CSR
+		eng.Run(req) // size the scratch and build the memoized flatDeps
 		allocs := testing.AllocsPerRun(100, func() { eng.Run(req) })
 		if allocs > 8 {
 			t.Errorf("%s: Engine.Run allocates %.0f/op, want <= 8", c.name, allocs)

@@ -6,19 +6,20 @@ import "repro/internal/isa"
 // the machine invariants (DESIGN.md §11). It is independent of the
 // engines' bookkeeping on purpose: it recomputes occupancy and ordering
 // from nothing but the per-dyn (issued, complete, latency) triples and the
-// dependence graph, so a bug in placement's occupancy ring and take-backs,
-// the in-order loop's successor lists or either's cycle skipping cannot
-// hide itself. Runs only under -audit; a check formats its message only
-// when it fails. Cost is O(dyns + edges + cycles) time and O(cycles)
-// space per request, the space in a buffer the engine keeps for short
-// runs.
-func (e *Engine) audit(req *Request, fd *flatDeps, res *Result) {
+// trace.DepGraph itself, not the operand table the engines read, so a bug
+// in that table, placement's occupancy ring and take-backs or the in-order
+// pass's stall jumps cannot hide itself. Runs only under -audit; a check
+// formats its message only when it fails. Cost is O(dyns + edges +
+// cycles) time and O(cycles) space per request, the space in a buffer the
+// engine keeps for short runs.
+func (e *Engine) audit(req *Request, res *Result) {
 	aud := req.Audit
 	where := req.AuditLabel
 	if where == "" {
 		where = "pipeline"
 	}
-	n := fd.n
+	g := req.Deps
+	n := len(g.Preds)
 	total := len(e.dyns)
 
 	// Per-dyn arithmetic and dependence-edge ordering: every instruction
@@ -44,20 +45,20 @@ func (e *Engine) audit(req *Request, fd *flatDeps, res *Result) {
 		}
 		j := int(d.static)
 		base := int(d.iter) * n
-		for _, p := range fd.preds[fd.predOff[2*j]:fd.predOff[2*j+1]] {
-			if pd := &e.dyns[base+int(p)]; d.issued < pd.complete {
+		for _, p := range g.Preds[j] {
+			if pd := &e.dyns[base+p]; d.issued < pd.complete {
 				aud.Violatef("pipeline.dep_order", where,
 					"dyn %d issued at %d before intra-iteration pred %d completed at %d",
-					idx, d.issued, base+int(p), pd.complete)
+					idx, d.issued, base+p, pd.complete)
 			}
 		}
 		if d.iter > 0 {
 			cb := base - n
-			for _, p := range fd.preds[fd.predOff[2*j+1]:fd.predOff[2*j+2]] {
-				if pd := &e.dyns[cb+int(p)]; d.issued < pd.complete {
+			for _, p := range g.CarriedPreds[j] {
+				if pd := &e.dyns[cb+p]; d.issued < pd.complete {
 					aud.Violatef("pipeline.dep_order", where,
 						"dyn %d issued at %d before loop-carried pred %d completed at %d",
-						idx, d.issued, cb+int(p), pd.complete)
+						idx, d.issued, cb+p, pd.complete)
 				}
 			}
 		}

@@ -83,7 +83,7 @@ func tamper(t *testing.T, corrupt func(e *Engine, res *Result)) *invariant.Audit
 	aud := invariant.New(nil)
 	req.Audit = aud
 	req.AuditLabel = "tampered"
-	e.audit(&req, flatDepsOf(req.Deps), &res)
+	e.audit(&req, &res)
 	return aud
 }
 

@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"math"
 	"sync/atomic"
 
 	"repro/internal/isa"
@@ -9,13 +10,13 @@ import (
 	"repro/internal/trace"
 )
 
-// maxCycle is the convergence guard: the in-order loop panics once the
+// maxCycle is the convergence guard: the in-order pass panics once the
 // cycle it is about to issue in passes it, and placement once a cycle its
 // stall sweep makes final does. maxLatency bounds every resolved load
 // latency, maxInput every fetch gate and mispredict penalty, and maxWindow
 // a Dataflow request's window (resolve rejects larger ones). Every cycle
 // the engine computes then stays below 1<<31, which is what lets the
-// per-dynamic state hold cycles in 32 bits: the in-order loop's lie within
+// per-dynamic state hold cycles in 32 bits: the in-order pass's lie within
 // two inputs of the guard, and placement's within
 // maxWindow*(maxLatency+1+2h) cycles of a stall sweep frontier that never
 // passes it, h the longest unit hold, which also bounds placement's dense
@@ -30,43 +31,29 @@ const (
 )
 
 // edyn is the per-dynamic-instruction state, in 32-bit fields so a run's
-// state packs 28 bytes per instruction. Stored flat and reused across
-// runs; every field is (re)initialized by prepare, and runPlaced, which
-// needs no prepare, sets all but readyAt and npred.
+// state packs 20 bytes per instruction. Stored flat and reused across
+// runs; each engine sets every field of an instruction as it issues it.
 type edyn struct {
 	lat      int32
-	issued   int32 // cycle issued, -1 before
+	issued   int32 // cycle issued, -1 while a take-back has it unplaced
 	complete int32
-	readyAt  int32 // running max of completes over *issued* predecessors
-	npred    int32 // predecessors not yet issued (counted with multiplicity)
 	static   int32 // index within the trace
 	iter     int32
 }
 
 // estatic is one instruction's entry in a trace's per-static table, so
-// neither prepare nor the engines map a class to its pool or latency.
+// the engines map no class to its pool or latency.
 type estatic struct {
-	op      isa.Class
-	unit    isa.FU
-	hold    int32 // cycles an unpipelined op holds its unit; 0 when pipelined
-	lat     int32 // the class latency; each dynamic load takes its resolved one
-	npred   int32 // intra-iteration predecessors
-	carried int32 // loop-carried predecessors, from iteration 1 on
+	op   isa.Class
+	unit isa.FU
+	hold int32 // cycles an unpipelined op holds its unit; 0 when pipelined
+	lat  int32 // the class latency; each dynamic load takes its resolved one
+	load int32 // the instruction's index among the trace's loads; -1 for any other class
 }
 
-// flatDeps is the CSR (compressed sparse row) flattening of a DepGraph:
-// predecessor and successor adjacency in single backing arrays, built once
-// per trace and memoized on the graph. Duplicate edges (both source operands
-// reading the same producer) are kept — npred counts them with multiplicity,
-// so the successor lists must too.
-//
-// For static instruction j, intra-iteration predecessors live at
-// preds[predOff[2j]:predOff[2j+1]] and loop-carried predecessors at
-// preds[predOff[2j+1]:predOff[2j+2]]; succOff/succs use the same layout for
-// the reverse edges.
-//
-// srcs restates the predecessors for placement (place.go): instruction j's
-// two source operands, each as a distance back from j's slot in a table of
+// flatDeps is a DepGraph restated for the engines, built once per trace
+// and memoized on the graph. srcs gives instruction j's two source
+// operands, each as a distance back from j's slot in a table of
 // completion cycles laid out by dynamic index after n zero slots, so a
 // loop-carried source in iteration 0 reads a zero slot. A mask of 0 marks
 // an operand with no producer. BuildDepGraph gives each source one
@@ -77,11 +64,7 @@ type estatic struct {
 // (staticsOf).
 type flatDeps struct {
 	n       int
-	predOff []int32
-	preds   []int32
-	succOff []int32
-	succs   []int32
-	srcs    []placeSrcs
+	srcs    []operandSrcs
 	statics atomic.Pointer[staticTable]
 }
 
@@ -92,7 +75,7 @@ type staticTable struct {
 	insts []estatic
 }
 
-type placeSrcs struct {
+type operandSrcs struct {
 	back [2]int32
 	mask [2]int32
 }
@@ -103,76 +86,26 @@ func flatDepsOf(g *trace.DepGraph) *flatDeps {
 
 func buildFlatDeps(g *trace.DepGraph) *flatDeps {
 	n := len(g.Preds)
-	fd := &flatDeps{n: n}
-	total := 0
-	for j := 0; j < n; j++ {
-		total += len(g.Preds[j]) + len(g.CarriedPreds[j])
-	}
-	fd.predOff = make([]int32, 2*n+1)
-	fd.preds = make([]int32, 0, total)
-	for j := 0; j < n; j++ {
-		fd.predOff[2*j] = int32(len(fd.preds))
-		for _, p := range g.Preds[j] {
-			fd.preds = append(fd.preds, int32(p))
+	fd := &flatDeps{n: n, srcs: make([]operandSrcs, n)}
+	for j := range fd.srcs {
+		preds, carried := g.Preds[j], g.CarriedPreds[j]
+		if len(preds)+len(carried) > 2 {
+			panic("pipeline: an instruction with more than two predecessors")
 		}
-		fd.predOff[2*j+1] = int32(len(fd.preds))
-		for _, p := range g.CarriedPreds[j] {
-			fd.preds = append(fd.preds, int32(p))
+		src := &fd.srcs[j]
+		for k, p := range preds {
+			src.back[k], src.mask[k] = int32(j-p), -1
 		}
-	}
-	fd.predOff[2*n] = int32(len(fd.preds))
-
-	fd.srcs = make([]placeSrcs, n)
-	for j := 0; j < n; j++ {
-		k := 0
-		for q := fd.predOff[2*j]; q < fd.predOff[2*j+2]; q, k = q+1, k+1 {
-			if k == 2 {
-				panic("pipeline: an instruction with more than two predecessors")
-			}
-			back := int32(j) - fd.preds[q]
-			if q >= fd.predOff[2*j+1] {
-				back += int32(n)
-			}
-			fd.srcs[j].back[k], fd.srcs[j].mask[k] = back, -1
-		}
-	}
-
-	// Invert into successor lists, preserving multiplicity and, within each
-	// producer's list, consumer program order.
-	cnt := make([]int32, 2*n+1)
-	for j := 0; j < n; j++ {
-		for _, p := range g.Preds[j] {
-			cnt[2*p]++
-		}
-		for _, p := range g.CarriedPreds[j] {
-			cnt[2*p+1]++
-		}
-	}
-	fd.succOff = make([]int32, 2*n+1)
-	off := int32(0)
-	for i := 0; i < 2*n; i++ {
-		fd.succOff[i] = off
-		off += cnt[i]
-	}
-	fd.succOff[2*n] = off
-	fd.succs = make([]int32, total)
-	cursor := make([]int32, 2*n)
-	copy(cursor, fd.succOff[:2*n])
-	for j := 0; j < n; j++ {
-		for _, p := range g.Preds[j] {
-			fd.succs[cursor[2*p]] = int32(j)
-			cursor[2*p]++
-		}
-		for _, p := range g.CarriedPreds[j] {
-			fd.succs[cursor[2*p+1]] = int32(j)
-			cursor[2*p+1]++
+		for k, p := range carried {
+			src.back[len(preds)+k], src.mask[len(preds)+k] = int32(j-p+n), -1
 		}
 	}
 	return fd
 }
 
 // Engine holds the reusable simulation scratch: dynamic-instruction state,
-// the in-order issue sequence and unit occupancy, placement's per-dynamic
+// the completion table both engines read operands from, the in-order
+// issue sequence and unit occupancy, placement's per-dynamic retire
 // cycles and occupancy ring, the issue-order sort buffer, the request's
 // resolved inputs, the key and entry encoding buffers of the process-wide
 // result memo (memo.go), and the last Result. A steady-state Run allocates
@@ -183,15 +116,16 @@ type Engine struct {
 	dyns     []edyn
 	statics  []estatic // the request's per-static table, shared: read only
 	iterGate []int32
-	seq      []int32 // the in-order loop's issue sequence of dyns indexes
+	seq      []int32 // the in-order pass's issue sequence of dyns indexes
 	fus      fuUnits
 	orderBuf []int32 // extractProbe's per-cycle counts
 	auditBuf []int32 // audit's per-cycle issue and claim counts
 
 	// The request's callbacks, resolved once by resolve: per-dynamic-load
-	// latencies in load order, terminating-branch outcomes and fetch gates
-	// by iteration.
+	// latencies in load order, loads per iteration, terminating-branch
+	// outcomes and fetch gates by iteration.
 	lats  []int
+	loads int
 	miss  []bool
 	gates []int
 
@@ -199,9 +133,9 @@ type Engine struct {
 	entBuf  []byte
 	memoHit bool
 
-	// Age-order placement's scratch (place.go): per-dynamic retire cycles,
-	// completion cycles in the layout flatDeps.srcs reads, and the
-	// occupancy ring.
+	// Age-order placement's retire cycles and occupancy ring (place.go),
+	// and the completion cycles both engines read, in the layout
+	// flatDeps.srcs reads.
 	retire []int32
 	comp   []int32
 	occ    occRing
@@ -312,9 +246,14 @@ func (e *Engine) run(req Request, memoize bool) Result {
 	if req.Policy == Dataflow {
 		e.runPlaced(&req, fd, res)
 	} else {
-		e.prepare(&req, fd)
 		e.runInOrder(&req, fd, res)
 	}
+	// Both engines issue every instruction exactly once.
+	res.Issued = len(e.dyns)
+	for j := range e.statics {
+		res.FUBusy[e.statics[j].unit] += uint64(req.Iterations)
+	}
+	e.finishRun(n, res)
 	if !req.NoProbe {
 		span := req.ProbeSpan
 		probe := (req.Iterations / 2 / span) * span
@@ -324,7 +263,7 @@ func (e *Engine) run(req Request, memoize bool) Result {
 		e.extractProbe(probe*n, (probe+span)*n, res)
 	}
 	if req.Audit != nil {
-		e.audit(&req, fd, res)
+		e.audit(&req, res)
 	}
 	if memoize {
 		var prior Result
@@ -364,8 +303,8 @@ func (e *Engine) resolve(req *Request) {
 		panic("pipeline: window out of range")
 	}
 	iters := req.Iterations
-	loads, _ := req.Trace.NumMemOps()
-	e.lats = resize(e.lats, loads*iters)
+	e.loads, _ = req.Trace.NumMemOps()
+	e.lats = resize(e.lats, e.loads*iters)
 	for k := range e.lats {
 		lat := isa.Latency[isa.Load]
 		if req.LoadLatency != nil {
@@ -390,6 +329,16 @@ func (e *Engine) resolve(req *Request) {
 			e.gates = append(e.gates, g)
 		}
 	}
+}
+
+// latency returns the latency of static instruction st's dynamic instance
+// in iteration it: its resolved latency for a load, the class latency
+// otherwise.
+func (e *Engine) latency(st *estatic, it int) int32 {
+	if st.load < 0 {
+		return st.lat
+	}
+	return int32(e.lats[it*e.loads+int(st.load)])
 }
 
 // redirect returns the cycle from which the front end may fetch iteration
@@ -419,11 +368,15 @@ func (fd *flatDeps) staticsOf(t *trace.Trace) *staticTable {
 		return tab
 	}
 	tab := &staticTable{trace: t, insts: make([]estatic, fd.n)}
+	loads := int32(0)
 	for j, in := range t.Insts {
-		st := estatic{op: in.Op, unit: isa.UnitFor(in.Op), lat: int32(isa.Latency[in.Op]),
-			npred: fd.predOff[2*j+1] - fd.predOff[2*j], carried: fd.predOff[2*j+2] - fd.predOff[2*j+1]}
+		st := estatic{op: in.Op, unit: isa.UnitFor(in.Op), lat: int32(isa.Latency[in.Op]), load: -1}
 		if !isa.Pipelined[in.Op] {
 			st.hold = st.lat
+		}
+		if in.Op == isa.Load {
+			st.load = loads
+			loads++
 		}
 		tab.insts[j] = st
 	}
@@ -431,90 +384,63 @@ func (fd *flatDeps) staticsOf(t *trace.Trace) *staticTable {
 	return tab
 }
 
-// prepare sizes the scratch for the request and initializes the
-// per-dynamic state: latencies (the resolved per-load latencies in program
-// order), predecessor counts, and issue state.
-func (e *Engine) prepare(req *Request, fd *flatDeps) {
-	n := fd.n
-	iters := req.Iterations
-	e.dyns = resize(e.dyns, n*iters)
-	e.iterGate = resize(e.iterGate, iters)
-	clear(e.iterGate)
-
-	loadSeq := 0
-	for it := 0; it < iters; it++ {
-		row := e.dyns[it*n : (it+1)*n]
-		for j := range row {
-			st, d := &e.statics[j], &row[j]
-			d.lat = st.lat
-			if st.op == isa.Load {
-				d.lat = int32(e.lats[loadSeq])
-				loadSeq++
-			}
-			d.issued, d.complete, d.readyAt = -1, 0, 0
-			d.npred = st.npred
-			if it > 0 {
-				d.npred += st.carried
-			}
-			d.static, d.iter = int32(j), int32(it)
-		}
-	}
-}
-
 // maxUnits is the size of the largest functional-unit pool (isa.FUCount).
 const maxUnits = 2
 
+// unissued marks the completion slot of an instruction not yet issued in
+// a run whose sequence may reach a consumer before its producer: no cycle
+// the engine computes reaches it.
+const unissued = math.MaxInt32
+
 // fuUnits holds, for each unit of each pool, the first cycle it accepts an
-// operation. The in-order loop claims units in non-decreasing cycles, so a
+// operation. The in-order pass claims units in non-decreasing cycles, so a
 // pipelined op takes its unit until the next cycle, and an unpipelined op
-// (a divide) for its latency: the previous engine's claim rule.
+// (a divide) for its latency: the reference engine's claim rule.
 type fuUnits [isa.NumFUs][maxUnits]int32
 
-// claim takes a unit of pool u at cycle now, for hold cycles when hold > 0.
-// It reports false if no unit is free this cycle.
-func (f *fuUnits) claim(u isa.FU, hold, now int32) bool {
+// free returns the first cycle at or after now at which a unit of pool u
+// accepts an operation.
+func (f *fuUnits) free(u isa.FU, now int32) int32 {
+	m := f[u][0]
+	for _, b := range f[u][1:isa.FUCount[u]] {
+		m = min(m, b)
+	}
+	return max(now, m)
+}
+
+// claim takes a unit of pool u that is free at cycle now, for hold cycles
+// when hold > 0.
+func (f *fuUnits) claim(u isa.FU, hold, now int32) {
 	for i := range isa.FUCount[u] {
 		if f[u][i] <= now {
 			f[u][i] = now + max(hold, 1)
-			return true
+			return
 		}
 	}
-	return false
 }
 
-// minBusyOf returns the earliest cycle > now at which some unit of pool u
-// frees up. Callers only ask when every unit of the pool is busy past now.
-func (f *fuUnits) minBusyOf(u isa.FU, now int32) int32 {
-	m := int32(-1)
-	for _, b := range f[u][:isa.FUCount[u]] {
-		if b > now && (m < 0 || b < m) {
-			m = b
-		}
-	}
-	return m
-}
-
-// runInOrder issues along the request's sequence, stall-on-use, folds
-// each issue's completion into its successors, and jumps over stalled
-// spans, charging them as the cycle-by-cycle loop would have.
+// runInOrder issues along the request's sequence, stall-on-use, in one
+// pass: an instruction issues in the cycle of the one before it if that
+// cycle has a width slot left, its operands are complete and a unit of its
+// pool is free, and otherwise in the first later cycle at or after the
+// fetch gate, its operands' completion and a free unit. It reads operands
+// from the completion table placement fills, and charges the cycles it
+// passes over as the cycle-stepped loop did: those before the gate to
+// fetch stalls, those before the operands complete to data stalls and one
+// stall event, and those before a unit frees to FU stalls and one stall
+// event each.
 func (e *Engine) runInOrder(req *Request, fd *flatDeps, res *Result) {
 	n := fd.n
-	dyns, statics := e.dyns, e.statics
-	succOff, succs := fd.succOff, fd.succs
-	total := len(dyns)
-	width := req.Width
-	iters := req.Iterations
-	fus := &e.fus
-	*fus = fuUnits{}
-	issuedCount := 0
-	cycle := int32(0)
-	gate := int32(0)
-	if len(e.gates) > 0 {
-		gate = int32(e.gates[0])
-	}
+	total := n * req.Iterations
+	statics, srcs := e.statics, fd.srcs
+	e.dyns = resize(e.dyns, total)
+	e.comp = resize(e.comp, n+total)
+	dyns, comp := e.dyns, e.comp
+	clear(comp[:n])
 
 	// Dynamic issue sequence: program order, or the recorded pattern
-	// repeated per span group.
+	// repeated per span group. A recorded order may name a consumer before
+	// its producer, so its run marks every completion slot unissued first.
 	seq := resize(e.seq, total)
 	if req.Policy == RecordedOrder {
 		k := 0
@@ -524,6 +450,9 @@ func (e *Engine) runInOrder(req *Request, fd *flatDeps, res *Result) {
 				k++
 			}
 		}
+		for k := n; k < len(comp); k++ {
+			comp[k] = unissued
+		}
 	} else {
 		for i := range seq {
 			seq[i] = int32(i)
@@ -531,87 +460,51 @@ func (e *Engine) runInOrder(req *Request, fd *flatDeps, res *Result) {
 	}
 	e.seq = seq
 
-	next := 0
-	for next < total {
-		if cycle < gate {
-			res.StallFetchCycles += int(gate - cycle)
-			cycle = gate
-		}
-		if cycle > maxCycle {
-			panic("pipeline: in-order simulation did not converge")
-		}
-		issuedThis := 0
-		fuBlocked := false
-		var blocked isa.FU
-		for issuedThis < width && next < total {
-			d := &dyns[seq[next]]
-			if d.npred != 0 {
-				panic("pipeline: in-order issue saw unissued predecessor")
-			}
-			if d.readyAt > cycle {
-				break // stall-on-use: strictly stop at first stalled inst
-			}
-			st := &statics[d.static]
-			if !fus.claim(st.unit, st.hold, cycle) {
-				fuBlocked = true
-				blocked = st.unit
-				break
-			}
-			d.issued = cycle
-			d.complete = cycle + d.lat
-			res.FUBusy[st.unit]++
-			issuedThis++
-
-			// Fold the completion time into the successors' operands. The
-			// loop reads readyAt and npred at the head of its sequence, so
-			// it needs no wakeups.
-			j, it := int(d.static), int(d.iter)
-			lo, mid, hi := succOff[2*j], succOff[2*j+1], succOff[2*j+2]
-			if it+1 == iters {
-				hi = mid
-			}
-			for q := lo; q < hi; q++ {
-				s := it*n + int(succs[q])
-				if q >= mid {
-					s += n
-				}
-				sd := &dyns[s]
-				sd.readyAt = max(sd.readyAt, d.complete)
-				sd.npred--
-			}
-			if j == n-1 && it+1 < iters {
-				gate = max(gate, e.redirect(req, it, cycle, d.complete))
-			}
-			next++
-		}
-		issuedCount += issuedThis
-		if issuedThis > 0 {
-			cycle++
-			continue
-		}
-		res.LoadStallCycles++
-		if !fuBlocked {
-			// The head's operands are not ready: jump to when they are.
-			rt := dyns[seq[next]].readyAt
-			res.StallDataCycles += int(rt - cycle)
-			cycle = rt
-			continue
-		}
-		// The head is data-ready but every unit of its pool is busy past
-		// this cycle; each intervening cycle replays the same failed claim,
-		// so jump to the first expiry, charging the span as the per-cycle
-		// loop would have.
-		res.StallFUCycles++
-		if m := fus.minBusyOf(blocked, cycle); m > cycle+1 {
-			extra := int(m - cycle - 1)
-			res.LoadStallCycles += extra
-			res.StallFUCycles += extra
-			cycle = m - 1
-		}
-		cycle++
+	fus := &e.fus
+	*fus = fuUnits{}
+	gate := int32(0)
+	if len(e.gates) > 0 {
+		gate = int32(e.gates[0])
 	}
-	res.Issued = issuedCount
-	e.finishRun(n, res)
+	width := int32(req.Width)
+	cycle, slots := int32(-1), int32(0) // the last issue's cycle and the width it has left
+	for _, idx := range seq {
+		j, it := int(idx)%n, int(idx)/n
+		st, k := &statics[j], int32(n)+idx
+		ops := operands(comp, &srcs[j], k)
+		if ops == unissued {
+			panic("pipeline: in-order issue saw unissued predecessor")
+		}
+		if slots == 0 || ops > cycle || fus.free(st.unit, cycle) > cycle {
+			c := cycle + 1
+			if c < gate {
+				res.StallFetchCycles += int(gate - c)
+				c = gate
+			}
+			if ops > c {
+				res.LoadStallCycles++
+				res.StallDataCycles += int(ops - c)
+				c = ops
+			}
+			if f := fus.free(st.unit, c); f > c {
+				res.LoadStallCycles += int(f - c)
+				res.StallFUCycles += int(f - c)
+				c = f
+			}
+			if c > maxCycle {
+				panic("pipeline: in-order simulation did not converge")
+			}
+			cycle, slots = c, width
+		}
+		fus.claim(st.unit, st.hold, cycle)
+		slots--
+		lat := e.latency(st, it)
+		dyns[idx] = edyn{lat: lat, issued: cycle, complete: cycle + lat, static: int32(j), iter: int32(it)}
+		comp[k] = cycle + lat
+		if j == n-1 && it+1 < req.Iterations {
+			gate = max(gate, e.redirect(req, it, cycle, cycle+lat))
+		}
+	}
 }
 
 // finishRun derives Cycles and the per-iteration completion times from the

@@ -12,12 +12,14 @@
 // transfer directly), the same register dependences, and per-dynamic-load
 // latencies supplied by the memory hierarchy.
 //
-// No policy steps the machine cycle by cycle. A Dataflow request places
-// each instruction once, in age order, taking back what a divide's hold
-// displaces (place.go); the in-order policies fold each issue's completion
-// into its successors and jump over cycles in which nothing can happen
-// (engine.go). Results are bit-identical to the original cycle-by-cycle
-// engine, whose frozen copy serves as the test oracle (reference_test.go).
+// No policy steps the machine cycle by cycle, and all three read an
+// instruction's operands from one table of completion cycles. A Dataflow
+// request places each instruction once, in age order, taking back what a
+// divide's hold displaces (place.go); the in-order policies issue each
+// instruction once along their sequence, in the cycle of the one before it
+// or the first later cycle it can issue in (engine.go). Results are
+// bit-identical to the original cycle-by-cycle engine, whose frozen copy
+// serves as the test oracle (reference_test.go).
 package pipeline
 
 import (

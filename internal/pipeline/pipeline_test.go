@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/isa"
@@ -236,7 +237,7 @@ func TestRecordedOrderRequiresFullOrder(t *testing.T) {
 }
 
 // TestCycleArithmeticBounded: the engine keeps cycles in 32 bits, so on
-// both loop types a resolved latency, fetch gate or mispredict penalty that
+// every policy a resolved latency, fetch gate or mispredict penalty that
 // could overflow them is a malformed request, as is a Dataflow window wide
 // enough for placement's claims to overflow them, and inputs within bounds
 // whose run passes the convergence guard stop there instead of wrapping.
@@ -264,7 +265,7 @@ func TestCycleArithmeticBounded(t *testing.T) {
 		simulate(req)
 		return nil
 	}
-	for _, pol := range []Policy{Dataflow, ProgramOrder} {
+	for _, pol := range []Policy{Dataflow, ProgramOrder, RecordedOrder} {
 		for _, c := range []struct {
 			name   string
 			want   any
@@ -283,19 +284,55 @@ func TestCycleArithmeticBounded(t *testing.T) {
 			{"window", map[Policy]any{Dataflow: "pipeline: window out of range"}[pol],
 				func(r *Request) { r.Window = maxWindow + 1 }},
 			{"past the guard", map[Policy]string{
-				Dataflow:     "pipeline: dataflow simulation did not converge",
-				ProgramOrder: "pipeline: in-order simulation did not converge",
+				Dataflow:      "pipeline: dataflow simulation did not converge",
+				ProgramOrder:  "pipeline: in-order simulation did not converge",
+				RecordedOrder: "pipeline: in-order simulation did not converge",
 			}[pol], func(r *Request) {
 				r.Iterations = maxCycle/maxLatency + 2
 				r.LoadLatency = func(int) int { return maxLatency }
 			}},
 		} {
 			req := Request{Trace: tr, Deps: deps, Iterations: 2, Policy: pol, Width: 3}
+			if pol == RecordedOrder {
+				req.Order = []uint16{0, 1}
+			}
 			c.change(&req)
 			if got := panicOf(req); got != c.want {
 				t.Errorf("policy %d, %s: panic %v, want %q", pol, c.name, got, c.want)
 			}
 		}
+	}
+}
+
+// TestRecordedOrderRejectsConsumerFirst: a recorded order that issues a
+// consumer before its producer is a malformed request, and the in-order
+// pass panics on it. It runs on an engine that has just replayed the
+// trace in a valid order, so the producer's completion slot holds a cycle
+// from that run; the engine still matches the reference afterwards.
+func TestRecordedOrderRejectsConsumerFirst(t *testing.T) {
+	tr := &trace.Trace{ID: 13, Insts: []isa.Inst{
+		{Op: isa.Load, Dst: 1, Src1: 1},
+		{Op: isa.IntALU, Dst: 2, Src1: 1},
+		{Op: isa.Branch, Dst: isa.NoReg, Src1: 2},
+	}}
+	deps := trace.BuildDepGraph(tr)
+	mk := func(order []uint16) Request {
+		return Request{Trace: tr, Deps: deps, Iterations: 4, Policy: RecordedOrder, Order: order,
+			Width: 3, LoadLatency: memLatPattern(13)}
+	}
+	valid, consumerFirst := []uint16{0, 1, 2}, []uint16{1, 0, 2}
+	e := NewEngine()
+	e.run(mk(valid), false)
+	func() {
+		defer func() {
+			if msg := recover(); msg != "pipeline: in-order issue saw unissued predecessor" {
+				t.Errorf("consumer before its producer: panic %v", msg)
+			}
+		}()
+		e.run(mk(consumerFirst), false)
+	}()
+	if got, want := e.run(mk(valid), false), referenceRun(mk(valid)); !reflect.DeepEqual(got, want) {
+		t.Errorf("after the panic: got %+v, want %+v", got, want)
 	}
 }
 

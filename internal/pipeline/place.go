@@ -152,13 +152,12 @@ func (e *Engine) readyWaits(fd *flatDeps, x int32, placed int) bool {
 
 // operands returns the cycle the operands of the instruction whose
 // completion slot is comp[k] are complete.
-func operands(comp []int32, src *placeSrcs, k int32) int32 {
+func operands(comp []int32, src *operandSrcs, k int32) int32 {
 	return max(comp[k-src.back[0]]&src.mask[0], comp[k-src.back[1]]&src.mask[1])
 }
 
-// runPlaced simulates a Dataflow request by age-order placement. It needs
-// no prepare: it sets every edyn field the audit and the result read (lat,
-// issued, complete, static, iter) as it places.
+// runPlaced simulates a Dataflow request by age-order placement, setting
+// each instruction's edyn and completion slot as it places it.
 func (e *Engine) runPlaced(req *Request, fd *flatDeps, res *Result) {
 	n := fd.n
 	iters := req.Iterations
@@ -183,15 +182,10 @@ func (e *Engine) runPlaced(req *Request, fd *flatDeps, res *Result) {
 
 	var sweep stallSweep
 	lastDisp, nDisp := int32(0), 0 // the latest dispatch cycle and its dispatches
-	loadSeq := 0
 	for it, idx := 0, 0; it < iters; it++ {
 		for j := 0; j < n; j, idx = j+1, idx+1 {
 			st, d := &statics[j], &dyns[idx]
-			lat := st.lat
-			if st.op == isa.Load {
-				lat = int32(e.lats[loadSeq])
-				loadSeq++
-			}
+			lat := e.latency(st, it)
 
 			// Dispatch: in order, at most width a cycle, into a window
 			// freed by retirement earlier in the same cycle, and not while
@@ -257,13 +251,8 @@ func (e *Engine) runPlaced(req *Request, fd *flatDeps, res *Result) {
 		*occ = occRing{}
 	}
 
-	res.Issued = total
-	for j := range statics {
-		res.FUBusy[statics[j].unit] += uint64(iters)
-	}
 	res.LoadStallCycles = sweep.data + sweep.fu
 	res.StallDataCycles, res.StallFUCycles, res.StallFetchCycles = sweep.data, sweep.fu, sweep.fetch
-	e.finishRun(n, res)
 }
 
 // slot returns the first cycle at or after c and the cycle of event idx-1

@@ -218,6 +218,75 @@ func BenchmarkPlaceSuite(b *testing.B) {
 	}
 }
 
+// suiteInOrderRequest is the i-th suite loop's request in the shape an InO
+// core makes (ino.Core: issue width, InO pipeline depth, no probe,
+// mispredicts drawn at the trace's rate), with memory-like load latencies:
+// with order nil, a measurement in program order behind fetch gates;
+// otherwise a replay of that recorded schedule, whose blocks come from the
+// schedule cache, so no fetch gates.
+func suiteInOrderRequest(i int, l program.Loop, order []uint16) Request {
+	req := Request{
+		Trace: l.Trace, Deps: l.Deps, Iterations: suiteMeasureIters, Policy: ProgramOrder, NoProbe: true,
+		Width: isa.IssueWidth, MispredictPenalty: isa.InOPipelineDepth,
+		LoadLatency: memLatPattern(uint64(i) + 1),
+		Mispredicts: mispredictPattern(uint64(i), l.Trace.MispredictRate),
+	}
+	if order == nil {
+		req.FetchGate = fetchGatePattern(3, 7)
+	} else {
+		req.Policy, req.Order, req.ProbeSpan = RecordedOrder, order, suiteScheduleSpan
+	}
+	return req
+}
+
+// suiteOrders records each suite loop's schedule from its OoO-shaped
+// request, as an OoO core records the ones the InO replays.
+func suiteOrders(loops []program.Loop) [][]uint16 {
+	e := NewEngine()
+	orders := make([][]uint16, len(loops))
+	for i, l := range loops {
+		orders[i] = slices.Clone(e.run(suiteDataflowRequest(i, l), false).IssueOrder)
+	}
+	return orders
+}
+
+// TestSuiteInOrderMatchesReference: every suite loop trace, measured in
+// program order and replayed in its recorded order in the shapes an InO
+// core asks for, matches the reference on one reused engine.
+func TestSuiteInOrderMatchesReference(t *testing.T) {
+	loops := suiteLoops()
+	orders := suiteOrders(loops)
+	e := NewEngine()
+	for i, l := range loops {
+		for _, order := range [][]uint16{nil, orders[i]} {
+			got := e.run(suiteInOrderRequest(i, l, order), false)
+			if want := referenceRun(suiteInOrderRequest(i, l, order)); !sameAsReference(got, want, true) {
+				t.Fatalf("suite trace %d (recorded %v): diverged from reference\n got: %+v\nwant: %+v",
+					l.Trace.ID, order != nil, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkInOrderSuite runs every suite loop's InO-shaped requests on one
+// engine, the memo bypassed: one op is one pass over the suite, a
+// program-order measurement and a recorded-order replay of each loop.
+func BenchmarkInOrderSuite(b *testing.B) {
+	loops := suiteLoops()
+	orders := suiteOrders(loops)
+	var reqs []Request
+	for i, l := range loops {
+		reqs = append(reqs, suiteInOrderRequest(i, l, nil), suiteInOrderRequest(i, l, orders[i]))
+	}
+	e := NewEngine()
+	b.ResetTimer()
+	for range b.N {
+		for _, req := range reqs {
+			e.run(req, false)
+		}
+	}
+}
+
 // TestOccupancyWordFits: a cycle's issue count and each pool's claims,
 // biased for the claim test, fit their 4-bit fields of an occupancy word,
 // so no claim carries into the next field whatever the request's width.

@@ -136,7 +136,7 @@ type DepGraph struct {
 	LastWriter [isa.NumRegs]int
 
 	// derived caches a consumer-specific flattened form of the graph (the
-	// pipeline engine's CSR adjacency), built on first use via Derived.
+	// pipeline engine's operand table), built on first use via Derived.
 	derived atomic.Value
 }
 
